@@ -1,8 +1,9 @@
 // Command dlserve demonstrates the online-inference workflow of paper
 // Figure 1 over real TCP: clients send JPEG frames, the server decodes
-// them through the DLBooster pipeline (or the CPU baseline), runs the
-// batch inference engine on a simulated GPU, and returns per-image
-// predictions with receipt-to-prediction latency.
+// them through the DLBooster pipeline (on its decoder boards, or with
+// -backend cpu on the host CPU), runs the batch inference engine on a
+// simulated GPU, and returns per-image predictions with
+// receipt-to-prediction latency.
 //
 // Server:  dlserve -listen :7878 -backend dlbooster -batch 8
 // Client:  dlserve -connect 127.0.0.1:7878 -n 64
@@ -21,51 +22,40 @@
 // that served (or shed) the request — always 0 on a single-shard
 // server — so a client can attribute sheds and latency per shard.
 //
-// With -shards N the server runs N independent Booster shards — each
-// with its own decoder boards, HugePage arena, batch engine and
-// admission control — behind the internal/fleet router: requests
-// place by least-loaded queue or consistent client hash, a shard
-// whose boards degrade to CPU is rung off the hash ring, and the work
+// The server is always a fleet (server.go): -shards N independent
+// Booster shards — each with its own decoder boards, HugePage arena,
+// batch engine and admission control — behind the internal/fleet
+// router, the default -shards 1 being a fleet of one. Requests place
+// by least-loaded queue or consistent client hash, a shard whose
+// boards degrade to CPU is rung off the hash ring, and the work
 // stealer drains its backlog into healthy shards.
 //
 // Batching is dynamic: a partial batch is sealed once its oldest
 // request has waited -batch-timeout, so any request count gets its
 // predictions without waiting for a full batch or server shutdown.
-// Ingest is bounded by -queue; an overloaded server sheds with status
-// frames instead of queueing without bound.
+// Each shard's ingest is bounded by -queue; an overloaded server sheds
+// with status frames instead of queueing without bound.
 package main
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"syscall"
 	"time"
 
-	"dlbooster/internal/backends"
-	"dlbooster/internal/control"
 	"dlbooster/internal/core"
 	"dlbooster/internal/dataset"
 	"dlbooster/internal/engine"
 	"dlbooster/internal/faults"
+	"dlbooster/internal/fleet"
 	"dlbooster/internal/fpga"
-	"dlbooster/internal/gpu"
-	"dlbooster/internal/metrics"
-	"dlbooster/internal/nvme"
-	"dlbooster/internal/perf"
-	"dlbooster/internal/queue"
 )
 
 const maxFrame = 32 << 20
@@ -84,12 +74,12 @@ const (
 func main() {
 	listen := flag.String("listen", "", "serve on this address (server mode)")
 	connect := flag.String("connect", "", "send to this address (client mode)")
-	backendName := flag.String("backend", "dlbooster", "server backend: dlbooster or cpu")
+	backendName := flag.String("backend", "dlbooster", "server backend: dlbooster, or cpu — the same pipeline with every decode offloaded to the host CPU, one inline decode goroutine per shard, so the baseline scales with -shards")
 	batch := flag.Int("batch", 8, "server batch size")
-	shards := flag.Int("shards", 1, "server: number of independent pipeline shards (dlbooster backend only)")
+	shards := flag.Int("shards", 1, "server: number of independent pipeline shards (1 = a fleet of one)")
 	placement := flag.String("placement", "least-loaded", "server: shard placement policy with -shards > 1: least-loaded or hash (consistent hash of the client id)")
 	batchTimeout := flag.Duration("batch-timeout", 5*time.Millisecond, "server: seal a partial batch once its oldest request has waited this long (0 = strict batches)")
-	queueCap := flag.Int("queue", 256, "server: ingest queue capacity; requests beyond it are shed with status frames")
+	queueCap := flag.Int("queue", 256, "server: per-shard ingest queue capacity; requests beyond it are shed with status frames")
 	n := flag.Int("n", 64, "client: number of images to send")
 	wait := flag.Duration("wait", 0, "client: give up on outstanding responses this long after the last send (0 = wait forever)")
 	size := flag.Int("size", 224, "server decoder output edge")
@@ -102,13 +92,13 @@ func main() {
 	history := flag.Duration("history", 0, "server: sample windowed telemetry at this interval into a bounded history ring (0 = off; enabled at 1s automatically by -slo)")
 	historySamples := flag.Int("history-samples", 0, "server: history ring capacity in samples (0 = default 120)")
 	sloSpec := flag.String("slo", "", "server: judge this SLO spec over the telemetry window at shutdown, e.g. tput=900,p99ms=250,shed=0.001,window=60s (keys: tput p99ms stage shed window)")
-	autotuneSpec := flag.String("autotune", "", "server: run the adaptive SLO autotuner against this spec (same keys as -slo), actuating the batch-timeout, CPU-offload and admission knobs each sampling interval; dlbooster backend only, implies -history")
+	autotuneSpec := flag.String("autotune", "", "server: run the adaptive SLO autotuner against this spec (same keys as -slo), actuating each shard's batch-timeout, CPU-offload and admission knobs each sampling interval; dlbooster backend only, implies -history")
 	pprofOn := flag.Bool("pprof", false, "server: mount net/http/pprof under /debug/pprof/ on the -metrics-addr mux")
 	snapEvery := flag.Duration("snapshot-every", 0, "server: write a JSON telemetry snapshot at this interval (0 = off)")
 	snapFile := flag.String("snapshot-file", "", "server: overwrite this file with each periodic snapshot (default: stderr)")
 	traceFile := flag.String("trace-file", "", "server: write a Chrome trace_event timeline (Perfetto-loadable) to this file on shutdown; also serves /trace.json when -metrics-addr is set")
 	flightDir := flag.String("flight-dir", "", "server: enable the flight recorder, dumping its rings into this directory on degradation, wedged-device faults, backend errors and shutdown")
-	cacheMB := flag.Int("cache-mb", 0, "server: RAM tier of the decoded-tensor ReplayCache in MiB (0 = no cache); with -shards > 1 the tiers are shared across shards")
+	cacheMB := flag.Int("cache-mb", 0, "server: RAM tier of the decoded-tensor ReplayCache in MiB (0 = no cache); the tiers are shared across shards")
 	cacheSpillMB := flag.Int("cache-spill-mb", 0, "server: NVMe spill tier of the ReplayCache in MiB (0 = RAM tier only)")
 	cacheCompress := flag.Bool("cache-compress", false, "server: flate-compress tensors spilled to the NVMe tier")
 	flag.Parse()
@@ -134,11 +124,11 @@ func main() {
 			pprof:          *pprofOn,
 			snapEvery:      *snapEvery,
 			snapFile:       *snapFile,
-			traceFile:     *traceFile,
-			flightDir:     *flightDir,
-			cacheMB:       *cacheMB,
-			cacheSpillMB:  *cacheSpillMB,
-			cacheCompress: *cacheCompress,
+			traceFile:      *traceFile,
+			flightDir:      *flightDir,
+			cacheMB:        *cacheMB,
+			cacheSpillMB:   *cacheSpillMB,
+			cacheCompress:  *cacheCompress,
 		})
 	case *connect != "":
 		err = client(*connect, *n, *wait)
@@ -212,653 +202,10 @@ func (c *conns) closeAll() {
 	}
 }
 
-// serveConfig carries the server-mode flags.
-type serveConfig struct {
-	addr      string
-	backend   string
-	batch     int
-	size      int
-	pace      bool
-	faultFPGA string
-	res       core.Resilience
-
-	// shards > 1 runs the fleet path (serveFleet): that many
-	// independent pipeline shards behind the placement policy, each
-	// with its own ingest queue of queueCap slots.
-	shards    int
-	placement string
-
-	// batchTimeout is the dynamic-batching deadline (0 = strict
-	// batches); queueCap bounds the ingest queue for admission control.
-	batchTimeout time.Duration
-	queueCap     int
-
-	// Telemetry: metricsAddr serves /metrics, /metrics.json,
-	// /history.json and /trace.json over HTTP; snapEvery writes periodic
-	// JSON snapshots to snapFile (or stderr); traceFile receives a
-	// Chrome trace timeline on shutdown. Any of them enables full
-	// tracing on the pipeline. flightDir enables the always-on flight
-	// recorder independently.
-	metricsAddr string
-	snapEvery   time.Duration
-	snapFile    string
-	traceFile   string
-	flightDir   string
-
-	// historyEvery > 0 runs the windowed-telemetry sampler at that
-	// interval into a ring of historySamples samples (0 = default);
-	// sloSpec, when set, is judged over the window at shutdown (and
-	// turns the sampler on at 1s if historyEvery is 0). autotuneSpec
-	// runs the internal/control feedback loop against its SLO at the
-	// sampling interval (and doubles as the shutdown -slo when none was
-	// given). pprof mounts net/http/pprof on the metricsAddr mux.
-	historyEvery   time.Duration
-	historySamples int
-	sloSpec        string
-	autotuneSpec   string
-	pprof          bool
-
-	// cacheMB > 0 gives the pipeline a decoded-tensor ReplayCache: a
-	// RAM tier of that size, plus an NVMe spill tier of cacheSpillMB
-	// when set (optionally flate-compressed). Serving is a stream, not
-	// an epoch, so the cache is a capture surface here — its counters
-	// and doctor verdicts show up in the telemetry endpoints.
-	cacheMB       int
-	cacheSpillMB  int
-	cacheCompress bool
-}
-
-// cacheConfig translates the -cache-* flags into a core.CacheConfig,
-// backing the spill tier with its own paced simulated NVMe device.
-func (cfg serveConfig) cacheConfig() core.CacheConfig {
-	if cfg.cacheMB <= 0 {
-		return core.CacheConfig{}
-	}
-	cc := core.CacheConfig{
-		RAMBytes: int64(cfg.cacheMB) << 20,
-		Compress: cfg.cacheCompress,
-	}
-	if cfg.cacheSpillMB > 0 {
-		cc.Spill = nvme.New(nvme.Config{
-			ReadBandwidth:  perf.NVMeReadBandwidth,
-			ReadLatency:    time.Duration(perf.NVMeReadLatency * float64(time.Second)),
-			WriteBandwidth: perf.NVMeWriteBandwidth,
-			WriteLatency:   time.Duration(perf.NVMeWriteLatency * float64(time.Second)),
-		})
-		cc.SpillBytes = int64(cfg.cacheSpillMB) << 20
-	}
-	return cc
-}
-
-func serve(cfg serveConfig) error {
-	if cfg.queueCap < 1 {
-		return fmt.Errorf("-queue %d: ingest queue needs at least one slot", cfg.queueCap)
-	}
-	if cfg.shards < 1 {
-		return fmt.Errorf("-shards %d: need at least one shard", cfg.shards)
-	}
-	if cfg.shards > 1 {
-		return serveFleet(cfg)
-	}
-	faultCfg, err := faults.ParseSpec(cfg.faultFPGA)
-	if err != nil {
-		return err
-	}
-	var inject *faults.Injector
-	if faultCfg.Enabled() {
-		inject = faults.New(faultCfg)
-	}
-	if cfg.snapFile != "" && cfg.snapEvery <= 0 {
-		fmt.Fprintf(os.Stderr, "dlserve: warning: -snapshot-file %q has no effect without -snapshot-every\n", cfg.snapFile)
-	}
-	slo, ctlSLO, histEvery, err := cfg.telemetryPlan()
-	if err != nil {
-		return err
-	}
-	if ctlSLO != nil && cfg.backend != "dlbooster" {
-		return fmt.Errorf("-autotune actuates the dlbooster pipeline's knobs; the %s backend has none", cfg.backend)
-	}
-	var reg *metrics.Registry
-	if cfg.metricsAddr != "" || cfg.snapEvery > 0 || cfg.traceFile != "" || histEvery > 0 {
-		reg = metrics.NewRegistry()
-		// Runtime health gauges are process-wide; one registry per
-		// process carries them (the fleet path registers on shard 0).
-		metrics.RegisterRuntimeGauges(reg)
-	}
-	var flight *metrics.FlightRecorder
-	if cfg.flightDir != "" {
-		flight = metrics.NewFlightRecorder(metrics.FlightConfig{DumpDir: cfg.flightDir})
-		// Injected faults land in the recorder's timeline; the first
-		// wedged-device fault ("fault_stuck") triggers an automatic dump.
-		inject.SetHook(func(kind string, op int64) {
-			if path := flight.Note("fault_"+kind, fmt.Sprintf("injected %s fault at decoder op %d", kind, op)); path != "" {
-				fmt.Fprintf(os.Stderr, "dlserve: flight recorder dumped to %s\n", path)
-			}
-		})
-		if reg != nil {
-			reg.AttachFlight(flight)
-		}
-	}
-	batch, size := cfg.batch, cfg.size
-	var backend backends.Backend
-	switch cfg.backend {
-	case "dlbooster":
-		b, err := backends.NewDLBooster(core.Config{
-			BatchSize: batch, OutW: size, OutH: size, Channels: 3, PoolBatches: 8,
-			FPGA:         fpga.Config{Inject: inject},
-			Resilience:   cfg.res,
-			BatchTimeout: cfg.batchTimeout,
-			Metrics:      reg,
-			Flight:       flight,
-			Cache:        cfg.cacheConfig(),
-		})
-		if err != nil {
-			return err
-		}
-		backend = b
-	case "cpu":
-		if inject != nil {
-			return fmt.Errorf("-fault-fpga targets the decoder; the cpu backend has none")
-		}
-		b, err := backends.NewCPU(backends.CPUConfig{
-			BatchSize: batch, OutW: size, OutH: size, Channels: 3,
-			PoolBatches: 8, Workers: 4,
-			BatchTimeout: cfg.batchTimeout,
-			Cache:        cfg.cacheConfig(),
-		})
-		if err != nil {
-			return err
-		}
-		backend = b
-	default:
-		return fmt.Errorf("unknown backend %q", cfg.backend)
-	}
-	defer backend.Close()
-
-	dev, err := gpu.NewDevice(0, 1<<31)
-	if err != nil {
-		return err
-	}
-	defer dev.Close()
-	solver, err := core.NewSolver(dev, 2, batch*size*size*3)
-	if err != nil {
-		return err
-	}
-	disp, err := core.NewDispatcher(backend.Batches(), backend.RecycleBatch, []*core.Solver{solver}, core.DispatcherConfig{Metrics: reg})
-	if err != nil {
-		return err
-	}
-	cs := &conns{byID: make(map[int]net.Conn)}
-	lat := &metrics.Histogram{}
-	inf, err := engine.NewInference(engine.InferenceConfig{
-		Profile: perf.GoogLeNet, Solver: solver, Classes: 1000,
-		PaceCompute: cfg.pace, Latency: lat,
-		Emit:    cs.emit(0),
-		Metrics: reg,
-	})
-	if err != nil {
-		return err
-	}
-
-	// The richest registry available: the booster's internal one carries
-	// queue depths and decoder stats even when no -metrics-addr registry
-	// exists. The flight recorder, the history sampler and the ingest
-	// probes all read/land there.
-	richReg := reg
-	if db, ok := backend.(*backends.DLBooster); ok {
-		richReg = db.Registry()
-	}
-	// Built here so /history.json can serve the ring, but started only
-	// after the ingest probes are registered below — every sample then
-	// carries the full probe set.
-	var sampler *metrics.Sampler
-	if histEvery > 0 {
-		sampler = metrics.NewSampler(richReg, metrics.SamplerConfig{Interval: histEvery, Capacity: cfg.historySamples})
-	}
-	if cfg.metricsAddr != "" {
-		if err := serveMetrics(cfg.metricsAddr, reg, sampler.History(), cfg.pprof); err != nil {
-			return err
-		}
-	}
-	var snapStop chan struct{}
-	var snapDone chan struct{}
-	if cfg.snapEvery > 0 {
-		snapStop, snapDone = make(chan struct{}), make(chan struct{})
-		go snapshotLoop(reg, cfg.snapEvery, cfg.snapFile, snapStop, snapDone)
-	}
-	if flight != nil && richReg != nil {
-		stop := flight.SampleLoop(richReg, time.Second)
-		defer stop()
-	}
-	items := queue.New[core.Item](cfg.queueCap)
-	grace := cfg.batchTimeout
-	if grace <= 0 {
-		grace = time.Millisecond
-	}
-	ing := &ingest{items: items, grace: grace, flight: flight}
-	ing.effCap.Store(int64(cfg.queueCap))
-	// Ingest probes land in the richest registry available, so the
-	// doctor's ingest-overloaded rule and the flight recorder see them
-	// even when no -metrics-addr registry exists. The queue probe
-	// reports the effective (knob) cap, so occupancy ratios track the
-	// admission clients actually experience.
-	ing.reg = richReg
-	ing.reg.RegisterQueue("ingest_items", items.Len, ing.QueueCap)
-	ing.reg.RegisterCounterFunc("serve_shed_total", ing.shed.Load)
-	ing.reg.RegisterCounterFunc("serve_shed_closed_total", ing.shedClosed.Load)
-	ing.reg.RegisterGauge("knob_queue_cap", func() float64 { return float64(ing.QueueCap()) })
-	// The autotuner closes the loop over the same history the sampler
-	// records: plant = the booster's decode knobs + the ingest admission
-	// knob, judged against the -autotune SLO once per sampling interval.
-	var ctl *control.Controller
-	if ctlSLO != nil {
-		db := backend.(*backends.DLBooster) // guarded above
-		ctl, err = control.New(control.PipelinePlant{Booster: db, Admission: ing}, sampler.History(), control.Config{
-			SLO:      ctlSLO,
-			Interval: histEvery,
-			Registry: richReg,
-		})
-		if err != nil {
-			return err
-		}
-	}
-	sampler.Start()
-	if ctl != nil {
-		ctl.Start()
-		fmt.Printf("dlserve: autotune steering toward %s every %v\n", ctlSLO.String(), histEvery)
-	}
-	go func() {
-		defer flight.DumpOnPanic()
-		if err := backend.RunEpoch(core.CollectorFromQueue(items)); err != nil {
-			fmt.Fprintf(os.Stderr, "dlserve: backend: %v\n", err)
-			flight.Note("backend_error", err.Error())
-		}
-		if db, ok := backend.(*backends.DLBooster); ok {
-			for _, e := range db.Events() {
-				fmt.Fprintf(os.Stderr, "dlserve: %s: %s\n", e.Name, e.Detail)
-			}
-			if db.Degraded() {
-				fmt.Fprintf(os.Stderr, "dlserve: served %d images on the CPU fallback path (%d retries, %d command timeouts)\n",
-					db.FallbackDecodes(), db.Retries(), db.CmdTimeouts())
-			}
-		}
-		backend.CloseBatches()
-	}()
-	go func() {
-		if err := disp.Run(); err != nil {
-			fmt.Fprintf(os.Stderr, "dlserve: dispatcher: %v\n", err)
-		}
-	}()
-	engineDone := make(chan struct{})
-	go func() {
-		defer close(engineDone)
-		if _, err := inf.Run(); err != nil {
-			fmt.Fprintf(os.Stderr, "dlserve: engine: %v\n", err)
-		}
-	}()
-
-	ln, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		return err
-	}
-	// SIGINT/SIGTERM closes the listener; the accept loop then runs the
-	// drain path below — the operator (and chaos-test) exit path.
-	var closing atomic.Bool
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		closing.Store(true)
-		_ = ln.Close()
-	}()
-	fmt.Printf("dlserve: %s backend, batch %d (timeout %v), queue %d, listening on %s\n",
-		backend.Name(), batch, cfg.batchTimeout, cfg.queueCap, ln.Addr())
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			// Drain: close the ingest queue first so every handler
-			// blocked in admit unblocks; the epoch goroutine then seals
-			// its last batch and closes the Full queue, and the engine
-			// finishes in-flight predictions before connections drop.
-			items.Close()
-			select {
-			case <-engineDone:
-			case <-time.After(3 * time.Second):
-			}
-			cs.closeAll()
-			// Join the periodic-snapshot goroutine and the history
-			// sampler: both record state right up to the drain and
-			// neither outlives the server.
-			if snapStop != nil {
-				close(snapStop)
-				<-snapDone
-			}
-			if ctl != nil {
-				ctl.Stop()
-				reportAutotune(ctl, "")
-			}
-			sampler.Stop()
-			reportWindow(sampler.History(), slo)
-			if cfg.traceFile != "" && reg != nil {
-				writeTraceFile(cfg.traceFile, reg)
-			}
-			if flight != nil {
-				if path, derr := flight.Dump("shutdown"); derr == nil {
-					fmt.Fprintf(os.Stderr, "dlserve: flight recorder dumped to %s\n", path)
-				}
-			}
-			if closing.Load() {
-				return nil
-			}
-			return err
-		}
-		go handleConn(nc, cs, ing)
-	}
-}
-
-// telemetryPlan resolves the windowed-telemetry flags: the parsed
-// shutdown SLO (nil when unset), the autotuner's SLO (nil when
-// -autotune is unset), and the effective history sampling interval —
-// -history as given, forced to 1s when an SLO or the autotuner needs a
-// window and no interval was chosen. -autotune without -slo also judges
-// its own spec at shutdown, so the scorecard reports the objective the
-// controller steered toward.
-func (cfg serveConfig) telemetryPlan() (slo, ctlSLO *metrics.SLO, histEvery time.Duration, err error) {
-	if cfg.sloSpec != "" {
-		if slo, err = metrics.ParseSLO(cfg.sloSpec); err != nil {
-			return nil, nil, 0, err
-		}
-	}
-	if cfg.autotuneSpec != "" {
-		if ctlSLO, err = metrics.ParseSLO(cfg.autotuneSpec); err != nil {
-			return nil, nil, 0, fmt.Errorf("-autotune: %w", err)
-		}
-		if slo == nil {
-			slo = ctlSLO
-		}
-	}
-	histEvery = cfg.historyEvery
-	if (slo != nil || ctlSLO != nil) && histEvery <= 0 {
-		histEvery = time.Second
-	}
-	if cfg.historySamples > 0 && histEvery <= 0 {
-		fmt.Fprintf(os.Stderr, "dlserve: warning: -history-samples %d has no effect without -history or -slo\n", cfg.historySamples)
-	}
-	return slo, ctlSLO, histEvery, nil
-}
-
-// reportAutotune prints one controller's shutdown summary: the decision
-// ledger and the operating point it converged to. label distinguishes
-// fleet shards ("" on the single-pipeline path).
-func reportAutotune(ctl *control.Controller, label string) {
-	if label != "" {
-		label += ": "
-	}
-	base, cur := ctl.Base(), ctl.Current()
-	fmt.Fprintf(os.Stderr, "dlserve: autotune: %s%d retunes / %d holds over %d decisions; batch_timeout %v→%v, queue_cap %d→%d, cpu_share %.3f→%.3f\n",
-		label, ctl.Retunes(), ctl.Holds(), ctl.Decisions(),
-		base.BatchTimeout, cur.BatchTimeout, base.QueueCap, cur.QueueCap, base.CPUShare, cur.CPUShare)
-}
-
-// reportWindow prints the shutdown windowed-telemetry report: the
-// trend-aware doctor over the sampled history, then the SLO scorecard
-// when a spec was given. No-op without a history.
-func reportWindow(hist *metrics.History, slo *metrics.SLO) {
-	if hist == nil {
-		return
-	}
-	if td := metrics.DiagnoseHistory(hist); td != nil {
-		fmt.Fprintf(os.Stderr, "dlserve: %s", td.Report())
-	}
-	if slo != nil {
-		fmt.Fprintf(os.Stderr, "dlserve: %s", slo.Evaluate(hist).Report())
-	}
-}
-
-// serveMetrics exposes the registry over HTTP: /metrics is the
-// Prometheus text exposition, /metrics.json the full snapshot,
-// /history.json the windowed-telemetry ring (404 without -history),
-// /trace.json the recent spans and events as a Chrome trace timeline.
-// With pprofOn, net/http/pprof mounts under /debug/pprof/.
-func serveMetrics(addr string, reg *metrics.Registry, hist *metrics.History, pprofOn bool) error {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_ = reg.Snapshot().WritePrometheus(w)
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		data, err := reg.Snapshot().JSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(data)
-	})
-	mux.HandleFunc("/trace.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = reg.Snapshot().WriteChromeTrace(w)
-	})
-	registerHistoryEndpoint(mux, hist)
-	registerPprof(mux, pprofOn)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("dlserve: telemetry on http://%s/metrics\n", ln.Addr())
-	go func() { _ = http.Serve(ln, mux) }()
-	return nil
-}
-
-// registerHistoryEndpoint mounts /history.json: the full History ring
-// as JSON (capacity, lifetime sample count, samples oldest first). A
-// server without -history answers 404 so scrapers can tell "off" from
-// "empty".
-func registerHistoryEndpoint(mux *http.ServeMux, hist *metrics.History) {
-	mux.HandleFunc("/history.json", func(w http.ResponseWriter, _ *http.Request) {
-		if hist == nil {
-			http.Error(w, "windowed telemetry is off; start the server with -history or -slo", http.StatusNotFound)
-			return
-		}
-		data, err := hist.JSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(data)
-	})
-}
-
-// registerPprof mounts the net/http/pprof handlers on the telemetry
-// mux — the profiling workflow docs/METRICS.md describes (CPU: curl
-// /debug/pprof/profile?seconds=10; heap: /debug/pprof/heap).
-func registerPprof(mux *http.ServeMux, on bool) {
-	if !on {
-		return
-	}
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// snapWarner rate-limits the periodic-snapshot loops' error reporting:
-// a wedged disk or a marshalling bug surfaces on stderr, but at most
-// once per minute instead of once per tick.
-type snapWarner struct {
-	last time.Time
-}
-
-func (w *snapWarner) warnf(format string, args ...any) {
-	if now := time.Now(); now.Sub(w.last) >= time.Minute {
-		w.last = now
-		fmt.Fprintf(os.Stderr, "dlserve: snapshot: "+format+"\n", args...)
-	}
-}
-
-// snapshotLoop periodically renders the registry to JSON, overwriting
-// path each tick (or appending to stderr when path is empty) — the
-// capture mechanism EXPERIMENTS.md uses for offline analysis. Render
-// and write failures reach stderr (rate-limited) instead of vanishing;
-// closing stop ends the loop, and done is closed on the way out so the
-// drain path can join it.
-func snapshotLoop(reg *metrics.Registry, every time.Duration, path string, stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	t := time.NewTicker(every)
-	defer t.Stop()
-	var warn snapWarner
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-		}
-		data, err := reg.Snapshot().JSON()
-		if err != nil {
-			warn.warnf("rendering snapshot: %v", err)
-			continue
-		}
-		if path == "" {
-			fmt.Fprintf(os.Stderr, "%s\n", data)
-			continue
-		}
-		// Atomic (temp + fsync + rename): a scraper reading the file
-		// mid-write sees the previous snapshot, never a truncated one.
-		if err := metrics.WriteFileAtomic(path, append(data, '\n')); err != nil {
-			warn.warnf("writing %s: %v", path, err)
-		}
-	}
-}
-
-// writeTraceFile renders the registry's recent spans and events as a
-// Chrome trace timeline and writes it atomically.
-func writeTraceFile(path string, reg *metrics.Registry) {
-	var buf bytes.Buffer
-	if err := reg.Snapshot().WriteChromeTrace(&buf); err != nil {
-		fmt.Fprintf(os.Stderr, "dlserve: trace export: %v\n", err)
-		return
-	}
-	if err := metrics.WriteFileAtomic(path, buf.Bytes()); err != nil {
-		fmt.Fprintf(os.Stderr, "dlserve: writing %s: %v\n", path, err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "dlserve: wrote trace timeline to %s\n", path)
-}
-
-// ingest is the admission-control front door shared by every
-// connection handler: a bounded item queue plus shed accounting. A
-// request that cannot enter the queue within one grace period is shed
-// — the client hears a status frame instead of the server queueing
-// without bound.
-type ingest struct {
-	items *queue.Queue[core.Item]
-	grace time.Duration
-	shed  atomic.Int64
-
-	// shedClosed is the subset of shed refused because the server was
-	// draining (closed ingest) rather than overloaded.
-	shedClosed atomic.Int64
-	// effCap is the admission knob: the effective queue cap, at most
-	// the physical capacity. Below it, admit sheds at the cap without
-	// waiting out the grace period.
-	effCap atomic.Int64
-
-	reg          *metrics.Registry
-	flight       *metrics.FlightRecorder
-	overloadOnce sync.Once
-}
-
-// SetQueueCap retunes the effective ingest cap — the admission knob the
-// autotuner actuates. Clamps to [1, physical capacity]; re-read at
-// every admission decision. Safe from any goroutine.
-func (g *ingest) SetQueueCap(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if c := g.items.Cap(); n > c {
-		n = c
-	}
-	g.effCap.Store(int64(n))
-}
-
-// QueueCap returns the effective ingest cap (the physical capacity
-// until the first SetQueueCap).
-func (g *ingest) QueueCap() int { return int(g.effCap.Load()) }
-
-// Admission outcomes of admitter.admit.
-const (
-	admitOK     = iota // queued for the pipeline
-	admitShed          // refused; send a shed status frame
-	admitClosed        // server shutting down; drop the connection
-)
-
-// admitter is the front door handleConn pushes requests into: the
-// single pipeline's ingest queue, or the fleet router when -shards > 1.
-// The returned shard names where the request landed (or was shed), so
-// the response frame can attribute it.
-type admitter interface {
-	admit(item core.Item) (shard, outcome int)
-}
-
-func (g *ingest) admit(item core.Item) (int, int) {
-	if g.items.Closed() {
-		// Classify before the cap check: a drain-time refusal is a
-		// closed refusal even when the backlog also sits at the cap.
-		return 0, g.refuseClosed()
-	}
-	if c := int(g.effCap.Load()); c < g.items.Cap() && g.items.Len() >= c {
-		// The admission knob sits below the physical queue: shed at the
-		// effective cap instead of waiting out the grace period against
-		// capacity that is deliberately off-limits.
-		g.noteShed()
-		return 0, admitShed
-	}
-	if ok, err := g.items.TryPush(item); err != nil {
-		return 0, g.refuseClosed()
-	} else if ok {
-		return 0, admitOK
-	}
-	// Full queue: one grace period of backpressure lets a momentary
-	// burst drain instead of bouncing straight to a shed.
-	ok, err := g.items.PushTimeout(item, g.grace)
-	if err != nil {
-		return 0, g.refuseClosed()
-	}
-	if !ok {
-		g.noteShed()
-		return 0, admitShed
-	}
-	return 0, admitOK
-}
-
-// noteShed books one queue-full shed and rings the one-shot overload
-// event.
-func (g *ingest) noteShed() {
-	g.shed.Add(1)
-	g.overloadOnce.Do(func() {
-		detail := fmt.Sprintf("ingest queue full (%d items); shedding with status frames", g.QueueCap())
-		if g.reg != nil {
-			g.reg.Event("ingest_overloaded", detail)
-		} else {
-			g.flight.Note("ingest_overloaded", detail)
-		}
-	})
-}
-
-// refuseClosed books one draining-time refusal — the frame arrived
-// after the ingest queue closed. It counts in serve_shed_total (the
-// client was refused either way), with serve_shed_closed_total keeping
-// the subset distinguishable, so offered = decoded + shed reconciles
-// across a shutdown instead of leaking the grace-window frames.
-func (g *ingest) refuseClosed() int {
-	g.shed.Add(1)
-	g.shedClosed.Add(1)
-	return admitClosed
-}
-
-func handleConn(nc net.Conn, cs *conns, ing admitter) {
+// handleConn reads one connection's request frames and submits each to
+// the fleet, keying consistent-hash placement by the connection id so
+// one client's frames keep shard affinity while the ring is stable.
+func handleConn(nc net.Conn, cs *conns, fl *fleet.Fleet) {
 	id := cs.add(nc)
 	defer func() {
 		cs.remove(id)
@@ -886,14 +233,15 @@ func handleConn(nc net.Conn, cs *conns, ing admitter) {
 			Ref:  fpga.DataRef{Inline: payload},
 			Meta: core.ItemMeta{ClientID: id, Seq: seq, ReceivedAt: time.Now()},
 		}
-		shard, outcome := ing.admit(item)
-		switch outcome {
-		case admitShed:
+		shard, adm := fl.Submit(item, uint64(id))
+		switch adm {
+		case fleet.AdmitShed:
 			cs.sendStatus(id, seq, statusShed, shard)
-		case admitClosed:
-			// Draining: the refusal is already on the shed books; tell
-			// the client with a shed status frame before dropping the
-			// connection, so it isn't left waiting on a silent close.
+		case fleet.AdmitClosed:
+			// Draining: the refusal is already on the routed shard's shed
+			// books; tell the client with a shed status frame before
+			// dropping the connection, so it isn't left waiting on a
+			// silent close.
 			cs.sendStatus(id, seq, statusShed, shard)
 			return
 		}

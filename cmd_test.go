@@ -86,6 +86,43 @@ func runClient(t *testing.T, bin string, srvOut *bytes.Buffer, args ...string) s
 	return ""
 }
 
+// fleetRollup is the part of dlserve's /metrics.json the exec tests
+// read: per-shard counters plus the fleet totals.
+type fleetRollup struct {
+	Shards []struct {
+		Counters map[string]int64 `json:"counters"`
+	} `json:"shards"`
+	Total struct {
+		Counters map[string]int64 `json:"counters"`
+	} `json:"total"`
+}
+
+// httpGet returns the body of a telemetry endpoint.
+func httpGet(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	return body
+}
+
+// getRollup fetches and decodes /metrics.json from a telemetry address.
+func getRollup(t *testing.T, addr string) fleetRollup {
+	t.Helper()
+	body := httpGet(t, "http://"+addr+"/metrics.json")
+	var snap fleetRollup
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatalf("/metrics.json: %v\n%s", err, body)
+	}
+	return snap
+}
+
 // TestServePartialBatch is the ISSUE-4 acceptance scenario: 5 images
 // into a -batch 8 server must yield 5 predictions via the deadline
 // flush — no full batch ever forms and the server never shuts down.
@@ -153,28 +190,12 @@ func TestServeShards(t *testing.T) {
 
 	// The fleet rollup: per-shard snapshots plus totals that conserve
 	// the counters.
-	resp, err := http.Get("http://127.0.0.1:39477/metrics.json")
-	if err != nil {
-		t.Fatalf("GET /metrics.json: %v", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var snap struct {
-		Shards []struct {
-			Counters map[string]int64 `json:"counters"`
-		} `json:"shards"`
-		Total struct {
-			Counters map[string]int64 `json:"counters"`
-		} `json:"total"`
-	}
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatalf("/metrics.json: %v\n%s", err, body)
-	}
+	snap := getRollup(t, "127.0.0.1:39477")
 	if len(snap.Shards) != 2 {
-		t.Fatalf("fleet snapshot has %d shards:\n%s", len(snap.Shards), body)
+		t.Fatalf("fleet snapshot has %d shards: %+v", len(snap.Shards), snap)
 	}
 	if got := snap.Total.Counters["images_decoded_total"]; got != 13 {
-		t.Fatalf("fleet total images_decoded_total = %d, want 13\n%s", got, body)
+		t.Fatalf("fleet total images_decoded_total = %d, want 13: %+v", got, snap)
 	}
 	var sum int64
 	for _, s := range snap.Shards {
@@ -185,16 +206,37 @@ func TestServeShards(t *testing.T) {
 	}
 
 	// Per-shard process tracks in the trace timeline.
-	resp, err = http.Get("http://127.0.0.1:39477/trace.json")
-	if err != nil {
-		t.Fatalf("GET /trace.json: %v", err)
-	}
-	trace, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	trace := httpGet(t, "http://127.0.0.1:39477/trace.json")
 	for _, track := range []string{`"shard 0"`, `"shard 1"`} {
-		if !strings.Contains(string(trace), track) {
+		if !bytes.Contains(trace, []byte(track)) {
 			t.Fatalf("/trace.json missing %s track:\n%.400s", track, trace)
 		}
+	}
+}
+
+// TestServeCPUBackend drives -backend cpu across two shards: the cpu
+// backend is the same fleet with every decode offloaded to the host
+// CPU, so every prediction must arrive and the rollup must count each
+// image as an offload decode.
+func TestServeCPUBackend(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exec test in -short mode")
+	}
+	bin := buildCmd(t, "dlserve")
+	srvOut := startServe(t, bin,
+		"-listen", "127.0.0.1:39481", "-backend", "cpu", "-shards", "2",
+		"-batch", "4", "-batch-timeout", "50ms", "-size", "64",
+		"-metrics-addr", "127.0.0.1:39482")
+	out := runClient(t, bin, srvOut, "-connect", "127.0.0.1:39481", "-n", "21")
+	if !strings.Contains(out, "21 predictions, 0 shed") {
+		t.Fatalf("client output:\n%s\nserver:\n%s", out, srvOut.String())
+	}
+	snap := getRollup(t, "127.0.0.1:39482")
+	if len(snap.Shards) != 2 {
+		t.Fatalf("fleet snapshot has %d shards: %+v", len(snap.Shards), snap)
+	}
+	if got := snap.Total.Counters["offload_decodes_total"]; got != 21 {
+		t.Fatalf("fleet total offload_decodes_total = %d, want all 21 images: %+v", got, snap)
 	}
 }
 
@@ -264,6 +306,20 @@ func TestServeHistorySLO(t *testing.T) {
 	}
 	if decoded != 16 {
 		t.Fatalf("history deltas sum to %d decoded images, want 16", decoded)
+	}
+
+	// A single-shard server is a fleet of one and serves the same
+	// rollup shape: one shard entry whose counters are the total, one
+	// "shard 0" process track in the timeline.
+	snap := getRollup(t, "127.0.0.1:39479")
+	if len(snap.Shards) != 1 {
+		t.Fatalf("fleet-of-one snapshot has %d shards: %+v", len(snap.Shards), snap)
+	}
+	if got, want := snap.Total.Counters["images_decoded_total"], snap.Shards[0].Counters["images_decoded_total"]; got != want || got != 16 {
+		t.Fatalf("total images_decoded_total = %d, shard 0 = %d, want both 16", got, want)
+	}
+	if trace := httpGet(t, "http://127.0.0.1:39479/trace.json"); !bytes.Contains(trace, []byte(`"shard 0"`)) {
+		t.Fatalf("/trace.json missing the shard 0 track:\n%.400s", trace)
 	}
 
 	// Shutdown: the drain report includes the trend verdict and the
@@ -611,13 +667,7 @@ func TestCommands(t *testing.T) {
 		}
 
 		// /trace.json serves a timeline next to /metrics.json.
-		resp, err := http.Get("http://127.0.0.1:39473/trace.json")
-		if err != nil {
-			t.Fatalf("GET /trace.json: %v", err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if !strings.Contains(string(body), "traceEvents") {
+		if body := httpGet(t, "http://127.0.0.1:39473/trace.json"); !bytes.Contains(body, []byte("traceEvents")) {
 			t.Fatalf("/trace.json:\n%s", body)
 		}
 

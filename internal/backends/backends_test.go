@@ -325,7 +325,7 @@ func TestBackendCacheParity(t *testing.T) {
 	disk := fixtureDisk(t)
 	b, err := NewCPU(CPUConfig{
 		BatchSize: fixBatch, OutW: fixOut, OutH: fixOut, Channels: 1,
-		PoolBatches: 3, Workers: 2, Source: disk, CacheLimitBytes: 1 << 20,
+		PoolBatches: 3, Workers: 2, Source: disk, Cache: core.CacheConfig{RAMBytes: 1 << 20},
 	})
 	if err != nil {
 		t.Fatal(err)

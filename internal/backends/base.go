@@ -48,9 +48,6 @@ type baseConfig struct {
 	BatchSize            int
 	OutW, OutH, Channels int
 	PoolBatches          int
-	// CacheLimitBytes is the legacy RAM-only knob; it becomes
-	// Cache.RAMBytes when Cache.RAMBytes is zero.
-	CacheLimitBytes int64
 	// Cache sizes the tiered epoch cache (see core.CacheConfig).
 	Cache core.CacheConfig
 	// SharedCache overrides Cache with an externally-owned tier pair.
@@ -75,16 +72,11 @@ func newBase(cfg baseConfig) (*base, error) {
 		return nil, err
 	}
 	cache := cfg.SharedCache
-	if cache == nil {
-		if cfg.Cache.RAMBytes == 0 && cfg.CacheLimitBytes > 0 {
-			cfg.Cache.RAMBytes = cfg.CacheLimitBytes
-		}
-		if cfg.Cache.RAMBytes > 0 {
-			cache, err = core.NewTieredCache(cfg.Cache)
-			if err != nil {
-				pool.Close()
-				return nil, err
-			}
+	if cache == nil && cfg.Cache.RAMBytes > 0 {
+		cache, err = core.NewTieredCache(cfg.Cache)
+		if err != nil {
+			pool.Close()
+			return nil, err
 		}
 	}
 	return &base{

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dlbooster/internal/core"
-	"dlbooster/internal/cpukernel"
 	"dlbooster/internal/fpga"
 	"dlbooster/internal/imageproc"
 	"dlbooster/internal/jpeg"
@@ -62,9 +61,8 @@ type CPUConfig struct {
 	BatchSize            int
 	OutW, OutH, Channels int
 	PoolBatches          int
-	CacheLimitBytes      int64
-	// Cache sizes the tiered epoch cache (RAM → NVMe spill); the legacy
-	// CacheLimitBytes knob maps onto Cache.RAMBytes when Cache is zero.
+	// Cache sizes the tiered epoch cache (RAM → NVMe spill); a zero
+	// RAMBytes disables caching.
 	Cache core.CacheConfig
 	// SharedCache, when non-nil, captures into and replays from an
 	// externally-owned cache instead of building one from Cache.
@@ -89,11 +87,6 @@ type CPUConfig struct {
 	// full-resolution decode + resize. The zero value keeps the fast
 	// path on.
 	DisableScaledDecode bool
-	// DisableSIMDKernels engages the process-wide cpukernel kill switch
-	// (scalar decode kernels, sequential entropy decode) — the CPU
-	// baseline's mirror of core.Config.DisableSIMDKernels, with the same
-	// one-way semantics.
-	DisableSIMDKernels bool
 }
 
 // NewCPU builds the baseline and starts its workers.
@@ -104,14 +97,10 @@ func NewCPU(cfg CPUConfig) (*CPU, error) {
 	if cfg.BatchTimeout < 0 {
 		return nil, fmt.Errorf("backends: negative batch timeout %v", cfg.BatchTimeout)
 	}
-	if cfg.DisableSIMDKernels {
-		cpukernel.SetScalarOnly(true)
-	}
 	b, err := newBase(baseConfig{
 		BatchSize: cfg.BatchSize, OutW: cfg.OutW, OutH: cfg.OutH,
 		Channels: cfg.Channels, PoolBatches: cfg.PoolBatches,
-		CacheLimitBytes: cfg.CacheLimitBytes,
-		Cache:           cfg.Cache, SharedCache: cfg.SharedCache,
+		Cache: cfg.Cache, SharedCache: cfg.SharedCache,
 	})
 	if err != nil {
 		return nil, err

@@ -29,9 +29,8 @@ type LMDBConfig struct {
 	BatchSize            int
 	OutW, OutH, Channels int
 	PoolBatches          int
-	CacheLimitBytes      int64
-	// Cache sizes the tiered epoch cache (RAM → NVMe spill); the legacy
-	// CacheLimitBytes knob maps onto Cache.RAMBytes when Cache is zero.
+	// Cache sizes the tiered epoch cache (RAM → NVMe spill); a zero
+	// RAMBytes disables caching.
 	Cache core.CacheConfig
 	// SharedCache, when non-nil, captures into and replays from an
 	// externally-owned cache instead of building one from Cache.
@@ -50,8 +49,7 @@ func NewLMDB(cfg LMDBConfig) (*LMDB, error) {
 	b, err := newBase(baseConfig{
 		BatchSize: cfg.BatchSize, OutW: cfg.OutW, OutH: cfg.OutH,
 		Channels: cfg.Channels, PoolBatches: cfg.PoolBatches,
-		CacheLimitBytes: cfg.CacheLimitBytes,
-		Cache:           cfg.Cache, SharedCache: cfg.SharedCache,
+		Cache: cfg.Cache, SharedCache: cfg.SharedCache,
 	})
 	if err != nil {
 		return nil, err

@@ -37,8 +37,8 @@ type Knobs struct {
 	// (core.Booster.SetBatchTimeout); 0 = strict batches, and the
 	// controller leaves a strict-batching pipeline's deadline alone.
 	BatchTimeout time.Duration
-	// QueueCap is the effective admission cap (fleet.Shard.SetQueueCap
-	// or dlserve's ingest); 0 = the plant has no admission knob.
+	// QueueCap is the effective admission cap
+	// (fleet.Shard.SetQueueCap); 0 = the plant has no admission knob.
 	QueueCap int
 }
 
@@ -52,8 +52,7 @@ type BoosterKnobs interface {
 	SetCPUShare(float64)
 }
 
-// AdmissionKnobs is the front-door knob — satisfied by *fleet.Shard
-// and dlserve's ingest queue.
+// AdmissionKnobs is the front-door knob — satisfied by *fleet.Shard.
 type AdmissionKnobs interface {
 	QueueCap() int
 	SetQueueCap(int)

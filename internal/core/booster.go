@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dlbooster/internal/cpukernel"
 	"dlbooster/internal/fpga"
 	"dlbooster/internal/hugepage"
 	"dlbooster/internal/imageproc"
@@ -38,16 +37,11 @@ type Config struct {
 	Mirror string
 	// Source resolves disk DataRefs (nil if inputs are inline/NIC).
 	Source fpga.DataSource
-	// CacheLimitBytes is the legacy RAM-only cache knob: when positive
-	// (and Cache.RAMBytes is zero) it becomes the RAM-tier budget of the
-	// tiered epoch cache, preserving the original §3.1 hybrid-service
-	// behaviour. New code should size Cache directly.
-	CacheLimitBytes int64
 	// Cache configures the tiered first-epoch cache of §3.1: decoded
 	// batches are retained in a RAM tier up to Cache.RAMBytes, demoted
 	// to the optional NVMe spill tier when RAM fills, and later epochs
 	// replay from the tiers (re-decoding only what was evicted). A zero
-	// RAMBytes (with CacheLimitBytes also zero) disables caching.
+	// RAMBytes disables caching.
 	Cache CacheConfig
 	// SharedCache, when non-nil, makes this Booster capture into and
 	// replay from a cache owned elsewhere — how fleet shards share one
@@ -69,17 +63,6 @@ type Config struct {
 	// value keeps the fast path on (it is byte-compatible in spirit and
 	// parity-tested against the full pipeline; see internal/jpeg).
 	DisableScaledDecode bool
-	// DisableSIMDKernels engages the process-wide cpukernel kill switch:
-	// every decode path (this Booster's, and — because kernel selection
-	// is process-global, the kernels being pure functions — any other
-	// Booster in the process) pins the portable scalar decode kernels
-	// and sequential entropy decode. The fast kernels are byte-exact
-	// against scalar, so this trades speed only; it exists as the
-	// ablation/escape hatch (mirrors dlbench -no-simd and the
-	// DLBOOSTER_NO_SIMD environment variable). One-way: constructing a
-	// Booster with the zero value does not re-enable kernels a previous
-	// config disabled; use cpukernel.SetScalarOnly(false) for that.
-	DisableSIMDKernels bool
 	// Resilience is the failure policy (retry, timeout, CPU fallback).
 	Resilience Resilience
 	// Metrics, when non-nil, enables full observability: per-batch trace
@@ -181,12 +164,6 @@ func (c *Config) normalize() error {
 	}
 	if c.DisableScaledDecode {
 		c.FPGA.DisableScaledDecode = true
-	}
-	if c.DisableSIMDKernels {
-		cpukernel.SetScalarOnly(true)
-	}
-	if c.Cache.RAMBytes == 0 && c.CacheLimitBytes > 0 {
-		c.Cache.RAMBytes = c.CacheLimitBytes
 	}
 	return nil
 }

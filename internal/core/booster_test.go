@@ -230,7 +230,7 @@ func TestCacheReplay(t *testing.T) {
 	}
 	b := newBooster(t, Config{
 		BatchSize: 4, OutW: 28, OutH: 28, Channels: 1, PoolBatches: 3,
-		CacheLimitBytes: 1 << 20,
+		Cache: CacheConfig{RAMBytes: 1 << 20},
 	})
 	results := drainAll(t, b)
 	if err := b.RunEpoch(CollectorFromItems(items)); err != nil {
@@ -280,7 +280,7 @@ func TestCacheOverflowDisablesReplay(t *testing.T) {
 	}
 	b := newBooster(t, Config{
 		BatchSize: 2, OutW: 28, OutH: 28, Channels: 1, PoolBatches: 3,
-		CacheLimitBytes: 3 * 28 * 28, // fits one 2-image batch, not the epoch
+		Cache: CacheConfig{RAMBytes: 3 * 28 * 28}, // fits one 2-image batch, not the epoch
 	})
 	results := drainAll(t, b)
 	if err := b.RunEpoch(CollectorFromItems(items)); err != nil {

@@ -38,7 +38,7 @@ var ErrCacheUnavailable = errors.New("core: epoch cache unavailable")
 // call sites keep working.
 var (
 	// ErrCacheDisabled: the Booster was built with no cache budget
-	// (Config.Cache.RAMBytes and the legacy CacheLimitBytes both zero).
+	// (Config.Cache.RAMBytes is zero).
 	ErrCacheDisabled = fmt.Errorf("%w: caching disabled (no RAM budget configured)", ErrCacheUnavailable)
 	// ErrCacheNeverFilled: caching is on but no first epoch has been
 	// captured yet — run RunEpoch once before replaying.

@@ -51,7 +51,18 @@ type pendingSlot struct {
 //
 // When the cache is enabled, processed batches are also retained in
 // memory (until the limit), making later epochs servable by ReplayCache.
-func (b *Booster) RunEpoch(col DataCollector) error {
+//
+// A failed epoch records a backend_error event (which an attached
+// flight recorder turns into a post-mortem dump), and a panic on the
+// epoch goroutine dumps the recorder before it propagates — here, not
+// in each caller, so every launcher of an epoch gets both.
+func (b *Booster) RunEpoch(col DataCollector) (err error) {
+	defer b.flight.DumpOnPanic()
+	defer func() {
+		if err != nil {
+			b.reg.Event("backend_error", err.Error())
+		}
+	}()
 	if col == nil {
 		return errors.New("core: nil collector")
 	}

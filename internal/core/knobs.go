@@ -3,7 +3,7 @@
 // from any goroutine while epochs run. These are the per-pipeline
 // actuation points of the adaptive SLO autotuner (internal/control) —
 // the third knob, the admission threshold, lives with the ingest queue
-// (fleet.Shard, dlserve's front door) rather than here. Construction
+// (fleet.Shard) rather than here. Construction
 // seeds both knobs from Config, so a pipeline that never retunes
 // behaves exactly as configured.
 

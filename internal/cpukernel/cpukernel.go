@@ -18,8 +18,7 @@
 //
 //   - the DLBOOSTER_NO_SIMD environment variable (any non-empty value)
 //     pins "scalar" before main runs;
-//   - SetScalarOnly(true) pins "scalar" at run time (wired to
-//     core.Config.DisableSIMDKernels, backends.CPUConfig and the
+//   - SetScalarOnly(true) pins "scalar" at run time (wired to the
 //     dlbench -no-simd flag).
 package cpukernel
 

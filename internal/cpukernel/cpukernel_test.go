@@ -5,7 +5,9 @@ import "testing"
 // The registry is process-global and registration is permanent, so this
 // file is one sequential scenario: each step builds on the registrations
 // of the previous ones, exactly like package init order does in the real
-// process.
+// process. The scenario restores the registry it found, so a -count=N
+// rerun starts from the same state instead of tripping the
+// duplicate-name panic.
 
 func mustPanic(t *testing.T, what string, f func()) {
 	t.Helper()
@@ -19,7 +21,18 @@ func mustPanic(t *testing.T, what string, f func()) {
 
 func TestRegistrySelection(t *testing.T) {
 	prev := ScalarOnly()
-	t.Cleanup(func() { SetScalarOnly(prev) })
+	mu.Lock()
+	saved := make(map[string]Impl, len(impls))
+	for name, impl := range impls {
+		saved[name] = impl
+	}
+	mu.Unlock()
+	t.Cleanup(func() {
+		mu.Lock()
+		impls = saved
+		mu.Unlock()
+		SetScalarOnly(prev)
+	})
 	SetScalarOnly(false)
 
 	if got := Names(); len(got) == 0 || got[0] != ScalarName && !contains(got, ScalarName) {

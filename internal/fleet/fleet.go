@@ -185,8 +185,8 @@ func (s *Shard) StolenOut() int64 { return s.stolenOut.Value() }
 func (s *Shard) StolenIn() int64 { return s.stolenIn.Value() }
 
 // admit pushes the item into this shard's queue with one grace period
-// of backpressure — the same front-door contract dlserve's single
-// pipeline had, now per shard.
+// of backpressure: a momentary burst drains instead of bouncing
+// straight to a shed.
 func (s *Shard) admit(item core.Item) Admission {
 	if s.items.Closed() {
 		// Classify before the cap check: a drain-time refusal is a
@@ -312,9 +312,9 @@ func (f *Fleet) Shards() []*Shard { return f.shards }
 func (f *Fleet) Steals() int64 { return f.steals.Value() }
 
 // Start launches one epoch goroutine per shard — each driving its
-// Booster off its own ingest queue — and the stealer. The caller must
-// already be draining every shard's Batches() queue, or pool
-// backpressure will stall the epochs.
+// Booster off its own ingest queue — and, with two or more shards, the
+// stealer. The caller must already be draining every shard's Batches()
+// queue, or pool backpressure will stall the epochs.
 func (f *Fleet) Start() {
 	f.mu.Lock()
 	if f.started {
@@ -333,7 +333,11 @@ func (f *Fleet) Start() {
 			s.b.CloseBatches()
 		}(s)
 	}
-	go f.stealLoop()
+	if len(f.shards) > 1 {
+		go f.stealLoop()
+	} else {
+		close(f.stealDone) // a fleet of one has no peer to steal for
+	}
 }
 
 func (f *Fleet) noteErr(err error) {

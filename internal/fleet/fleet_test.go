@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"dlbooster/internal/core"
 	"dlbooster/internal/dataset"
 	"dlbooster/internal/fpga"
+	"dlbooster/internal/metrics"
 )
 
 // shardConfig is the baseline per-shard pipeline every fleet test uses:
@@ -348,5 +350,86 @@ func TestFleetQueueCapKnob(t *testing.T) {
 	s.SetQueueCap(1 << 20)
 	if got := s.QueueCap(); got != 256 {
 		t.Fatalf("QueueCap after overshoot = %d, want the physical 256", got)
+	}
+}
+
+// TestFleetOfOneStartsNoStealer: a single shard has no peer to steal
+// for, so Start launches no stealer goroutine (stealDone is already
+// closed) and Drain still settles every item without waiting on one.
+func TestFleetOfOneStartsNoStealer(t *testing.T) {
+	const n = 6
+	f := newFleet(t, Config{
+		Shards: 1,
+		NewBooster: func(int) (*core.Booster, error) {
+			return core.New(shardConfig())
+		},
+	})
+	d, wg := consumeShards(t, f)
+	f.Start()
+	select {
+	case <-f.stealDone:
+	default:
+		t.Fatal("a fleet of one launched the stealer")
+	}
+	for i, item := range fleetItems(t, n) {
+		if shard, adm := f.Submit(item, uint64(i)); adm != AdmitOK || shard != 0 {
+			t.Fatalf("item %d: shard %d, admission %v", i, shard, adm)
+		}
+	}
+	drainWatchdog(t, f)
+	wg.Wait()
+	if len(d.count) != n {
+		t.Fatalf("delivered %d distinct items, want %d", len(d.count), n)
+	}
+	assertShardPoolsBalanced(t, f)
+}
+
+// TestFleetEpochFailureReachesFlight: a shard whose epoch fails must
+// leave a backend_error note in the attached flight recorder — the
+// post-mortem hook every shard gets, not just a single pipeline — while
+// the healthy shard keeps serving and Drain reports the failure.
+func TestFleetEpochFailureReachesFlight(t *testing.T) {
+	flight := metrics.NewFlightRecorder(metrics.FlightConfig{})
+	f := newFleet(t, Config{
+		Shards: 2,
+		NewBooster: func(int) (*core.Booster, error) {
+			cfg := shardConfig()
+			cfg.Flight = flight
+			return core.New(cfg)
+		},
+	})
+	// Tear shard 1's pipeline down under its epoch: the first item it
+	// collects finds the buffer pool closed and the epoch errors out.
+	f.Shards()[1].Booster().Close()
+	d, wg := consumeShards(t, f)
+	f.Start()
+	items := fleetItems(t, 5)
+	if err := f.Shards()[1].Queue().Push(items[0]); err != nil {
+		t.Fatal(err)
+	}
+	for _, item := range items[1:] {
+		if err := f.Shards()[0].Queue().Push(item); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := f.Drain()
+	wg.Wait()
+	if err == nil || !strings.Contains(err.Error(), "shard 1 epoch") {
+		t.Fatalf("Drain error = %v, want shard 1's epoch failure", err)
+	}
+	var notes int
+	for _, n := range flight.Contents("test").Notes {
+		if n.Name == "backend_error" {
+			notes++
+		}
+	}
+	if notes != 1 {
+		t.Fatalf("flight recorder holds %d backend_error notes, want 1: %+v", notes, flight.Contents("test").Notes)
+	}
+	if got := f.Shards()[1].Booster().Registry().EventCount("backend_error"); got != 1 {
+		t.Fatalf("shard 1 registry recorded %d backend_error events, want 1", got)
+	}
+	if d.images[0] != 4 {
+		t.Fatalf("healthy shard published %d images, want 4", d.images[0])
 	}
 }

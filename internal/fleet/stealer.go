@@ -41,9 +41,6 @@ func (f *Fleet) stealLoop() {
 // stealOnce moves queued work off every degraded shard into healthy
 // shards with room, returning how many items moved.
 func (f *Fleet) stealOnce() int {
-	if len(f.shards) < 2 {
-		return 0
-	}
 	moved := 0
 	for _, src := range f.shards {
 		if !src.b.Degraded() || src.items.Len() == 0 {

@@ -28,11 +28,14 @@ import (
 // FormatError reports malformed JPEG input.
 type FormatError string
 
+// Error implements error, prefixing the detail with "jpeg: invalid format".
 func (e FormatError) Error() string { return "jpeg: invalid format: " + string(e) }
 
 // UnsupportedError reports valid-but-unsupported JPEG features.
 type UnsupportedError string
 
+// Error implements error, prefixing the detail with "jpeg: unsupported
+// feature".
 func (e UnsupportedError) Error() string { return "jpeg: unsupported feature: " + string(e) }
 
 // errShortData reports entropy-coded data ending before the scan was

@@ -8,8 +8,8 @@ package jpeg
 // file, selected at init through the internal/cpukernel capability
 // registry — the same register-by-name pattern the FPGA mirror registry
 // uses — with a kill switch (DLBOOSTER_NO_SIMD,
-// core.Config.DisableSIMDKernels, dlbench -no-simd) that pins the
-// scalar reference everywhere.
+// cpukernel.SetScalarOnly, dlbench -no-simd) that pins the scalar
+// reference everywhere.
 //
 // The fast kernels are required to be numerically EXACT against the
 // scalar reference — byte-for-byte on every input, not PSNR-close — so

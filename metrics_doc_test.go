@@ -62,10 +62,10 @@ func tracedSnapshot(t *testing.T) *metrics.PipelineSnapshot {
 	reg := metrics.NewRegistry()
 	b, err := core.New(core.Config{
 		BatchSize: batch, OutW: edge, OutH: edge, Channels: 1, PoolBatches: 3,
-		CacheLimitBytes: 1 << 20,
-		FPGA:            fpga.Config{Inject: faults.New(faults.Config{FailEvery: 5, Seed: 1})},
-		Resilience:      core.Resilience{MaxRetries: 2, RetryBackoff: 10 * time.Microsecond, FallbackAfter: 100},
-		Metrics:         reg,
+		Cache:      core.CacheConfig{RAMBytes: 1 << 20},
+		FPGA:       fpga.Config{Inject: faults.New(faults.Config{FailEvery: 5, Seed: 1})},
+		Resilience: core.Resilience{MaxRetries: 2, RetryBackoff: 10 * time.Microsecond, FallbackAfter: 100},
+		Metrics:    reg,
 	})
 	if err != nil {
 		t.Fatal(err)
