@@ -56,7 +56,6 @@ func main() {
 	benchJSON := flag.String("json", "", "run a traced end-to-end pipeline and write a schema-versioned benchmark result (BENCH_<n>.json) to this path")
 	metricsImages := flag.Int("metrics-images", 64, "with -metrics/-doctor/-json: images to push through the pipeline")
 	metricsBatch := flag.Int("metrics-batch", 8, "with -metrics/-doctor/-json: batch size")
-	noDecodeScale := flag.Bool("no-decode-scale", false, "with -metrics/-doctor/-json: disable the decode-to-scale fast path (full-resolution decode + resize)")
 	noSIMD := flag.Bool("no-simd", false, "pin the portable scalar decode kernels and sequential entropy decode process-wide (the cpukernel kill switch), for ablations against the fast kernel layer")
 	shards := flag.Int("shards", 0, "with -metrics/-doctor/-json: run the traced pipeline as this many fleet shards, each engine paced at -shard-rate (0 = classic single pipeline)")
 	shardRate := flag.Float64("shard-rate", 40, "with -shards: modelled per-shard accelerator rate in images/s")
@@ -91,11 +90,11 @@ func main() {
 			// unset, so the scorecard always lands in the result.
 			res, slo, err = tracedAutotuneRun(*metricsBatch, slo)
 		case *replayEpochs > 0:
-			res, err = tracedReplayRun(*metricsImages, *metricsBatch, *replayEpochs, *cacheMode, *noDecodeScale, slo != nil)
+			res, err = tracedReplayRun(*metricsImages, *metricsBatch, *replayEpochs, *cacheMode, slo != nil)
 		case *shards > 0:
-			res, fleetSnap, err = tracedShardsRun(*metricsImages, *metricsBatch, *shards, *shardRate, *noDecodeScale, slo != nil)
+			res, fleetSnap, err = tracedShardsRun(*metricsImages, *metricsBatch, *shards, *shardRate, slo != nil)
 		default:
-			res, err = tracedRun(*metricsImages, *metricsBatch, *noDecodeScale, slo != nil)
+			res, err = tracedRun(*metricsImages, *metricsBatch, slo != nil)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dlbench: %v\n", err)

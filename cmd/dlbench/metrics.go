@@ -60,16 +60,15 @@ func attachSampler(reg *metrics.Registry, sample bool) (stop func() *metrics.His
 // It is the real pipeline under a deterministic corpus, not the
 // virtual-time simulation the figures use, so its numbers are honest
 // wall-clock measurements.
-func tracedRun(images, batchSize int, noDecodeScale, sample bool) (*tracedResult, error) {
+func tracedRun(images, batchSize int, sample bool) (*tracedResult, error) {
 	const size = tracedRunSize
 	spec := dataset.ILSVRCLike(minInt(images, 64))
 	reg := metrics.NewRegistry()
 	stopSampler := attachSampler(reg, sample)
 	booster, err := core.New(core.Config{
 		BatchSize: batchSize, OutW: size, OutH: size, Channels: 3,
-		PoolBatches:         4,
-		Metrics:             reg,
-		DisableScaledDecode: noDecodeScale,
+		PoolBatches: 4,
+		Metrics:     reg,
 	})
 	if err != nil {
 		return nil, err
@@ -195,7 +194,7 @@ func benchResult(res *tracedResult) *metrics.BenchResult {
 // (cache_ram_hit_images_total, cache_spill_hit_images_total,
 // cache_redecode_images_total), so BENCH_4.json records throughput and
 // hit rate from the same run.
-func tracedReplayRun(images, batchSize, replayEpochs int, cacheMode string, noDecodeScale, sample bool) (*tracedResult, error) {
+func tracedReplayRun(images, batchSize, replayEpochs int, cacheMode string, sample bool) (*tracedResult, error) {
 	const size = tracedRunSize
 	spec := dataset.ILSVRCLike(minInt(images, 64))
 	reg := metrics.NewRegistry()
@@ -203,9 +202,8 @@ func tracedReplayRun(images, batchSize, replayEpochs int, cacheMode string, noDe
 	epochBytes := int64(images * size * size * 3)
 	cfg := core.Config{
 		BatchSize: batchSize, OutW: size, OutH: size, Channels: 3,
-		PoolBatches:         4,
-		Metrics:             reg,
-		DisableScaledDecode: noDecodeScale,
+		PoolBatches: 4,
+		Metrics:     reg,
 	}
 	switch cacheMode {
 	case "cold":

@@ -31,7 +31,7 @@ import (
 // at `rate` images/s. Returns the usual tracedResult (snap is the
 // fleet total) plus the full rollup for the fleet doctor and trace
 // views.
-func tracedShardsRun(images, batchSize, shards int, rate float64, noDecodeScale, sample bool) (*tracedResult, *metrics.FleetSnapshot, error) {
+func tracedShardsRun(images, batchSize, shards int, rate float64, sample bool) (*tracedResult, *metrics.FleetSnapshot, error) {
 	const size = tracedRunSize
 	if shards < 1 {
 		return nil, nil, fmt.Errorf("dlbench: -shards %d", shards)
@@ -46,9 +46,8 @@ func tracedShardsRun(images, batchSize, shards int, rate float64, noDecodeScale,
 		NewBooster: func(int) (*core.Booster, error) {
 			return core.New(core.Config{
 				BatchSize: batchSize, OutW: size, OutH: size, Channels: 3,
-				PoolBatches:         4,
-				Metrics:             metrics.NewRegistry(),
-				DisableScaledDecode: noDecodeScale,
+				PoolBatches: 4,
+				Metrics:     metrics.NewRegistry(),
 			})
 		},
 	})

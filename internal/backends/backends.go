@@ -4,7 +4,10 @@
 // store reader, and the nvJPEG-style GPU decoder. All four produce the
 // same host-side batches consumed by the core Dispatcher, which is what
 // lets the evaluation swap backends under an unchanged engine — the
-// pluggability claim of §3.1/§4.2.
+// pluggability claim of §3.1/§4.2. The batch side is literally shared:
+// each baseline embeds a core.BatchPlane (pool, Full queue, tiered cache,
+// replay) exactly as core.Booster does, and adds only its decoder and
+// its own RunEpoch.
 package backends
 
 import (

@@ -510,3 +510,44 @@ func TestNvJPEGChannelMismatchCounted(t *testing.T) {
 		t.Fatalf("DecodeErrors = %d", b.DecodeErrors())
 	}
 }
+
+// TestFailedPublishRecyclesBuffer: a batch finished after the Full
+// queue closed (teardown mid-epoch) cannot be pushed; its HugePage
+// buffer must go back to the pool, not leak with the dropped batch.
+func TestFailedPublishRecyclesBuffer(t *testing.T) {
+	disk := fixtureDisk(t)
+	lm, err := NewLMDB(LMDBConfig{
+		BatchSize: fixBatch, OutW: fixOut, OutH: fixOut, Channels: 1,
+		PoolBatches: 3, DB: fixtureLMDB(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lm.Close()
+	lm.CloseBatches()
+	if err := lm.RunEpoch(fixtureCollector(t, disk)); err == nil {
+		t.Fatal("lmdb epoch against a closed batch queue returned nil")
+	}
+	if n := lm.Pool().Outstanding(); n != 0 {
+		t.Fatalf("lmdb: %d buffers still checked out after a failed publish", n)
+	}
+
+	cpu, err := NewCPU(CPUConfig{
+		BatchSize: fixBatch, OutW: fixOut, OutH: fixOut, Channels: 1,
+		PoolBatches: 3, Workers: 2, Source: disk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cpu.Close()
+	cpu.CloseBatches()
+	// The workers publish asynchronously, so the epoch itself succeeds;
+	// with more batches than pool buffers it only finishes at all if
+	// every failed publish gave its buffer back.
+	if err := cpu.RunEpoch(fixtureCollector(t, disk)); err != nil {
+		t.Fatal(err)
+	}
+	if n := cpu.Pool().Outstanding(); n != 0 {
+		t.Fatalf("cpu: %d buffers still checked out after failed publishes", n)
+	}
+}

@@ -9,7 +9,6 @@ import (
 
 	"dlbooster/internal/core"
 	"dlbooster/internal/fpga"
-	"dlbooster/internal/imageproc"
 	"dlbooster/internal/jpeg"
 	"dlbooster/internal/metrics"
 	"dlbooster/internal/pix"
@@ -23,23 +22,21 @@ import (
 // experiments can report the paper's cores-consumed metric from the same
 // run that produced throughput.
 type CPU struct {
-	*base
-	workers       int
-	source        fpga.DataSource
-	busy          *metrics.BusyTracker
-	batchTimeout  time.Duration
-	partialFlush  metrics.Counter
-	disableScaled bool
-	scaled        metrics.Counter
+	*core.BatchPlane
+	workers      int
+	source       fpga.DataSource
+	busy         *metrics.BusyTracker
+	batchTimeout time.Duration
+	partialFlush metrics.Counter
+	scaled       metrics.Counter
 
-	jobs     chan cpuJob
-	workerWG sync.WaitGroup
-	started  sync.Once
+	jobs      chan cpuJob
+	workerWG  sync.WaitGroup
+	closeOnce sync.Once
 }
 
 type cpuJob struct {
 	ref   fpga.DataRef
-	slot  []byte
 	batch *cpuBatch
 	index int
 }
@@ -50,7 +47,6 @@ type cpuJob struct {
 type cpuBatch struct {
 	batch     *core.Batch
 	pending   atomic.Int32
-	owner     *CPU
 	done      *sync.WaitGroup // epoch-level join
 	refs      []fpga.DataRef
 	startedAt time.Time
@@ -82,11 +78,6 @@ type CPUConfig struct {
 	// batching as core.Config.BatchTimeout, so the CPU serving baseline
 	// honours the bounded-latency contract too. 0 keeps strict batches.
 	BatchTimeout time.Duration
-	// DisableScaledDecode turns off the decode-to-scale fast path and
-	// per-worker scratch reuse: every image then takes the legacy
-	// full-resolution decode + resize. The zero value keeps the fast
-	// path on.
-	DisableScaledDecode bool
 }
 
 // NewCPU builds the baseline and starts its workers.
@@ -97,7 +88,7 @@ func NewCPU(cfg CPUConfig) (*CPU, error) {
 	if cfg.BatchTimeout < 0 {
 		return nil, fmt.Errorf("backends: negative batch timeout %v", cfg.BatchTimeout)
 	}
-	b, err := newBase(baseConfig{
+	plane, err := core.NewBatchPlane(core.PlaneConfig{
 		BatchSize: cfg.BatchSize, OutW: cfg.OutW, OutH: cfg.OutH,
 		Channels: cfg.Channels, PoolBatches: cfg.PoolBatches,
 		Cache: cfg.Cache, SharedCache: cfg.SharedCache,
@@ -106,16 +97,25 @@ func NewCPU(cfg CPUConfig) (*CPU, error) {
 		return nil, err
 	}
 	c := &CPU{
-		base:          b,
-		workers:       cfg.Workers,
-		source:        cfg.Source,
-		busy:          cfg.Busy,
-		batchTimeout:  cfg.BatchTimeout,
-		disableScaled: cfg.DisableScaledDecode,
-		jobs:          make(chan cpuJob, cfg.Workers*2),
+		BatchPlane:   plane,
+		workers:      cfg.Workers,
+		source:       cfg.Source,
+		busy:         cfg.Busy,
+		batchTimeout: cfg.BatchTimeout,
+		jobs:         make(chan cpuJob, cfg.Workers*2),
 	}
-	c.runEpoch = c.RunEpoch
-	c.start()
+	for i := 0; i < c.workers; i++ {
+		c.workerWG.Add(1)
+		go func() {
+			defer c.workerWG.Done()
+			// Each worker owns one Scratch: steady-state decoding
+			// then allocates nothing per image.
+			var sc jpeg.Scratch
+			for j := range c.jobs {
+				c.decodeOne(j, &sc)
+			}
+		}()
+	}
 	return c, nil
 }
 
@@ -133,30 +133,14 @@ func (c *CPU) PartialFlushes() int64 { return c.partialFlush.Value() }
 // the decode-to-scale fast path.
 func (c *CPU) ScaledDecodes() int64 { return c.scaled.Value() }
 
-func (c *CPU) start() {
-	c.started.Do(func() {
-		for i := 0; i < c.workers; i++ {
-			c.workerWG.Add(1)
-			go func() {
-				defer c.workerWG.Done()
-				// Each worker owns one Scratch: steady-state decoding
-				// then allocates nothing per image.
-				var sc *jpeg.Scratch
-				if !c.disableScaled {
-					sc = &jpeg.Scratch{}
-				}
-				for j := range c.jobs {
-					c.decodeOne(j, sc)
-				}
-			}()
-		}
-	})
-}
+// ReplayCache implements Backend, re-decoding evicted entries through
+// the worker pool.
+func (c *CPU) ReplayCache() error { return c.Replay(0, 1, c.RunEpoch) }
 
 // decodeOne is the per-image work a baseline burns a core on: fetch,
-// entropy decode, iDCT, colour convert, resize — all on the CPU. With a
-// scratch it runs the decode-to-scale fast path, reconstructing only the
-// resolution the batch slot needs and writing straight into it.
+// entropy decode, iDCT, colour convert, resize — all on the CPU, through
+// the decode-to-scale fast path: it reconstructs only the resolution the
+// batch slot needs and writes straight into it.
 func (c *CPU) decodeOne(j cpuJob, sc *jpeg.Scratch) {
 	start := time.Now()
 	ok := func() bool {
@@ -171,44 +155,26 @@ func (c *CPU) decodeOne(j cpuJob, sc *jpeg.Scratch) {
 				return false
 			}
 		}
-		if sc != nil {
-			dst := pix.Image{W: c.outW, H: c.outH, C: c.channels, Pix: j.slot}
-			scale, err := jpeg.DecodeScaledInto(data, &dst, sc)
-			if err != nil {
-				return false
-			}
-			if scale < 8 {
-				c.scaled.Add(1)
-			}
-			return true
-		}
-		img, err := jpeg.Decode(data)
+		bt := j.batch.batch
+		dst := pix.Image{W: bt.W, H: bt.H, C: bt.C, Pix: bt.Image(j.index)}
+		scale, err := jpeg.DecodeScaledInto(data, &dst, sc)
 		if err != nil {
 			return false
 		}
-		if img.C != c.channels {
-			return false
+		if scale < 8 {
+			c.scaled.Add(1)
 		}
-		dst, err := pix.FromBytes(c.outW, c.outH, c.channels, j.slot)
-		if err != nil {
-			return false
-		}
-		return imageproc.ResizeInto(img, dst, imageproc.Bilinear) == nil
+		return true
 	}()
 	if c.busy != nil {
 		c.busy.Record("preprocess", time.Since(start).Seconds())
 	}
-	if ok {
-		c.images.Add(1)
-		j.batch.batch.Valid[j.index] = true
-	} else {
-		c.errs.Add(1)
-	}
+	c.Settle(j.batch.batch, j.index, ok)
 	if j.batch.pending.Add(-1) == 0 {
-		// Publish failure means shutdown mid-epoch; the epoch join must
-		// still complete so RunEpoch can return.
-		cost := float64(time.Since(j.batch.startedAt).Nanoseconds())
-		_ = c.publish(j.batch.batch, j.batch.refs, cost)
+		// Publish failure means shutdown mid-epoch (the plane took the
+		// buffer back); the epoch join must still complete so RunEpoch
+		// can return.
+		_ = c.Publish(j.batch.batch, j.batch.refs, j.batch.startedAt)
 		j.batch.done.Done()
 	}
 }
@@ -264,20 +230,11 @@ collect:
 			break
 		}
 		if cur == nil {
-			buf, err := c.pool.Get()
+			batch, err := c.Acquire()
 			if err != nil {
-				return fmt.Errorf("backends: pool closed: %w", err)
+				return err
 			}
-			cur = &cpuBatch{
-				batch: &core.Batch{
-					Buf: buf,
-					W:   c.outW, H: c.outH, C: c.channels,
-					Seq: c.nextSeq(),
-				},
-				owner:     c,
-				done:      &epochWG,
-				startedAt: time.Now(),
-			}
+			cur = &cpuBatch{batch: batch, done: &epochWG, startedAt: time.Now()}
 			epochWG.Add(1)
 			if bt > 0 {
 				flushAt = time.Now().Add(bt)
@@ -287,17 +244,11 @@ collect:
 		cur.batch.Images++
 		cur.batch.Metas = append(cur.batch.Metas, item.Meta)
 		cur.batch.Valid = append(cur.batch.Valid, false)
-		if c.cache != nil {
+		if c.Cache() != nil {
 			cur.refs = append(cur.refs, item.Ref)
 		}
-		stride := c.imageBytes()
-		curJobs = append(curJobs, cpuJob{
-			ref:   item.Ref,
-			slot:  cur.batch.Buf.Bytes()[slot*stride : (slot+1)*stride],
-			batch: cur,
-			index: slot,
-		})
-		if cur.batch.Images == c.batchSize {
+		curJobs = append(curJobs, cpuJob{ref: item.Ref, batch: cur, index: slot})
+		if cur.batch.Images == c.BatchSize() {
 			flush()
 		}
 	}
@@ -311,9 +262,8 @@ func (c *CPU) Close() {
 	c.closeOnce.Do(func() {
 		close(c.jobs)
 		c.workerWG.Wait()
-		c.full.Close()
-		c.pool.Close()
 	})
+	c.BatchPlane.Close()
 }
 
 var _ Backend = (*CPU)(nil)

@@ -2,7 +2,6 @@ package backends
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"dlbooster/internal/core"
@@ -19,7 +18,7 @@ import (
 // the same *lmdb.DB, which is exactly the shared-store arrangement whose
 // reader competition costs ≈30 % at two GPUs in Figure 2.
 type LMDB struct {
-	*base
+	*core.BatchPlane
 	db   *lmdb.DB
 	busy *metrics.BusyTracker
 }
@@ -46,7 +45,7 @@ func NewLMDB(cfg LMDBConfig) (*LMDB, error) {
 	if cfg.DB == nil {
 		return nil, errors.New("backends: nil lmdb store")
 	}
-	b, err := newBase(baseConfig{
+	plane, err := core.NewBatchPlane(core.PlaneConfig{
 		BatchSize: cfg.BatchSize, OutW: cfg.OutW, OutH: cfg.OutH,
 		Channels: cfg.Channels, PoolBatches: cfg.PoolBatches,
 		Cache: cfg.Cache, SharedCache: cfg.SharedCache,
@@ -54,13 +53,15 @@ func NewLMDB(cfg LMDBConfig) (*LMDB, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &LMDB{base: b, db: cfg.DB, busy: cfg.Busy}
-	l.runEpoch = l.RunEpoch
-	return l, nil
+	return &LMDB{BatchPlane: plane, db: cfg.DB, busy: cfg.Busy}, nil
 }
 
 // Name implements Backend.
 func (l *LMDB) Name() string { return "lmdb" }
+
+// ReplayCache implements Backend, re-reading evicted entries from the
+// store.
+func (l *LMDB) ReplayCache() error { return l.Replay(0, 1, l.RunEpoch) }
 
 // RunEpoch implements Backend: read each item's record from the shared
 // store and copy it into the batch buffer. There is no decode — that was
@@ -70,7 +71,6 @@ func (l *LMDB) RunEpoch(col core.DataCollector) error {
 	if col == nil {
 		return errors.New("backends: nil collector")
 	}
-	stride := l.imageBytes()
 	var cur *core.Batch
 	var curRefs []fpga.DataRef
 	var curStart time.Time
@@ -80,49 +80,42 @@ func (l *LMDB) RunEpoch(col core.DataCollector) error {
 			break
 		}
 		if cur == nil {
-			buf, err := l.pool.Get()
-			if err != nil {
-				return fmt.Errorf("backends: pool closed: %w", err)
+			var err error
+			if cur, err = l.Acquire(); err != nil {
+				return err
 			}
-			cur = &core.Batch{Buf: buf, W: l.outW, H: l.outH, C: l.channels, Seq: l.nextSeq()}
 			curRefs, curStart = nil, time.Now()
 		}
 		slot := cur.Images
 		cur.Images++
 		cur.Metas = append(cur.Metas, item.Meta)
-		if l.cache != nil {
+		cur.Valid = append(cur.Valid, false)
+		if l.Cache() != nil {
 			curRefs = append(curRefs, item.Ref)
 		}
 		start := time.Now()
-		valid := l.loadRecord(item.Ref.Path, cur.Buf.Bytes()[slot*stride:(slot+1)*stride], &cur.Metas[len(cur.Metas)-1])
+		valid := l.loadRecord(item.Ref.Path, cur, slot)
 		if l.busy != nil {
 			l.busy.Record("preprocess", time.Since(start).Seconds())
 		}
-		cur.Valid = append(cur.Valid, valid)
-		if valid {
-			l.images.Add(1)
-		} else {
-			l.errs.Add(1)
-		}
-		if cur.Images == l.batchSize {
-			if err := l.publish(cur, curRefs, float64(time.Since(curStart).Nanoseconds())); err != nil {
+		l.Settle(cur, slot, valid)
+		if cur.Images == l.BatchSize() {
+			if err := l.Publish(cur, curRefs, curStart); err != nil {
 				return err
 			}
 			cur = nil
 		}
 	}
 	if cur != nil {
-		if err := l.publish(cur, curRefs, float64(time.Since(curStart).Nanoseconds())); err != nil {
-			return err
-		}
+		return l.Publish(cur, curRefs, curStart)
 	}
 	return nil
 }
 
-// loadRecord fetches and deserialises one record into the slot; the
-// record's label overrides the collector's (the store is authoritative
-// for offline data).
-func (l *LMDB) loadRecord(key string, slot []byte, meta *core.ItemMeta) bool {
+// loadRecord fetches and deserialises one record into the batch slot;
+// the record's label overrides the collector's (the store is
+// authoritative for offline data).
+func (l *LMDB) loadRecord(key string, batch *core.Batch, slot int) bool {
 	val, ok, err := l.db.Get([]byte(key))
 	if err != nil || !ok {
 		return false
@@ -131,11 +124,11 @@ func (l *LMDB) loadRecord(key string, slot []byte, meta *core.ItemMeta) bool {
 	if err != nil {
 		return false
 	}
-	if rec.W != l.outW || rec.H != l.outH || rec.C != l.channels {
+	if rec.W != batch.W || rec.H != batch.H || rec.C != batch.C {
 		return false
 	}
-	copy(slot, rec.Pixels)
-	meta.Label = rec.Label
+	copy(batch.Image(slot), rec.Pixels)
+	batch.Metas[slot].Label = rec.Label
 	return true
 }
 

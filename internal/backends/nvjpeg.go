@@ -25,14 +25,13 @@ import (
 // host cores remain busy launching decode kernels (§5.3), which the
 // BusyTracker records as "launch".
 type NvJPEG struct {
-	*base
-	dev     *gpu.Device
-	lanes   []*gpu.Stream
-	source  fpga.DataSource
-	busy    *metrics.BusyTracker
-	rr      int
-	laneMu  sync.Mutex
-	closeMu sync.Mutex
+	*core.BatchPlane
+	dev    *gpu.Device
+	lanes  []*gpu.Stream
+	source fpga.DataSource
+	busy   *metrics.BusyTracker
+	rr     int
+	laneMu sync.Mutex
 }
 
 // NvJPEGConfig configures the GPU-decode baseline.
@@ -68,7 +67,7 @@ func NewNvJPEG(cfg NvJPEGConfig) (*NvJPEG, error) {
 	if cfg.Lanes < 0 {
 		return nil, errors.New("backends: negative decode lanes")
 	}
-	b, err := newBase(baseConfig{
+	plane, err := core.NewBatchPlane(core.PlaneConfig{
 		BatchSize: cfg.BatchSize, OutW: cfg.OutW, OutH: cfg.OutH,
 		Channels: cfg.Channels, PoolBatches: cfg.PoolBatches,
 		Cache: cfg.Cache, SharedCache: cfg.SharedCache,
@@ -76,11 +75,11 @@ func NewNvJPEG(cfg NvJPEGConfig) (*NvJPEG, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &NvJPEG{base: b, dev: cfg.Device, source: cfg.Source, busy: cfg.Busy}
-	n.runEpoch = n.RunEpoch
+	n := &NvJPEG{BatchPlane: plane, dev: cfg.Device, source: cfg.Source, busy: cfg.Busy}
 	for i := 0; i < cfg.Lanes; i++ {
 		s, err := cfg.Device.NewStream()
 		if err != nil {
+			n.Close()
 			return nil, err
 		}
 		n.lanes = append(n.lanes, s)
@@ -90,6 +89,10 @@ func NewNvJPEG(cfg NvJPEGConfig) (*NvJPEG, error) {
 
 // Name implements Backend.
 func (n *NvJPEG) Name() string { return "nvjpeg" }
+
+// ReplayCache implements Backend, re-decoding evicted entries on the
+// device.
+func (n *NvJPEG) ReplayCache() error { return n.Replay(0, 1, n.RunEpoch) }
 
 // nextLane round-robins decode submissions across streams.
 func (n *NvJPEG) nextLane() *gpu.Stream {
@@ -104,8 +107,8 @@ type nvBatch struct {
 	batch   *core.Batch
 	pending atomic.Int32
 	done    *sync.WaitGroup
-	// refs and startedAt feed the tiered cache's admission; refs is only
-	// captured when caching is on.
+	// refs are what the lanes decode; with startedAt they also feed the
+	// tiered cache's admission.
 	refs      []fpga.DataRef
 	startedAt time.Time
 }
@@ -116,25 +119,18 @@ func (n *NvJPEG) RunEpoch(col core.DataCollector) error {
 	if col == nil {
 		return errors.New("backends: nil collector")
 	}
-	stride := n.imageBytes()
 	var epochWG sync.WaitGroup
 	var cur *nvBatch
-	var slots [][]byte
-	var refs []fpga.DataRef
 	flush := func() error {
 		if cur == nil {
 			return nil
 		}
-		cur.pending.Store(int32(len(slots)))
-		for i := range slots {
-			i := i
-			b := cur
-			ref := refs[i]
-			slot := slots[i]
-			idx := i
+		b := cur
+		b.pending.Store(int32(len(b.refs)))
+		for i, ref := range b.refs {
 			launchStart := time.Now()
 			err := n.nextLane().CallbackAsync(func() {
-				n.decodeOnDevice(ref, slot, b, idx)
+				n.decodeOnDevice(ref, b, i)
 			})
 			if n.busy != nil {
 				n.busy.Record("launch", time.Since(launchStart).Seconds())
@@ -143,7 +139,7 @@ func (n *NvJPEG) RunEpoch(col core.DataCollector) error {
 				return fmt.Errorf("backends: decode lane closed: %w", err)
 			}
 		}
-		cur, slots, refs = nil, nil, nil
+		cur = nil
 		return nil
 	}
 	for {
@@ -152,27 +148,18 @@ func (n *NvJPEG) RunEpoch(col core.DataCollector) error {
 			break
 		}
 		if cur == nil {
-			buf, err := n.pool.Get()
+			batch, err := n.Acquire()
 			if err != nil {
-				return fmt.Errorf("backends: pool closed: %w", err)
+				return err
 			}
-			cur = &nvBatch{
-				batch:     &core.Batch{Buf: buf, W: n.outW, H: n.outH, C: n.channels, Seq: n.nextSeq()},
-				done:      &epochWG,
-				startedAt: time.Now(),
-			}
+			cur = &nvBatch{batch: batch, done: &epochWG, startedAt: time.Now()}
 			epochWG.Add(1)
 		}
-		slot := cur.batch.Images
 		cur.batch.Images++
 		cur.batch.Metas = append(cur.batch.Metas, item.Meta)
 		cur.batch.Valid = append(cur.batch.Valid, false)
-		slots = append(slots, cur.batch.Buf.Bytes()[slot*stride:(slot+1)*stride])
-		refs = append(refs, item.Ref)
-		if n.cache != nil {
-			cur.refs = append(cur.refs, item.Ref)
-		}
-		if cur.batch.Images == n.batchSize {
+		cur.refs = append(cur.refs, item.Ref)
+		if cur.batch.Images == n.BatchSize() {
 			if err := flush(); err != nil {
 				return err
 			}
@@ -187,7 +174,7 @@ func (n *NvJPEG) RunEpoch(col core.DataCollector) error {
 
 // decodeOnDevice runs inside a device stream: the decode cost lands on
 // the GPU's kernel accounting, not on a host core.
-func (n *NvJPEG) decodeOnDevice(ref fpga.DataRef, slot []byte, b *nvBatch, idx int) {
+func (n *NvJPEG) decodeOnDevice(ref fpga.DataRef, b *nvBatch, idx int) {
 	start := time.Now()
 	ok := func() bool {
 		data := ref.Inline
@@ -201,39 +188,31 @@ func (n *NvJPEG) decodeOnDevice(ref fpga.DataRef, slot []byte, b *nvBatch, idx i
 				return false
 			}
 		}
+		bt := b.batch
 		img, err := jpeg.Decode(data)
-		if err != nil || img.C != n.channels {
+		if err != nil || img.C != bt.C {
 			return false
 		}
-		dst, err := pix.FromBytes(n.outW, n.outH, n.channels, slot)
+		dst, err := pix.FromBytes(bt.W, bt.H, bt.C, bt.Image(idx))
 		if err != nil {
 			return false
 		}
 		return imageproc.ResizeInto(img, dst, imageproc.Bilinear) == nil
 	}()
 	n.dev.RecordKernelBusy(time.Since(start))
-	if ok {
-		n.images.Add(1)
-		b.batch.Valid[idx] = true
-	} else {
-		n.errs.Add(1)
-	}
+	n.Settle(b.batch, idx, ok)
 	if b.pending.Add(-1) == 0 {
-		cost := float64(time.Since(b.startedAt).Nanoseconds())
-		_ = n.publish(b.batch, b.refs, cost)
+		_ = n.Publish(b.batch, b.refs, b.startedAt)
 		b.done.Done()
 	}
 }
 
 // Close drains the decode lanes and releases resources.
 func (n *NvJPEG) Close() {
-	n.closeOnce.Do(func() {
-		for _, s := range n.lanes {
-			s.Close()
-		}
-		n.full.Close()
-		n.pool.Close()
-	})
+	for _, s := range n.lanes {
+		s.Close()
+	}
+	n.BatchPlane.Close()
 }
 
 var _ Backend = (*NvJPEG)(nil)

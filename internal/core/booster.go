@@ -1,19 +1,15 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"dlbooster/internal/fpga"
-	"dlbooster/internal/hugepage"
 	"dlbooster/internal/imageproc"
 	"dlbooster/internal/jpeg"
 	"dlbooster/internal/metrics"
 	"dlbooster/internal/pix"
-	"dlbooster/internal/queue"
 )
 
 // Config assembles a DLBooster backend.
@@ -56,13 +52,6 @@ type Config struct {
 	// disk epoch never pauses, so the deadline is moot there. 0 (the
 	// default) keeps strict batches, the paper's closed-loop behaviour.
 	BatchTimeout time.Duration
-	// DisableScaledDecode turns off the decode-to-scale fast path on
-	// every decode consumer this Booster owns: the FPGA boards' iDCT
-	// stages and the degraded-mode CPU fallback all revert to
-	// full-resolution reconstruction followed by a full resize. The zero
-	// value keeps the fast path on (it is byte-compatible in spirit and
-	// parity-tested against the full pipeline; see internal/jpeg).
-	DisableScaledDecode bool
 	// Resilience is the failure policy (retry, timeout, CPU fallback).
 	Resilience Resilience
 	// Metrics, when non-nil, enables full observability: per-batch trace
@@ -129,29 +118,16 @@ func (r Resilience) normalize() (Resilience, error) {
 	return r, nil
 }
 
+// normalize validates what is the Booster's own; batch geometry and
+// pool sizing are validated once for every backend by NewBatchPlane.
 func (c *Config) normalize() error {
-	if c.BatchSize <= 0 {
-		return errors.New("core: batch size must be positive")
-	}
 	res, err := c.Resilience.normalize()
 	if err != nil {
 		return err
 	}
 	c.Resilience = res
-	if c.OutW <= 0 || c.OutH <= 0 {
-		return fmt.Errorf("core: bad output geometry %dx%d", c.OutW, c.OutH)
-	}
 	if c.BatchTimeout < 0 {
 		return fmt.Errorf("core: negative batch timeout %v", c.BatchTimeout)
-	}
-	if c.Channels != 1 && c.Channels != 3 {
-		return fmt.Errorf("core: channels %d must be 1 or 3", c.Channels)
-	}
-	if c.PoolBatches == 0 {
-		c.PoolBatches = 8
-	}
-	if c.PoolBatches < 2 {
-		return errors.New("core: need at least 2 pool batches for pipelining")
 	}
 	if c.Mirror == "" {
 		c.Mirror = "jpeg"
@@ -162,40 +138,30 @@ func (c *Config) normalize() error {
 	if c.FPGADevices < 0 {
 		return fmt.Errorf("core: %d FPGA devices", c.FPGADevices)
 	}
-	if c.DisableScaledDecode {
-		c.FPGA.DisableScaledDecode = true
-	}
 	return nil
 }
 
-// Booster is the DLBooster data-preprocessing backend.
+// Booster is the DLBooster data-preprocessing backend: the FPGAReader
+// (epoch.go) decoding into the batch plane it embeds.
 type Booster struct {
+	// BatchPlane is the pool, Full queue, cache and replay. Its reg is
+	// never nil here: the user's registry when Config.Metrics was set
+	// (traced = full span/latency instrumentation), otherwise an
+	// internal one carrying only pull-based probes so Snapshot always
+	// answers. spanned is on when either the full instrumentation or a
+	// flight recorder wants spans.
+	*BatchPlane
 	cfg    Config
-	pool   *hugepage.Pool
 	devs   []*fpga.Device
 	mirror fpga.Mirror
 	ch     *FPGAChannel
-	full   *queue.Queue[*Batch]
 
-	images       metrics.Counter
-	errors       metrics.Counter
 	collected    metrics.Counter
-	published    metrics.Counter
 	partialFlush metrics.Counter
-	seq          int
 	cmdID        uint64
 
-	// reg is never nil: the user's registry when Config.Metrics was set
-	// (traced = full span/latency instrumentation), otherwise an
-	// internal one carrying only pull-based probes so Snapshot always
-	// answers.
-	reg    *metrics.Registry
-	traced bool
 	// flight is the optional always-on recorder (nil-safe to call).
-	// spanned gates per-batch span stamping: on when either the full
-	// registry instrumentation or a flight recorder wants spans.
-	flight  *metrics.FlightRecorder
-	spanned bool
+	flight *metrics.FlightRecorder
 
 	// scaledCPU counts CPU-fallback decodes that took the
 	// decode-to-scale fast path below full resolution; the boards keep
@@ -218,28 +184,6 @@ type Booster struct {
 	lateFinishes metrics.Counter
 	consecFails  atomic.Int64
 	degraded     atomic.Bool
-
-	// cache is the tiered first-epoch cache (§3.1 hybrid service), nil
-	// when caching is disabled. It may be shared across Boosters (fleet
-	// shards) via Config.SharedCache. replaying suppresses capture while
-	// ReplayCacheShard re-decodes evicted entries — without it every
-	// replay would re-admit them as duplicate entries and later epochs
-	// would serve those items twice.
-	cache     *TieredCache
-	replaying atomic.Bool
-
-	// Cache-hit accounting (§3.1 hybrid service): images and bytes
-	// served from the cache tiers instead of the decoder, split by the
-	// tier that served them, plus the evicted images replay had to
-	// re-decode. Per-Booster even when the cache is shared, so a fleet
-	// rollup sums without double-counting.
-	cacheReplayImages   metrics.Counter
-	cacheReplayBytes    metrics.Counter
-	cacheRAMHitImages   metrics.Counter
-	cacheSpillHitImages metrics.Counter
-	cacheRedecodeImages metrics.Counter
-
-	closeOnce sync.Once
 }
 
 // New builds the backend: HugePage pool, FPGA device with the requested
@@ -248,54 +192,46 @@ func New(cfg Config) (*Booster, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	imageBytes := cfg.OutW * cfg.OutH * cfg.Channels
-	pool, err := hugepage.NewPool(imageBytes*cfg.BatchSize, cfg.PoolBatches)
+	plane, err := NewBatchPlane(PlaneConfig{
+		BatchSize: cfg.BatchSize, OutW: cfg.OutW, OutH: cfg.OutH, Channels: cfg.Channels,
+		PoolBatches: cfg.PoolBatches, Cache: cfg.Cache, SharedCache: cfg.SharedCache,
+	})
 	if err != nil {
+		return nil, err
+	}
+	var devs []*fpga.Device
+	fail := func(err error) (*Booster, error) {
+		for _, d := range devs {
+			d.Close()
+		}
+		plane.Close()
 		return nil, err
 	}
 	mirror, err := fpga.LoadMirror(cfg.Mirror)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
-	devs := make([]*fpga.Device, cfg.FPGADevices)
-	for i := range devs {
-		dev, err := fpga.New(cfg.FPGA, pool.Arena(), cfg.Source, mirror)
+	for len(devs) < cfg.FPGADevices {
+		dev, err := fpga.New(cfg.FPGA, plane.pool.Arena(), cfg.Source, mirror)
 		if err != nil {
-			for _, d := range devs[:i] {
-				d.Close()
-			}
-			return nil, err
+			return fail(err)
 		}
-		devs[i] = dev
+		devs = append(devs, dev)
 	}
-	cache := cfg.SharedCache
-	if cache == nil && cfg.Cache.RAMBytes > 0 {
-		cache, err = NewTieredCache(cfg.Cache)
-		if err != nil {
-			for _, d := range devs {
-				d.Close()
-			}
-			pool.Close()
-			return nil, err
-		}
+	plane.reg, plane.traced = cfg.Metrics, cfg.Metrics != nil
+	plane.spanned = plane.traced || cfg.Flight != nil
+	if plane.reg == nil {
+		plane.reg = metrics.NewRegistry()
 	}
 	b := &Booster{
-		cfg:    cfg,
-		pool:   pool,
-		devs:   devs,
-		mirror: mirror,
-		ch:     newFPGAChannel(devs),
-		full:   queue.New[*Batch](cfg.PoolBatches),
-		cache:  cache,
-		reg:    cfg.Metrics,
-		traced: cfg.Metrics != nil,
-		flight: cfg.Flight,
+		BatchPlane: plane,
+		cfg:        cfg,
+		devs:       devs,
+		mirror:     mirror,
+		ch:         newFPGAChannel(devs),
+		flight:     cfg.Flight,
 	}
-	b.spanned = b.traced || b.flight != nil
 	b.batchTimeoutNs.Store(int64(cfg.BatchTimeout))
-	if b.reg == nil {
-		b.reg = metrics.NewRegistry()
-	}
 	if b.flight != nil {
 		b.reg.AttachFlight(b.flight)
 	}
@@ -311,7 +247,7 @@ func (b *Booster) instrument() {
 	r := b.reg
 	r.RegisterCounterFunc("items_collected_total", b.collected.Value)
 	r.RegisterCounterFunc("images_decoded_total", b.images.Value)
-	r.RegisterCounterFunc("decode_errors_total", b.errors.Value)
+	r.RegisterCounterFunc("decode_errors_total", b.DecodeErrors)
 	r.RegisterCounterFunc("decode_retries_total", b.retries.Value)
 	r.RegisterCounterFunc("cmd_timeouts_total", b.timeouts.Value)
 	r.RegisterCounterFunc("fallback_decodes_total", b.fallbacks.Value)
@@ -377,12 +313,6 @@ func (b *Booster) Snapshot() *metrics.PipelineSnapshot { return b.reg.Snapshot()
 // same snapshot.
 func (b *Booster) Registry() *metrics.Registry { return b.reg }
 
-// Batches returns the Full_Batch_Queue the Dispatcher drains.
-func (b *Booster) Batches() *queue.Queue[*Batch] { return b.full }
-
-// Pool exposes the MemManager, for tests and the Table 1 surface.
-func (b *Booster) Pool() *hugepage.Pool { return b.pool }
-
 // Device exposes the first FPGA decoder, for stats.
 func (b *Booster) Device() *fpga.Device { return b.devs[0] }
 
@@ -391,12 +321,6 @@ func (b *Booster) Devices() []*fpga.Device { return b.devs }
 
 // Channel exposes the FPGAChannel bound to the decoder (Table 1).
 func (b *Booster) Channel() *FPGAChannel { return b.ch }
-
-// Images returns the count of successfully decoded images.
-func (b *Booster) Images() int64 { return b.images.Value() }
-
-// DecodeErrors returns the count of failed decodes.
-func (b *Booster) DecodeErrors() int64 { return b.errors.Value() }
 
 // Retries returns the count of decode-command resubmissions.
 func (b *Booster) Retries() int64 { return b.retries.Value() }
@@ -482,7 +406,7 @@ func (b *Booster) cpuDecode(ref fpga.DataRef, dst []byte) error {
 		return err
 	}
 	var img *pix.Image
-	if sm, ok := b.mirror.(fpga.ScaledMirror); ok && !b.cfg.DisableScaledDecode {
+	if sm, ok := b.mirror.(fpga.ScaledMirror); ok {
 		var scale int
 		img, scale, err = sm.ReconstructScaled(job, b.cfg.OutW, b.cfg.OutH)
 		if err == nil && scale < 8 {
@@ -504,140 +428,19 @@ func (b *Booster) cpuDecode(ref fpga.DataRef, dst []byte) error {
 	return imageproc.ResizeInto(img, out, imageproc.Bilinear)
 }
 
-// RecycleBatch returns a consumed batch's buffer to the pool (Table 1
-// recycle_item). The Dispatcher calls it after stream synchronisation.
-// A traced batch's span terminates here: the recycle timestamp is
-// stamped and the completed span handed to the registry exactly once.
-func (b *Booster) RecycleBatch(batch *Batch) error {
-	if batch == nil || batch.Buf == nil {
-		return errors.New("core: nil batch")
-	}
-	if tr := batch.Trace; tr != nil {
-		batch.Trace = nil
-		tr.Recycled = time.Now()
-		b.reg.CompleteSpan(*tr)
-	}
-	return b.pool.Put(batch.Buf)
-}
-
-// CloseBatches marks the end of the batch stream, letting consumers
-// drain and exit.
-func (b *Booster) CloseBatches() { b.full.Close() }
-
-// Close tears the backend down.
+// Close tears the backend down: the boards first, then the plane.
 func (b *Booster) Close() {
-	b.closeOnce.Do(func() {
-		b.ch.close()
-		b.full.Close()
-		b.pool.Close()
-	})
+	b.ch.close()
+	b.BatchPlane.Close()
 }
 
-// cacheStats snapshots the tiered cache (zero value when caching is
-// disabled), backing the cache gauges and counters.
-func (b *Booster) cacheStats() CacheStats {
-	if b.cache == nil {
-		return CacheStats{}
-	}
-	return b.cache.Stats()
-}
-
-// Cache exposes the tiered epoch cache (nil when caching is disabled),
-// for sharing with other shards and for tests.
-func (b *Booster) Cache() *TieredCache { return b.cache }
-
-// CacheComplete reports whether the whole first epoch is still resident
-// across the cache tiers, i.e. a replay would touch the decoder zero
-// times.
-func (b *Booster) CacheComplete() bool {
-	return b.cache != nil && b.cache.Complete()
-}
-
-// CacheReplayable reports whether ReplayCache can serve an epoch at
-// all — possibly re-decoding evicted batches through the decode path.
-// Weaker than CacheComplete: use it when a partially-cached epoch is
-// still worth replaying.
-func (b *Booster) CacheReplayable() bool {
-	return b.cache != nil && b.cache.Available() == nil
-}
-
-// CachedBatches returns the number of captured batches still resident
-// in some cache tier (evicted entries excluded).
-func (b *Booster) CachedBatches() int {
-	if b.cache == nil {
-		return 0
-	}
-	st := b.cache.Stats()
-	return st.RAMResident + st.SpillResident
-}
-
-// ReplayCache serves one epoch from the tiered cache: the offline-like
-// fast path of the hybrid service (§3.1). RAM-tier batches are copied
-// into pool buffers, spill-tier batches are read back from the NVMe
-// store (paced by its bandwidth model), and evicted batches are
-// re-decoded from their retained DataRefs through the ordinary decode
-// path — every batch still flows through pool buffers and the Full
-// queue so the downstream pipeline is identical either way.
-//
-// Replayed batches share the cached Metas and Valid slices rather than
-// copying them per epoch: cache entries are immutable once written, and
-// every downstream consumer (Dispatcher, engines) treats a published
-// batch's Metas/Valid as read-only, so the aliasing is safe and saves
-// two allocations per batch per replayed epoch.
-//
-// When nothing can be served the error wraps ErrCacheUnavailable with
-// the cause — disabled, never filled, over the RAM limit with no spill
-// tier, or fully evicted (see docs/API.md).
-func (b *Booster) ReplayCache() error { return b.ReplayCacheShard(0, 1) }
+// ReplayCache serves one epoch from the tiered cache (see
+// BatchPlane.Replay), re-decoding evicted batches through RunEpoch.
+func (b *Booster) ReplayCache() error { return b.Replay(0, 1, b.RunEpoch) }
 
 // ReplayCacheShard replays this Booster's 1/shards slice of the cached
-// epoch — entry indices congruent to shard modulo shards. The fleet
-// uses it to fan one shared cache out across shards (fleet.ReplayShared);
-// single-pipeline callers use ReplayCache.
+// epoch. The fleet uses it to fan one shared cache out across shards
+// (fleet.ReplayShared); single-pipeline callers use ReplayCache.
 func (b *Booster) ReplayCacheShard(shard, shards int) error {
-	if b.cache == nil {
-		return ErrCacheDisabled
-	}
-	sink := CacheReplaySink{
-		GetBuffer: func() (*hugepage.Buffer, error) {
-			buf, err := b.pool.Get()
-			if err != nil {
-				return nil, fmt.Errorf("core: memory pool closed: %w", err)
-			}
-			return buf, nil
-		},
-		Publish: func(buf *hugepage.Buffer, images int, metas []ItemMeta, valid []bool, tier CacheTier) error {
-			b.seq++
-			batch := &Batch{
-				Buf:    buf,
-				Images: images,
-				W:      b.cfg.OutW, H: b.cfg.OutH, C: b.cfg.Channels,
-				Metas:       metas,
-				Valid:       valid,
-				Seq:         b.seq,
-				AssembledAt: time.Now(),
-			}
-			b.images.Add(int64(images))
-			b.cacheReplayImages.Add(int64(images))
-			b.cacheReplayBytes.Add(int64(images * batch.ImageBytes()))
-			switch tier {
-			case TierRAM:
-				b.cacheRAMHitImages.Add(int64(images))
-			case TierSpill:
-				b.cacheSpillHitImages.Add(int64(images))
-			}
-			if err := b.full.Push(batch); err != nil {
-				return err
-			}
-			b.published.Add(1)
-			return nil
-		},
-		Redecode: func(items []Item) error {
-			b.cacheRedecodeImages.Add(int64(len(items)))
-			b.replaying.Store(true)
-			defer b.replaying.Store(false)
-			return b.RunEpoch(CollectorFromItems(items))
-		},
-	}
-	return b.cache.Replay(shard, shards, sink)
+	return b.Replay(shard, shards, b.RunEpoch)
 }

@@ -1,8 +1,8 @@
 // The FPGAReader event loop — Algorithm 1 of the paper, plus the
 // failure policy (retry scheduling, command timeouts, degraded-mode
-// rescue) layered on top of it. Split out of booster.go so the Booster
-// lifecycle (construction, telemetry, cache, teardown) reads separately
-// from the per-epoch machinery.
+// rescue) layered on top of it. RunEpoch is the collector loop; the
+// per-epoch state and every transition on it live in epochState, so
+// each can be exercised against a fake decoder (epoch_model_test.go).
 
 package core
 
@@ -12,15 +12,26 @@ import (
 	"time"
 
 	"dlbooster/internal/fpga"
-	"dlbooster/internal/hugepage"
 	"dlbooster/internal/metrics"
 )
 
+// decoder is what the epoch state machine needs of its boards. Only
+// *FPGAChannel implements it in the program; the interface exists so a
+// test can drive the transitions with a scripted fake.
+type decoder interface {
+	SubmitCmd(fpga.Cmd) error
+	SubmitCmdTimeout(fpga.Cmd, time.Duration) (bool, error)
+	Cancel(id uint64) bool
+	DrainOut() []fpga.Completion
+	WaitCompletion() (fpga.Completion, error)
+	WaitCompletionTimeout(time.Duration) (fpga.Completion, bool, error)
+}
+
 // building tracks one batch buffer being filled by in-flight decodes.
-// When the epoch cache is on it also carries what admission needs:
-// the items' DataRefs (so an evicted entry stays re-decodable) and the
-// build start time (so the entry's decode cost — what eviction would
-// pay to recompute — is measured, not guessed).
+// It also carries what cache admission needs: the items' DataRefs
+// (captured when the epoch cache is on, so an evicted entry stays
+// re-decodable) and the build start time (so the entry's decode cost —
+// what eviction would pay to recompute — is measured, not guessed).
 type building struct {
 	batch       *Batch
 	outstanding int
@@ -41,6 +52,43 @@ type pendingSlot struct {
 	attempts  int
 	submitted time.Time
 	retryAt   time.Time // zero = in the board; set = awaiting scheduled retry
+}
+
+// epochState is one pass of the FPGAReader: the batch being filled, the
+// commands in flight and the knob values latched for the current batch.
+type epochState struct {
+	b       *Booster
+	dec     decoder
+	res     Resilience
+	pending map[uint64]pendingSlot
+	cur     *building
+	// live tracks every buffer this epoch has taken from the pool but
+	// not yet handed to Publish. On an abnormal exit (pool or decoder
+	// closed mid-epoch) release returns them so the get/recycle ledger
+	// stays balanced — the accounting invariant the chaos tests assert.
+	live map[*building]bool
+	// Dynamic batching: flushAt is the deadline by which the building
+	// batch must seal even if short — armed when its first item lands,
+	// disarmed at every seal. Only meaningful with bt > 0 and a
+	// streaming collector. bt is re-read from the knob at every deadline
+	// arm (see SetBatchTimeout's ordering contract), so a runtime retune
+	// applies from the next batch, never mid-batch.
+	bt      time.Duration
+	flushAt time.Time
+	// offloadAcc is the error-diffusion accumulator of the fractional
+	// CPU-share knob: it gains CPUShare per submission and routes one
+	// item to the CPU decode path each time it crosses 1, spreading the
+	// offloaded items evenly through the batch instead of bursting.
+	offloadAcc float64
+}
+
+func newEpochState(b *Booster, dec decoder) *epochState {
+	return &epochState{
+		b: b, dec: dec, res: b.cfg.Resilience,
+		pending: make(map[uint64]pendingSlot),
+		live:    make(map[*building]bool),
+		bt:      b.BatchTimeout(),
+	}
 }
 
 // RunEpoch drives one pass of the collector through the FPGA decoder —
@@ -66,301 +114,14 @@ func (b *Booster) RunEpoch(col DataCollector) (err error) {
 	if col == nil {
 		return errors.New("core: nil collector")
 	}
-	imageBytes := b.cfg.OutW * b.cfg.OutH * b.cfg.Channels
-	res := b.cfg.Resilience
-	pending := make(map[uint64]pendingSlot)
-	var cur *building
+	e := newEpochState(b, b.ch)
+	defer e.release()
+	return e.run(col)
+}
+
+// run is the collector loop: admit every item, then flush.
+func (e *epochState) run(col DataCollector) error {
 	stream, _ := col.(StreamingCollector)
-	// Dynamic batching: flushAt is the deadline by which the building
-	// batch must seal even if short — armed when its first item lands,
-	// disarmed at every seal. Only meaningful with BatchTimeout set and
-	// a streaming collector. bt is re-read from the knob at every
-	// deadline arm (see SetBatchTimeout's ordering contract), so a
-	// runtime retune applies from the next batch, never mid-batch.
-	bt := b.BatchTimeout()
-	var flushAt time.Time
-	// offloadAcc is the error-diffusion accumulator of the fractional
-	// CPU-share knob: it gains CPUShare per submission and routes one
-	// item to the CPU decode path each time it crosses 1, spreading the
-	// offloaded items evenly through the batch instead of bursting.
-	var offloadAcc float64
-
-	// live tracks every buffer this epoch has taken from the pool but
-	// not yet published. On an abnormal exit (pool or decoder closed
-	// mid-epoch) those buffers are returned so the get/recycle ledger
-	// stays balanced — the accounting invariant the chaos tests assert.
-	live := make(map[*building]bool)
-	defer func() {
-		for bld := range live {
-			_ = b.pool.Put(bld.batch.Buf) // Push may fail post-Close; the checkout is cleared regardless
-		}
-	}()
-
-	// finishIfDone publishes a batch once it is sealed with no decodes
-	// in flight. outstanding is exact — each submitted command is
-	// settled exactly once (FINISH, retry exhaustion, or timeout) — so
-	// the condition fires exactly once per batch.
-	finishIfDone := func(bld *building) error {
-		if bld.sealed && bld.outstanding == 0 {
-			if err := b.finishBatch(bld); err != nil {
-				// Publish failed (queue closed mid-teardown): the buffer
-				// stays in live so the epoch cleanup recycles it.
-				return err
-			}
-			delete(live, bld)
-		}
-		return nil
-	}
-
-	// seal stops the building batch accepting items and publishes it as
-	// soon as its in-flight decodes settle. partial marks a
-	// deadline-flushed short batch (dynamic batching) as opposed to a
-	// full batch or the end-of-stream flush.
-	seal := func(partial bool) error {
-		cur.sealed = true
-		if partial {
-			b.partialFlush.Add(1)
-		}
-		if tr := cur.batch.Trace; tr != nil {
-			tr.Sealed = time.Now()
-		}
-		err := finishIfDone(cur)
-		cur = nil
-		flushAt = time.Time{}
-		return err
-	}
-
-	// settleFPGASuccess and settleFailure are the only two ways a
-	// pending command resolves; both decrement outstanding.
-	settleSuccess := func(ps pendingSlot) error {
-		b.noteFPGASuccess()
-		b.images.Add(1)
-		if b.traced {
-			b.reg.ObserveSince(metrics.StageFPGADecode, ps.submitted)
-		}
-		if tr := ps.bld.batch.Trace; tr != nil {
-			tr.FPGA++
-		}
-		ps.bld.batch.Valid[ps.slot] = true
-		ps.bld.outstanding--
-		return finishIfDone(ps.bld)
-	}
-	// settleFailure resolves a command whose FPGA decode finally failed
-	// (retries exhausted, submission shed, or timed out). With fallback
-	// configured the item is rescued by the CPU decode path — the
-	// degradation of the failure model — otherwise its slot stays
-	// invalid, the paper's original behaviour.
-	settleFailure := func(ps pendingSlot) error {
-		b.noteFPGAFailure()
-		off := ps.slot * imageBytes
-		dst := ps.bld.batch.Buf.Bytes()[off : off+imageBytes]
-		var t0 time.Time
-		if b.traced {
-			t0 = time.Now()
-		}
-		if res.FallbackAfter > 0 && b.cpuDecode(ps.cmd.Data, dst) == nil {
-			b.images.Add(1)
-			b.fallbacks.Add(1)
-			if b.traced {
-				b.reg.ObserveSince(metrics.StageCPUFallback, t0)
-			}
-			if tr := ps.bld.batch.Trace; tr != nil {
-				tr.Fallback++
-			}
-			ps.bld.batch.Valid[ps.slot] = true
-		} else {
-			b.errors.Add(1)
-			if tr := ps.bld.batch.Trace; tr != nil {
-				tr.Failed++
-			}
-			ps.bld.batch.Valid[ps.slot] = false
-		}
-		ps.bld.outstanding--
-		return finishIfDone(ps.bld)
-	}
-
-	process := func(comps []fpga.Completion) error {
-		for _, c := range comps {
-			ps, ok := pending[c.ID]
-			if !ok {
-				return fmt.Errorf("core: completion for unknown cmd %d", c.ID)
-			}
-			if c.Err == nil {
-				delete(pending, c.ID)
-				if err := settleSuccess(ps); err != nil {
-					return err
-				}
-				continue
-			}
-			if ps.attempts < res.MaxRetries && !b.degraded.Load() {
-				// Schedule the retry by deadline instead of sleeping the
-				// backoff inline: the reader keeps draining completions
-				// and expiring timeouts for every other command while
-				// this one waits its turn.
-				ps.attempts++
-				b.retries.Add(1)
-				ps.retryAt = time.Now().Add(b.backoffDur(ps.attempts))
-				pending[c.ID] = ps
-				continue
-			}
-			delete(pending, c.ID)
-			if err := settleFailure(ps); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// resubmitDue sends every host-held retry whose backoff has elapsed
-	// back to the boards; a shed resubmission (full FIFO of a wedged
-	// board) or a degraded-mode switch settles the command instead.
-	resubmitDue := func() error {
-		if len(pending) == 0 {
-			return nil
-		}
-		now := time.Now()
-		for id, ps := range pending {
-			if ps.retryAt.IsZero() || now.Before(ps.retryAt) {
-				continue
-			}
-			if b.degraded.Load() {
-				delete(pending, id)
-				if err := settleFailure(ps); err != nil {
-					return err
-				}
-				continue
-			}
-			ok, err := b.resubmit(ps.cmd)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				delete(pending, id)
-				b.timeouts.Add(1)
-				if err := settleFailure(ps); err != nil {
-					return err
-				}
-				continue
-			}
-			ps.retryAt = time.Time{}
-			ps.submitted = now
-			pending[id] = ps
-		}
-		return nil
-	}
-
-	// nextRetry returns the wait until the earliest scheduled retry.
-	nextRetry := func() (time.Duration, bool) {
-		var earliest time.Time
-		for _, ps := range pending {
-			if ps.retryAt.IsZero() {
-				continue
-			}
-			if earliest.IsZero() || ps.retryAt.Before(earliest) {
-				earliest = ps.retryAt
-			}
-		}
-		if earliest.IsZero() {
-			return 0, false
-		}
-		d := time.Until(earliest)
-		if d < 0 {
-			d = 0
-		}
-		return d, true
-	}
-
-	// expire settles every in-board command whose FINISH is overdue —
-	// the only way a wedged board's swallowed commands ever resolve.
-	// Before a slot is settled (and its buffer thereby becomes eligible
-	// for publishing and recycling) the command is revoked on its board:
-	// Cancel returns only once no DMA write for it can ever land, so a
-	// merely-slow board cannot scribble over a rescued slot or a reused
-	// buffer later. When the revocation loses the race the FINISH is
-	// already in the completion stream — the command is not lost, just
-	// slow — so it stays pending with a fresh clock and settles normally.
-	expire := func() error {
-		if res.CmdTimeout <= 0 || len(pending) == 0 {
-			return nil
-		}
-		now := time.Now()
-		for id, ps := range pending {
-			if !ps.retryAt.IsZero() {
-				continue // host-held awaiting retry: nothing in the board
-			}
-			if now.Sub(ps.submitted) < res.CmdTimeout {
-				continue
-			}
-			if !b.ch.Cancel(id) {
-				b.lateFinishes.Add(1)
-				ps.submitted = now
-				pending[id] = ps
-				continue
-			}
-			delete(pending, id)
-			b.timeouts.Add(1)
-			b.flight.Note("cmd_revoked",
-				fmt.Sprintf("cmd %d revoked after %v without FINISH", id, res.CmdTimeout))
-			if err := settleFailure(ps); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// awaitOne blocks for the next FINISH from any board. The wait is
-	// bounded by a fraction of the command timeout (so a stuck board
-	// cannot park the reader past its own detection threshold) and by
-	// the earliest scheduled retry (so a backing-off command is
-	// resubmitted on time even when no FINISH ever arrives).
-	awaitOne := func() error {
-		if err := resubmitDue(); err != nil {
-			return err
-		}
-		if len(pending) == 0 {
-			return nil
-		}
-		wait := time.Duration(-1)
-		if res.CmdTimeout > 0 {
-			wait = res.CmdTimeout / 4
-		}
-		if d, ok := nextRetry(); ok && (wait < 0 || d < wait) {
-			wait = d
-		}
-		if wait < 0 {
-			comp, err := b.ch.WaitCompletion()
-			if err != nil {
-				return fmt.Errorf("core: decoder closed mid-epoch: %w", err)
-			}
-			return process(append([]fpga.Completion{comp}, b.ch.DrainOut()...))
-		}
-		comp, ok, err := b.ch.WaitCompletionTimeout(wait)
-		if err != nil {
-			return fmt.Errorf("core: decoder closed mid-epoch: %w", err)
-		}
-		if ok {
-			if err := process(append([]fpga.Completion{comp}, b.ch.DrainOut()...)); err != nil {
-				return err
-			}
-		}
-		if err := expire(); err != nil {
-			return err
-		}
-		return resubmitDue()
-	}
-
-	// poll is the non-blocking sweep between submissions: drain FINISH
-	// signals, expire overdue commands, send due retries.
-	poll := func() error {
-		if err := process(b.ch.DrainOut()); err != nil {
-			return err
-		}
-		if err := expire(); err != nil {
-			return err
-		}
-		return resubmitDue()
-	}
-
 	for {
 		var item Item
 		var ok bool
@@ -373,23 +134,25 @@ func (b *Booster) RunEpoch(col DataCollector) (err error) {
 			// paper's closed-loop workload never pauses, but an online
 			// server's arrivals do).
 			for {
-				if cur != nil && bt > 0 && !time.Now().Before(flushAt) {
+				deadline := e.cur != nil && e.bt > 0
+				if deadline && !time.Now().Before(e.flushAt) {
 					// Deadline flush: the oldest item of the building
 					// batch has waited out BatchTimeout. Seal and
 					// dispatch the partial batch instead of stalling
 					// until arrivals fill it — the bounded-latency
 					// contract of the online workflow (Figure 8).
-					if err := seal(true); err != nil {
+					if err := e.seal(true); err != nil {
 						return err
 					}
+					deadline = false
 				}
-				if len(pending) == 0 && (cur == nil || bt <= 0) {
+				if len(e.pending) == 0 && !deadline {
 					item, ok = col.Next()
 					break
 				}
 				wait := 200 * time.Microsecond
-				if cur != nil && bt > 0 {
-					if d := time.Until(flushAt); d < wait {
+				if deadline {
+					if d := time.Until(e.flushAt); d < wait {
 						wait = d
 					}
 					if wait <= 0 {
@@ -401,7 +164,7 @@ func (b *Booster) RunEpoch(col DataCollector) (err error) {
 				if ok || !alive {
 					break
 				}
-				if err := poll(); err != nil {
+				if err := e.poll(); err != nil {
 					return err
 				}
 			}
@@ -409,215 +172,435 @@ func (b *Booster) RunEpoch(col DataCollector) (err error) {
 		if !ok {
 			break
 		}
-		b.collected.Add(1)
-		var collectedAt time.Time
-		if b.spanned {
-			collectedAt = time.Now()
-		}
-		if cur == nil {
-			// Algorithm 1 lines 5–10: peek the free queue; while no
-			// buffer is available and decodes are still in flight,
-			// process completions (blocking on the FINISH queue rather
-			// than the pool — a buffer can only come back through a
-			// finished batch or through the consumer, and blocking on
-			// the pool alone would deadlock when every buffer belongs
-			// to a batch whose completions nobody is draining).
-			for !b.pool.Available() && len(pending) > 0 {
-				if err := awaitOne(); err != nil {
-					return err
-				}
-			}
-			buf, err := b.pool.Get()
-			if err != nil {
-				return fmt.Errorf("core: memory pool closed: %w", err)
-			}
-			cur = b.newBuilding(buf)
-			if tr := cur.batch.Trace; tr != nil {
-				tr.Collected = collectedAt
-				tr.BufAcquired = time.Now()
-			}
-			live[cur] = true
-			// The first item of a batch arms its flush deadline — and
-			// re-reads the knob, the point SetBatchTimeout's ordering
-			// contract pins: a retune is effective here, at the next arm.
-			bt = b.BatchTimeout()
-			if bt > 0 {
-				flushAt = time.Now().Add(bt)
-			}
-		}
-		slot := cur.batch.Images
-		cur.batch.Images++
-		cur.batch.Metas = append(cur.batch.Metas, item.Meta)
-		cur.batch.Valid = append(cur.batch.Valid, false)
-		if b.cache != nil {
-			cur.refs = append(cur.refs, item.Ref)
-		}
-		b.cmdID++
-		// Algorithm 1 lines 11–12: encapsulate the physical address
-		// (base + offset of this datum in the batch) into the cmd.
-		cmd := fpga.Cmd{
-			ID:       b.cmdID,
-			Data:     item.Ref,
-			DMAAddr:  cur.batch.Buf.PhysAddr(),
-			DMAOff:   slot * imageBytes,
-			OutW:     b.cfg.OutW,
-			OutH:     b.cfg.OutH,
-			Channels: b.cfg.Channels,
-		}
-		degraded := b.degraded.Load()
-		offload := false
-		if !degraded {
-			// Fractional FPGA/CPU split (SetCPUShare): the knob is
-			// re-read per submission, so a retune takes effect on the
-			// very next item. Degraded mode overrides the share — every
-			// decode is already on the CPU and counted as a fallback.
-			if share := b.CPUShare(); share > 0 {
-				offloadAcc += share
-				if offloadAcc >= 1 {
-					offloadAcc--
-					offload = true
-				}
-			}
-		}
-		if degraded || offload {
-			// Decode rerouted to the CPU backend path, bypassing the
-			// decoder entirely — the failure policy's degraded mode, or
-			// the offload knob's deliberate load-splitting.
-			dst := cur.batch.Buf.Bytes()[cmd.DMAOff : cmd.DMAOff+imageBytes]
-			var t0 time.Time
-			if b.traced {
-				t0 = time.Now()
-			}
-			if b.cpuDecode(item.Ref, dst) == nil {
-				b.images.Add(1)
-				if offload {
-					b.offloads.Add(1)
-					if b.traced {
-						b.reg.ObserveSince(metrics.StageCPUOffload, t0)
-					}
-				} else {
-					b.fallbacks.Add(1)
-					if b.traced {
-						b.reg.ObserveSince(metrics.StageCPUFallback, t0)
-					}
-				}
-				if tr := cur.batch.Trace; tr != nil {
-					tr.Fallback++
-				}
-				cur.batch.Valid[slot] = true
-			} else {
-				b.errors.Add(1)
-				if tr := cur.batch.Trace; tr != nil {
-					tr.Failed++
-				}
-			}
-		} else {
-			submitted := true
-			var err error
-			if res.CmdTimeout > 0 {
-				submitted, err = b.ch.SubmitCmdTimeout(cmd, res.CmdTimeout)
-			} else {
-				err = b.ch.SubmitCmd(cmd)
-			}
-			if err != nil {
-				return err
-			}
-			cur.outstanding++
-			ps := pendingSlot{bld: cur, slot: slot, cmd: cmd, submitted: time.Now()}
-			if submitted {
-				pending[cmd.ID] = ps
-			} else {
-				// The FIFO never accepted the command — a wedged board.
-				// Settle host-side without waiting for a FINISH that
-				// cannot come.
-				b.timeouts.Add(1)
-				if err := settleFailure(ps); err != nil {
-					return err
-				}
-			}
-		}
-		// Lines 13–15: pull processed batches with best effort.
-		if err := poll(); err != nil {
+		if err := e.admit(item); err != nil {
 			return err
-		}
-		if cur.batch.Images == b.cfg.BatchSize {
-			// A full batch seals here; with every slot already settled
-			// (pure degraded mode) no FINISH will arrive to publish the
-			// batch, so finishIfDone inside seal does it.
-			if err := seal(false); err != nil {
-				return err
-			}
 		}
 	}
 	// Flush: seal the partial batch and wait out all in-flight decodes.
-	if cur != nil {
-		if err := seal(false); err != nil {
+	if e.cur != nil {
+		if err := e.seal(false); err != nil {
 			return err
 		}
 	}
-	for len(pending) > 0 {
-		if err := awaitOne(); err != nil {
+	for len(e.pending) > 0 {
+		if err := e.await(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// resubmit re-queues a retried command. Under a command timeout the
-// push is bounded, so the full FIFO of a wedged board sheds the retry
-// (ok=false) instead of deadlocking the reader.
-func (b *Booster) resubmit(cmd fpga.Cmd) (bool, error) {
-	if t := b.cfg.Resilience.CmdTimeout; t > 0 {
-		return b.ch.SubmitCmdTimeout(cmd, t)
+// release returns the buffers of batches that never reached Publish.
+func (e *epochState) release() {
+	for bld := range e.live {
+		_ = e.b.pool.Put(bld.batch.Buf) // Push may fail post-Close; the checkout is cleared regardless
 	}
-	return true, b.ch.SubmitCmd(cmd)
 }
 
-func (b *Booster) newBuilding(buf *hugepage.Buffer) *building {
-	b.seq++
-	batch := &Batch{
-		Buf: buf,
-		W:   b.cfg.OutW, H: b.cfg.OutH, C: b.cfg.Channels,
-		Seq: b.seq,
+// admit places one collected item in the building batch (opening one if
+// needed) and routes its decode: to the boards, or — degraded mode, or
+// the offload knob's turn — to the host CPU.
+func (e *epochState) admit(item Item) error {
+	b := e.b
+	b.collected.Add(1)
+	if e.cur == nil {
+		if err := e.open(); err != nil {
+			return err
+		}
 	}
-	if b.spanned {
-		batch.Trace = &metrics.Span{Batch: b.seq}
-	}
-	bld := &building{batch: batch}
+	cur := e.cur
+	slot := cur.batch.Images
+	cur.batch.Images++
+	cur.batch.Metas = append(cur.batch.Metas, item.Meta)
+	cur.batch.Valid = append(cur.batch.Valid, false)
 	if b.cache != nil {
-		bld.startedAt = time.Now()
+		cur.refs = append(cur.refs, item.Ref)
 	}
-	return bld
-}
-
-// finishBatch timestamps, optionally caches, and publishes a batch.
-func (b *Booster) finishBatch(bld *building) error {
-	batch := bld.batch
-	if batch.Images == 0 {
-		// An empty sealed batch (stream ended exactly at a boundary):
-		// return the buffer instead of publishing nothing.
-		return b.pool.Put(batch.Buf)
+	switch {
+	case b.degraded.Load():
+		// Degraded mode overrides the share — every decode is already on
+		// the CPU and counted as a fallback.
+		e.decodeOnCPU(cur, slot, item.Ref, false)
+	case e.offloadDue():
+		e.decodeOnCPU(cur, slot, item.Ref, true)
+	default:
+		b.cmdID++
+		cur.outstanding++
+		// Algorithm 1 lines 11–12: encapsulate the physical address
+		// (base + offset of this datum in the batch) into the cmd.
+		err := e.submit(pendingSlot{bld: cur, slot: slot, cmd: fpga.Cmd{
+			ID:       b.cmdID,
+			Data:     item.Ref,
+			DMAAddr:  cur.batch.Buf.PhysAddr(),
+			DMAOff:   slot * cur.batch.ImageBytes(),
+			OutW:     b.cfg.OutW,
+			OutH:     b.cfg.OutH,
+			Channels: b.cfg.Channels,
+		}})
+		if err != nil {
+			return err
+		}
 	}
-	batch.AssembledAt = time.Now()
-	if tr := batch.Trace; tr != nil {
-		tr.Published = batch.AssembledAt
-		tr.Images = batch.Images
-	}
-	if b.traced {
-		// Fill ratio (0..1], not milliseconds: 1.0 is a full batch, a
-		// low tail means deadline flushes are trading throughput for
-		// latency (see docs/METRICS.md).
-		b.reg.Observe(metrics.StageBatchFill, float64(batch.Images)/float64(b.cfg.BatchSize))
-	}
-	if b.cache != nil && !b.replaying.Load() {
-		// Admit with the measured decode cost (build start → assembly),
-		// so the eviction policy knows what re-decoding would pay.
-		cost := float64(batch.AssembledAt.Sub(bld.startedAt).Nanoseconds())
-		b.cache.Add(batch, bld.refs, cost)
-	}
-	if err := b.full.Push(batch); err != nil {
+	// Lines 13–15: pull processed batches with best effort.
+	if err := e.poll(); err != nil {
 		return err
 	}
-	b.published.Add(1)
+	if cur.batch.Images == b.cfg.BatchSize {
+		// A full batch seals here; with every slot already settled
+		// (pure degraded mode) no FINISH will arrive to publish the
+		// batch, so finishIfDone inside seal does it.
+		return e.seal(false)
+	}
 	return nil
+}
+
+// open starts a building batch. Algorithm 1 lines 5–10: peek the free
+// queue; while no buffer is available and decodes are still in flight,
+// process completions (blocking on the FINISH queue rather than the
+// pool — a buffer can only come back through a finished batch or
+// through the consumer, and blocking on the pool alone would deadlock
+// when every buffer belongs to a batch whose completions nobody is
+// draining).
+func (e *epochState) open() error {
+	b := e.b
+	var collectedAt time.Time
+	if b.spanned {
+		collectedAt = time.Now()
+	}
+	for !b.pool.Available() && len(e.pending) > 0 {
+		if err := e.await(); err != nil {
+			return err
+		}
+	}
+	batch, err := b.Acquire()
+	if err != nil {
+		return err
+	}
+	e.cur = &building{batch: batch, startedAt: time.Now()}
+	e.live[e.cur] = true
+	if tr := batch.Trace; tr != nil {
+		tr.Collected = collectedAt
+		tr.BufAcquired = time.Now()
+	}
+	// The first item of a batch arms its flush deadline — and re-reads
+	// the knob, the point SetBatchTimeout's ordering contract pins: a
+	// retune is effective here, at the next arm.
+	e.bt = b.BatchTimeout()
+	if e.bt > 0 {
+		e.flushAt = time.Now().Add(e.bt)
+	}
+	return nil
+}
+
+// offloadDue advances the fractional FPGA/CPU split (SetCPUShare) by one
+// submission and reports whether this item is the CPU's. The knob is
+// re-read per submission, so a retune takes effect on the very next item.
+func (e *epochState) offloadDue() bool {
+	share := e.b.CPUShare()
+	if share <= 0 {
+		return false
+	}
+	e.offloadAcc += share
+	if e.offloadAcc < 1 {
+		return false
+	}
+	e.offloadAcc--
+	return true
+}
+
+// submit sends a command — a first attempt or a due retry — to the
+// boards and records it pending. Under a command timeout the push is
+// bounded, so the full FIFO of a wedged board sheds the command instead
+// of deadlocking the reader; a shed command is settled host-side without
+// waiting for a FINISH that cannot come.
+func (e *epochState) submit(ps pendingSlot) error {
+	accepted := true
+	var err error
+	if t := e.res.CmdTimeout; t > 0 {
+		accepted, err = e.dec.SubmitCmdTimeout(ps.cmd, t)
+	} else {
+		err = e.dec.SubmitCmd(ps.cmd)
+	}
+	if err != nil {
+		return err
+	}
+	if !accepted {
+		return e.timeOut(ps)
+	}
+	ps.submitted, ps.retryAt = time.Now(), time.Time{}
+	e.pending[ps.cmd.ID] = ps
+	return nil
+}
+
+// seal stops the building batch accepting items and publishes it as
+// soon as its in-flight decodes settle. partial marks a
+// deadline-flushed short batch (dynamic batching) as opposed to a
+// full batch or the end-of-stream flush.
+func (e *epochState) seal(partial bool) error {
+	cur := e.cur
+	cur.sealed = true
+	if partial {
+		e.b.partialFlush.Add(1)
+	}
+	if tr := cur.batch.Trace; tr != nil {
+		tr.Sealed = time.Now()
+	}
+	e.cur = nil
+	e.flushAt = time.Time{}
+	return e.finishIfDone(cur)
+}
+
+// finishIfDone publishes a batch once it is sealed with no decodes
+// in flight. outstanding is exact — each submitted command is
+// settled exactly once (FINISH, retry exhaustion, or timeout) — so
+// the condition fires exactly once per batch. Publish takes the buffer
+// whether or not the push succeeds, so the batch leaves live either way.
+func (e *epochState) finishIfDone(bld *building) error {
+	if !bld.sealed || bld.outstanding > 0 {
+		return nil
+	}
+	delete(e.live, bld)
+	return e.b.Publish(bld.batch, bld.refs, bld.startedAt)
+}
+
+// settleSuccess and settleFailure are the only two ways a pending
+// command resolves; both decrement outstanding.
+func (e *epochState) settleSuccess(ps pendingSlot) error {
+	b := e.b
+	b.noteFPGASuccess()
+	b.Settle(ps.bld.batch, ps.slot, true)
+	if b.traced {
+		b.reg.ObserveSince(metrics.StageFPGADecode, ps.submitted)
+	}
+	if tr := ps.bld.batch.Trace; tr != nil {
+		tr.FPGA++
+	}
+	ps.bld.outstanding--
+	return e.finishIfDone(ps.bld)
+}
+
+// settleFailure resolves a command whose FPGA decode finally failed
+// (retries exhausted, submission shed, or timed out). With fallback
+// configured the item is rescued by the CPU decode path — the
+// degradation of the failure model — otherwise its slot stays
+// invalid, the paper's original behaviour.
+func (e *epochState) settleFailure(ps pendingSlot) error {
+	e.b.noteFPGAFailure()
+	if e.res.FallbackAfter > 0 {
+		e.decodeOnCPU(ps.bld, ps.slot, ps.cmd.Data, false)
+	} else {
+		e.markFailed(ps.bld, ps.slot)
+	}
+	ps.bld.outstanding--
+	return e.finishIfDone(ps.bld)
+}
+
+// timeOut settles a command the boards will never answer: shed at
+// submission, or revoked after its FINISH was overdue.
+func (e *epochState) timeOut(ps pendingSlot) error {
+	delete(e.pending, ps.cmd.ID)
+	e.b.timeouts.Add(1)
+	return e.settleFailure(ps)
+}
+
+// decodeOnCPU decodes one slot on the host CPU, bypassing the boards —
+// the same mirror stages writing into the same HugePage slot — and books
+// the outcome. offload names the reason: the SetCPUShare knob's
+// deliberate load-splitting, as opposed to the failure policy's rescue
+// and degraded mode, which count as fallbacks.
+func (e *epochState) decodeOnCPU(bld *building, slot int, ref fpga.DataRef, offload bool) {
+	b := e.b
+	var t0 time.Time
+	if b.traced {
+		t0 = time.Now()
+	}
+	if b.cpuDecode(ref, bld.batch.Image(slot)) != nil {
+		e.markFailed(bld, slot)
+		return
+	}
+	b.Settle(bld.batch, slot, true)
+	counter, stage := &b.fallbacks, metrics.StageCPUFallback
+	if offload {
+		counter, stage = &b.offloads, metrics.StageCPUOffload
+	}
+	counter.Add(1)
+	if b.traced {
+		b.reg.ObserveSince(stage, t0)
+	}
+	if tr := bld.batch.Trace; tr != nil {
+		tr.Fallback++
+	}
+}
+
+// markFailed books a slot no decode path could fill.
+func (e *epochState) markFailed(bld *building, slot int) {
+	e.b.Settle(bld.batch, slot, false)
+	if tr := bld.batch.Trace; tr != nil {
+		tr.Failed++
+	}
+}
+
+// process settles a burst of FINISH signals: success, a scheduled
+// retry, or final failure.
+func (e *epochState) process(comps []fpga.Completion) error {
+	for _, c := range comps {
+		ps, ok := e.pending[c.ID]
+		if !ok {
+			return fmt.Errorf("core: completion for unknown cmd %d", c.ID)
+		}
+		var err error
+		switch {
+		case c.Err == nil:
+			delete(e.pending, c.ID)
+			err = e.settleSuccess(ps)
+		case ps.attempts < e.res.MaxRetries && !e.b.degraded.Load():
+			// Schedule the retry by deadline instead of sleeping the
+			// backoff inline: the reader keeps draining completions
+			// and expiring timeouts for every other command while
+			// this one waits its turn.
+			ps.attempts++
+			e.b.retries.Add(1)
+			ps.retryAt = time.Now().Add(e.b.backoffDur(ps.attempts))
+			e.pending[c.ID] = ps
+		default:
+			delete(e.pending, c.ID)
+			err = e.settleFailure(ps)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// resubmitDue sends every host-held retry whose backoff has elapsed
+// back to the boards; a shed resubmission (full FIFO of a wedged
+// board) or a degraded-mode switch settles the command instead.
+func (e *epochState) resubmitDue() error {
+	if len(e.pending) == 0 {
+		return nil
+	}
+	now := time.Now()
+	for id, ps := range e.pending {
+		if ps.retryAt.IsZero() || now.Before(ps.retryAt) {
+			continue
+		}
+		var err error
+		if e.b.degraded.Load() {
+			delete(e.pending, id)
+			err = e.settleFailure(ps)
+		} else {
+			err = e.submit(ps)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// nextRetry returns the wait until the earliest scheduled retry.
+func (e *epochState) nextRetry() (time.Duration, bool) {
+	var earliest time.Time
+	for _, ps := range e.pending {
+		if !ps.retryAt.IsZero() && (earliest.IsZero() || ps.retryAt.Before(earliest)) {
+			earliest = ps.retryAt
+		}
+	}
+	if earliest.IsZero() {
+		return 0, false
+	}
+	d := time.Until(earliest)
+	if d < 0 {
+		d = 0
+	}
+	return d, true
+}
+
+// expire settles every in-board command whose FINISH is overdue —
+// the only way a wedged board's swallowed commands ever resolve.
+// Before a slot is settled (and its buffer thereby becomes eligible
+// for publishing and recycling) the command is revoked on its board:
+// Cancel returns only once no DMA write for it can ever land, so a
+// merely-slow board cannot scribble over a rescued slot or a reused
+// buffer later. When the revocation loses the race the FINISH is
+// already in the completion stream — the command is not lost, just
+// slow — so it stays pending with a fresh clock and settles normally.
+func (e *epochState) expire() error {
+	if e.res.CmdTimeout <= 0 || len(e.pending) == 0 {
+		return nil
+	}
+	now := time.Now()
+	for id, ps := range e.pending {
+		if !ps.retryAt.IsZero() {
+			continue // host-held awaiting retry: nothing in the board
+		}
+		if now.Sub(ps.submitted) < e.res.CmdTimeout {
+			continue
+		}
+		if !e.dec.Cancel(id) {
+			e.b.lateFinishes.Add(1)
+			ps.submitted = now
+			e.pending[id] = ps
+			continue
+		}
+		e.b.flight.Note("cmd_revoked",
+			fmt.Sprintf("cmd %d revoked after %v without FINISH", id, e.res.CmdTimeout))
+		if err := e.timeOut(ps); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// await blocks for the next FINISH from any board. The wait is
+// bounded by a fraction of the command timeout (so a stuck board
+// cannot park the reader past its own detection threshold) and by
+// the earliest scheduled retry (so a backing-off command is
+// resubmitted on time even when no FINISH ever arrives); with neither
+// in play it is unbounded.
+func (e *epochState) await() error {
+	if err := e.resubmitDue(); err != nil {
+		return err
+	}
+	if len(e.pending) == 0 {
+		return nil
+	}
+	wait := time.Duration(-1)
+	if e.res.CmdTimeout > 0 {
+		wait = e.res.CmdTimeout / 4
+	}
+	if d, ok := e.nextRetry(); ok && (wait < 0 || d < wait) {
+		wait = d
+	}
+	var comp fpga.Completion
+	var err error
+	got := true
+	if wait < 0 {
+		comp, err = e.dec.WaitCompletion()
+	} else {
+		comp, got, err = e.dec.WaitCompletionTimeout(wait)
+	}
+	if err != nil {
+		return fmt.Errorf("core: decoder closed mid-epoch: %w", err)
+	}
+	if !got {
+		return e.sweep(nil)
+	}
+	return e.sweep(append([]fpga.Completion{comp}, e.dec.DrainOut()...))
+}
+
+// poll is the non-blocking sweep between submissions.
+func (e *epochState) poll() error { return e.sweep(e.dec.DrainOut()) }
+
+// sweep settles the given FINISH signals, expires overdue commands and
+// sends due retries.
+func (e *epochState) sweep(comps []fpga.Completion) error {
+	if err := e.process(comps); err != nil {
+		return err
+	}
+	if err := e.expire(); err != nil {
+		return err
+	}
+	return e.resubmitDue()
 }

@@ -112,13 +112,6 @@ type Config struct {
 	// 0 means DefaultCLBBudget.
 	CLBBudget int
 
-	// DisableScaledDecode turns off the decode-to-scale fast path: the
-	// iDCT unit then always reconstructs at full resolution even when
-	// the mirror implements ScaledMirror. The zero value keeps the fast
-	// path on — a hardware decoder that knows the resizer target before
-	// reconstruction never computes pixels the resizer will discard.
-	DisableScaledDecode bool
-
 	// Inject hooks a fault injector into the command path (nil = no
 	// faults). Each command consumes one injector decision in the
 	// parser: a latency spike stalls the front-end, Fail raises a
@@ -639,7 +632,7 @@ func (d *Device) idct(j stageJob) {
 	var img *pix.Image
 	var err error
 	m := d.currentMirror()
-	if sm, ok := m.(ScaledMirror); ok && !d.cfg.DisableScaledDecode {
+	if sm, ok := m.(ScaledMirror); ok {
 		var scale int
 		img, scale, err = sm.ReconstructScaled(j.job, j.cmd.OutW, j.cmd.OutH)
 		if err == nil && scale < 8 {
