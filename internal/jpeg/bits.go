@@ -19,9 +19,16 @@
 // staged pipeline the FPGA mirror drives is baseline, like hardware
 // decoders. Not supported (rejected with a clear error): arithmetic
 // coding, hierarchical, 12-bit precision, CMYK.
+//
+// The baseline entropy decoder is the hot path of every decode: a 64-bit
+// bit reader with a bulk refill (bitReader, below), a lookahead+value
+// table in front of each AC Huffman table (huffman.go) and a block
+// decoder that holds ≥ 32 bits before every symbol (decodeBlock);
+// DESIGN.md §5.9 has the invariants.
 package jpeg
 
 import (
+	"encoding/binary"
 	"fmt"
 )
 
@@ -47,11 +54,26 @@ var errShortData error = FormatError("short entropy-coded data")
 // bitReader consumes entropy-coded scan bytes MSB first, removing the
 // 0x00 bytes stuffed after 0xFF and stopping cleanly at markers. The FPGA
 // Huffman unit's input channel carries exactly this byte stream.
+//
+// The 64-bit accumulator is MSB-aligned: its top n bits are unread stream
+// bits and every bit below them is zero, so a peek wider than n reads the
+// real bits followed by zeros. refill's bulk step loads all the whole
+// bytes that fit in one shift when the next eight input bytes hold no
+// 0xFF (no stuffing, fill byte or marker can be among them); any other
+// window, the last seven bytes and everything after a pending marker go
+// through fill, byte by byte under the rules of T.81 §B.1.1.5.
+//
+// A bitReader has no shared state: each scan, and each restart segment of
+// a parallel decode, owns its reader, so readers need no synchronisation.
 type bitReader struct {
 	data []byte
 	pos  int    // next byte to load into the accumulator
-	acc  uint32 // bit accumulator, MSB-aligned
+	acc  uint64 // bit accumulator, MSB-aligned, zero below the top n bits
 	n    int    // number of valid bits in acc
+
+	// bulkEnd is the last pos with eight input bytes after it for the
+	// bulk step, len(data)-8; the parity tests' byte-wise-only reader has -1.
+	bulkEnd int
 
 	// marker holds a marker byte (the 0xXX of 0xFF 0xXX) encountered
 	// while filling the accumulator. Once set, the reader refuses to
@@ -60,24 +82,43 @@ type bitReader struct {
 }
 
 func newBitReader(data []byte) *bitReader {
-	return &bitReader{data: data}
+	return &bitReader{data: data, bulkEnd: len(data) - 8}
 }
 
-// fill loads bytes into the accumulator until it holds at least want bits
-// or input is exhausted / a marker is hit.
-func (r *bitReader) fill(want int) error {
-	for r.n < want {
-		if r.marker != 0 {
-			return errShortData
+// refillBits is the level refill restores while input lasts. It covers
+// the longest symbol (DC 16+11 bits, AC 16+15), so a caller holding that
+// many decodes a whole symbol without going back to the input.
+const refillBits = 32
+
+// refill tops the accumulator up to at least refillBits bits, best
+// effort: at the end of the input or before a marker it loads what is
+// left, and the zero bits below r.n stand in for the rest.
+func (r *bitReader) refill() {
+	// Bytes after a pending marker are not this segment's entropy data.
+	if r.marker == 0 && r.pos <= r.bulkEnd {
+		x := binary.BigEndian.Uint64(r.data[r.pos:])
+		// SWAR has-zero-byte test on ^x: true iff a byte of x is 0xFF.
+		const lo, hi = 0x0101010101010101, 0x8080808080808080
+		if (^x-lo)&x&hi == 0 {
+			k := (64 - r.n) >> 3 // whole bytes that fit
+			r.acc |= x >> (64 - 8*k) << (64 - 8*k - r.n)
+			r.pos += k
+			r.n += 8 * k
+			return
 		}
-		if r.pos >= len(r.data) {
-			return errShortData
-		}
+	}
+	r.fill()
+}
+
+// fill is refill's byte-at-a-time path: it stops short of refillBits when
+// the input is exhausted or a marker is hit.
+func (r *bitReader) fill() {
+	for r.n < refillBits && r.marker == 0 && r.pos < len(r.data) {
 		b := r.data[r.pos]
 		r.pos++
 		if b == 0xFF {
 			if r.pos >= len(r.data) {
-				return errShortData
+				return
 			}
 			next := r.data[r.pos]
 			r.pos++
@@ -90,64 +131,32 @@ func (r *bitReader) fill(want int) error {
 				continue
 			default:
 				r.marker = next
-				return errShortData
+				return
 			}
 		}
-		r.acc |= uint32(b) << (24 - r.n)
+		r.acc |= uint64(b) << (56 - r.n)
 		r.n += 8
 	}
-	return nil
 }
 
 // readBit returns the next bit.
 func (r *bitReader) readBit() (int, error) {
-	if r.n < 1 {
-		if err := r.fill(1); err != nil {
-			return 0, err
-		}
-	}
-	bit := int(r.acc >> 31)
-	r.acc <<= 1
-	r.n--
-	return bit, nil
+	bit, err := r.readBits(1)
+	return int(bit), err
 }
 
-// readBits returns the next n bits (0 ≤ n ≤ 16) as an unsigned value.
+// readBits returns the next n bits (0 ≤ n ≤ 16) as an unsigned value;
+// n = 0 falls through every step as a no-op and returns 0.
 func (r *bitReader) readBits(n int) (int32, error) {
-	if n == 0 {
-		return 0, nil
-	}
 	if r.n < n {
-		if err := r.fill(n); err != nil {
-			return 0, err
+		if r.refill(); r.n < n {
+			return 0, errShortData
 		}
 	}
-	v := int32(r.acc >> (32 - n))
+	v := int32(r.acc >> (64 - n))
 	r.acc <<= n
 	r.n -= n
 	return v, nil
-}
-
-// peekBits returns up to n bits without consuming them, left-padded with
-// zeros when fewer are available (used by the fast Huffman lookup).
-func (r *bitReader) peekBits(n int) (v int32, avail int) {
-	if r.n < n {
-		_ = r.fill(n) // best effort; a marker/EOF just limits avail
-	}
-	avail = r.n
-	if avail > n {
-		avail = n
-	}
-	return int32(r.acc >> (32 - n)), avail
-}
-
-// skipBits discards n bits that were previously peeked (n ≤ r.n).
-func (r *bitReader) skipBits(n int) {
-	if n > r.n {
-		panic("jpeg: skipBits beyond accumulator")
-	}
-	r.acc <<= n
-	r.n -= n
 }
 
 // align discards bits to the next byte boundary (before restart markers).
@@ -165,7 +174,9 @@ func (r *bitReader) takeMarker() byte {
 }
 
 // nextMarker scans forward to the next marker byte, for restart-marker
-// resynchronisation. It returns the marker code.
+// resynchronisation. It returns the marker code. Bytes still in the
+// accumulator are dropped; neither load path ever takes in a marker, so
+// having run ahead of the decoder cannot skip the one looked for.
 func (r *bitReader) nextMarker() (byte, error) {
 	r.acc, r.n = 0, 0
 	if m := r.takeMarker(); m != 0 {

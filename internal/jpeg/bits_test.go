@@ -2,6 +2,8 @@ package jpeg
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -208,5 +210,152 @@ func TestBitLength(t *testing.T) {
 		if got := bitLength(c.v); got != c.want {
 			t.Errorf("bitLength(%d) = %d, want %d", c.v, got, c.want)
 		}
+	}
+}
+
+// newBytewiseBitReader returns a reader whose refill never takes the bulk
+// step: the reference the bulk path is held to.
+func newBytewiseBitReader(data []byte) *bitReader {
+	return &bitReader{data: data, bulkEnd: -1}
+}
+
+// unstuff is an independent model of a scan's byte stream: the payload
+// bytes up to the first marker or the end of input, and that marker.
+func unstuff(data []byte) (payload []byte, marker byte, rest []byte) {
+	for i := 0; i < len(data); i++ {
+		if data[i] != 0xFF {
+			payload = append(payload, data[i])
+			continue
+		}
+		if i+1 >= len(data) {
+			return payload, 0, nil // lone trailing 0xFF
+		}
+		switch data[i+1] {
+		case 0x00:
+			payload = append(payload, 0xFF)
+			i++
+		case 0xFF: // fill byte: the next 0xFF starts the pair again
+		default:
+			return payload, data[i+1], data[i+2:]
+		}
+	}
+	return payload, 0, nil
+}
+
+// checkReaderAgainstModel reads data through r in rng-chosen widths and
+// holds every value, the short-data error, the pending marker and the
+// bytes after it to the unstuff model.
+func checkReaderAgainstModel(t *testing.T, name string, r *bitReader, data []byte, rng *rand.Rand) {
+	t.Helper()
+	for seg := 0; ; seg++ {
+		payload, marker, rest := unstuff(data)
+		bitPos, total := 0, 8*len(payload)
+		for {
+			w := rng.Intn(17) // 0..16
+			var want int32
+			for i := 0; i < w && bitPos+w <= total; i++ {
+				p := bitPos + i
+				want = want<<1 | int32(payload[p/8]>>(7-p%8)&1)
+			}
+			got, err := r.readBits(w)
+			if bitPos+w > total {
+				if !errors.Is(err, errShortData) {
+					t.Fatalf("%s seg %d: readBits(%d) at bit %d/%d = %#x, %v; want short data", name, seg, w, bitPos, total, got, err)
+				}
+				break
+			}
+			if err != nil || got != want {
+				t.Fatalf("%s seg %d: readBits(%d) at bit %d/%d = %#x, %v; want %#x", name, seg, w, bitPos, total, got, err, want)
+			}
+			bitPos += w
+		}
+		m, err := r.nextMarker()
+		if marker == 0 {
+			if err == nil {
+				t.Fatalf("%s seg %d: nextMarker = %#x past the end of input", name, seg, m)
+			}
+			return
+		}
+		if err != nil || m != marker {
+			t.Fatalf("%s seg %d: nextMarker = %#x, %v; want %#x", name, seg, m, err, marker)
+		}
+		data = rest
+	}
+}
+
+// TestBitReaderRefillWindows places each special sequence — a stuffed
+// 0xFF, fill bytes before a restart marker, a bare marker, and two of
+// them back to back — at every offset around an 8-byte refill window of
+// otherwise clean bytes, and holds the bulk reader and the byte-wise
+// reader to the model. Markers early in the buffer leave ≥ 8 clean bytes
+// behind them: the bulk step must not run past a pending marker.
+func TestBitReaderRefillWindows(t *testing.T) {
+	specials := map[string][]byte{
+		"stuffed":      {0xFF, 0x00},
+		"fill+RST3":    {0xFF, 0xFF, 0xFF, mRST3},
+		"EOI":          {0xFF, mEOI},
+		"stuffed+RST0": {0xFF, 0x00, 0xFF, mRST0},
+		"twoStuffed":   {0xFF, 0x00, 0xFF, 0x00},
+	}
+	for name, sp := range specials {
+		for off := 0; off <= 15; off++ {
+			data := make([]byte, 0, 40)
+			for i := 0; len(data) < 36; i++ {
+				if i == off {
+					data = append(data, sp...)
+				}
+				data = append(data, byte(0x11*(i%14)+1)) // never 0xFF
+			}
+			for seed := int64(0); seed < 8; seed++ {
+				id := fmt.Sprintf("%s@%d/seed%d", name, off, seed)
+				checkReaderAgainstModel(t, id+"/bulk", newBitReader(data), data, rand.New(rand.NewSource(seed)))
+				checkReaderAgainstModel(t, id+"/bytewise", newBytewiseBitReader(data), data, rand.New(rand.NewSource(seed)))
+			}
+		}
+	}
+}
+
+// TestBitReaderShortInputs covers inputs of 0–9 bytes, around the length
+// at which the bulk step first becomes possible.
+func TestBitReaderShortInputs(t *testing.T) {
+	for n := 0; n <= 9; n++ {
+		for _, ffAt := range []int{-1, 0, n / 2, n - 1} {
+			data := make([]byte, n)
+			for i := range data {
+				data[i] = byte(0x21 + 0x13*i)
+			}
+			if ffAt >= 0 && ffAt < n {
+				data[ffAt] = 0xFF // followed by a data byte (a marker) or nothing
+			}
+			for seed := int64(0); seed < 8; seed++ {
+				id := fmt.Sprintf("len%d/ff%d/seed%d", n, ffAt, seed)
+				checkReaderAgainstModel(t, id+"/bulk", newBitReader(data), data, rand.New(rand.NewSource(seed)))
+				checkReaderAgainstModel(t, id+"/bytewise", newBytewiseBitReader(data), data, rand.New(rand.NewSource(seed)))
+			}
+		}
+	}
+}
+
+// TestBitReaderAlignAndNextMarkerAfterBulkRefill: the bulk step runs the
+// reader up to eight bytes ahead of the decoder; align and nextMarker
+// must still act on the decoder's position.
+func TestBitReaderAlignAndNextMarkerAfterBulkRefill(t *testing.T) {
+	data := []byte{0b1010_0000, 0xC3, 3, 4, 5, 6, 7, 8, 9, 10, 0xFF, mRST0 + 1, 0x42, 0x43}
+	r := newBitReader(data)
+	if _, err := r.readBits(3); err != nil {
+		t.Fatal(err)
+	}
+	if r.n <= 32 {
+		t.Fatalf("accumulator holds %d bits after the first read: the bulk step did not run", r.n)
+	}
+	r.align()
+	if v, err := r.readBits(8); err != nil || v != 0xC3 {
+		t.Fatalf("after align readBits(8) = %#x, %v; want 0xC3", v, err)
+	}
+	if m, err := r.nextMarker(); err != nil || m != mRST0+1 {
+		t.Fatalf("nextMarker = %#x, %v; want RST1", m, err)
+	}
+	if v, err := r.readBits(16); err != nil || v != 0x4243 {
+		t.Fatalf("after nextMarker readBits(16) = %#x, %v; want 0x4243", v, err)
 	}
 }

@@ -85,10 +85,9 @@ func (h *Header) reset() {
 type Coefficients struct {
 	hdr *Header
 	// comp[i] holds blocksX×blocksY blocks in raster order.
-	comp     [][]block
-	blocksX  []int
-	blocksY  []int
-	trailing []byte // unused; reserved for DNL handling
+	comp    [][]block
+	blocksX []int
+	blocksY []int
 }
 
 // Planes holds reconstructed component sample planes — the output of the
@@ -402,6 +401,7 @@ func (h *Header) EntropyDecode() (*Coefficients, error) {
 // segment — runs the sequential reference decoder, so the bytes produced
 // and the errors surfaced are identical either way.
 func (h *Header) entropyDecodeInto(co *Coefficients) error {
+	blocks := 0
 	for _, c := range h.Components {
 		if !h.quantOK[c.QuantID] {
 			return FormatError("missing quant table")
@@ -409,6 +409,13 @@ func (h *Header) entropyDecodeInto(co *Coefficients) error {
 		if !h.dcOK[c.dcSel] || !h.acOK[c.acSel] {
 			return FormatError("missing huffman table")
 		}
+		blocks += h.mcusX * h.mcusY * c.H * c.V
+	}
+	// The header alone sizes the coefficient store (65 535² is ≈17 GB a
+	// component) and it comes off a socket, so the scan bounds it first:
+	// a block costs at least two bits (1-bit DC category, 1-bit EOB).
+	if blocks > 4*len(h.scan) {
+		return errShortData
 	}
 	if segs, ok := h.restartSegments(); ok {
 		if err := h.entropyDecodeSegments(co, segs); err == nil {
@@ -418,14 +425,15 @@ func (h *Header) entropyDecodeInto(co *Coefficients) error {
 		// Fall through: the sequential re-run below re-initialises co and
 		// reproduces the exact error the sequential decoder surfaces.
 	}
-	return h.entropyDecodeSequential(co)
+	co.init(h)
+	return h.entropyDecodeSequential(co, newBitReader(h.scan))
 }
 
-// entropyDecodeSequential is the reference single-goroutine scan decode.
-func (h *Header) entropyDecodeSequential(co *Coefficients) error {
-	co.init(h)
-	rd := bitReader{data: h.scan}
-	r := &rd
+// entropyDecodeSequential is the reference single-goroutine scan decode,
+// over r into co's freshly initialised (all-zero) grids.
+func (h *Header) entropyDecodeSequential(co *Coefficients, r *bitReader) error {
+	var st scanTables
+	st.init(h)
 	var dcPredArr [3]int32 // checkComponents caps components at 3
 	dcPred := dcPredArr[:len(h.Components)]
 	mcus := h.mcusX * h.mcusY
@@ -444,30 +452,30 @@ func (h *Header) entropyDecodeSequential(co *Coefficients) error {
 			}
 			sinceRestart = 0
 		}
-		my, mx := m/h.mcusX, m%h.mcusX
-		for i := range h.Components {
-			c := &h.Components[i]
-			for v := 0; v < c.V; v++ {
-				for hh := 0; hh < c.H; hh++ {
-					bx := mx*c.H + hh
-					by := my*c.V + v
-					blk := &co.comp[i][by*co.blocksX[i]+bx]
-					if err := h.decodeBlock(r, i, blk, &dcPred[i]); err != nil {
-						return restartIntervalError(h, interval, err)
-					}
-				}
-			}
+		if err := h.decodeMCU(&st, r, co, m, dcPred); err != nil {
+			return restartIntervalError(h, interval, err)
 		}
 		sinceRestart++
 	}
 	return nil
 }
 
-// newCoefficients allocates the padded per-component coefficient grids.
-func newCoefficients(h *Header) *Coefficients {
-	co := &Coefficients{}
-	co.init(h)
-	return co
+// decodeMCU decodes the blocks of MCU m, component by component, into
+// co: the walk the sequential decoder and the segment workers share.
+func (h *Header) decodeMCU(st *scanTables, r *bitReader, co *Coefficients, m int, dcPred []int32) error {
+	my, mx := m/h.mcusX, m%h.mcusX
+	for i := range h.Components {
+		c := &h.Components[i]
+		for v := 0; v < c.V; v++ {
+			for hh := 0; hh < c.H; hh++ {
+				blk := &co.comp[i][(my*c.V+v)*co.blocksX[i]+mx*c.H+hh]
+				if err := st.decodeBlock(r, i, blk, &dcPred[i]); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // init sizes the padded per-component coefficient grids for h, reusing
@@ -531,36 +539,87 @@ func restartIntervalError(h *Header, interval int, err error) error {
 	return FormatError(fmt.Sprintf("restart interval %d: %s", interval, msg))
 }
 
+// scanTables is the entropy-table working set of one baseline scan
+// decoder (sequential, or a restart-segment worker): per component its
+// DC and AC huffDecoders and the AC table's acValueTable. It lives on that
+// decoder's stack: no cost to the Header, nothing shared between workers.
+type scanTables struct {
+	dc, ac [3]*huffDecoder // checkComponents caps components at 3
+	val    [3]acValueTable
+}
+
+// init resolves h's scan-header selectors and derives the value tables.
+func (st *scanTables) init(h *Header) {
+	for i, c := range h.Components {
+		st.dc[i], st.ac[i] = &h.dcHuff[c.dcSel], &h.acHuff[c.acSel]
+		st.val[i].init(st.ac[i])
+	}
+}
+
 // decodeBlock decodes one 8×8 block of quantised levels into blk, in
-// natural order.
-func (h *Header) decodeBlock(r *bitReader, comp int, blk *block, dcPred *int32) error {
-	c := &h.Components[comp]
-	dcTab := &h.dcHuff[c.dcSel]
-	acTab := &h.acHuff[c.acSel]
-	*blk = block{}
+// natural order. blk must arrive zeroed (Coefficients.init or a fresh make
+// did that): only nonzero coefficients are stored.
+//
+// The accumulator lives in locals and is topped up to refillBits, which
+// covers the longest symbol, before each one. At the end of a segment the
+// refill comes back short and the same code runs on the real bits
+// followed by zeros: the n comparisons, never true before that, then turn
+// the first symbol needing bits past the end into the short-data error.
+func (st *scanTables) decodeBlock(r *bitReader, comp int, blk *block, dcPred *int32) error {
+	dcTab, acTab, val := st.dc[comp], st.ac[comp], &st.val[comp]
+	if r.n < refillBits {
+		r.refill()
+	}
+	acc, n := r.acc, r.n
 	// DC coefficient: category then difference bits.
-	t, err := dcTab.decode(r)
-	if err != nil {
+	e := dcTab.lookup(acc)
+	t, l := byte(e>>8), int(e&0xFF)
+	if err := codeError(l, n); err != nil {
 		return err
 	}
 	if t > 11 {
 		return FormatError("DC category > 11")
 	}
-	diffBits, err := r.readBits(int(t))
-	if err != nil {
-		return err
+	acc <<= uint(l)
+	n -= l
+	size := uint(t) // category 0: every step below is a no-op
+	if int(size) > n {
+		return errShortData
 	}
-	*dcPred += extend(diffBits, int(t))
+	*dcPred += extend(int32(acc>>(64-size)), int(size))
+	acc <<= size
+	n -= int(size)
 	blk[0] = *dcPred
 	// AC coefficients: run-length / size pairs in zig-zag order.
 	for z := 1; z < 64; {
-		sym, err := acTab.decode(r)
-		if err != nil {
+		if n < refillBits {
+			r.acc, r.n = acc, n
+			r.refill()
+			acc, n = r.acc, r.n
+		}
+		if e := val[acc>>(64-acValueBits)]; e != 0 && int(e&15) <= n {
+			// Run, coefficient and bit count in one index.
+			z += int(e>>4) & 15
+			if z > 63 {
+				return FormatError("AC run beyond block")
+			}
+			blk[zigzag[z&63]&63] = int32(e >> 8)
+			z++
+			acc <<= uint(e & 15)
+			n -= int(e & 15)
+			continue
+		}
+		e := acTab.lookup(acc)
+		sym, l := byte(e>>8), int(e&0xFF)
+		if err := codeError(l, n); err != nil {
 			return err
 		}
+		acc <<= uint(l)
+		n -= l
 		run, size := int(sym>>4), int(sym&0x0F)
 		switch {
 		case size == 0 && run == 0: // EOB
+			r.acc, r.n = acc, n
 			return nil
 		case size == 0 && run == 15: // ZRL: sixteen zeros
 			z += 16
@@ -571,14 +630,16 @@ func (h *Header) decodeBlock(r *bitReader, comp int, blk *block, dcPred *int32) 
 			if z > 63 {
 				return FormatError("AC run beyond block")
 			}
-			bits, err := r.readBits(size)
-			if err != nil {
-				return err
+			if size > n {
+				return errShortData
 			}
-			blk[zigzag[z]] = extend(bits, size)
+			blk[zigzag[z&63]&63] = extend(int32(acc>>(64-uint(size))), size)
 			z++
+			acc <<= uint(size)
+			n -= size
 		}
 	}
+	r.acc, r.n = acc, n
 	return nil
 }
 

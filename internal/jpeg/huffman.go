@@ -49,7 +49,8 @@ func (s *HuffmanSpec) validate() error {
 const lutBits = 8
 
 // huffDecoder is the decoding form: a fast 8-bit lookahead table plus the
-// canonical min/max-code arrays for longer codes. The struct holds its
+// canonical min/max-code arrays for longer codes (AC tables in a baseline
+// scan are fronted by an acValueTable as well). The struct holds its
 // tables inline (no pointers) so a reused Header rebuilds them in place
 // without allocating.
 type huffDecoder struct {
@@ -63,15 +64,6 @@ type huffDecoder struct {
 	maxCode [17]int32
 	valPtr  [17]int32
 	values  [256]byte // a spec never defines more than 256 symbols
-}
-
-// newHuffDecoder derives the decoding tables from a validated spec.
-func newHuffDecoder(spec *HuffmanSpec) (*huffDecoder, error) {
-	d := &huffDecoder{}
-	if err := d.init(spec); err != nil {
-		return nil, err
-	}
-	return d, nil
 }
 
 // init derives the decoding tables in place, overwriting any previous
@@ -111,28 +103,95 @@ func (d *huffDecoder) init(spec *HuffmanSpec) error {
 	return nil
 }
 
-// decode reads one Huffman-coded symbol from r.
-func (d *huffDecoder) decode(r *bitReader) (byte, error) {
-	if peek, avail := r.peekBits(lutBits); avail == lutBits {
-		if entry := d.lut[peek]; entry != 0 {
-			r.skipBits(int(entry & 0xFF))
-			return byte(entry >> 8), nil
-		}
+// lookup resolves the Huffman code at the top of acc (bitReader's
+// layout) without consuming it, in lut's form: symbol<<8 | code length,
+// or 0 when no code is a prefix of the top 16 bits. Codes up to lutBits
+// long take one index; longer ones walk the canonical arrays.
+func (d *huffDecoder) lookup(acc uint64) uint16 {
+	if e := d.lut[acc>>(64-lutBits)]; e != 0 {
+		return e
 	}
-	// Slow path: extend the code bit by bit (also taken near the end of
-	// the stream where fewer than lutBits bits remain).
-	code := int32(0)
+	return d.lookupLong(acc)
+}
+
+// lookupLong is the canonical walk over a 16-bit peek, kept out of line
+// so that lookup itself inlines into the block decoder.
+//
+//go:noinline
+func (d *huffDecoder) lookupLong(acc uint64) uint16 {
+	peek := int32(acc >> 48)
 	for l := 1; l <= 16; l++ {
-		bit, err := r.readBit()
-		if err != nil {
-			return 0, err
-		}
-		code = code<<1 | int32(bit)
-		if d.maxCode[l] >= 0 && code <= d.maxCode[l] && code >= d.minCode[l] {
-			return d.values[d.valPtr[l]+code-d.minCode[l]], nil
+		code := peek >> (16 - l)
+		if code <= d.maxCode[l] && code >= d.minCode[l] {
+			return uint16(d.values[d.valPtr[l]+code-d.minCode[l]])<<8 | uint16(l)
 		}
 	}
-	return 0, FormatError("invalid huffman code")
+	return 0
+}
+
+// decode reads one Huffman-coded symbol from r: the symbol-at-a-time form
+// of what decodeBlock does on locals, used by the progressive scans.
+func (d *huffDecoder) decode(r *bitReader) (byte, error) {
+	if r.n < 16 {
+		r.refill()
+	}
+	e := d.lookup(r.acc)
+	l := int(e & 0xFF)
+	if err := codeError(l, r.n); err != nil {
+		return 0, err
+	}
+	r.acc <<= uint(l)
+	r.n -= l
+	return byte(e >> 8), nil
+}
+
+// codeError classifies a lookup that found a code of length l (0: none)
+// with n real bits in the accumulator. The zeros padding it can complete
+// a code or spoil one, but the real bits decide: a code ending within
+// them is good; one needing more, or no match with under 16 to go on, is
+// short data; no match in 16 real bits is a code the table lacks.
+func codeError(l, n int) error {
+	switch {
+	case l != 0 && l <= n:
+		return nil
+	case l != 0 || n < 16:
+		return errShortData
+	}
+	return FormatError("invalid huffman code")
+}
+
+// acValueBits is the window of the AC lookahead+value table: a symbol
+// whose code and magnitude bits fit in it (most do) decodes in one index.
+const acValueBits = 10
+
+// acValueTable maps the next acValueBits stream bits to a whole AC symbol:
+// coefficient<<8 | run<<4 | total bits, the coefficient already EXTENDed,
+// or 0 when the window holds no complete run/size symbol with a
+// coefficient of at most 7 bits (EOB and ZRL stay on the symbol path). The scan
+// decoders build the tables they need on their stack (scanTables), so the
+// per-image Header with its eight inline huffDecoders does not grow.
+type acValueTable [1 << acValueBits]int16
+
+// init derives the table from an initialised AC decoder.
+func (t *acValueTable) init(d *huffDecoder) {
+	*t = acValueTable{}
+	for l := 1; l < acValueBits; l++ {
+		for code := d.minCode[l]; code <= d.maxCode[l]; code++ {
+			rs := d.values[d.valPtr[l]+code-d.minCode[l]]
+			run, size := int(rs>>4), int(rs&0x0F)
+			total := l + size
+			if size == 0 || size > 7 || total > acValueBits {
+				continue // no coefficient, or one outside int8
+			}
+			for m := int32(0); m < 1<<size; m++ {
+				entry := int16(extend(m, size)<<8) | int16(run<<4|total)
+				base := (code<<size | m) << (acValueBits - total)
+				for p := int32(0); p < 1<<(acValueBits-total); p++ {
+					t[base+p] = entry
+				}
+			}
+		}
+	}
 }
 
 // huffEncoder is the encoding form: code and length per symbol.

@@ -5,6 +5,16 @@ import (
 	"testing"
 )
 
+// newHuffDecoder derives a standalone decoder; the codec proper keeps its
+// decoders inline in the Header and calls init in place.
+func newHuffDecoder(spec *HuffmanSpec) (*huffDecoder, error) {
+	d := &huffDecoder{}
+	if err := d.init(spec); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
 func TestHuffmanSpecValidate(t *testing.T) {
 	for _, spec := range []*HuffmanSpec{&stdDCLumaSpec, &stdACLumaSpec, &stdDCChromaSpec, &stdACChromaSpec} {
 		if err := spec.validate(); err != nil {
@@ -171,6 +181,78 @@ func TestHuffmanLUTAgreesWithSlowPath(t *testing.T) {
 		}
 		if gf != gs || gf != want {
 			t.Fatalf("symbol %d: fast=%d slow=%d want=%d", i, gf, gs, want)
+		}
+	}
+}
+
+// randomHuffmanSpec draws a valid table: code lengths assigned greedily
+// under the Kraft budget (so the code space is never over-subscribed),
+// distinct random symbols in code order.
+func randomHuffmanSpec(rng *rand.Rand) *HuffmanSpec {
+	spec := &HuffmanSpec{}
+	symbols := rng.Perm(256)
+	budget := 1 << 16 // Kraft sum in units of 2^-16
+	nSym := 2 + rng.Intn(160)
+	var lengths []int
+	for len(lengths) < nSym {
+		l := 1 + rng.Intn(16)
+		if cost := 1 << (16 - l); cost < budget { // strict: leaves the all-ones code free
+			budget -= cost
+			lengths = append(lengths, l)
+		} else if l == 16 {
+			break
+		}
+	}
+	for _, l := range lengths {
+		spec.Counts[l-1]++
+	}
+	for _, s := range symbols[:len(lengths)] {
+		spec.Values = append(spec.Values, byte(s))
+	}
+	return spec
+}
+
+// TestACValueTableMatchesSymbolAtATime: for random valid tables (and the
+// two Annex K ones), every window of the lookahead+value table must say
+// exactly what decode + readBits + extend say symbol-at-a-time — the same
+// run, coefficient and bit count when the symbol fits the window with a
+// coefficient of at most 7 bits, and a miss in every other case.
+func TestACValueTableMatchesSymbolAtATime(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	specs := []*HuffmanSpec{&stdACLumaSpec, &stdACChromaSpec}
+	for i := 0; i < 60; i++ {
+		specs = append(specs, randomHuffmanSpec(rng))
+	}
+	for si, spec := range specs {
+		dec, err := newHuffDecoder(spec)
+		if err != nil {
+			t.Fatalf("spec %d: %v", si, err)
+		}
+		enc, err := newHuffEncoder(spec)
+		if err != nil {
+			t.Fatalf("spec %d: %v", si, err)
+		}
+		var tab acValueTable
+		tab.init(dec)
+		for w := 0; w < 1<<acValueBits; w++ {
+			bw := &bitWriter{}
+			bw.writeBits(uint32(w), acValueBits)
+			bw.writeBits(0, 16)
+			bw.writeBits(0, 16)
+			r := newBytewiseBitReader(bw.flush())
+			want := int16(0)
+			if rs, err := dec.decode(r); err == nil {
+				run, size := int(rs>>4), int(rs&0x0F)
+				if bits, err := r.readBits(size); err == nil {
+					used := int(enc.size[rs]) + size
+					if size >= 1 && size <= 7 && used <= acValueBits {
+						want = int16(extend(bits, size)<<8) | int16(run<<4|used)
+					}
+				}
+			}
+			if tab[w] != want {
+				t.Fatalf("spec %d window %#b: table entry %#04x, symbol-at-a-time %#04x", si, w, uint16(tab[w]), uint16(want))
+			}
 		}
 	}
 }

@@ -150,8 +150,10 @@ func (h *Header) entropyDecodeSegments(co *Coefficients, segs []scanSegment) err
 		wg.Add(1)
 		go func(w int, part []scanSegment) {
 			defer wg.Done()
+			var st scanTables // per worker: nothing mutable is shared
+			st.init(h)
 			for _, sg := range part {
-				if err := h.decodeSegment(co, sg); err != nil {
+				if err := h.decodeSegment(co, &st, sg); err != nil {
 					errs[w] = err
 					return
 				}
@@ -170,25 +172,13 @@ func (h *Header) entropyDecodeSegments(co *Coefficients, segs []scanSegment) err
 // decodeSegment Huffman-decodes one restart segment: a fresh bit reader
 // over the segment's bytes, fresh DC predictors (the restart contract),
 // and the same MCU walk the sequential decoder performs.
-func (h *Header) decodeSegment(co *Coefficients, seg scanSegment) error {
-	rd := bitReader{data: h.scan[seg.start:seg.end]}
-	r := &rd
+func (h *Header) decodeSegment(co *Coefficients, st *scanTables, seg scanSegment) error {
+	r := newBitReader(h.scan[seg.start:seg.end])
 	var dcPredArr [3]int32 // checkComponents caps components at 3
 	dcPred := dcPredArr[:len(h.Components)]
 	for m := seg.mcu0; m < seg.mcu1; m++ {
-		my, mx := m/h.mcusX, m%h.mcusX
-		for i := range h.Components {
-			c := &h.Components[i]
-			for v := 0; v < c.V; v++ {
-				for hh := 0; hh < c.H; hh++ {
-					bx := mx*c.H + hh
-					by := my*c.V + v
-					blk := &co.comp[i][by*co.blocksX[i]+bx]
-					if err := h.decodeBlock(r, i, blk, &dcPred[i]); err != nil {
-						return err
-					}
-				}
-			}
+		if err := h.decodeMCU(st, r, co, m, dcPred); err != nil {
+			return err
 		}
 	}
 	return nil

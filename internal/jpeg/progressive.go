@@ -84,7 +84,6 @@ func decodeProgressive(data []byte) (*pix.Image, error) {
 			if err := h.parseSOF(seg); err != nil {
 				return nil, err
 			}
-			d.co = newCoefficients(h)
 		case mSOF0, mSOF1:
 			return nil, FormatError("baseline SOF in progressive decoder")
 		case mDQT:
@@ -109,6 +108,13 @@ func decodeProgressive(data []byte) (*pix.Image, error) {
 				return nil, err
 			}
 			end := entropyEnd(data, pos)
+			if d.co == nil {
+				if err := d.checkFirstScan(scan, end-pos); err != nil {
+					return nil, err
+				}
+				d.co = &Coefficients{}
+				d.co.init(h)
+			}
 			if err := d.decodeScan(scan, data[pos:end]); err != nil {
 				return nil, err
 			}
@@ -201,6 +207,27 @@ func (d *progDecoder) parseProgSOS(seg []byte) (*progScan, error) {
 		return nil, FormatError("refinement must lower Al by one")
 	}
 	return sc, nil
+}
+
+// checkFirstScan bounds the coefficient store by the first scan before
+// any grid is sized, as entropyDecodeInto does. A frame's first scan is a
+// DC scan (T.81 §G.1.1.1.1) and spends at least one bit on every real
+// block of its components; the padding and the components it leaves out
+// are within a small factor of those. Later scans bound nothing: one
+// EOBRUN ends thousands of blocks, which is also why AC-first is refused.
+func (d *progDecoder) checkFirstScan(sc *progScan, scanBytes int) error {
+	if sc.ss > 0 {
+		return FormatError("progressive AC scan before any DC scan")
+	}
+	blocks := 0
+	for _, scomp := range sc.comps {
+		bw, bh := d.compBlocks(scomp.compIdx)
+		blocks += bw * bh
+	}
+	if blocks > 8*scanBytes {
+		return errShortData
+	}
+	return nil
 }
 
 // compBlocks returns the real (unpadded) block grid of component i for
