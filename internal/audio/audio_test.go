@@ -300,13 +300,3 @@ func TestSpeechMirrorThroughFPGADevice(t *testing.T) {
 		t.Fatal("garbage WAV decoded")
 	}
 }
-
-func TestSpeechMirrorTypeSafety(t *testing.T) {
-	m := SpeechMirror{Params: DefaultSpectrogramParams()}
-	if _, err := m.EntropyDecode("wrong"); err == nil {
-		t.Fatal("wrong job type accepted")
-	}
-	if _, err := m.Reconstruct(42); err == nil {
-		t.Fatal("wrong job type accepted")
-	}
-}

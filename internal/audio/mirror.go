@@ -1,8 +1,6 @@
 package audio
 
 import (
-	"fmt"
-
 	"dlbooster/internal/fpga"
 	"dlbooster/internal/pix"
 )
@@ -20,31 +18,40 @@ type SpeechMirror struct {
 // Name implements fpga.Mirror.
 func (SpeechMirror) Name() string { return "speech" }
 
-// Parse implements fpga.Mirror: WAV header + PCM extraction.
-func (m SpeechMirror) Parse(data []byte) (any, error) {
-	return DecodeWAV(data)
+// NewDecoder implements fpga.Mirror. A speech job keeps no buffers
+// between commands, so the decoder is just the parameters.
+func (m SpeechMirror) NewDecoder() fpga.Decoder { return m }
+
+// Parse implements fpga.Decoder: WAV header + PCM extraction.
+func (m SpeechMirror) Parse(data []byte) (fpga.Job, error) {
+	clip, err := DecodeWAV(data)
+	if err != nil {
+		return nil, err
+	}
+	return &speechJob{params: m.Params, clip: clip}, nil
 }
 
-// EntropyDecode implements fpga.Mirror: the compute-heavy stage.
-func (m SpeechMirror) EntropyDecode(job any) (any, error) {
-	clip, ok := job.(*Clip)
-	if !ok {
-		return nil, fmt.Errorf("audio: speech mirror got %T", job)
-	}
-	return ExtractFrames(clip, m.Params)
+type speechJob struct {
+	params SpectrogramParams
+	clip   *Clip
+	frames *Frames
 }
 
-// Reconstruct implements fpga.Mirror: spectrogram image formation.
-func (m SpeechMirror) Reconstruct(job any) (*pix.Image, error) {
-	frames, ok := job.(*Frames)
-	if !ok {
-		return nil, fmt.Errorf("audio: speech mirror got %T", job)
-	}
-	return frames.ToImage(), nil
+// EntropyDecode implements fpga.Job: the compute-heavy stage.
+func (j *speechJob) EntropyDecode() (err error) {
+	j.frames, err = ExtractFrames(j.clip, j.params)
+	return err
 }
+
+// Reconstruct implements fpga.Job: spectrogram image formation.
+func (j *speechJob) Reconstruct(img *pix.Image, _, _ int) (int, error) {
+	j.frames.RenderInto(img)
+	return 8, nil
+}
+
+// Release implements fpga.Job.
+func (j *speechJob) Release() {}
 
 func init() {
 	fpga.RegisterMirror(SpeechMirror{Params: DefaultSpectrogramParams()})
 }
-
-var _ fpga.Mirror = SpeechMirror{}

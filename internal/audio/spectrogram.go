@@ -126,16 +126,26 @@ func ExtractFrames(c *Clip, p SpectrogramParams) (*Frames, error) {
 // output width is padded/truncated to MaxFrames when set, giving the
 // fixed geometry batch slots require.
 func (fr *Frames) ToImage() *pix.Image {
+	img := new(pix.Image)
+	fr.RenderInto(img)
+	return img
+}
+
+// RenderInto is ToImage into a reused image (see pix.Image.Reset).
+func (fr *Frames) RenderInto(img *pix.Image) {
 	p := fr.Params
 	w := len(fr.Coeffs)
 	if p.MaxFrames > 0 {
 		w = p.MaxFrames
 	}
-	img := pix.New(w, p.Coeffs, 1)
+	img.Reset(w, p.Coeffs, 1)
 	const floorDB = -60.0
-	for x := 0; x < w && x < len(fr.Coeffs); x++ {
+	for x := 0; x < w; x++ {
 		for k := 0; k < p.Coeffs; k++ {
-			mag := math.Abs(fr.Coeffs[x][k])
+			var mag float64 // columns past the clip's last frame are silence
+			if x < len(fr.Coeffs) {
+				mag = math.Abs(fr.Coeffs[x][k])
+			}
 			db := floorDB
 			if mag > 0 {
 				db = 20 * math.Log10(mag)
@@ -149,7 +159,6 @@ func (fr *Frames) ToImage() *pix.Image {
 			img.Set(x, k, 0, byte((db-floorDB)/(-floorDB)*255))
 		}
 	}
-	return img
 }
 
 // Spectrogram is the one-call form: WAV bytes → raster.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"dlbooster/internal/fpga"
-	"dlbooster/internal/imageproc"
 	"dlbooster/internal/jpeg"
 	"dlbooster/internal/metrics"
 	"dlbooster/internal/pix"
@@ -151,10 +150,10 @@ type Booster struct {
 	// answers. spanned is on when either the full instrumentation or a
 	// flight recorder wants spans.
 	*BatchPlane
-	cfg    Config
-	devs   []*fpga.Device
-	mirror fpga.Mirror
-	ch     *FPGAChannel
+	cfg  Config
+	devs []*fpga.Device
+	host *fpga.Pipeline // the mirror loaded for the host CPU (cpuDecode)
+	ch   *FPGAChannel
 
 	collected    metrics.Counter
 	partialFlush metrics.Counter
@@ -227,7 +226,7 @@ func New(cfg Config) (*Booster, error) {
 		BatchPlane: plane,
 		cfg:        cfg,
 		devs:       devs,
-		mirror:     mirror,
+		host:       fpga.NewPipeline(mirror),
 		ch:         newFPGAChannel(devs),
 		flight:     cfg.Flight,
 	}
@@ -381,10 +380,11 @@ func (b *Booster) backoffDur(attempt int) time.Duration {
 	return d << shift
 }
 
-// cpuDecode is the degraded-mode decode path: the same mirror stages
-// the FPGA would run (parse → entropy decode → reconstruct → resize)
-// executed on the host CPU, writing into the same HugePage batch slot,
-// so the downstream Dispatcher and engines see identical batches.
+// cpuDecode is the degraded-mode decode path: the same pipeline the
+// boards run (parse → entropy decode → reconstruct → resize), loaded
+// once for the host CPU and reusing its buffers the same way, writing
+// into the same HugePage batch slot, so the downstream Dispatcher and
+// engines see identical batches.
 func (b *Booster) cpuDecode(ref fpga.DataRef, dst []byte) error {
 	data := ref.Inline
 	if data == nil {
@@ -397,35 +397,15 @@ func (b *Booster) cpuDecode(ref fpga.DataRef, dst []byte) error {
 			return err
 		}
 	}
-	job, err := b.mirror.Parse(data)
+	out, err := pix.View(b.cfg.OutW, b.cfg.OutH, b.cfg.Channels, dst)
 	if err != nil {
 		return err
 	}
-	job, err = b.mirror.EntropyDecode(job)
-	if err != nil {
-		return err
+	scale, err := b.host.Decode(data, &out)
+	if err == nil && scale < 8 {
+		b.scaledCPU.Add(1)
 	}
-	var img *pix.Image
-	if sm, ok := b.mirror.(fpga.ScaledMirror); ok {
-		var scale int
-		img, scale, err = sm.ReconstructScaled(job, b.cfg.OutW, b.cfg.OutH)
-		if err == nil && scale < 8 {
-			b.scaledCPU.Add(1)
-		}
-	} else {
-		img, err = b.mirror.Reconstruct(job)
-	}
-	if err != nil {
-		return err
-	}
-	if img.C != b.cfg.Channels {
-		return fmt.Errorf("core: decoded %d channels, want %d", img.C, b.cfg.Channels)
-	}
-	out, err := pix.FromBytes(b.cfg.OutW, b.cfg.OutH, b.cfg.Channels, dst)
-	if err != nil {
-		return err
-	}
-	return imageproc.ResizeInto(img, out, imageproc.Bilinear)
+	return err
 }
 
 // Close tears the backend down: the boards first, then the plane.

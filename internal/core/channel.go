@@ -103,8 +103,11 @@ func (c *FPGAChannel) WaitCompletionTimeout(t time.Duration) (fpga.Completion, b
 }
 
 // DrainOut queries the decoders' processing signals asynchronously,
-// returning all completions so far (Table 1: drain_out).
-func (c *FPGAChannel) DrainOut() []fpga.Completion { return c.merged.Drain() }
+// appending all completions so far to buf, which may be nil (Table 1:
+// drain_out).
+func (c *FPGAChannel) DrainOut(buf []fpga.Completion) []fpga.Completion {
+	return c.merged.DrainInto(buf)
+}
 
 // WaitCompletion blocks for the next FINISH signal from any board.
 func (c *FPGAChannel) WaitCompletion() (fpga.Completion, error) {

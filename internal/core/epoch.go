@@ -22,7 +22,7 @@ type decoder interface {
 	SubmitCmd(fpga.Cmd) error
 	SubmitCmdTimeout(fpga.Cmd, time.Duration) (bool, error)
 	Cancel(id uint64) bool
-	DrainOut() []fpga.Completion
+	DrainOut(buf []fpga.Completion) []fpga.Completion
 	WaitCompletion() (fpga.Completion, error)
 	WaitCompletionTimeout(time.Duration) (fpga.Completion, bool, error)
 }
@@ -60,8 +60,12 @@ type epochState struct {
 	b       *Booster
 	dec     decoder
 	res     Resilience
-	pending map[uint64]pendingSlot
+	pending map[uint64]*pendingSlot
 	cur     *building
+	// Settled slots (too big for a map to store by value without a heap
+	// object each) and the FINISH burst buffer are reused across commands.
+	idle  []*pendingSlot
+	comps []fpga.Completion
 	// live tracks every buffer this epoch has taken from the pool but
 	// not yet handed to Publish. On an abnormal exit (pool or decoder
 	// closed mid-epoch) release returns them so the get/recycle ledger
@@ -85,7 +89,7 @@ type epochState struct {
 func newEpochState(b *Booster, dec decoder) *epochState {
 	return &epochState{
 		b: b, dec: dec, res: b.cfg.Resilience,
-		pending: make(map[uint64]pendingSlot),
+		pending: make(map[uint64]*pendingSlot),
 		live:    make(map[*building]bool),
 		bt:      b.BatchTimeout(),
 	}
@@ -228,7 +232,13 @@ func (e *epochState) admit(item Item) error {
 		cur.outstanding++
 		// Algorithm 1 lines 11–12: encapsulate the physical address
 		// (base + offset of this datum in the batch) into the cmd.
-		err := e.submit(pendingSlot{bld: cur, slot: slot, cmd: fpga.Cmd{
+		var ps *pendingSlot
+		if n := len(e.idle); n > 0 {
+			ps, e.idle = e.idle[n-1], e.idle[:n-1]
+		} else {
+			ps = new(pendingSlot)
+		}
+		*ps = pendingSlot{bld: cur, slot: slot, cmd: fpga.Cmd{
 			ID:       b.cmdID,
 			Data:     item.Ref,
 			DMAAddr:  cur.batch.Buf.PhysAddr(),
@@ -236,8 +246,8 @@ func (e *epochState) admit(item Item) error {
 			OutW:     b.cfg.OutW,
 			OutH:     b.cfg.OutH,
 			Channels: b.cfg.Channels,
-		}})
-		if err != nil {
+		}}
+		if err := e.submit(ps); err != nil {
 			return err
 		}
 	}
@@ -313,7 +323,7 @@ func (e *epochState) offloadDue() bool {
 // bounded, so the full FIFO of a wedged board sheds the command instead
 // of deadlocking the reader; a shed command is settled host-side without
 // waiting for a FINISH that cannot come.
-func (e *epochState) submit(ps pendingSlot) error {
+func (e *epochState) submit(ps *pendingSlot) error {
 	accepted := true
 	var err error
 	if t := e.res.CmdTimeout; t > 0 {
@@ -364,8 +374,8 @@ func (e *epochState) finishIfDone(bld *building) error {
 }
 
 // settleSuccess and settleFailure are the only two ways a pending
-// command resolves; both decrement outstanding.
-func (e *epochState) settleSuccess(ps pendingSlot) error {
+// command resolves; both decrement outstanding and retire the slot.
+func (e *epochState) settleSuccess(ps *pendingSlot) error {
 	b := e.b
 	b.noteFPGASuccess()
 	b.Settle(ps.bld.batch, ps.slot, true)
@@ -375,8 +385,7 @@ func (e *epochState) settleSuccess(ps pendingSlot) error {
 	if tr := ps.bld.batch.Trace; tr != nil {
 		tr.FPGA++
 	}
-	ps.bld.outstanding--
-	return e.finishIfDone(ps.bld)
+	return e.retire(ps)
 }
 
 // settleFailure resolves a command whose FPGA decode finally failed
@@ -384,20 +393,28 @@ func (e *epochState) settleSuccess(ps pendingSlot) error {
 // configured the item is rescued by the CPU decode path — the
 // degradation of the failure model — otherwise its slot stays
 // invalid, the paper's original behaviour.
-func (e *epochState) settleFailure(ps pendingSlot) error {
+func (e *epochState) settleFailure(ps *pendingSlot) error {
 	e.b.noteFPGAFailure()
 	if e.res.FallbackAfter > 0 {
 		e.decodeOnCPU(ps.bld, ps.slot, ps.cmd.Data, false)
 	} else {
 		e.markFailed(ps.bld, ps.slot)
 	}
-	ps.bld.outstanding--
-	return e.finishIfDone(ps.bld)
+	return e.retire(ps)
+}
+
+// retire closes a settled command's account with its batch and parks the
+// slot for the next command.
+func (e *epochState) retire(ps *pendingSlot) error {
+	bld := ps.bld
+	bld.outstanding--
+	e.idle = append(e.idle, ps)
+	return e.finishIfDone(bld)
 }
 
 // timeOut settles a command the boards will never answer: shed at
 // submission, or revoked after its FINISH was overdue.
-func (e *epochState) timeOut(ps pendingSlot) error {
+func (e *epochState) timeOut(ps *pendingSlot) error {
 	delete(e.pending, ps.cmd.ID)
 	e.b.timeouts.Add(1)
 	return e.settleFailure(ps)
@@ -461,7 +478,6 @@ func (e *epochState) process(comps []fpga.Completion) error {
 			ps.attempts++
 			e.b.retries.Add(1)
 			ps.retryAt = time.Now().Add(e.b.backoffDur(ps.attempts))
-			e.pending[c.ID] = ps
 		default:
 			delete(e.pending, c.ID)
 			err = e.settleFailure(ps)
@@ -541,7 +557,6 @@ func (e *epochState) expire() error {
 		if !e.dec.Cancel(id) {
 			e.b.lateFinishes.Add(1)
 			ps.submitted = now
-			e.pending[id] = ps
 			continue
 		}
 		e.b.flight.Note("cmd_revoked",
@@ -584,14 +599,18 @@ func (e *epochState) await() error {
 	if err != nil {
 		return fmt.Errorf("core: decoder closed mid-epoch: %w", err)
 	}
-	if !got {
-		return e.sweep(nil)
+	e.comps = e.comps[:0]
+	if got {
+		e.comps = e.dec.DrainOut(append(e.comps, comp))
 	}
-	return e.sweep(append([]fpga.Completion{comp}, e.dec.DrainOut()...))
+	return e.sweep(e.comps)
 }
 
 // poll is the non-blocking sweep between submissions.
-func (e *epochState) poll() error { return e.sweep(e.dec.DrainOut()) }
+func (e *epochState) poll() error {
+	e.comps = e.dec.DrainOut(e.comps[:0])
+	return e.sweep(e.comps)
+}
 
 // sweep settles the given FINISH signals, expires overdue commands and
 // sends due retries.

@@ -128,9 +128,9 @@ func (f *fakeDecoder) take(n int) []fpga.Completion {
 	return out
 }
 
-func (f *fakeDecoder) DrainOut() []fpga.Completion {
+func (f *fakeDecoder) DrainOut(buf []fpga.Completion) []fpga.Completion {
 	f.release(0)
-	return f.take(len(f.ready))
+	return append(buf, f.take(len(f.ready))...)
 }
 
 func (f *fakeDecoder) WaitCompletion() (fpga.Completion, error) {
@@ -193,7 +193,7 @@ func TestEpochModel(t *testing.T) {
 			}
 			defer plane.Close()
 			plane.spanned = true // stamp spans so the consumer can check conservation
-			b := &Booster{BatchPlane: plane, cfg: cfg, mirror: mirror}
+			b := &Booster{BatchPlane: plane, cfg: cfg, host: fpga.NewPipeline(mirror)}
 			b.batchTimeoutNs.Store(int64(cfg.BatchTimeout))
 			b.SetCPUShare([]float64{0, 0, 0.25, 0.5, 1}[rng.Intn(5)])
 

@@ -68,7 +68,7 @@ func TestTable1APISurface(t *testing.T) {
 	// drain_out: asynchronous best-effort query, then a bounded wait.
 	var comps []fpga.Completion
 	for len(comps) == 0 {
-		comps = ch.DrainOut()
+		comps = ch.DrainOut(nil)
 	}
 	if comps[0].ID != 1 || comps[0].Err != nil {
 		t.Fatalf("completion = %+v", comps[0])

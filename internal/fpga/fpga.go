@@ -11,6 +11,11 @@
 // exercised — only the clock is the host's, not an Arria 10's. The
 // decoding logic itself is a pluggable Mirror, mirroring the paper's
 // downloadable decoder images for different workloads.
+//
+// Like the hardware's fixed FIFOs and on-chip buffers, a warm board
+// allocates nothing per command: a command travels as a typed Job, and
+// each stage buffer is parked on a per-board free list between the hops
+// that use it (DESIGN.md §5.10).
 package fpga
 
 import (
@@ -75,28 +80,95 @@ type Completion struct {
 	Bytes int // bytes DMA-written on success
 }
 
-// Mirror is a pluggable decoder image. Stages correspond to the units of
-// Figure 4: Parse runs in the parser, EntropyDecode in the Huffman unit,
-// Reconstruct in the iDCT & RGB unit. The resizer stage is
-// format-independent and owned by the device.
+// Mirror is a pluggable decoder image. Its stages are the units of
+// Figure 4: Decoder.Parse runs in the parser, Job.EntropyDecode in the
+// Huffman unit, Job.Reconstruct in the iDCT & RGB unit. The resizer is
+// format-independent and owned by the Pipeline. NewDecoder loads the
+// image onto one board (or one host-CPU decode path): the Decoder owns
+// that board's reusable stage buffers and serves all its stage workers.
 type Mirror interface {
 	Name() string
-	Parse(data []byte) (job any, err error)
-	EntropyDecode(job any) (any, error)
-	Reconstruct(job any) (*pix.Image, error)
+	NewDecoder() Decoder
 }
 
-// ScaledMirror is an optional capability of a Mirror: reconstruct the
-// job directly at a reduced scale sized for the command's resize target
-// (the libjpeg scale_denom trick applied inside the iDCT unit). The
-// returned scale is 8 for a full-resolution reconstruction —
-// byte-identical to Reconstruct — and 1, 2 or 4 when the fast path
-// engaged, in which case the device's resizer only runs the residual
-// ratio. Mirrors without natural scaling (raw passthrough, audio) simply
-// do not implement this.
-type ScaledMirror interface {
-	Mirror
-	ReconstructScaled(job any, outW, outH int) (img *pix.Image, scale int, err error)
+// Decoder is a loaded image; Parse hands out one command's typed state.
+type Decoder interface {
+	Parse(data []byte) (Job, error)
+}
+
+// Job is one command between the parser and the end of the iDCT unit.
+// The image's stage buffers travel inside it, so a warm board allocates
+// nothing per command; whoever holds a Job calls Release exactly once,
+// after Reconstruct or on the error that ends the command.
+type Job interface {
+	EntropyDecode() error
+	// Reconstruct renders into img (see pix.Image.Reset) and reports the
+	// iDCT scale: 8 for full resolution, 1, 2 or 4 when the image sized
+	// its output to the outW×outH resize target (libjpeg's scale_denom
+	// inside the iDCT unit) and left the resizer the residual ratio.
+	Reconstruct(img *pix.Image, outW, outH int) (scale int, err error)
+	Release()
+}
+
+// Pipeline is a loaded mirror plus the scaled images its iDCT unit hands
+// to the resizer: the four units of Figure 4 as plain calls. A Device
+// runs each on its own goroutines; Decode runs them back to back on the
+// caller's, which is the host-CPU rescue path.
+type Pipeline struct {
+	dec    Decoder
+	images freeList[pix.Image]
+}
+
+// NewPipeline loads m.
+func NewPipeline(m Mirror) *Pipeline { return &Pipeline{dec: m.NewDecoder()} }
+
+// Decode runs parse → entropy decode → reconstruct → resize over data
+// into dst, which fixes the output geometry, and reports the iDCT scale.
+func (p *Pipeline) Decode(data []byte, dst *pix.Image) (scale int, err error) {
+	job, err := p.dec.Parse(data)
+	if err != nil {
+		return 0, err
+	}
+	if err := p.entropy(job); err != nil {
+		return 0, err
+	}
+	img, scale, err := p.reconstruct(job, dst.W, dst.H)
+	if err != nil {
+		return 0, err
+	}
+	err = resizeInto(img, dst)
+	p.images.put(img)
+	return scale, err
+}
+
+// entropy is the Huffman unit; a failed job is released here.
+func (p *Pipeline) entropy(job Job) error {
+	err := job.EntropyDecode()
+	if err != nil {
+		job.Release()
+	}
+	return err
+}
+
+// reconstruct is the iDCT & RGB unit: the job ends here either way, and
+// the caller owes p.images the returned image.
+func (p *Pipeline) reconstruct(job Job, outW, outH int) (*pix.Image, int, error) {
+	img := p.images.get()
+	scale, err := job.Reconstruct(img, outW, outH)
+	job.Release()
+	if err != nil {
+		p.images.put(img)
+		return nil, 0, err
+	}
+	return img, scale, nil
+}
+
+// resizeInto is the resizer unit.
+func resizeInto(img, dst *pix.Image) error {
+	if img.C != dst.C {
+		return fmt.Errorf("fpga: decoded %d channels, command wants %d: %w", img.C, dst.C, errBadGeometry)
+	}
+	return imageproc.ResizeInto(img, dst, imageproc.Bilinear)
 }
 
 // Config sets the device geometry. The CLB budget enforces the paper's
@@ -177,6 +249,19 @@ type StageStats struct {
 	Busy time.Duration
 }
 
+// stageClock accumulates one unit's StageStats from all its ways; add
+// books one job that has been in service since start.
+type stageClock struct{ jobs, busy atomic.Int64 }
+
+func (c *stageClock) add(start time.Time) {
+	c.jobs.Add(1)
+	c.busy.Add(int64(time.Since(start)))
+}
+
+func (c *stageClock) stats() StageStats {
+	return StageStats{Jobs: c.jobs.Load(), Busy: time.Duration(c.busy.Load())}
+}
+
 // cmdState tracks one in-flight command through the revocation fence:
 // inflight from Submit until its FINISH is raised, dmaActive strictly
 // while the resizer writes the DMA window, cancelled once the host has
@@ -195,8 +280,8 @@ type Device struct {
 	arena  *hugepage.Arena
 	source DataSource
 
-	mu     sync.Mutex
 	mirror Mirror
+	pipe   *Pipeline
 
 	cmds        *queue.Queue[Cmd]
 	completions *queue.Queue[Completion]
@@ -222,11 +307,7 @@ type Device struct {
 	wg     sync.WaitGroup
 	closed sync.Once
 
-	statMu    sync.Mutex
-	parserSt  StageStats
-	huffmanSt StageStats
-	idctSt    StageStats
-	resizeSt  StageStats
+	parserSt, huffmanSt, idctSt, resizeSt stageClock
 
 	// Board-level command accounting: always maintained (cheap atomics),
 	// surfaced per board by Instrument.
@@ -236,10 +317,12 @@ type Device struct {
 	scaled    atomic.Int64 // commands reconstructed below full scale
 }
 
+// stageJob is one command between two units: job from the parser to the
+// iDCT unit, img from there to the resizer.
 type stageJob struct {
 	cmd Cmd
-	job any        // mirror-specific intermediate
-	img *pix.Image // after Reconstruct
+	job Job
+	img *pix.Image
 }
 
 // New creates and starts a device. arena is the HugePage window the
@@ -261,6 +344,7 @@ func New(cfg Config, arena *hugepage.Arena, source DataSource, mirror Mirror) (*
 		arena:       arena,
 		source:      source,
 		mirror:      mirror,
+		pipe:        NewPipeline(mirror),
 		cmds:        queue.New[Cmd](cfg.CmdQueueCap),
 		completions: queue.New[Completion](cfg.CmdQueueCap * 4),
 		toHuffman:   make(chan stageJob, cfg.HuffmanWays*2),
@@ -275,11 +359,7 @@ func New(cfg Config, arena *hugepage.Arena, source DataSource, mirror Mirror) (*
 }
 
 // Mirror returns the loaded decoder image name.
-func (d *Device) Mirror() string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.mirror.Name()
-}
+func (d *Device) Mirror() string { return d.mirror.Name() }
 
 // Config returns the device geometry.
 func (d *Device) Config() Config { return d.cfg }
@@ -408,9 +488,7 @@ func (d *Device) WaitCompletion() (Completion, error) {
 // Stats snapshots per-stage accounting in pipeline order: parser,
 // Huffman, iDCT, resize.
 func (d *Device) Stats() (parser, huffman, idct, resize StageStats) {
-	d.statMu.Lock()
-	defer d.statMu.Unlock()
-	return d.parserSt, d.huffmanSt, d.idctSt, d.resizeSt
+	return d.parserSt.stats(), d.huffmanSt.stats(), d.idctSt.stats(), d.resizeSt.stats()
 }
 
 // Close shuts the pipeline down. In-flight commands complete; pending
@@ -438,45 +516,31 @@ func (d *Device) start() {
 			d.parse(cmd)
 		}
 	}()
-	// Huffman unit: N ways.
-	var huffWG sync.WaitGroup
-	for i := 0; i < d.cfg.HuffmanWays; i++ {
+	// N-way Huffman unit, iDCT & RGB unit, and the M-way resizer ending at
+	// the FINISH arbiter (completions queue).
+	d.unit(d.cfg.HuffmanWays, d.toHuffman, d.huffman, d.toIDCT)
+	d.unit(d.cfg.IDCTWays, d.toIDCT, d.idct, d.toResize)
+	d.unit(d.cfg.ResizeWays, d.toResize, d.resize, nil)
+}
+
+// unit starts the ways of one stage, and closes the next stage's FIFO
+// once the last way has drained its own.
+func (d *Device) unit(ways int, in <-chan stageJob, work func(stageJob), next chan<- stageJob) {
+	var wg sync.WaitGroup
+	for i := 0; i < ways; i++ {
 		d.wg.Add(1)
-		huffWG.Add(1)
+		wg.Add(1)
 		go func() {
 			defer d.wg.Done()
-			defer huffWG.Done()
-			for j := range d.toHuffman {
-				d.huffman(j)
+			defer wg.Done()
+			for j := range in {
+				work(j)
 			}
 		}()
 	}
-	d.wg.Add(1)
-	go func() { defer d.wg.Done(); huffWG.Wait(); close(d.toIDCT) }()
-	// iDCT & RGB unit.
-	var idctWG sync.WaitGroup
-	for i := 0; i < d.cfg.IDCTWays; i++ {
+	if next != nil {
 		d.wg.Add(1)
-		idctWG.Add(1)
-		go func() {
-			defer d.wg.Done()
-			defer idctWG.Done()
-			for j := range d.toIDCT {
-				d.idct(j)
-			}
-		}()
-	}
-	d.wg.Add(1)
-	go func() { defer d.wg.Done(); idctWG.Wait(); close(d.toResize) }()
-	// Resizer: M ways, ending at the FINISH arbiter (completions queue).
-	for i := 0; i < d.cfg.ResizeWays; i++ {
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			for j := range d.toResize {
-				d.resize(j)
-			}
-		}()
+		go func() { defer d.wg.Done(); wg.Wait(); close(next) }()
 	}
 }
 
@@ -533,18 +597,11 @@ func (d *Device) Instrument(r *metrics.Registry, prefix string) {
 		}
 		return 0
 	})
-	stage := func(name string, pick func(p, h, i, z StageStats) StageStats) {
-		r.RegisterGauge(prefix+"_"+name+"_busy_seconds", func() float64 {
-			return pick(d.Stats()).Busy.Seconds()
-		})
-		r.RegisterGauge(prefix+"_"+name+"_jobs", func() float64 {
-			return float64(pick(d.Stats()).Jobs)
-		})
+	for i, c := range []*stageClock{&d.parserSt, &d.huffmanSt, &d.idctSt, &d.resizeSt} {
+		name := prefix + "_" + [...]string{"parser", "huffman", "idct", "resize"}[i]
+		r.RegisterGauge(name+"_busy_seconds", func() float64 { return c.stats().Busy.Seconds() })
+		r.RegisterGauge(name+"_jobs", func() float64 { return float64(c.stats().Jobs) })
 	}
-	stage("parser", func(p, _, _, _ StageStats) StageStats { return p })
-	stage("huffman", func(_, h, _, _ StageStats) StageStats { return h })
-	stage("idct", func(_, _, i, _ StageStats) StageStats { return i })
-	stage("resize", func(_, _, _, z StageStats) StageStats { return z })
 }
 
 func (d *Device) parse(cmd Cmd) {
@@ -565,46 +622,11 @@ func (d *Device) parse(cmd Cmd) {
 		d.finish(Completion{ID: cmd.ID, Err: fmt.Errorf("fpga: decode cmd %d: %w", cmd.ID, faults.ErrInjected)})
 		return
 	}
+	// The clock stops before the FINISH push or the hand-off to the
+	// Huffman unit, which may block: Busy is service, not back-pressure.
 	start := time.Now()
-	defer func() {
-		d.statMu.Lock()
-		d.parserSt.Jobs++
-		d.parserSt.Busy += time.Since(start)
-		d.statMu.Unlock()
-	}()
-	if cmd.Channels != 1 && cmd.Channels != 3 {
-		d.finish(Completion{ID: cmd.ID, Err: errBadGeometry})
-		return
-	}
-	if cmd.OutW <= 0 || cmd.OutH <= 0 {
-		d.finish(Completion{ID: cmd.ID, Err: errBadGeometry})
-		return
-	}
-	// Validate the DMA window up front, like the MMU of Figure 4.
-	need := cmd.OutW * cmd.OutH * cmd.Channels
-	if _, err := d.arena.Phy2Virt(cmd.DMAAddr+hugepage.PhysAddr(cmd.DMAOff), need); err != nil {
-		d.finish(Completion{ID: cmd.ID, Err: fmt.Errorf("%w: %v", ErrBadTarget, err)})
-		return
-	}
-	data := cmd.Data.Inline
-	if data == nil {
-		if d.source == nil {
-			d.finish(Completion{ID: cmd.ID, Err: ErrNoData})
-			return
-		}
-		var err error
-		data, err = d.source.Fetch(cmd.Data)
-		if err != nil {
-			d.finish(Completion{ID: cmd.ID, Err: err})
-			return
-		}
-	}
-	if plan.Corrupt {
-		// Corrupt a copy (the caller's payload may be shared) so the
-		// real decode-error path downstream is exercised end to end.
-		data = d.cfg.Inject.CorruptBytes(append([]byte(nil), data...))
-	}
-	job, err := d.currentMirror().Parse(data)
+	job, err := d.parseCmd(cmd, plan.Corrupt)
+	d.parserSt.add(start)
 	if err != nil {
 		d.finish(Completion{ID: cmd.ID, Err: err})
 		return
@@ -612,55 +634,75 @@ func (d *Device) parse(cmd Cmd) {
 	d.toHuffman <- stageJob{cmd: cmd, job: job}
 }
 
+// parseCmd is the parser unit proper: command validation, the payload
+// fetch and the mirror's Parse.
+func (d *Device) parseCmd(cmd Cmd, corrupt bool) (Job, error) {
+	if (cmd.Channels != 1 && cmd.Channels != 3) || cmd.OutW <= 0 || cmd.OutH <= 0 {
+		return nil, errBadGeometry
+	}
+	// Validate the DMA window up front, like the MMU of Figure 4.
+	if _, err := d.window(cmd); err != nil {
+		return nil, err
+	}
+	data := cmd.Data.Inline
+	if data == nil {
+		if d.source == nil {
+			return nil, ErrNoData
+		}
+		var err error
+		data, err = d.source.Fetch(cmd.Data)
+		if err != nil {
+			return nil, err
+		}
+	}
+	if corrupt {
+		// Corrupt a copy (the caller's payload may be shared) so the
+		// real decode-error path downstream is exercised end to end.
+		data = d.cfg.Inject.CorruptBytes(append([]byte(nil), data...))
+	}
+	return d.pipe.dec.Parse(data)
+}
+
+// window resolves the command's DMA target to the bytes it covers.
+func (d *Device) window(cmd Cmd) ([]byte, error) {
+	need := cmd.OutW * cmd.OutH * cmd.Channels
+	w, err := d.arena.Phy2Virt(cmd.DMAAddr+hugepage.PhysAddr(cmd.DMAOff), need)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadTarget, err)
+	}
+	return w, nil
+}
+
 func (d *Device) huffman(j stageJob) {
 	start := time.Now()
-	out, err := d.currentMirror().EntropyDecode(j.job)
-	d.statMu.Lock()
-	d.huffmanSt.Jobs++
-	d.huffmanSt.Busy += time.Since(start)
-	d.statMu.Unlock()
+	err := d.pipe.entropy(j.job)
+	d.huffmanSt.add(start)
 	if err != nil {
 		d.finish(Completion{ID: j.cmd.ID, Err: err})
 		return
 	}
-	j.job = out
 	d.toIDCT <- j
 }
 
 func (d *Device) idct(j stageJob) {
 	start := time.Now()
-	var img *pix.Image
-	var err error
-	m := d.currentMirror()
-	if sm, ok := m.(ScaledMirror); ok {
-		var scale int
-		img, scale, err = sm.ReconstructScaled(j.job, j.cmd.OutW, j.cmd.OutH)
-		if err == nil && scale < 8 {
-			d.scaled.Add(1)
-		}
-	} else {
-		img, err = m.Reconstruct(j.job)
-	}
-	d.statMu.Lock()
-	d.idctSt.Jobs++
-	d.idctSt.Busy += time.Since(start)
-	d.statMu.Unlock()
+	img, scale, err := d.pipe.reconstruct(j.job, j.cmd.OutW, j.cmd.OutH)
+	d.idctSt.add(start)
 	if err != nil {
 		d.finish(Completion{ID: j.cmd.ID, Err: err})
 		return
 	}
-	j.job = nil
-	j.img = img
-	d.toResize <- j
+	if scale < 8 {
+		d.scaled.Add(1)
+	}
+	d.toResize <- stageJob{cmd: j.cmd, img: img}
 }
 
 func (d *Device) resize(j stageJob) {
 	start := time.Now()
 	err := d.resizeAndDMA(j)
-	d.statMu.Lock()
-	d.resizeSt.Jobs++
-	d.resizeSt.Busy += time.Since(start)
-	d.statMu.Unlock()
+	d.pipe.images.put(j.img)
+	d.resizeSt.add(start)
 	if err != nil {
 		d.finish(Completion{ID: j.cmd.ID, Err: err})
 		return
@@ -671,15 +713,11 @@ func (d *Device) resize(j stageJob) {
 
 func (d *Device) resizeAndDMA(j stageJob) error {
 	cmd := j.cmd
-	if j.img.C != cmd.Channels {
-		return fmt.Errorf("fpga: decoded %d channels, command wants %d: %w", j.img.C, cmd.Channels, errBadGeometry)
-	}
-	need := cmd.OutW * cmd.OutH * cmd.Channels
-	window, err := d.arena.Phy2Virt(cmd.DMAAddr+hugepage.PhysAddr(cmd.DMAOff), need)
+	window, err := d.window(cmd)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadTarget, err)
+		return err
 	}
-	dst, err := pix.FromBytes(cmd.OutW, cmd.OutH, cmd.Channels, window)
+	dst, err := pix.View(cmd.OutW, cmd.OutH, cmd.Channels, window)
 	if err != nil {
 		return err
 	}
@@ -692,11 +730,5 @@ func (d *Device) resizeAndDMA(j stageJob) error {
 		return ErrRevoked
 	}
 	defer d.dmaEnd(cmd.ID)
-	return imageproc.ResizeInto(j.img, dst, imageproc.Bilinear)
-}
-
-func (d *Device) currentMirror() Mirror {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.mirror
+	return resizeInto(j.img, &dst)
 }

@@ -399,20 +399,6 @@ func TestMirrorRegistry(t *testing.T) {
 	}()
 }
 
-func TestMirrorStageTypeSafety(t *testing.T) {
-	var jm JPEGMirror
-	if _, err := jm.EntropyDecode("wrong"); err == nil {
-		t.Fatal("jpeg mirror accepted wrong job type")
-	}
-	if _, err := jm.Reconstruct(42); err == nil {
-		t.Fatal("jpeg mirror accepted wrong job type")
-	}
-	var rm RawMirror
-	if _, err := rm.Reconstruct("wrong"); err == nil {
-		t.Fatal("raw mirror accepted wrong job type")
-	}
-}
-
 // encodeTestJPEG returns a small encoded image for revocation tests.
 func encodeTestJPEG(t *testing.T, seed int64) []byte {
 	t.Helper()

@@ -60,6 +60,36 @@ func mirrorNamesLocked() []string {
 	return names
 }
 
+// freeList is one board's stock of a reusable stage buffer: get hands out
+// the most recently parked one (the warmest) or makes one when none is
+// parked, so the stock stops growing at the most that were ever live at
+// once: the hop occupancy of the stages the buffer spans. live counts
+// what is handed out right now.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+	live int
+}
+
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.live++
+	if n := len(l.free); n > 0 {
+		v := l.free[n-1]
+		l.free = l.free[:n-1]
+		return v
+	}
+	return new(T)
+}
+
+func (l *freeList[T]) put(v *T) {
+	l.mu.Lock()
+	l.live--
+	l.free = append(l.free, v)
+	l.mu.Unlock()
+}
+
 // JPEGMirror is the image-workload decoder of the paper: baseline JPEG
 // split across the hardware stages.
 type JPEGMirror struct{}
@@ -67,43 +97,70 @@ type JPEGMirror struct{}
 // Name implements Mirror.
 func (JPEGMirror) Name() string { return "jpeg" }
 
-// Parse implements Mirror: marker parsing, quant/Huffman table setup.
-func (JPEGMirror) Parse(data []byte) (any, error) {
-	return jpeg.Parse(data)
+// NewDecoder implements Mirror.
+func (JPEGMirror) NewDecoder() Decoder { return new(jpegDecoder) }
+
+// Parse, EntropyDecode and ReconstructScaled are the one-shot forms of
+// the three units, each allocating its result, for callers that time or
+// test one unit in isolation. A board goes through NewDecoder instead.
+func (JPEGMirror) Parse(data []byte) (*jpeg.Header, error) { return jpeg.Parse(data) }
+
+// EntropyDecode is the one-shot Huffman decoding unit.
+func (JPEGMirror) EntropyDecode(h *jpeg.Header) (*jpeg.Coefficients, error) { return h.EntropyDecode() }
+
+// ReconstructScaled is the one-shot iDCT & RGB unit (see Job.Reconstruct).
+func (JPEGMirror) ReconstructScaled(co *jpeg.Coefficients, outW, outH int) (*pix.Image, int, error) {
+	return co.ReconstructScaled(outW, outH)
 }
 
-// EntropyDecode implements Mirror: the Huffman decoding unit.
-func (JPEGMirror) EntropyDecode(job any) (any, error) {
-	h, ok := job.(*jpeg.Header)
-	if !ok {
-		return nil, fmt.Errorf("fpga: jpeg mirror got %T", job)
-	}
-	return h.EntropyDecode()
+// jpegDecoder holds each stage buffer for exactly the hops that use it:
+// the header from the parser to the end of the iDCT unit (the store
+// points at it, its scan aliases the payload), the coefficient store
+// from the Huffman unit to there, the sample planes inside the iDCT unit.
+type jpegDecoder struct {
+	jobs   freeList[jpegJob]
+	stores freeList[jpeg.Coefficients]
+	planes freeList[jpeg.Planes]
 }
 
-// Reconstruct implements Mirror: the iDCT & RGB unit.
-func (JPEGMirror) Reconstruct(job any) (*pix.Image, error) {
-	co, ok := job.(*jpeg.Coefficients)
-	if !ok {
-		return nil, fmt.Errorf("fpga: jpeg mirror got %T", job)
-	}
-	planes, err := co.Reconstruct()
-	if err != nil {
+type jpegJob struct {
+	dec *jpegDecoder
+	hdr jpeg.Header
+	co  *jpeg.Coefficients // held between EntropyDecode and Release
+}
+
+// Parse implements Decoder: marker parsing, quant/Huffman table setup.
+func (d *jpegDecoder) Parse(data []byte) (Job, error) {
+	j := d.jobs.get()
+	j.dec = d
+	if err := j.hdr.ParseInto(data); err != nil {
+		d.jobs.put(j)
 		return nil, err
 	}
-	return planes.ToImage(), nil
+	return j, nil
 }
 
-// ReconstructScaled implements ScaledMirror: the iDCT & RGB unit sized
-// to the resize target. At scale 8 the output is byte-identical to
-// Reconstruct; below that, each 8×8 block reconstructs directly at the
-// reduced scale and the device's resizer runs only the residual ratio.
-func (JPEGMirror) ReconstructScaled(job any, outW, outH int) (*pix.Image, int, error) {
-	co, ok := job.(*jpeg.Coefficients)
-	if !ok {
-		return nil, 0, fmt.Errorf("fpga: jpeg mirror got %T", job)
+// EntropyDecode implements Job: the Huffman decoding unit.
+func (j *jpegJob) EntropyDecode() error {
+	j.co = j.dec.stores.get()
+	return j.hdr.EntropyDecodeInto(j.co)
+}
+
+// Reconstruct implements Job: the iDCT & RGB unit, at the smallest scale
+// that still covers outW×outH.
+func (j *jpegJob) Reconstruct(img *pix.Image, outW, outH int) (int, error) {
+	p := j.dec.planes.get()
+	defer j.dec.planes.put(p)
+	return j.co.ReconstructScaledInto(p, img, outW, outH)
+}
+
+// Release implements Job.
+func (j *jpegJob) Release() {
+	if j.co != nil {
+		j.dec.stores.put(j.co)
+		j.co = nil
 	}
-	return co.ReconstructScaled(outW, outH)
+	j.dec.jobs.put(j)
 }
 
 // RawMirror decodes the trivial framing used by tests and non-JPEG
@@ -114,6 +171,10 @@ type RawMirror struct{}
 
 // Name implements Mirror.
 func (RawMirror) Name() string { return "raw" }
+
+// NewDecoder implements Mirror: a raw job is its frame header, so there
+// is no buffer to keep and the mirror is its own Decoder.
+func (m RawMirror) NewDecoder() Decoder { return m }
 
 type rawJob struct {
 	w, h, c int
@@ -137,12 +198,12 @@ func EncodeRaw(img *pix.Image) []byte {
 	return out
 }
 
-// Parse implements Mirror.
-func (RawMirror) Parse(data []byte) (any, error) {
+// Parse implements Decoder.
+func (RawMirror) Parse(data []byte) (Job, error) {
 	if len(data) < 9 {
 		return nil, fmt.Errorf("fpga: raw frame too short (%d bytes)", len(data))
 	}
-	j := rawJob{w: be24(data), h: be24(data[3:]), c: be24(data[6:]), data: data[9:]}
+	j := &rawJob{w: be24(data), h: be24(data[3:]), c: be24(data[6:]), data: data[9:]}
 	if j.w <= 0 || j.h <= 0 || (j.c != 1 && j.c != 3) {
 		return nil, fmt.Errorf("fpga: raw frame geometry %dx%dx%d invalid", j.w, j.h, j.c)
 	}
@@ -152,19 +213,19 @@ func (RawMirror) Parse(data []byte) (any, error) {
 	return j, nil
 }
 
-// EntropyDecode implements Mirror (raw frames have no entropy coding).
-func (RawMirror) EntropyDecode(job any) (any, error) { return job, nil }
+// EntropyDecode implements Job (raw frames have no entropy coding).
+func (j *rawJob) EntropyDecode() error { return nil }
 
-// Reconstruct implements Mirror.
-func (RawMirror) Reconstruct(job any) (*pix.Image, error) {
-	j, ok := job.(rawJob)
-	if !ok {
-		return nil, fmt.Errorf("fpga: raw mirror got %T", job)
-	}
-	return pix.FromBytes(j.w, j.h, j.c, j.data)
+// Reconstruct implements Job: the samples are copied, never aliased, so
+// the board's image buffer stays the board's.
+func (j *rawJob) Reconstruct(img *pix.Image, _, _ int) (int, error) {
+	img.Reset(j.w, j.h, j.c)
+	copy(img.Pix, j.data)
+	return 8, nil
 }
 
-var _ ScaledMirror = JPEGMirror{}
+// Release implements Job.
+func (j *rawJob) Release() {}
 
 func init() {
 	RegisterMirror(JPEGMirror{})

@@ -108,17 +108,17 @@ func u16(b []byte) int { return int(b[0])<<8 | int(b[1]) }
 // (see the package comment).
 func Parse(data []byte) (*Header, error) {
 	h := &Header{}
-	err := h.parse(data)
+	err := h.ParseInto(data)
 	if err != nil && err != ErrProgressive {
 		return nil, err
 	}
 	return h, err
 }
 
-// parse is the reusable form of Parse: it resets and refills h, keeping
+// ParseInto is the reusable form of Parse: it resets and refills h, keeping
 // h's allocations. On ErrProgressive the header is still valid (geometry
 // only); on any other error it must not be used.
-func (h *Header) parse(data []byte) error {
+func (h *Header) ParseInto(data []byte) error {
 	h.reset()
 	if len(data) < 2 || data[0] != 0xFF || data[1] != mSOI {
 		return FormatError("missing SOI marker")
@@ -387,20 +387,20 @@ func (h *Header) parseSOS(seg []byte) error {
 // of the FPGA pipeline.
 func (h *Header) EntropyDecode() (*Coefficients, error) {
 	co := &Coefficients{}
-	if err := h.entropyDecodeInto(co); err != nil {
+	if err := h.EntropyDecodeInto(co); err != nil {
 		return nil, err
 	}
 	return co, nil
 }
 
-// entropyDecodeInto is the reusable form of EntropyDecode: co's grids are
+// EntropyDecodeInto is the reusable form of EntropyDecode: co's grids are
 // grown on demand and reused across calls, so steady-state decoding does
 // not allocate. Scans whose restart intervals carve the entropy data into
 // enough independent segments are decoded in parallel (parallel.go);
 // everything else — and any scan whose parallel decode hits a corrupt
 // segment — runs the sequential reference decoder, so the bytes produced
 // and the errors surfaced are identical either way.
-func (h *Header) entropyDecodeInto(co *Coefficients) error {
+func (h *Header) EntropyDecodeInto(co *Coefficients) error {
 	blocks := 0
 	for _, c := range h.Components {
 		if !h.quantOK[c.QuantID] {

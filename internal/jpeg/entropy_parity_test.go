@@ -57,7 +57,7 @@ func requireReaderParity(t *testing.T, name string, data []byte) {
 	}
 	for _, c := range h.Components {
 		if !h.dcOK[c.dcSel] || !h.acOK[c.acSel] || !h.quantOK[c.QuantID] {
-			return // entropyDecodeInto refuses these before any reader exists
+			return // EntropyDecodeInto refuses these before any reader exists
 		}
 	}
 	bulk, ref := &parityStores[0], &parityStores[1]

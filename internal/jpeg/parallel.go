@@ -16,7 +16,7 @@ package jpeg
 // and bails out to the sequential decoder on any disagreement — so the
 // parallel path only ever runs on streams where it is provably
 // byte-identical to sequential decode. If a worker then hits a corrupt
-// segment, entropyDecodeInto re-runs the sequential decoder so the
+// segment, EntropyDecodeInto re-runs the sequential decoder so the
 // error surfaced (restart-interval-attributed, see expectRestart) is
 // exactly the sequential one; the only cost of that policy is wasted
 // work on corrupt DRI streams, which are not a fast path worth keeping.

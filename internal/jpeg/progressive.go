@@ -210,7 +210,7 @@ func (d *progDecoder) parseProgSOS(seg []byte) (*progScan, error) {
 }
 
 // checkFirstScan bounds the coefficient store by the first scan before
-// any grid is sized, as entropyDecodeInto does. A frame's first scan is a
+// any grid is sized, as EntropyDecodeInto does. A frame's first scan is a
 // DC scan (T.81 §G.1.1.1.1) and spends at least one bit on every real
 // block of its components; the padding and the components it leaves out
 // are within a small factor of those. Later scans bound nothing: one

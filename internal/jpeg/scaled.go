@@ -112,18 +112,6 @@ type Scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-// image sizes the scratch RGB intermediate, reusing its buffer.
-func (s *Scratch) image(w, h, c int) *pix.Image {
-	n := w * h * c
-	if cap(s.rgb.Pix) >= n {
-		s.rgb.Pix = s.rgb.Pix[:n]
-	} else {
-		s.rgb.Pix = make([]byte, n)
-	}
-	s.rgb.W, s.rgb.H, s.rgb.C = w, h, c
-	return &s.rgb
-}
-
 // ErrChannelMismatch reports a stream whose component count does not
 // match the destination image's channel count.
 var ErrChannelMismatch = UnsupportedError("decoded channels do not match destination")
@@ -147,7 +135,7 @@ func DecodeScaledInto(data []byte, dst *pix.Image, sc *Scratch) (scale int, err 
 		defer scratchPool.Put(sc)
 	}
 	h := &sc.hdr
-	if err := h.parse(data); err != nil {
+	if err := h.ParseInto(data); err != nil {
 		if err == ErrProgressive {
 			// Multi-scan streams cannot run the staged pipeline; decode
 			// them fully in software and resize.
@@ -170,7 +158,7 @@ func DecodeScaledInto(data []byte, dst *pix.Image, sc *Scratch) (scale int, err 
 		return 0, ErrChannelMismatch
 	}
 	scale = ScaleFor(h.Width, h.Height, dst.W, dst.H)
-	if err := h.entropyDecodeInto(&sc.co); err != nil {
+	if err := h.EntropyDecodeInto(&sc.co); err != nil {
 		return 0, err
 	}
 	if err := sc.co.reconstructInto(&sc.pl, scale); err != nil {
@@ -184,9 +172,9 @@ func DecodeScaledInto(data []byte, dst *pix.Image, sc *Scratch) (scale int, err 
 		sc.pl.renderInto(dst)
 		return scale, nil
 	}
-	img := sc.image(sw, sh, channels)
-	sc.pl.renderInto(img)
-	return scale, imageproc.ResizeInto(img, dst, imageproc.Bilinear)
+	sc.rgb.Reset(sw, sh, channels)
+	sc.pl.renderInto(&sc.rgb)
+	return scale, imageproc.ResizeInto(&sc.rgb, dst, imageproc.Bilinear)
 }
 
 // DecodeScaled decodes data at the smallest iDCT scale covering
@@ -214,18 +202,31 @@ func DecodeScaled(data []byte, dstW, dstH int) (*pix.Image, int, error) {
 // conversion. At scale 8 the result is byte-identical to
 // Reconstruct + ToImage.
 func (co *Coefficients) ReconstructScaled(dstW, dstH int) (*pix.Image, int, error) {
+	var p Planes
+	img := new(pix.Image)
+	s, err := co.ReconstructScaledInto(&p, img, dstW, dstH)
+	if err != nil {
+		return nil, 0, err
+	}
+	return img, s, nil
+}
+
+// ReconstructScaledInto is the reusable form of ReconstructScaled: the
+// sample planes go through p and the rendered image into img, both grown
+// on demand and overwritten in full, so a caller that keeps them decodes
+// without allocating.
+func (co *Coefficients) ReconstructScaledInto(p *Planes, img *pix.Image, dstW, dstH int) (int, error) {
 	h := co.hdr
 	s := ScaleFor(h.Width, h.Height, dstW, dstH)
-	var p Planes
-	if err := co.reconstructInto(&p, s); err != nil {
-		return nil, 0, err
+	if err := co.reconstructInto(p, s); err != nil {
+		return 0, err
 	}
 	sw, sh := ScaledSize(h.Width, h.Height, s)
 	c := 3
 	if len(h.Components) == 1 {
 		c = 1
 	}
-	img := pix.New(sw, sh, c)
+	img.Reset(sw, sh, c)
 	p.renderInto(img)
-	return img, s, nil
+	return s, nil
 }

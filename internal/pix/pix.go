@@ -38,13 +38,37 @@ func New(w, h, c int) *Image {
 // FromBytes wraps an existing buffer as an image without copying. The
 // buffer length must be exactly w*h*c.
 func FromBytes(w, h, c int, buf []byte) (*Image, error) {
+	img, err := View(w, h, c, buf)
+	if err != nil {
+		return nil, err
+	}
+	return &img, nil
+}
+
+// View is FromBytes by value: the per-image paths (a board's DMA window,
+// a batch slot) wrap their destination on the stack instead of paying a
+// heap object per image.
+func View(w, h, c int, buf []byte) (Image, error) {
 	if w <= 0 || h <= 0 || (c != 1 && c != 3) {
-		return nil, fmt.Errorf("pix: bad geometry %dx%dx%d", w, h, c)
+		return Image{}, fmt.Errorf("pix: bad geometry %dx%dx%d", w, h, c)
 	}
 	if len(buf) != w*h*c {
-		return nil, fmt.Errorf("pix: buffer length %d, want %d", len(buf), w*h*c)
+		return Image{}, fmt.Errorf("pix: buffer length %d, want %d", len(buf), w*h*c)
 	}
-	return &Image{W: w, H: h, C: c, Pix: buf}, nil
+	return Image{W: w, H: h, C: c, Pix: buf}, nil
+}
+
+// Reset gives a reused image the geometry w×h×c, keeping Pix's capacity
+// when it suffices. The samples are whatever the previous occupant left:
+// the caller overwrites every one.
+func (m *Image) Reset(w, h, c int) {
+	n := w * h * c
+	if cap(m.Pix) >= n {
+		m.Pix = m.Pix[:n]
+	} else {
+		m.Pix = make([]byte, n)
+	}
+	m.W, m.H, m.C = w, h, c
 }
 
 // Size returns the byte size of the raster.

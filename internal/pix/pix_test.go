@@ -53,6 +53,24 @@ func TestFromBytes(t *testing.T) {
 	}
 }
 
+func TestResetKeepsCapacity(t *testing.T) {
+	m := New(4, 4, 3)
+	first := &m.Pix[0]
+	m.Reset(2, 3, 1)
+	if m.W != 2 || m.H != 3 || m.C != 1 || len(m.Pix) != 6 || &m.Pix[0] != first {
+		t.Fatalf("shrinking Reset: %dx%dx%d, %d samples, reused %v", m.W, m.H, m.C, len(m.Pix), &m.Pix[0] == first)
+	}
+	m.Reset(8, 8, 3)
+	if len(m.Pix) != 192 || m.Size() != 192 {
+		t.Fatalf("growing Reset: %d samples", len(m.Pix))
+	}
+	var zero Image
+	zero.Reset(1, 2, 3)
+	if len(zero.Pix) != 6 {
+		t.Fatalf("Reset of the zero Image: %d samples", len(zero.Pix))
+	}
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	m := New(2, 2, 1)
 	m.Set(0, 0, 0, 5)

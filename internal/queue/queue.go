@@ -234,18 +234,21 @@ func (q *Queue[T]) PushTimeout(v T, d time.Duration) (ok bool, err error) {
 // Drain removes and returns every element currently queued, without
 // blocking. It corresponds to fpga_channel.drain_out() in Algorithm 1:
 // collect all completions that have accumulated so far.
-func (q *Queue[T]) Drain() []T {
+func (q *Queue[T]) Drain() []T { return q.DrainInto(nil) }
+
+// DrainInto is Drain appending to buf, so a caller that polls in a loop
+// can hand the same buffer back in and pay no slice per poll.
+func (q *Queue[T]) DrainInto(buf []T) []T {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.ring.Empty() {
-		return nil
+		return buf
 	}
-	out := make([]T, 0, q.ring.Len())
 	for !q.ring.Empty() {
-		out = append(out, q.ring.PopFront())
+		buf = append(buf, q.ring.PopFront())
 	}
 	q.notFull.Broadcast()
-	return out
+	return buf
 }
 
 // PushAll pushes each element of vs in order, blocking as needed. It stops

@@ -222,6 +222,18 @@ func TestDrain(t *testing.T) {
 	if got := q.Drain(); got != nil {
 		t.Fatalf("Drain on empty = %v, want nil", got)
 	}
+	// DrainInto appends to the caller's buffer and reuses its capacity.
+	buf := make([]int, 1, 8)
+	buf[0] = -1
+	_ = q.Push(7)
+	_ = q.Push(8)
+	got = q.DrainInto(buf)
+	if len(got) != 3 || got[0] != -1 || got[1] != 7 || got[2] != 8 || &got[0] != &buf[0] {
+		t.Fatalf("DrainInto = %v (reused buffer: %v)", got, &got[0] == &buf[0])
+	}
+	if got := q.DrainInto(buf[:0]); len(got) != 0 {
+		t.Fatalf("DrainInto on empty = %v", got)
+	}
 }
 
 func TestDrainUnblocksProducer(t *testing.T) {
