@@ -103,7 +103,7 @@ func TestCacheHandbookPinned(t *testing.T) {
 	)
 	// The CLI surface.
 	wanted = append(wanted,
-		"-cache-mb", "-cache-spill-mb", "-cache-compress", "-replay-epochs",
+		"-cache-mb", "-cache-spill-mb", "-cache-compress",
 	)
 	for _, w := range wanted {
 		if !strings.Contains(doc, w) {

@@ -1,5 +1,9 @@
 // Command dlbench regenerates the paper's evaluation: every figure of
-// §5 plus the ablations, as deterministic virtual-time simulations.
+// §5 plus the ablations, as deterministic virtual-time simulations. It
+// also drives one traced wall-clock run of the real pipeline for the
+// telemetry table and the bottleneck doctor. Performance is measured by
+// the benchmark of record, `bash bench/run.sh` (bench/README.md), not
+// here.
 //
 //	dlbench                 # all figures, paper order
 //	dlbench -fig fig7a      # one figure
@@ -7,8 +11,6 @@
 //	dlbench -list           # figure ids
 //	dlbench -metrics        # traced end-to-end run + telemetry table
 //	dlbench -doctor         # traced run + ranked bottleneck diagnosis
-//	dlbench -json out.json  # traced run + schema-versioned bench result
-//	dlbench -slo tput=900 -json out.json  # traced run judged against an SLO
 package main
 
 import (
@@ -53,49 +55,19 @@ func main() {
 	list := flag.Bool("list", false, "list figure ids and exit")
 	showMetrics := flag.Bool("metrics", false, "run a traced end-to-end pipeline and print the telemetry table")
 	doctor := flag.Bool("doctor", false, "run a traced end-to-end pipeline and print the ranked bottleneck diagnosis")
-	benchJSON := flag.String("json", "", "run a traced end-to-end pipeline and write a schema-versioned benchmark result (BENCH_<n>.json) to this path")
-	metricsImages := flag.Int("metrics-images", 64, "with -metrics/-doctor/-json: images to push through the pipeline")
-	metricsBatch := flag.Int("metrics-batch", 8, "with -metrics/-doctor/-json: batch size")
+	metricsImages := flag.Int("metrics-images", 64, "with -metrics/-doctor: images to push through the pipeline")
+	metricsBatch := flag.Int("metrics-batch", 8, "with -metrics/-doctor: batch size")
 	noSIMD := flag.Bool("no-simd", false, "pin the portable scalar decode kernels and sequential entropy decode process-wide (the cpukernel kill switch), for ablations against the fast kernel layer")
-	shards := flag.Int("shards", 0, "with -metrics/-doctor/-json: run the traced pipeline as this many fleet shards, each engine paced at -shard-rate (0 = classic single pipeline)")
-	shardRate := flag.Float64("shard-rate", 40, "with -shards: modelled per-shard accelerator rate in images/s")
-	replayEpochs := flag.Int("replay-epochs", 0, "with -metrics/-doctor/-json: after the first decode epoch, serve this many epochs from the tiered ReplayCache and measure their throughput (0 = classic single-epoch run)")
-	cacheMode := flag.String("cache", "ram+nvme", "with -replay-epochs: cache configuration — cold (no cache), ram (RAM tier only) or ram+nvme (RAM tier with NVMe spill); the RAM tier is sized to half the decoded dataset")
-	sloSpec := flag.String("slo", "", "with -metrics/-doctor/-json: sample telemetry during the traced run, judge it against this SLO spec (e.g. tput=900,p99ms=250,shed=0.001) and print the scorecard; with -json the scorecard is embedded in the result for the benchdiff -slo-gate")
-	autotuneOn := flag.Bool("autotune", false, "with -json: run the adaptive-autotuner overload benchmark — a deterministic virtual-time simulation of a 2× open-loop overload served by a static tight-deadline config and again with the internal/control feedback loop actuating the knobs — and record both shed ledgers (BENCH_5.json); -slo overrides the scenario's default spec")
 	flag.Parse()
 
 	if *noSIMD {
 		cpukernel.SetScalarOnly(true)
 	}
 
-	if *showMetrics || *doctor || *benchJSON != "" || *autotuneOn {
-		// A bad SLO spec fails before the run, not after it.
-		var slo *metrics.SLO
-		if *sloSpec != "" {
-			var err error
-			if slo, err = metrics.ParseSLO(*sloSpec); err != nil {
-				fmt.Fprintf(os.Stderr, "dlbench: %v\n", err)
-				os.Exit(2)
-			}
-		}
-		// One traced run feeds every instrumented view, so -metrics,
-		// -doctor and -json can be combined without re-running.
-		var res *tracedResult
-		var fleetSnap *metrics.FleetSnapshot
-		var err error
-		switch {
-		case *autotuneOn:
-			// The overload scenario declares its own SLO when -slo is
-			// unset, so the scorecard always lands in the result.
-			res, slo, err = tracedAutotuneRun(*metricsBatch, slo)
-		case *replayEpochs > 0:
-			res, err = tracedReplayRun(*metricsImages, *metricsBatch, *replayEpochs, *cacheMode, slo != nil)
-		case *shards > 0:
-			res, fleetSnap, err = tracedShardsRun(*metricsImages, *metricsBatch, *shards, *shardRate, slo != nil)
-		default:
-			res, err = tracedRun(*metricsImages, *metricsBatch, slo != nil)
-		}
+	if *showMetrics || *doctor {
+		// One traced run feeds both instrumented views, so -metrics and
+		// -doctor can be combined without re-running.
+		res, err := tracedRun(*metricsImages, *metricsBatch)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dlbench: %v\n", err)
 			os.Exit(1)
@@ -104,25 +76,7 @@ func main() {
 			printMetrics(res)
 		}
 		if *doctor {
-			if fleetSnap != nil {
-				fmt.Print(metrics.DiagnoseFleet(fleetSnap, nil).Report())
-			} else {
-				fmt.Print(metrics.Diagnose(res.snap, nil).Report())
-			}
-		}
-		card := slo.Evaluate(res.hist)
-		if slo != nil {
-			fmt.Print(card.Report())
-		}
-		if *benchJSON != "" {
-			br := benchResult(res)
-			br.SLO = card
-			if err := br.WriteFile(*benchJSON); err != nil {
-				fmt.Fprintf(os.Stderr, "dlbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("dlbench: wrote %s (%.0f images/s over %.3fs)\n",
-				*benchJSON, br.Throughput, br.ElapsedSeconds)
+			fmt.Print(metrics.Diagnose(res.snap, nil).Report())
 		}
 		return
 	}

@@ -16,8 +16,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"dlbooster/internal/metrics"
 )
 
 // buildCmds compiles every command into a temp dir once per test run.
@@ -33,12 +31,6 @@ func buildCmds(t *testing.T) map[string]string {
 		}
 		bins[name] = bin
 	}
-	bin := filepath.Join(dir, "benchdiff")
-	out, err := exec.Command("go", "build", "-o", bin, "./tools/benchdiff").CombinedOutput()
-	if err != nil {
-		t.Fatalf("building benchdiff: %v\n%s", err, out)
-	}
-	bins["benchdiff"] = bin
 	return bins
 }
 
@@ -500,119 +492,6 @@ func TestCommands(t *testing.T) {
 		}
 		if !strings.Contains(string(out), "verdict:") {
 			t.Fatalf("doctor output has no verdict:\n%s", out)
-		}
-	})
-
-	t.Run("bench-trajectory", func(t *testing.T) {
-		dir := t.TempDir()
-		base := filepath.Join(dir, "BENCH_base.json")
-		cur := filepath.Join(dir, "BENCH_cur.json")
-		for _, path := range []string{base, cur} {
-			out, err := exec.Command(bins["dlbench"], "-json", path, "-metrics-images", "32").CombinedOutput()
-			if err != nil {
-				t.Fatalf("dlbench -json: %v\n%s", err, out)
-			}
-		}
-		// Back-to-back runs of the same scenario compare clean at a wide
-		// threshold.
-		out, err := exec.Command(bins["benchdiff"], "-threshold", "10", base, cur).CombinedOutput()
-		if err != nil {
-			t.Fatalf("benchdiff: %v\n%s", err, out)
-		}
-		if !strings.Contains(string(out), "PASS") {
-			t.Fatalf("benchdiff output:\n%s", out)
-		}
-		// A config mismatch is an error (exit 2), not a comparison.
-		mismatch := filepath.Join(dir, "BENCH_other.json")
-		if out, err := exec.Command(bins["dlbench"], "-json", mismatch, "-metrics-images", "32", "-metrics-batch", "4").CombinedOutput(); err != nil {
-			t.Fatalf("dlbench -json: %v\n%s", err, out)
-		}
-		if out, err := exec.Command(bins["benchdiff"], base, mismatch).CombinedOutput(); err == nil {
-			t.Fatalf("mismatched configs compared:\n%s", out)
-		}
-	})
-
-	t.Run("slo-gate", func(t *testing.T) {
-		dir := t.TempDir()
-		good := filepath.Join(dir, "BENCH_slo_good.json")
-		bad := filepath.Join(dir, "BENCH_slo_bad.json")
-		plain := filepath.Join(dir, "BENCH_plain.json")
-		// A generous SLO the traced run always meets…
-		out, err := exec.Command(bins["dlbench"], "-json", good,
-			"-metrics-images", "32", "-slo", "tput=0.1,shed=0.5").CombinedOutput()
-		if err != nil {
-			t.Fatalf("dlbench -slo: %v\n%s", err, out)
-		}
-		if !strings.Contains(string(out), "SLO") || !strings.Contains(string(out), "MET") {
-			t.Fatalf("no scorecard in -slo output:\n%s", out)
-		}
-		// …an unreachable one the gate must catch…
-		if out, err := exec.Command(bins["dlbench"], "-json", bad,
-			"-metrics-images", "32", "-slo", "tput=1e12,shed=0.5").CombinedOutput(); err != nil {
-			t.Fatalf("dlbench -slo: %v\n%s", err, out)
-		}
-		// …and a run that declared no SLO at all.
-		if out, err := exec.Command(bins["dlbench"], "-json", plain, "-metrics-images", "32").CombinedOutput(); err != nil {
-			t.Fatalf("dlbench -json: %v\n%s", err, out)
-		}
-		// Met scorecard: the gate passes alongside the threshold check.
-		out, err = exec.Command(bins["benchdiff"], "-threshold", "1000", "-slo-gate", good, good).CombinedOutput()
-		if err != nil || !strings.Contains(string(out), "SLO PASS") {
-			t.Fatalf("slo-gate on met scorecard: %v\n%s", err, out)
-		}
-		// Violated scorecard fails the gate (exit 1); the scorecard-less
-		// baseline is fine, only the new file must carry one.
-		out, err = exec.Command(bins["benchdiff"], "-threshold", "1000", "-slo-gate", plain, bad).CombinedOutput()
-		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
-			t.Fatalf("violated scorecard not gated (err %v):\n%s", err, out)
-		}
-		// A new result without a scorecard is misuse (exit 2), not a pass.
-		out, err = exec.Command(bins["benchdiff"], "-threshold", "1000", "-slo-gate", good, plain).CombinedOutput()
-		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-			t.Fatalf("missing scorecard not misuse (err %v):\n%s", err, out)
-		}
-		// Mismatched specs are never compared (exit 2).
-		out, err = exec.Command(bins["benchdiff"], "-threshold", "1000", "-slo-gate", good, bad).CombinedOutput()
-		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-			t.Fatalf("mismatched SLO specs compared (err %v):\n%s", err, out)
-		}
-		// A bad spec fails before the run.
-		if _, err := exec.Command(bins["dlbench"], "-json", bad, "-slo", "bogus=1").CombinedOutput(); err == nil {
-			t.Fatal("bad -slo spec accepted")
-		}
-	})
-
-	t.Run("autotune-overload", func(t *testing.T) {
-		// The BENCH_5 scenario: a deterministic virtual-time 2× overload
-		// served static and then autotuned. The run must retune, beat the
-		// static shed ledger, and pass its own SLO gate.
-		dir := t.TempDir()
-		path := filepath.Join(dir, "BENCH_autotune.json")
-		out, err := exec.Command(bins["dlbench"], "-autotune", "-json", path).CombinedOutput()
-		if err != nil {
-			t.Fatalf("dlbench -autotune: %v\n%s", err, out)
-		}
-		s := string(out)
-		for _, want := range []string{"static", "autotune", "retunes", "MET"} {
-			if !strings.Contains(s, want) {
-				t.Fatalf("-autotune output lacks %q:\n%s", want, s)
-			}
-		}
-		res, err := metrics.ReadBenchResult(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Counters["control_retunes_total"] == 0 {
-			t.Fatalf("the autotuned run never retuned: %v", res.Counters)
-		}
-		if res.Counters["static_shed_total"] == 0 {
-			t.Fatalf("no static ledger in counters: %v", res.Counters)
-		}
-		// Self-comparison through the gate: scorecard met AND the autotuned
-		// shed fraction below the static one.
-		out, err = exec.Command(bins["benchdiff"], "-threshold", "1000", "-slo-gate", path, path).CombinedOutput()
-		if err != nil || !strings.Contains(string(out), "SLO PASS") {
-			t.Fatalf("slo-gate on autotune result: %v\n%s", err, out)
 		}
 	})
 

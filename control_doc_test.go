@@ -85,11 +85,12 @@ func TestControlHandbookPinned(t *testing.T) {
 	base := control.Knobs{BatchTimeout: 8 * time.Millisecond, QueueCap: 64}
 	lim := control.ResolveLimits(control.Limits{}, base, nil)
 	wanted = append(wanted, fmt.Sprintf("%.1f", lim.MaxCPUShare), "100µs")
-	// The plant surfaces and the CLI.
+	// The plant surfaces, the CLI and the test that holds the
+	// sheds-less-than-static claim.
 	wanted = append(wanted,
 		"`core.Booster.SetBatchTimeout`", "`core.Booster.SetCPUShare`",
 		"`fleet.Shard.SetQueueCap`",
-		"dlserve -autotune", "dlbench -autotune", "BENCH_5",
+		"dlserve -autotune", "`TestControlConvergeUnderOverloadSim`",
 		"`control_retune`",
 	)
 	for _, w := range wanted {

@@ -103,7 +103,7 @@ type Config struct {
 	// SLO is the objective the controller steers toward. Required.
 	SLO *metrics.SLO
 	// Interval is the Start ticker period (default 1s). Step may also
-	// be driven directly (tests, dlbench).
+	// be driven directly (tests, virtual-time simulations).
 	Interval time.Duration
 	// Cooldown is how many decisions to hold after a retune so the
 	// next move is judged on settled evidence (default 2).

@@ -398,7 +398,9 @@ func TestControllerStartStop(t *testing.T) {
 // model where a longer batching deadline amortises per-batch overhead
 // (capacity rises toward the asymptote) and fractional CPU offload adds
 // decode bandwidth. The controller must grow the operating point until
-// the SLO holds, then freeze — zero retunes over the tail of the run.
+// the SLO holds, then freeze — zero retunes over the tail of the run —
+// and shed a smaller share of the offered load than the same model with
+// its knobs frozen at the starting point.
 func TestControlConvergeUnderOverloadSim(t *testing.T) {
 	const (
 		offered = 1000.0 // img/s, ≈2× the capacity at the static operating point
@@ -430,15 +432,29 @@ func TestControlConvergeUnderOverloadSim(t *testing.T) {
 		return 1500 * fill * (1 + 0.8*k.CPUShare), btMs + 25
 	}
 
+	// The static config: the same offered load with the knobs frozen at
+	// the starting operating point.
+	start := p.k
+	var staticShed, staticDec int64
+	for i := 0; i < steps; i++ {
+		capacity, _ := model(start)
+		dec := int64(math.Min(offered, capacity))
+		staticDec += dec
+		staticShed += int64(offered) - dec
+	}
+
 	sim := simtime.New()
 	step := 0
 	retunesAtSettle := int64(-1)
+	var autoShed, autoDec int64
 	var tick func()
 	tick = func() {
 		step++
 		capacity, p99 := model(p.k)
 		dec := int64(math.Min(offered, capacity))
 		shed := int64(offered) - dec
+		autoDec += dec
+		autoShed += shed
 		ingest := metrics.QueueDepth{Len: 0, Cap: p.k.QueueCap}
 		if shed > 0 {
 			ingest.Len = ingest.Cap // overload backs the front door up
@@ -470,6 +486,13 @@ func TestControlConvergeUnderOverloadSim(t *testing.T) {
 	}
 	if c.Retunes() < 3 {
 		t.Fatalf("retunes = %d, want a multi-step trajectory", c.Retunes())
+	}
+	// The controller's claim: under the same overload it sheds a smaller
+	// fraction of the offered load than the static config.
+	autoFrac := float64(autoShed) / float64(autoShed+autoDec)
+	staticFrac := float64(staticShed) / float64(staticShed+staticDec)
+	if autoFrac >= staticFrac {
+		t.Fatalf("autotuned shed fraction %.3f not below the static config's %.3f", autoFrac, staticFrac)
 	}
 	// Anti-flapping: the operating point froze after convergence.
 	if got := c.Retunes(); got != retunesAtSettle {

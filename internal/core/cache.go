@@ -338,8 +338,8 @@ func (c *TieredCache) drop(e *cacheEntry, st *CacheAddStats) {
 
 // fetch returns one entry's payload and the tier that served it.
 // TierNone with a nil error means the entry was evicted (re-decode it).
-// A spill hit may promote the entry back to RAM when its score has
-// grown past the cheapest RAM resident's.
+// A spill hit may promote the entry back to RAM when its score, before
+// this read, beats the cheapest RAM residents'.
 func (c *TieredCache) fetch(e *cacheEntry) ([]byte, CacheTier, error) {
 	c.mu.Lock()
 	if e.data != nil {
@@ -363,13 +363,17 @@ func (c *TieredCache) fetch(e *cacheEntry) ([]byte, CacheTier, error) {
 		return nil, TierNone, fmt.Errorf("core: spill record %s: %w", name, err)
 	}
 	c.mu.Lock()
-	e.hits++
+	// Judge promotion before counting this read: a replay epoch reads
+	// every entry once, so counting it first would let an entry read
+	// early outscore equally hot residents not yet read, which would then
+	// demote and be read back from spill later in the same epoch.
 	c.maybePromote(e, payload)
+	e.hits++
 	c.mu.Unlock()
 	return payload, TierSpill, nil
 }
 
-// maybePromote moves a spill-tier entry whose score now beats the
+// maybePromote moves a spill-tier entry whose score beats the
 // cheapest RAM residents back into RAM, demoting those residents — the
 // cross-epoch adaptivity that migrates hot, expensive batches up. The
 // promoted entry keeps its spill copy, so a later demotion is free.
@@ -605,6 +609,9 @@ func decodeSpillRecord(rec []byte, wantLen int64) ([]byte, error) {
 		return nil, fmt.Errorf("payload length %d, want %d", rawLen, wantLen)
 	}
 	if rec[5]&spillFlagCompressed == 0 {
+		if int64(len(stored)) != rawLen {
+			return nil, fmt.Errorf("stored %d bytes, header says %d", len(stored), rawLen)
+		}
 		return append([]byte(nil), stored...), nil
 	}
 	out := make([]byte, rawLen)

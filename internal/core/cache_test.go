@@ -281,7 +281,8 @@ func TestSpillPromotion(t *testing.T) {
 		t.Fatal("no spilled entry")
 	}
 	// Hammer the spilled entry until its score (100×(1+hits)) passes the
-	// resident's 200: the second hit promotes it.
+	// resident's 200: promotion is judged before a read counts, so the
+	// third read (two prior hits, score 300) promotes it.
 	for i := 0; i < 3; i++ {
 		payload, tier, err := c.fetch(spilled)
 		if err != nil {
@@ -304,6 +305,57 @@ func TestSpillPromotion(t *testing.T) {
 	}
 	if st.RAMBytes > stride {
 		t.Fatalf("promotion blew the RAM budget: %d", st.RAMBytes)
+	}
+}
+
+// TestReplayNoInEpochPromotion: in a half-RAM cache of equal-cost
+// entries every replay epoch reads every entry once, so no entry is
+// hotter than another and replay must not swap tiers mid-epoch — each
+// epoch reads exactly the spilled entries from spill, and promotions
+// stay bounded by the entry count.
+func TestReplayNoInEpochPromotion(t *testing.T) {
+	const stride, entries, epochs = 256, 8, 20
+	tb := newTestCacheBatch(t, stride)
+	c, err := NewTieredCache(CacheConfig{
+		RAMBytes: entries / 2 * stride,
+		Spill:    nvme.New(nvme.Config{}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < entries; i++ {
+		c.Add(tb.next(byte(i)), nil, 100)
+	}
+	spilled := c.Stats().SpillResident
+	if spilled != entries/2 {
+		t.Fatalf("spilled %d of %d entries, want half", spilled, entries)
+	}
+	var spillReads int
+	sink := CacheReplaySink{
+		GetBuffer: tb.pool.Get,
+		Publish: func(buf *hugepage.Buffer, _ int, _ []ItemMeta, _ []bool, tier CacheTier) error {
+			if tier == TierSpill {
+				spillReads++
+			}
+			return buf.Recycle()
+		},
+	}
+	var promotedAfterFirst int64
+	for e := 0; e < epochs; e++ {
+		spillReads = 0
+		before := c.Stats().Promotions
+		if err := c.Replay(0, 1, sink); err != nil {
+			t.Fatal(err)
+		}
+		if spillReads != spilled {
+			t.Fatalf("epoch %d read %d entries from spill, want the %d spilled", e, spillReads, spilled)
+		}
+		if e > 0 {
+			promotedAfterFirst += c.Stats().Promotions - before
+		}
+	}
+	if promotedAfterFirst > entries {
+		t.Fatalf("%d promotions after the first replay epoch, want ≤ %d entries", promotedAfterFirst, entries)
 	}
 }
 

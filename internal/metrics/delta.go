@@ -5,7 +5,7 @@ package metrics
 // seconds, plus the events recorded inside the interval. It exists
 // because snapshot counters are cumulative-only — comparing two raw
 // /metrics.json captures by hand is the footgun Delta removes — and it
-// is what the bottleneck doctor and benchdiff consume.
+// is what the bottleneck doctor consumes.
 type SnapshotDelta struct {
 	// Seconds is the interval length (uptime difference, or the whole
 	// uptime when diffed against nil).

@@ -238,33 +238,3 @@ func TestFleetTraceExportPerShardPids(t *testing.T) {
 		t.Fatalf("process names: %v", names)
 	}
 }
-
-func TestCompareBenchSpeedup(t *testing.T) {
-	mk := func(shards int, tput float64) *BenchResult {
-		return &BenchResult{
-			SchemaVersion: BenchSchemaVersion, Name: "traced-e2e-shards",
-			Config:     BenchConfig{Images: 64, Batch: 8, Size: 96, Boards: 1, Shards: shards, ShardRate: 40},
-			Throughput: tput,
-		}
-	}
-	if reg, err := CompareBenchSpeedup(mk(1, 40), mk(2, 78), 1.7); err != nil || reg != nil {
-		t.Fatalf("1.95x speedup failed the 1.7x gate: %v %v", reg, err)
-	}
-	reg, err := CompareBenchSpeedup(mk(1, 40), mk(2, 60), 1.7)
-	if err != nil || reg == nil {
-		t.Fatalf("1.5x speedup passed the 1.7x gate: %v", err)
-	}
-	if reg.Limit != 68 {
-		t.Fatalf("limit %v", reg.Limit)
-	}
-	bad := mk(2, 100)
-	bad.Config.Batch = 16
-	if _, err := CompareBenchSpeedup(mk(1, 40), bad, 1.7); err == nil {
-		t.Fatal("config mismatch beyond shards accepted")
-	}
-	other := mk(2, 100)
-	other.Name = "traced-e2e"
-	if _, err := CompareBenchSpeedup(mk(1, 40), other, 1.7); err == nil {
-		t.Fatal("scenario name mismatch accepted")
-	}
-}

@@ -3,9 +3,8 @@
 // evaluated against a History window into a Scorecard with per-objective
 // attainment, remaining error budget and burn rate. This is the
 // judgement layer over the windowed telemetry — dlserve prints it in
-// the shutdown report, dlbench embeds it in BENCH_<n>.json, and
-// tools/benchdiff gates on it — and it is the objective function the
-// ROADMAP's adaptive offloading controller will optimise.
+// the shutdown report — and the objective function internal/control
+// steers the knobs toward.
 
 package metrics
 
@@ -294,7 +293,7 @@ func (c *Scorecard) Violations() []string {
 }
 
 // Report renders the scorecard as an aligned human-readable block —
-// the dlserve shutdown-report / dlbench -slo output.
+// the dlserve shutdown-report output.
 func (c *Scorecard) Report() string {
 	if c == nil {
 		return "slo: no telemetry window to judge\n"
