@@ -19,7 +19,6 @@ import (
 	"os"
 	"strings"
 
-	"dlbooster/internal/cpukernel"
 	"dlbooster/internal/experiments"
 	"dlbooster/internal/metrics"
 )
@@ -57,12 +56,7 @@ func main() {
 	doctor := flag.Bool("doctor", false, "run a traced end-to-end pipeline and print the ranked bottleneck diagnosis")
 	metricsImages := flag.Int("metrics-images", 64, "with -metrics/-doctor: images to push through the pipeline")
 	metricsBatch := flag.Int("metrics-batch", 8, "with -metrics/-doctor: batch size")
-	noSIMD := flag.Bool("no-simd", false, "pin the portable scalar decode kernels and sequential entropy decode process-wide (the cpukernel kill switch), for ablations against the fast kernel layer")
 	flag.Parse()
-
-	if *noSIMD {
-		cpukernel.SetScalarOnly(true)
-	}
 
 	if *showMetrics || *doctor {
 		// One traced run feeds both instrumented views, so -metrics and

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"dlbooster/internal/fpga"
-	"dlbooster/internal/jpeg"
 	"dlbooster/internal/metrics"
 	"dlbooster/internal/pix"
 )
@@ -272,12 +271,6 @@ func (b *Booster) instrument() {
 		}
 		return n
 	})
-	// Kernel-layer counters. These are process-global (kernel selection
-	// is, too — see internal/cpukernel), so in a multi-Booster process
-	// every registry reports the same totals rather than a per-Booster
-	// share; the doc rows in docs/METRICS.md carry the same caveat.
-	r.RegisterCounterFunc("decode_kernel_simd_total", jpeg.KernelSIMDDecodes)
-	r.RegisterCounterFunc("decode_parallel_scans_total", jpeg.ParallelScans)
 	r.RegisterGauge("degraded", func() float64 {
 		if b.degraded.Load() {
 			return 1

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"dlbooster/internal/cpukernel"
 	"dlbooster/internal/pix"
 )
 
@@ -87,19 +86,19 @@ func resizeNearest(src, dst *pix.Image) {
 	}
 }
 
-// resizeBilinear uses 8-bit fixed-point weights with half-pixel centre
-// alignment, the conventional definition. It dispatches to the fast
-// kernel (resize_fast.go) when the cpukernel selection allows and the
-// geometry fits; the scalar body below is the portable reference the
-// fast kernel is byte-exact against.
+// resizeBilinear runs the fast kernel (resize_fast.go), or
+// ResizeBilinearScalar for the geometries and layouts it does not cover.
 func resizeBilinear(src, dst *pix.Image) {
-	if cpukernel.Fast() && resizeBilinearFast(src, dst) {
-		return
+	if !resizeBilinearFast(src, dst) {
+		ResizeBilinearScalar(src, dst)
 	}
-	resizeBilinearScalar(src, dst)
 }
 
-func resizeBilinearScalar(src, dst *pix.Image) {
+// ResizeBilinearScalar resizes src into dst with 8-bit fixed-point
+// weights and half-pixel centre alignment, the conventional definition.
+// It is the reference the fast kernel is byte-exact against, exported so
+// the decoder's whole-decode parity test can render through it too.
+func ResizeBilinearScalar(src, dst *pix.Image) {
 	c := src.C
 	const fbits = 8
 	const fone = 1 << fbits

@@ -2,15 +2,15 @@ package imageproc
 
 import "dlbooster/internal/pix"
 
-// The fast bilinear kernel. The reference resizeBilinearScalar recomputes
+// The fast bilinear kernel. The reference ResizeBilinearScalar recomputes
 // the horizontal source offsets and weights for every row even though
 // they depend only on x; this kernel hoists them into stack tables built
 // once per image and unrolls the channel loop for the two layouts the
 // pipeline produces (RGB and grayscale). The per-sample arithmetic is
 // exactly the reference's — same fixed-point weights, same rounding —
-// so the output is byte-identical (pinned in imageproc_test.go and by
-// the jpeg golden-corpus parity tests, since DecodeScaledInto fuses this
-// resizer into its last stage).
+// so the output is byte-identical (pinned in resize_fast_test.go and by
+// jpeg's whole-decode reference parity test, since DecodeScaledInto
+// fuses this resizer into its last stage).
 
 // maxFastResizeWidth bounds the stack-allocated horizontal tables. Wider
 // outputs fall back to the scalar kernel: preprocessing targets are

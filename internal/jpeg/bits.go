@@ -63,8 +63,7 @@ var errShortData error = FormatError("short entropy-coded data")
 // window, the last seven bytes and everything after a pending marker go
 // through fill, byte by byte under the rules of T.81 §B.1.1.5.
 //
-// A bitReader has no shared state: each scan, and each restart segment of
-// a parallel decode, owns its reader, so readers need no synchronisation.
+// A bitReader has no shared state: each scan owns its reader.
 type bitReader struct {
 	data []byte
 	pos  int    // next byte to load into the accumulator

@@ -23,11 +23,12 @@ func rgbToYCbCr(r, g, b byte) (y, cb, cr byte) {
 	return y, cb, cr
 }
 
-// --- row conversion kernels (see kernels.go for the selection layer) ---
+// --- row conversion kernels (see kernels.go) ---
 
 // ycbcrRowScalar converts one output row through the reference per-pixel
-// converter — the loop renderInto historically ran inline. shx holds the
-// per-component x subsampling shifts.
+// converter: ycbcrRowFast's fallback for the subsampling shapes it does
+// not specialise, and the reference it is byte-exact against. shx holds
+// the per-component x subsampling shifts.
 func ycbcrRowScalar(out, yRow, cbRow, crRow []byte, w int, shx [3]uint) {
 	o := 0
 	for x := 0; x < w; x++ {

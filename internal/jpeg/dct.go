@@ -2,11 +2,10 @@ package jpeg
 
 import "math"
 
-// 8×8 forward and inverse DCT (T.81 §A.3.3), implemented as two passes of
-// a precomputed 1-D basis. Clarity over micro-optimisation: the cost model
-// in internal/perf, not the host's DCT speed, sets simulated device
-// timing, while the CPU-based baseline burns cores on this same code just
-// as the paper's baseline burned them on libjpeg.
+// 8×8 forward DCT (T.81 §A.3.3), implemented as two passes of a
+// precomputed 1-D basis: clarity over micro-optimisation, since only the
+// encoder runs it. The decoder's inverse transforms are in kernels.go;
+// their plain two-pass reference, idct, is in reference_test.go.
 
 // cosBasis[u][x] = alpha(u)/2 * cos((2x+1)uπ/16), so that an 8-point
 // transform is a plain matrix product.
@@ -26,33 +25,6 @@ var cosBasis = func() (c [8][8]float64) {
 // block holds one 8×8 coefficient or sample block in natural (row-major)
 // order.
 type block [64]int32
-
-// idct transforms dequantised coefficients into level-shifted 8-bit
-// samples, clamping to [0, 255].
-func idct(coef *block, out *[64]byte) {
-	var tmp [64]float64
-	// Columns: tmp[x][v] = Σ_u basis[u][x] · coef[u][v]
-	for v := 0; v < 8; v++ {
-		for x := 0; x < 8; x++ {
-			var s float64
-			for u := 0; u < 8; u++ {
-				s += cosBasis[u][x] * float64(coef[u*8+v])
-			}
-			tmp[x*8+v] = s
-		}
-	}
-	// Rows: sample[x][y] = Σ_v basis[v][y] · tmp[x][v]
-	for x := 0; x < 8; x++ {
-		row := tmp[x*8 : x*8+8 : x*8+8]
-		for y := 0; y < 8; y++ {
-			var s float64
-			for v := 0; v < 8; v++ {
-				s += cosBasis[v][y] * row[v]
-			}
-			out[x*8+y] = clamp8(int32(math.Round(s)) + 128)
-		}
-	}
-}
 
 // fdct transforms level-shifted samples into DCT coefficients.
 func fdct(samples *[64]byte, out *block) {

@@ -3,7 +3,6 @@ package jpeg
 import (
 	"fmt"
 
-	"dlbooster/internal/cpukernel"
 	"dlbooster/internal/imageproc"
 	"dlbooster/internal/pix"
 )
@@ -65,19 +64,16 @@ type Header struct {
 
 	hMax, vMax   int
 	mcusX, mcusY int
-	scan         []byte        // entropy-coded data following the SOS header
-	segs         []scanSegment // restart-segment scratch (parallel.go), reused across parses
+	scan         []byte // entropy-coded data following the SOS header
 }
 
-// reset clears the header for reuse while keeping the Components and
-// restart-segment allocations, so repeated parses into the same Header
-// reach steady-state zero allocations.
+// reset clears the header for reuse while keeping the Components
+// allocation, so repeated parses into the same Header reach steady-state
+// zero allocations.
 func (h *Header) reset() {
 	comps := h.Components[:0]
-	segs := h.segs[:0]
 	*h = Header{}
 	h.Components = comps
-	h.segs = segs
 }
 
 // Coefficients holds the entropy-decoded, still-quantised DCT levels —
@@ -395,11 +391,7 @@ func (h *Header) EntropyDecode() (*Coefficients, error) {
 
 // EntropyDecodeInto is the reusable form of EntropyDecode: co's grids are
 // grown on demand and reused across calls, so steady-state decoding does
-// not allocate. Scans whose restart intervals carve the entropy data into
-// enough independent segments are decoded in parallel (parallel.go);
-// everything else — and any scan whose parallel decode hits a corrupt
-// segment — runs the sequential reference decoder, so the bytes produced
-// and the errors surfaced are identical either way.
+// not allocate.
 func (h *Header) EntropyDecodeInto(co *Coefficients) error {
 	blocks := 0
 	for _, c := range h.Components {
@@ -417,20 +409,12 @@ func (h *Header) EntropyDecodeInto(co *Coefficients) error {
 	if blocks > 4*len(h.scan) {
 		return errShortData
 	}
-	if segs, ok := h.restartSegments(); ok {
-		if err := h.entropyDecodeSegments(co, segs); err == nil {
-			parallelScansRun.Add(1)
-			return nil
-		}
-		// Fall through: the sequential re-run below re-initialises co and
-		// reproduces the exact error the sequential decoder surfaces.
-	}
 	co.init(h)
 	return h.entropyDecodeSequential(co, newBitReader(h.scan))
 }
 
-// entropyDecodeSequential is the reference single-goroutine scan decode,
-// over r into co's freshly initialised (all-zero) grids.
+// entropyDecodeSequential decodes the scan over r into co's freshly
+// initialised (all-zero) grids.
 func (h *Header) entropyDecodeSequential(co *Coefficients, r *bitReader) error {
 	var st scanTables
 	st.init(h)
@@ -452,28 +436,20 @@ func (h *Header) entropyDecodeSequential(co *Coefficients, r *bitReader) error {
 			}
 			sinceRestart = 0
 		}
-		if err := h.decodeMCU(&st, r, co, m, dcPred); err != nil {
-			return restartIntervalError(h, interval, err)
-		}
-		sinceRestart++
-	}
-	return nil
-}
-
-// decodeMCU decodes the blocks of MCU m, component by component, into
-// co: the walk the sequential decoder and the segment workers share.
-func (h *Header) decodeMCU(st *scanTables, r *bitReader, co *Coefficients, m int, dcPred []int32) error {
-	my, mx := m/h.mcusX, m%h.mcusX
-	for i := range h.Components {
-		c := &h.Components[i]
-		for v := 0; v < c.V; v++ {
-			for hh := 0; hh < c.H; hh++ {
-				blk := &co.comp[i][(my*c.V+v)*co.blocksX[i]+mx*c.H+hh]
-				if err := st.decodeBlock(r, i, blk, &dcPred[i]); err != nil {
-					return err
+		// The MCU's blocks, component by component.
+		my, mx := m/h.mcusX, m%h.mcusX
+		for i := range h.Components {
+			c := &h.Components[i]
+			for v := 0; v < c.V; v++ {
+				for hh := 0; hh < c.H; hh++ {
+					blk := &co.comp[i][(my*c.V+v)*co.blocksX[i]+mx*c.H+hh]
+					if err := st.decodeBlock(r, i, blk, &dcPred[i]); err != nil {
+						return restartIntervalError(h, interval, err)
+					}
 				}
 			}
 		}
+		sinceRestart++
 	}
 	return nil
 }
@@ -510,9 +486,8 @@ func (co *Coefficients) init(h *Header) {
 
 // expectRestart consumes the next restart marker, resynchronising the bit
 // reader. interval is the index of the restart interval just decoded, so
-// a corrupt or missing marker is attributed to the segment that broke —
-// the attribution the parallel segment decoder needs and that a plain
-// "marker out of sequence" loses.
+// a corrupt or missing marker is attributed to the segment that broke,
+// which a plain "marker out of sequence" loses.
 func (h *Header) expectRestart(r *bitReader, want byte, interval int) error {
 	m, err := r.nextMarker()
 	if err != nil {
@@ -540,9 +515,9 @@ func restartIntervalError(h *Header, interval int, err error) error {
 }
 
 // scanTables is the entropy-table working set of one baseline scan
-// decoder (sequential, or a restart-segment worker): per component its
-// DC and AC huffDecoders and the AC table's acValueTable. It lives on that
-// decoder's stack: no cost to the Header, nothing shared between workers.
+// decode: per component its DC and AC huffDecoders and the AC table's
+// acValueTable. It lives on the decoder's stack, at no cost to the
+// Header.
 type scanTables struct {
 	dc, ac [3]*huffDecoder // checkComponents caps components at 3
 	val    [3]acValueTable
@@ -661,13 +636,6 @@ func (co *Coefficients) Reconstruct() (*Planes, error) {
 func (co *Coefficients) reconstructInto(p *Planes, s int) error {
 	h := co.hdr
 	p.init(h)
-	// Branch once on the kernel selection and call the implementations
-	// directly: calling through kernelTable's function pointers would make
-	// the stack scratch below escape (three heap allocations per image).
-	fast := cpukernel.Fast()
-	if fast {
-		kernelSIMDDecodes.Add(1)
-	}
 	for i := range h.Components {
 		if !h.quantOK[h.Components[i].QuantID] {
 			return FormatError("missing quant table")
@@ -683,11 +651,7 @@ func (co *Coefficients) reconstructInto(p *Planes, s int) error {
 				for bx := 0; bx < co.blocksX[i]; bx++ {
 					blk := &co.comp[i][by*co.blocksX[i]+bx]
 					dequantize(blk, q, &deq)
-					if fast {
-						idctFast(&deq, &samples)
-					} else {
-						idct(&deq, &samples)
-					}
+					idctFast(&deq, &samples)
 					for y := 0; y < 8; y++ {
 						copy(plane[(by*8+y)*stride+bx*8:], samples[y*8:y*8+8])
 					}
@@ -699,11 +663,7 @@ func (co *Coefficients) reconstructInto(p *Planes, s int) error {
 		for by := 0; by < co.blocksY[i]; by++ {
 			for bx := 0; bx < co.blocksX[i]; bx++ {
 				blk := &co.comp[i][by*co.blocksX[i]+bx]
-				if fast {
-					idctScaledFast(blk, q, s, &samples)
-				} else {
-					idctScaled(blk, q, s, &samples)
-				}
+				idctScaledFast(blk, q, s, &samples)
 				for y := 0; y < s; y++ {
 					copy(plane[(by*s+y)*stride+bx*s:], samples[y*s:y*s+s])
 				}
@@ -781,13 +741,12 @@ func (p *Planes) renderInto(dst *pix.Image) {
 		}
 	}
 	out := dst.Pix
-	rowFn := activeKernels().ycbcrRow
 	for y := 0; y < dst.H; y++ {
 		yRow := p.data[0][(y>>shy[0])*p.stride[0]:]
 		cbRow := p.data[1][(y>>shy[1])*p.stride[1]:]
 		crRow := p.data[2][(y>>shy[2])*p.stride[2]:]
 		o := y * dst.W * 3
-		rowFn(out[o:o+dst.W*3], yRow, cbRow, crRow, dst.W, shx)
+		ycbcrRowFast(out[o:o+dst.W*3], yRow, cbRow, crRow, dst.W, shx)
 	}
 }
 

@@ -33,9 +33,9 @@ func entropyBenchCorpus(b *testing.B, n, restartInterval int) (jpegs [][]byte, m
 // jpeg.parse_us + jpeg.entropy_us (MB/s of compressed input is
 // jpeg.entropy_mb_s), Fused96 is jpeg.decode_fused_us on train-96 and
 // Floor1x1 is jpeg.decode_floor_us. dri16 is the same images encoded
-// with RestartInterval 16, so the restart-parallel path (parallel.go),
-// which no bench workload exercises, has a number next to the sequential
-// one.
+// with RestartInterval 16: it measures what restart markers cost the
+// sequential entropy decoder, which no bench workload exercises, next to
+// the plain stream's number.
 func BenchmarkEntropyDecode(b *testing.B) {
 	const images = 8
 	staged := func(jpegs [][]byte, meanBytes int64) func(b *testing.B) {

@@ -47,8 +47,8 @@ var parityStores [2]Coefficients
 // requireReaderParity decodes data's scan through the bulk-refill reader
 // and through the byte-wise-only reader and requires identical
 // coefficients and error strings — and, for a stream that decodes,
-// pixels identical to Decode's (which may have taken the restart-parallel
-// path). Streams Parse refuses never reach a reader and are skipped.
+// pixels identical to Decode's. Streams Parse refuses never reach a
+// reader and are skipped.
 func requireReaderParity(t *testing.T, name string, data []byte) {
 	t.Helper()
 	h, err := Parse(data)

@@ -1,99 +1,30 @@
 package jpeg
 
-// The pluggable decode-kernel layer. The three hot loops of the decoder
-// — iDCT (full and scaled), YCbCr→RGB, and (in internal/imageproc) the
-// bilinear resizer — exist in two implementations: the portable scalar
-// reference (dct.go, scaled.go, color.go: clarity-first, the code the
-// paper's CPU baseline burns cores on) and the fast kernels in this
-// file, selected at init through the internal/cpukernel capability
-// registry — the same register-by-name pattern the FPGA mirror registry
-// uses — with a kill switch (DLBOOSTER_NO_SIMD,
-// cpukernel.SetScalarOnly, dlbench -no-simd) that pins the scalar
-// reference everywhere.
+// The fast decode kernels: the iDCT (full and scaled) and YCbCr→RGB
+// loops every decode runs. The bilinear resizer's counterpart lives in
+// internal/imageproc (resize_fast.go).
 //
-// The fast kernels are required to be numerically EXACT against the
-// scalar reference — byte-for-byte on every input, not PSNR-close — so
-// the capability switch can never change decoded pixels, only decode
-// speed. That rules out approximating the float64 iDCT with fixed
-// point; instead the fast iDCT wins by restructuring the same float
-// arithmetic (hoisting the int32 dequantise-and-convert out of the
-// basis loops, unrolling the s-point transforms, and skipping
-// exactly-zero coefficient columns — adding ±0.0 to a float sum is an
-// identity, so sparsity short-cuts are bit-exact), while the YCbCr and
-// resize kernels are genuine fixed-point/SWAR restructurings of loops
-// that were already integer: hoisted per-chroma-sample products shared
-// by the 2×-subsampled pixel pair, branchless sign-mask clamps, and
-// precomputed resize weight tables. Parity is CI-pinned with the kill
-// switch both on and off (kernels_test.go).
+// Each kernel is numerically EXACT against a reference — byte-for-byte
+// on every input, not PSNR-close. The float iDCT references idct and
+// idctScaled live in reference_test.go; ycbcrRowScalar stays here
+// because ycbcrRowFast falls back to it for layouts it does not cover.
+// Exactness rules out approximating the float64 iDCT with fixed point;
+// instead the fast iDCT wins by restructuring the same float arithmetic
+// (hoisting the int32 dequantise-and-convert out of the basis loops,
+// unrolling the s-point transforms, and skipping exactly-zero
+// coefficient columns — adding ±0.0 to a float sum is an identity, so
+// sparsity short-cuts are bit-exact), while the YCbCr and resize
+// kernels are genuine fixed-point/SWAR restructurings of loops that
+// were already integer: hoisted per-chroma-sample products shared by
+// the 2×-subsampled pixel pair, branchless sign-mask clamps, and
+// precomputed resize weight tables. Parity is pinned per kernel and
+// over whole decodes (kernels_test.go, reference_test.go).
 
-import (
-	"math"
-	"sync/atomic"
+import "math"
 
-	"dlbooster/internal/cpukernel"
-)
-
-// swarKernelName is the fast pure-Go implementation's registry name.
-const swarKernelName = "swar"
-
-func init() {
-	// Pure-Go SWAR kernels run on every host; a future architecture-
-	// specific assembly kernel would register at a higher priority with
-	// a real capability probe.
-	cpukernel.Register(cpukernel.Impl{Name: swarKernelName, Priority: 10})
-}
-
-// kernelTable binds one implementation of each in-package hot loop.
-type kernelTable struct {
-	name       string
-	idct       func(coef *block, out *[64]byte)
-	idctScaled func(blk *block, q *QuantTable, s int, out *[16]byte)
-	ycbcrRow   func(out, yRow, cbRow, crRow []byte, w int, shx [3]uint)
-}
-
-var scalarKernelTable = kernelTable{
-	name:       cpukernel.ScalarName,
-	idct:       idct,
-	idctScaled: idctScaled,
-	ycbcrRow:   ycbcrRowScalar,
-}
-
-var swarKernelTable = kernelTable{
-	name:       swarKernelName,
-	idct:       idctFast,
-	idctScaled: idctScaledFast,
-	ycbcrRow:   ycbcrRowFast,
-}
-
-// activeKernels resolves the kernel table for this decode: one atomic
-// load, so per-image dispatch is free and a kill-switch flip mid-run
-// affects the next image, never a half-decoded one.
-func activeKernels() *kernelTable {
-	if cpukernel.Fast() {
-		return &swarKernelTable
-	}
-	return &scalarKernelTable
-}
-
-// Process-global kernel accounting, surfaced by core.Booster as the
-// decode_kernel_simd_total and decode_parallel_scans_total registry
-// counters.
-var (
-	kernelSIMDDecodes atomic.Int64
-	parallelScansRun  atomic.Int64
-)
-
-// KernelSIMDDecodes returns the number of images reconstructed with a
-// non-scalar kernel table (process-global).
-func KernelSIMDDecodes() int64 { return kernelSIMDDecodes.Load() }
-
-// ParallelScans returns the number of scans whose entropy-coded restart
-// segments were decoded in parallel (process-global).
-func ParallelScans() int64 { return parallelScansRun.Load() }
-
-// KernelName reports the active kernel implementation ("scalar" or
-// "swar"), for dlbench banners and doctor output.
-func KernelName() string { return cpukernel.Active() }
+// KernelName names the decode kernels ("swar": pure-Go SWAR), for the
+// bench fingerprint.
+func KernelName() string { return "swar" }
 
 // --- fast iDCT kernels -------------------------------------------------
 

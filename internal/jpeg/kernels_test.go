@@ -2,80 +2,18 @@ package jpeg
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
-	"dlbooster/internal/cpukernel"
-	"dlbooster/internal/imageproc"
 	"dlbooster/internal/pix"
 )
 
-// The kernel layer's contract is exact numeric parity: every fast kernel
-// must produce byte-identical output to its scalar reference on every
-// input, so the cpukernel selection (and the kill switch) can never
-// change decoded pixels. These tests enforce that contract three ways —
-// exhaustive/randomised unit parity per kernel, golden-corpus decode
-// parity with the kill switch toggled, and structural checks on the
-// kernel tables themselves.
-
-// scalarOnlyGuard flips the kill switch for a test and restores the
-// previous state on cleanup.
-func scalarOnlyGuard(t *testing.T, disable bool) {
-	t.Helper()
-	prev := cpukernel.ScalarOnly()
-	cpukernel.SetScalarOnly(disable)
-	t.Cleanup(func() { cpukernel.SetScalarOnly(prev) })
-}
-
-func TestKernelRegistryState(t *testing.T) {
-	names := cpukernel.Names()
-	want := map[string]bool{cpukernel.ScalarName: false, swarKernelName: false}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
-		}
-	}
-	for n, seen := range want {
-		if !seen {
-			t.Errorf("registry missing kernel %q (have %v)", n, names)
-		}
-	}
-	scalarOnlyGuard(t, false)
-	if got := cpukernel.Active(); got != swarKernelName {
-		t.Errorf("active kernel %q with kill switch released, want %q", got, swarKernelName)
-	}
-	if !cpukernel.Fast() {
-		t.Error("Fast() false with swar active")
-	}
-	cpukernel.SetScalarOnly(true)
-	if got := cpukernel.Active(); got != cpukernel.ScalarName {
-		t.Errorf("active kernel %q under kill switch, want scalar", got)
-	}
-	if cpukernel.Fast() {
-		t.Error("Fast() true under kill switch")
-	}
-	if KernelName() != cpukernel.ScalarName {
-		t.Errorf("KernelName() = %q under kill switch", KernelName())
-	}
-}
-
-func TestKernelTablesComplete(t *testing.T) {
-	for _, tab := range []*kernelTable{&scalarKernelTable, &swarKernelTable} {
-		if tab.name == "" || tab.idct == nil || tab.idctScaled == nil || tab.ycbcrRow == nil {
-			t.Errorf("kernel table %+v has missing entries", tab.name)
-		}
-	}
-	scalarOnlyGuard(t, true)
-	if activeKernels() != &scalarKernelTable {
-		t.Error("activeKernels() not scalar under kill switch")
-	}
-	cpukernel.SetScalarOnly(false)
-	if activeKernels() != &swarKernelTable {
-		t.Error("activeKernels() not swar with kill switch released")
-	}
-}
+// Every fast kernel must produce byte-identical output to its reference
+// on every input. These tests check that per kernel, over exhaustive or
+// randomised inputs; TestKernelGoldenCorpusByteParity and
+// TestKernelKillSwitchFullPipeline (reference_test.go) check it over whole
+// decodes.
 
 func TestKernelClamp8BranchlessMatchesClamp8(t *testing.T) {
 	for v := int32(-1 << 20); v <= 1<<20; v++ {
@@ -132,9 +70,6 @@ func TestKernelIDCTExactParity(t *testing.T) {
 func TestKernelIDCTScaledExactParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(8072026))
 	var q QuantTable
-	for s := range []int{1, 2, 4} {
-		_ = s
-	}
 	for _, s := range []int{1, 2, 4} {
 		for trial := 0; trial < 400; trial++ {
 			for i := range q {
@@ -204,76 +139,6 @@ func goldenCorpus(t *testing.T) map[string][]byte {
 	add("420-dri", smoothImage(512, 384, 3, 6), EncodeOptions{Quality: 88, Subsample420: true, RestartInterval: 8})
 	add("gray-dri", smoothImage(320, 320, 1, 7), EncodeOptions{Quality: 88, RestartInterval: 16})
 	return corpus
-}
-
-// TestKernelGoldenCorpusByteParity is the tentpole acceptance test: every
-// stream in the corpus must decode byte-identically with the fast
-// kernels and with the kill switch engaged — full decode and the fused
-// decode-to-scale path at several target geometries.
-func TestKernelGoldenCorpusByteParity(t *testing.T) {
-	corpus := goldenCorpus(t)
-	targets := []struct{ w, h int }{{96, 96}, {64, 48}, {224, 224}, {33, 27}}
-	for name, data := range corpus {
-		scalarOnlyGuard(t, true)
-		wantFull, err := Decode(data)
-		if err != nil {
-			t.Fatalf("%s: scalar decode: %v", name, err)
-		}
-		cpukernel.SetScalarOnly(false)
-		gotFull, err := Decode(data)
-		if err != nil {
-			t.Fatalf("%s: fast decode: %v", name, err)
-		}
-		if !bytes.Equal(wantFull.Pix, gotFull.Pix) {
-			t.Errorf("%s: full decode differs between scalar and fast kernels", name)
-		}
-		for _, tg := range targets {
-			var scScalar, scFast Scratch
-			want := pix.New(tg.w, tg.h, wantFull.C)
-			got := pix.New(tg.w, tg.h, wantFull.C)
-			cpukernel.SetScalarOnly(true)
-			wantScale, err := DecodeScaledInto(data, want, &scScalar)
-			if err != nil {
-				t.Fatalf("%s→%dx%d: scalar scaled decode: %v", name, tg.w, tg.h, err)
-			}
-			cpukernel.SetScalarOnly(false)
-			gotScale, err := DecodeScaledInto(data, got, &scFast)
-			if err != nil {
-				t.Fatalf("%s→%dx%d: fast scaled decode: %v", name, tg.w, tg.h, err)
-			}
-			if wantScale != gotScale {
-				t.Errorf("%s→%dx%d: scale %d vs %d across kill switch", name, tg.w, tg.h, wantScale, gotScale)
-			}
-			if !bytes.Equal(want.Pix, got.Pix) {
-				t.Errorf("%s→%dx%d: scaled decode differs between scalar and fast kernels", name, tg.w, tg.h)
-			}
-		}
-	}
-}
-
-// TestKernelSIMDCounter: the simd counter moves exactly when a fast
-// reconstruction runs.
-func TestKernelSIMDCounter(t *testing.T) {
-	img := smoothImage(64, 64, 3, 9)
-	data, err := Encode(img, DefaultEncodeOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	scalarOnlyGuard(t, true)
-	before := KernelSIMDDecodes()
-	if _, err := Decode(data); err != nil {
-		t.Fatal(err)
-	}
-	if got := KernelSIMDDecodes(); got != before {
-		t.Errorf("simd counter moved %d under kill switch", got-before)
-	}
-	cpukernel.SetScalarOnly(false)
-	if _, err := Decode(data); err != nil {
-		t.Fatal(err)
-	}
-	if got := KernelSIMDDecodes(); got != before+1 {
-		t.Errorf("simd counter %d after fast decode, want %d", got, before+1)
-	}
 }
 
 // TestDecodeScaledIntoPerScaleZeroAllocs extends the steady-state pin to
@@ -351,72 +216,5 @@ func BenchmarkDecodeScaledInto(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkDecodeScaledIntoScalar is the same hot loop with the kill
-// switch engaged — the ablation pair for BenchmarkDecodeScaledInto.
-func BenchmarkDecodeScaledIntoScalar(b *testing.B) {
-	prev := cpukernel.ScalarOnly()
-	cpukernel.SetScalarOnly(true)
-	b.Cleanup(func() { cpukernel.SetScalarOnly(prev) })
-	for _, cse := range perScaleBenchCases() {
-		b.Run(cse.name, func(b *testing.B) {
-			img := smoothImage(cse.srcW, cse.srcH, 3, 51)
-			data, err := Encode(img, DefaultEncodeOptions())
-			if err != nil {
-				b.Fatal(err)
-			}
-			var sc Scratch
-			dst := pix.New(cse.dstW, cse.dstH, 3)
-			if _, err := DecodeScaledInto(data, dst, &sc); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := DecodeScaledInto(data, dst, &sc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// TestKernelKillSwitchFullPipeline drives the legacy staged pipeline
-// (Parse → EntropyDecode → Reconstruct → ToImage → ResizeInto) across
-// the kill switch, covering the resize kernel dispatch in imageproc.
-func TestKernelKillSwitchFullPipeline(t *testing.T) {
-	img := smoothImage(333, 251, 3, 10)
-	data, err := Encode(img, DefaultEncodeOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func() *pix.Image {
-		full, err := Decode(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dst := pix.New(96, 96, 3)
-		if err := imageproc.ResizeInto(full, dst, imageproc.Bilinear); err != nil {
-			t.Fatal(err)
-		}
-		return dst
-	}
-	scalarOnlyGuard(t, true)
-	want := run()
-	cpukernel.SetScalarOnly(false)
-	got := run()
-	if !bytes.Equal(want.Pix, got.Pix) {
-		t.Error("full pipeline output differs across the kernel kill switch")
-	}
-}
-
-func init() {
-	// Kernel parity tests toggle the process-global kill switch; make any
-	// accidental parallel use loud instead of flaky.
-	if cpukernel.Active() == "" {
-		panic(fmt.Sprintf("cpukernel registry empty: %v", cpukernel.Names()))
 	}
 }

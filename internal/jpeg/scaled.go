@@ -38,42 +38,6 @@ var scaledBasis = func() (b [3][4][4]float64) {
 	return b
 }()
 
-// idctScaled dequantises the s² low-frequency coefficients of blk and
-// inverse-transforms them into an s×s tile (row-major in out), for
-// s ∈ {1, 2, 4}. Higher-frequency coefficients are dropped — they cannot
-// survive the downsample the caller is about to perform anyway.
-func idctScaled(blk *block, q *QuantTable, s int, out *[16]byte) {
-	si := 0
-	switch s {
-	case 2:
-		si = 1
-	case 4:
-		si = 2
-	}
-	b := &scaledBasis[si]
-	var tmp [16]float64
-	// Columns: tmp[x*s+v] = Σ_u basis[u][x] · coef[u][v]
-	for v := 0; v < s; v++ {
-		for x := 0; x < s; x++ {
-			var sum float64
-			for u := 0; u < s; u++ {
-				sum += b[u][x] * float64(blk[u*8+v]*int32(q[u*8+v]))
-			}
-			tmp[x*s+v] = sum
-		}
-	}
-	// Rows: tile[x][y] = Σ_v basis[v][y] · tmp[x*s+v]
-	for x := 0; x < s; x++ {
-		for y := 0; y < s; y++ {
-			var sum float64
-			for v := 0; v < s; v++ {
-				sum += b[v][y] * tmp[x*s+v]
-			}
-			out[x*s+y] = clamp8(int32(math.Round(sum)) + 128)
-		}
-	}
-}
-
 // ScaleFor returns the smallest supported iDCT scale s ∈ {1, 2, 4, 8}
 // whose scaled output (see ScaledSize) still covers dstW×dstH, so the
 // residual bilinear pass only ever downsamples. 8 means full decode:

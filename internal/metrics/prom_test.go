@@ -230,7 +230,7 @@ func TestPrometheusLabelEscaping(t *testing.T) {
 
 func TestPromValidatorRejectsBadInput(t *testing.T) {
 	for _, bad := range []string{
-		"no_type_metric 1",                                       // sample without TYPE
+		"no_type_metric 1", // sample without TYPE
 		"# HELP m help\n# TYPE m counter\nm{x=\"\\t\"} 1",        // illegal escape
 		"# HELP m help\n# TYPE m counter\nm nope",                // bad value
 		"# HELP m help\n# TYPE m counter\n# TYPE m counter\nm 1", // duplicate TYPE

@@ -82,9 +82,9 @@ func TestCompleteSpanDerivesStages(t *testing.T) {
 	r := NewRegistry()
 	t0 := time.Now()
 	sp := Span{
-		Batch:     1,
-		Collected: t0,
-		Published: t0.Add(10 * time.Millisecond),
+		Batch:      1,
+		Collected:  t0,
+		Published:  t0.Add(10 * time.Millisecond),
 		Dispatched: t0.Add(12 * time.Millisecond),
 		Synced:     t0.Add(15 * time.Millisecond),
 		Recycled:   t0.Add(16 * time.Millisecond),

@@ -82,8 +82,8 @@ func main() {
 	writeFile(filepath.Join(driDir, "dri-422.jpg"), d422)
 	writeFile(filepath.Join(driDir, "dri-gray.jpg"), dGray)
 
-	// Truncated/corrupted-segment corpus seeds: the shapes the parallel
-	// segment scanner and its sequential fallback must survive.
+	// Truncated/corrupted-segment corpus seeds: the restart-marker
+	// shapes the entropy decoder must reject cleanly.
 	rst3 := bytes.Index(d420, []byte{0xFF, 0xD3})
 	if rst3 < 0 {
 		must(fmt.Errorf("no RST3 marker in dri-420 fixture"))
