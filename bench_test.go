@@ -469,22 +469,15 @@ func BenchmarkSpectrogram(b *testing.B) {
 	p := audio.DefaultSpectrogramParams()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := audio.Spectrogram(wav, p); err != nil {
+		clip, err := audio.DecodeWAV(wav)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkFloat16Normalize measures the half-precision tensor path.
-func BenchmarkFloat16Normalize(b *testing.B) {
-	img := dataset.ILSVRCLike(1).Image(0)
-	mean := []float32{128, 128, 128}
-	std := []float32{64, 64, 64}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := imageproc.NormalizeF16(img, mean, std); err != nil {
+		frames, err := audio.ExtractFrames(clip, p)
+		if err != nil {
 			b.Fatal(err)
 		}
+		frames.ToImage()
 	}
 }
 

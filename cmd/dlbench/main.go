@@ -110,10 +110,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dlbench: %v\n", err)
 		os.Exit(1)
 	}
-	for i, f := range figs {
-		if i > 0 {
-			fmt.Println()
-		}
-		fmt.Print(f.Render())
-	}
+	fmt.Print(experiments.RenderAll(figs))
 }

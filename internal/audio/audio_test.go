@@ -225,10 +225,15 @@ func TestSpectrogramImage(t *testing.T) {
 	clip := Synth(5, 16000, 16000)
 	wav, _ := EncodeWAV(clip)
 	p := DefaultSpectrogramParams()
-	img, err := Spectrogram(wav, p)
+	decoded, err := DecodeWAV(wav)
 	if err != nil {
 		t.Fatal(err)
 	}
+	frames, err := ExtractFrames(decoded, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := frames.ToImage()
 	if img.W != p.MaxFrames || img.H != p.Coeffs || img.C != 1 {
 		t.Fatalf("geometry %dx%dx%d", img.W, img.H, img.C)
 	}
@@ -242,7 +247,7 @@ func TestSpectrogramImage(t *testing.T) {
 	if nonZero < len(img.Pix)/20 {
 		t.Fatalf("spectrogram nearly empty: %d/%d non-zero", nonZero, len(img.Pix))
 	}
-	if _, err := Spectrogram([]byte("garbage"), p); err == nil {
+	if _, err := DecodeWAV([]byte("garbage")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }

@@ -160,16 +160,3 @@ func (fr *Frames) RenderInto(img *pix.Image) {
 		}
 	}
 }
-
-// Spectrogram is the one-call form: WAV bytes → raster.
-func Spectrogram(wav []byte, p SpectrogramParams) (*pix.Image, error) {
-	clip, err := DecodeWAV(wav)
-	if err != nil {
-		return nil, err
-	}
-	frames, err := ExtractFrames(clip, p)
-	if err != nil {
-		return nil, err
-	}
-	return frames.ToImage(), nil
-}

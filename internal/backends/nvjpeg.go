@@ -193,11 +193,11 @@ func (n *NvJPEG) decodeOnDevice(ref fpga.DataRef, b *nvBatch, idx int) {
 		if err != nil || img.C != bt.C {
 			return false
 		}
-		dst, err := pix.FromBytes(bt.W, bt.H, bt.C, bt.Image(idx))
+		dst, err := pix.View(bt.W, bt.H, bt.C, bt.Image(idx))
 		if err != nil {
 			return false
 		}
-		return imageproc.ResizeInto(img, dst, imageproc.Bilinear) == nil
+		return imageproc.ResizeInto(img, &dst, imageproc.Bilinear) == nil
 	}()
 	n.dev.RecordKernelBusy(time.Since(start))
 	n.Settle(b.batch, idx, ok)

@@ -126,7 +126,7 @@ func TestRunEpochFromDisk(t *testing.T) {
 			}
 		}
 	}
-	got, err := pix.FromBytes(28, 28, 1, img0)
+	got, err := pix.View(28, 28, 1, img0)
 	if err != nil {
 		t.Fatal(err)
 	}

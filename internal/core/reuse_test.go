@@ -8,7 +8,6 @@ import (
 
 	"dlbooster/internal/dataset"
 	"dlbooster/internal/fpga"
-	"dlbooster/internal/imageproc"
 	"dlbooster/internal/jpeg"
 	"dlbooster/internal/pix"
 )
@@ -47,27 +46,14 @@ func cpuDecodeStreams(t *testing.T) map[int][][]byte {
 
 // TestCPUDecodeReuseParity interleaves the streams in shuffled orders
 // through one Booster's host decode path: each output must equal a
-// decode that reused nothing.
+// decode that reused nothing (jpeg.DecodeScaledInto with a new Scratch).
 func TestCPUDecodeReuseParity(t *testing.T) {
 	for c, streams := range cpuDecodeStreams(t) {
 		b := newBooster(t, Config{BatchSize: 1, OutW: 96, OutH: 96, Channels: c})
 		want := make([][]byte, len(streams))
 		for i, data := range streams {
-			cfg, err := jpeg.DecodeConfig(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var img *pix.Image
-			if jpeg.ScaleFor(cfg.Width, cfg.Height, 96, 96) == 8 {
-				img, err = jpeg.Decode(data)
-			} else {
-				img, _, err = jpeg.DecodeScaled(data, 96, 96)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
 			dst := pix.New(96, 96, c)
-			if err := imageproc.ResizeInto(img, dst, imageproc.Bilinear); err != nil {
+			if _, err := jpeg.DecodeScaledInto(data, dst, new(jpeg.Scratch)); err != nil {
 				t.Fatal(err)
 			}
 			want[i] = dst.Pix

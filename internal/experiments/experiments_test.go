@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"math"
+	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -83,6 +86,79 @@ func TestFigure5DLBoosterBeatsBaselines(t *testing.T) {
 				if dlb.Throughput < base.Throughput {
 					t.Fatalf("%s %dGPU: DLBooster %.0f < %s %.0f", m.Name, g, dlb.Throughput, be, base.Throughput)
 				}
+			}
+		}
+	}
+}
+
+// TestFigure5NoBackendAboveBoundary: the upper boundary is synthetic
+// data, so no backend row of a Figure 5 panel may beat it, at 1 GPU or 2.
+func TestFigure5NoBackendAboveBoundary(t *testing.T) {
+	for _, run := range []func() (Figure, error){Figure5a, Figure5b, Figure5c} {
+		fig, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := fig.Rows[len(fig.Rows)-1]
+		if bound[0] != "Upper boundary" {
+			t.Fatalf("%s: last row is %q, want the upper boundary", fig.ID, bound[0])
+		}
+		for _, row := range fig.Rows[:len(fig.Rows)-1] {
+			for col := 1; col <= 2; col++ {
+				got, err1 := strconv.ParseFloat(row[col], 64)
+				max, err2 := strconv.ParseFloat(bound[col], 64)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("%s: unparsable cells %q, %q", fig.ID, row[col], bound[col])
+				}
+				if got > max {
+					t.Errorf("%s: %s %s = %s above the boundary's %s", fig.ID, row[0], fig.Header[col], row[col], bound[col])
+				}
+			}
+		}
+	}
+}
+
+// analyticBound is n GPUs' synthetic-data rate: the per-GPU ideal rate
+// discounted by gradient synchronisation.
+func analyticBound(m perf.TrainProfile, n int) float64 {
+	return float64(n) * m.IdealRate * perf.MultiGPUSyncEfficiency(n)
+}
+
+// TestIdealMatchesAnalyticBound: the boundary rows are measured on a
+// simulated pipeline, so they must read the closed-form rate, also when
+// n GPUs finish their batches at one instant.
+func TestIdealMatchesAnalyticBound(t *testing.T) {
+	for _, m := range perf.TrainProfiles {
+		for _, n := range []int{1, 2, 4, 8} {
+			got := train(t, TrainSetup{Model: m, Backend: Ideal, GPUs: n}).Throughput
+			want := analyticBound(m, n)
+			if d := got/want - 1; d > 0.001 || d < -0.001 {
+				t.Errorf("%s %d GPUs: ideal %.1f, analytic %.1f (%+.2f %%)", m.Name, n, got, want, d*100)
+			}
+		}
+	}
+}
+
+// TestScalabilityBelowAnalyticBound: no backend of the scale figure
+// beats n GPUs' synthetic-data rate.
+func TestScalabilityBelowAnalyticBound(t *testing.T) {
+	fig, err := Scalability()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range fig.Rows {
+		n, err := strconv.Atoi(row[0])
+		if err != nil {
+			t.Fatalf("unparsable GPU count %q", row[0])
+		}
+		bound := analyticBound(perf.AlexNet, n)
+		for _, col := range []int{2, 4} { // CPU-based, DLBooster
+			got, err := strconv.ParseFloat(row[col], 64)
+			if err != nil {
+				t.Fatalf("unparsable cell %q", row[col])
+			}
+			if got > math.Round(bound) {
+				t.Errorf("%d GPUs: %s = %s above the analytic bound %.1f", n, fig.Header[col], row[col], bound)
 			}
 		}
 	}
@@ -439,6 +515,14 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestAllFiguresRunAndRender is the behavioural baseline: every figure
+// and ablation, rendered as dlbench prints them, must equal
+// testdata/figures.golden byte for byte. After a change that is meant to
+// move a figure, regenerate the file from the repository root with
+//
+//	go run ./cmd/dlbench > internal/experiments/testdata/figures.golden
+//
+// and say in the change which figures moved and why.
 func TestAllFiguresRunAndRender(t *testing.T) {
 	figs, err := All()
 	if err != nil {
@@ -453,10 +537,6 @@ func TestAllFiguresRunAndRender(t *testing.T) {
 			t.Fatalf("duplicate figure id %s", f.ID)
 		}
 		ids[f.ID] = true
-		out := f.Render()
-		if !strings.Contains(out, f.ID) || len(f.Rows) == 0 {
-			t.Fatalf("figure %s renders badly:\n%s", f.ID, out)
-		}
 	}
 	abls, err := Ablations()
 	if err != nil {
@@ -464,5 +544,19 @@ func TestAllFiguresRunAndRender(t *testing.T) {
 	}
 	if len(abls) != 5 {
 		t.Fatalf("ablations = %d", len(abls))
+	}
+	want, err := os.ReadFile("testdata/figures.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := RenderAll(append(figs, abls...))
+	if got != string(want) {
+		gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+			if gotLines[i] != wantLines[i] {
+				t.Fatalf("rendered figures differ from testdata/figures.golden at line %d:\ngot  %q\nwant %q", i+1, gotLines[i], wantLines[i])
+			}
+		}
+		t.Fatalf("rendered figures have %d lines, testdata/figures.golden %d", len(gotLines), len(wantLines))
 	}
 }

@@ -54,6 +54,16 @@ func (f Figure) Render() string {
 	return b.String()
 }
 
+// RenderAll renders figures in order with a blank line between two: what
+// dlbench prints.
+func RenderAll(figs []Figure) string {
+	out := make([]string, len(figs))
+	for i, f := range figs {
+		out[i] = f.Render()
+	}
+	return strings.Join(out, "\n")
+}
+
 func f0(v float64) string { return fmt.Sprintf("%.0f", v) }
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }

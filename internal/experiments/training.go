@@ -210,7 +210,8 @@ func RunTraining(s TrainSetup) (TrainResult, error) {
 
 	// Closed loop: 4 circulating batch buffers per GPU.
 	gpus := simtime.NewServer(sim, n)
-	var batchesDone int64
+	var first, last simtime.Time // the first and last completion instants after the warm-up (0: none yet)
+	var done int64               // batches completed after first, up to last
 	const (
 		warmup  = 2 * simtime.Second
 		horizon = 12 * simtime.Second
@@ -219,8 +220,14 @@ func RunTraining(s TrainSetup) (TrainResult, error) {
 	inject = func(at int) {
 		if at >= len(chain) {
 			gpus.Visit(gpuSvc, func() {
-				if sim.Now() > warmup {
-					batchesDone++
+				if now := sim.Now(); now > warmup {
+					if first == 0 {
+						first = now
+					}
+					if now > first {
+						last = now
+						done++
+					}
 				}
 				inject(0)
 			})
@@ -234,8 +241,16 @@ func RunTraining(s TrainSetup) (TrainResult, error) {
 	}
 	sim.RunUntil(horizon)
 
-	window := (horizon - warmup).Seconds()
-	throughput := float64(batchesDone) * float64(batch) / window
+	// The rate between the first and the last completion instant after
+	// the warm-up, counting only the batches that complete after the
+	// first instant. Counting completions in a fixed window would let the
+	// pipeline's phase add or drop one batch at the window's edges, and
+	// counting the first instant's batches would overstate GPUs that
+	// finish in lockstep (n completions at one instant).
+	throughput := 0.0
+	if done > 0 {
+		throughput = float64(done) * float64(batch) / (last - first).Seconds()
+	}
 
 	// CPU cores (Figure 6): engine constants plus backend-specific
 	// preprocessing, derived from achieved throughput.

@@ -68,8 +68,8 @@ type Config struct {
 	WindowLen   int
 }
 
-// Validate reports configuration errors: rates outside [0, 1] or
-// negative counters and durations.
+// Validate reports configuration errors: rates outside [0, 1] (NaN
+// included) or negative counters and durations.
 func (c Config) Validate() error {
 	for _, r := range []struct {
 		name string
@@ -80,7 +80,7 @@ func (c Config) Validate() error {
 		{"drop-rate", c.DropRate},
 		{"delay-rate", c.DelayRate},
 	} {
-		if r.v < 0 || r.v > 1 {
+		if !(r.v >= 0 && r.v <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("faults: %s %v outside [0, 1]", r.name, r.v)
 		}
 	}
@@ -380,13 +380,4 @@ func ParseSpec(spec string) (Config, error) {
 		return Config{}, err
 	}
 	return cfg, nil
-}
-
-// MustParseSpec is ParseSpec for tests and fixed demo strings.
-func MustParseSpec(spec string) Config {
-	cfg, err := ParseSpec(spec)
-	if err != nil {
-		panic(err)
-	}
-	return cfg
 }

@@ -222,11 +222,37 @@ func TestParseSpec(t *testing.T) {
 	if cfg, err := ParseSpec("  "); err != nil || cfg.Enabled() {
 		t.Fatalf("empty spec: %+v, %v", cfg, err)
 	}
-	for _, bad := range []string{"fail-rate", "bogus=1", "fail-rate=x", "fail-rate=3"} {
+	for _, bad := range []string{"fail-rate", "bogus=1", "fail-rate=x", "fail-rate=3",
+		"fail-rate=NaN", "corrupt-rate=nan", "drop-rate=NaN", "delay-rate=NaN"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
 	}
+}
+
+// FuzzParseSpec: whatever ParseSpec accepts passes Validate, with every
+// rate in [0, 1].
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"seed=7, fail-rate=0.25,fail-every=4,corrupt-rate=0.5,drop-every=10,delay=2ms,delay-every=5,stuck-after=100,window-start=10,window-len=50",
+		"fail-rate=NaN", "delay-rate=1,delay=1s", "stuck-after=3", "",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("ParseSpec(%q) accepted a config Validate rejects: %v", spec, err)
+		}
+		for _, r := range []float64{cfg.FailRate, cfg.CorruptRate, cfg.DropRate, cfg.DelayRate} {
+			if !(r >= 0 && r <= 1) {
+				t.Fatalf("ParseSpec(%q) accepted rate %v", spec, r)
+			}
+		}
+	})
 }
 
 func TestErrInjectedIdentity(t *testing.T) {

@@ -22,6 +22,7 @@
 package fpga
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -124,6 +125,30 @@ type Pipeline struct {
 
 // NewPipeline loads m.
 func NewPipeline(m Mirror) *Pipeline { return &Pipeline{dec: m.NewDecoder()} }
+
+// lastSample is the first image the JPEG board that closed last parsed,
+// with its output size: a JPEG board built later decodes it before it
+// opens (Pipeline.warm), so its first commands allocate no stage buffer.
+var lastSample atomic.Pointer[Cmd]
+
+// warm decodes s once per worker, holding every job and then every image
+// until the last, so each list starts with the stock n busy workers grow
+// (the planes, taken and returned inside one call, with one).
+func (p *Pipeline) warm(s *Cmd, n int) {
+	jobs := make([]Job, 0, n)
+	for len(jobs) < n {
+		job, err := p.dec.Parse(s.Data.Inline)
+		if err != nil || p.entropy(job) != nil {
+			break
+		}
+		jobs = append(jobs, job)
+	}
+	for _, job := range jobs {
+		if img, _, err := p.reconstruct(job, s.OutW, s.OutH); err == nil {
+			defer p.images.put(img)
+		}
+	}
+}
 
 // Decode runs parse → entropy decode → reconstruct → resize over data
 // into dst, which fixes the output geometry, and reports the iDCT scale.
@@ -297,6 +322,7 @@ type Device struct {
 
 	mirror Mirror
 	pipe   *Pipeline
+	sample atomic.Pointer[Cmd] // lastSample once the board closes
 
 	cmds        *queue.Queue[Cmd]
 	completions *queue.Queue[Completion]
@@ -357,6 +383,9 @@ func New(cfg Config, arena *hugepage.Arena, source DataSource, mirror Mirror) (*
 		reg:         make(map[uint64]cmdState),
 	}
 	d.regCond = sync.NewCond(&d.regMu)
+	if s := lastSample.Load(); s != nil && d.jpeg() {
+		d.pipe.warm(s, cfg.workers())
+	}
 	d.start()
 	return d, nil
 }
@@ -502,6 +531,9 @@ func (d *Device) Close() {
 		d.cmds.Close()
 		d.wg.Wait()
 		d.completions.Close()
+		if s := d.sample.Load(); s != nil {
+			lastSample.Store(s)
+		}
 	})
 }
 
@@ -699,8 +731,14 @@ func (d *Device) parseCmd(cmd Cmd, corrupt bool) (Job, error) {
 		// real decode-error path downstream is exercised end to end.
 		data = d.cfg.Inject.CorruptBytes(append([]byte(nil), data...))
 	}
-	return d.pipe.dec.Parse(data)
+	job, err := d.pipe.dec.Parse(data)
+	if err == nil && !corrupt && d.jpeg() && d.sample.Load() == nil {
+		d.sample.CompareAndSwap(nil, &Cmd{Data: DataRef{Inline: bytes.Clone(data)}, OutW: cmd.OutW, OutH: cmd.OutH})
+	}
+	return job, err
 }
+
+func (d *Device) jpeg() bool { _, ok := d.mirror.(JPEGMirror); return ok }
 
 // window resolves the command's DMA target to the bytes it covers.
 func (d *Device) window(cmd Cmd) ([]byte, error) {

@@ -89,7 +89,7 @@ func TestDecodeIntoDMAWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pix.FromBytes(64, 64, 3, buf.Bytes()[:64*64*3])
+	got, err := pix.View(64, 64, 3, buf.Bytes()[:64*64*3])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestRawMirror(t *testing.T) {
 	if err != nil || comp.Err != nil {
 		t.Fatalf("raw completion: %v %v", err, comp.Err)
 	}
-	got, _ := pix.FromBytes(20, 10, 3, buf.Bytes()[:20*10*3])
+	got, _ := pix.View(20, 10, 3, buf.Bytes()[:20*10*3])
 	if maxd, _ := got.MaxAbsDiff(img); maxd != 0 {
 		t.Fatalf("raw passthrough differs by %d", maxd)
 	}
@@ -359,18 +359,10 @@ func TestRawMirror(t *testing.T) {
 }
 
 func TestMirrorRegistry(t *testing.T) {
-	names := MirrorNames()
-	foundJPEG, foundRaw := false, false
-	for _, n := range names {
-		if n == "jpeg" {
-			foundJPEG = true
+	for _, name := range []string{"jpeg", "raw"} {
+		if m, err := LoadMirror(name); err != nil || m.Name() != name {
+			t.Fatalf("LoadMirror(%q) = %v, %v", name, m, err)
 		}
-		if n == "raw" {
-			foundRaw = true
-		}
-	}
-	if !foundJPEG || !foundRaw {
-		t.Fatalf("registry = %v", names)
 	}
 	if _, err := LoadMirror("nope"); err == nil {
 		t.Fatal("unknown mirror loaded")

@@ -44,13 +44,6 @@ func LoadMirror(name string) (Mirror, error) {
 	return m, nil
 }
 
-// MirrorNames lists registered decoder images.
-func MirrorNames() []string {
-	mirrorMu.RLock()
-	defer mirrorMu.RUnlock()
-	return mirrorNamesLocked()
-}
-
 func mirrorNamesLocked() []string {
 	names := make([]string, 0, len(mirrorReg))
 	for n := range mirrorReg {

@@ -11,7 +11,6 @@ import (
 
 	"dlbooster/internal/faults"
 	"dlbooster/internal/hugepage"
-	"dlbooster/internal/imageproc"
 	"dlbooster/internal/jpeg"
 	"dlbooster/internal/pix"
 )
@@ -49,25 +48,12 @@ func reuseStreams(t testing.TB) []stream {
 	}
 }
 
-// fresh decodes s with nothing reused: jpeg.Decode (jpeg.DecodeScaled
-// where the target takes a scaled iDCT) and a resize into new memory.
+// fresh decodes s with nothing reused: jpeg.DecodeScaledInto with a new
+// Scratch into new memory.
 func (s stream) fresh(t testing.TB) []byte {
 	t.Helper()
-	cfg, err := jpeg.DecodeConfig(s.data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var img *pix.Image
-	if jpeg.ScaleFor(cfg.Width, cfg.Height, s.w, s.h) == 8 {
-		img, err = jpeg.Decode(s.data)
-	} else {
-		img, _, err = jpeg.DecodeScaled(s.data, s.w, s.h)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
 	dst := pix.New(s.w, s.h, s.c)
-	if err := imageproc.ResizeInto(img, dst, imageproc.Bilinear); err != nil {
+	if _, err := jpeg.DecodeScaledInto(s.data, dst, new(jpeg.Scratch)); err != nil {
 		t.Fatal(err)
 	}
 	return dst.Pix
@@ -426,6 +412,63 @@ func allocsPer(t *testing.T, run func()) (objects, size float64) {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// TestBoardWarmsFromLastClosed builds boards after a JPEG board closed:
+// each decodes the closed board's first image once per worker before it
+// opens, so its lists already hold the stock its workers grow (planes
+// one) and even its first command allocates no stage buffer.
+func TestBoardWarmsFromLastClosed(t *testing.T) {
+	s := reuseStreams(t)[1] // full-scale 500×375: the biggest buffers
+	const cmds = 8
+	pool, err := hugepage.NewPool(cmds*s.w*s.h*s.c, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	buf, _ := pool.Get()
+	board := func(cfg Config) *Device {
+		d, err := New(cfg, pool.Arena(), nil, JPEGMirror{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	decode := func(d *Device, n int) {
+		for id := 0; id < n; id++ {
+			if err := d.Submit(Cmd{ID: uint64(id), Data: DataRef{Inline: s.data}, DMAAddr: buf.PhysAddr(), DMAOff: id * s.w * s.h * s.c, OutW: s.w, OutH: s.h, Channels: s.c}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < n; i++ {
+			if comp, err := d.WaitCompletion(); err != nil || comp.Err != nil {
+				t.Fatalf("completion %+v, %v", comp, err)
+			}
+		}
+	}
+	first := board(DefaultConfig())
+	decode(first, cmds)
+	first.Close()
+
+	for _, cfg := range []Config{{HuffmanWays: 1, IDCTWays: 1, ResizeWays: 1}, DefaultConfig()} {
+		d := board(cfg)
+		dec, n := d.pipe.dec.(*jpegDecoder), d.cfg.workers()
+		for name, stock := range map[string]int{"headers": len(dec.jobs.free), "stores": len(dec.stores.free), "images": len(d.pipe.images.free), "planes": len(dec.planes.free)} {
+			if want := map[bool]int{true: 1, false: n}[name == "planes"]; stock != want {
+				t.Errorf("%d workers: %d %s parked before the first command, want %d", n, stock, name, want)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		decode(d, 1)
+		runtime.ReadMemStats(&after)
+		// What it may allocate is its own sample: a copy of the payload.
+		if size, most := after.TotalAlloc-before.TotalAlloc, uint64(len(s.data)+4<<10); size > most {
+			t.Errorf("%d workers: first command allocated %d bytes, want at most %d", n, size, most)
+		}
+		d.Close()
+		checkIdle(t, d)
+	}
 }
 
 // runSlow pushes n one-byte commands through a default board loaded with

@@ -1,13 +1,11 @@
-// Package imageproc implements the pixel-domain kernels of the
-// preprocessing pipeline: resizing (the FPGA decoder's 2-way resizer
-// unit), plus the augmentation operations the paper deliberately leaves
-// on the GPU side (crop, flip, normalisation) and the layout conversion
-// DL engines expect (HWC → planar CHW).
+// Package imageproc implements the pixel-domain kernel of the
+// preprocessing pipeline: resizing, the FPGA decoder's resizer unit.
+// The augmentations the paper leaves on the GPU side (crop, flip,
+// normalisation) are not part of this reproduction.
 package imageproc
 
 import (
 	"fmt"
-	"math/rand"
 
 	"dlbooster/internal/pix"
 )
@@ -140,102 +138,4 @@ func ResizeBilinearScalar(src, dst *pix.Image) {
 			}
 		}
 	}
-}
-
-// Crop extracts the w×h window with top-left corner (x0, y0).
-func Crop(src *pix.Image, x0, y0, w, h int) (*pix.Image, error) {
-	if x0 < 0 || y0 < 0 || w <= 0 || h <= 0 || x0+w > src.W || y0+h > src.H {
-		return nil, fmt.Errorf("imageproc: crop %d,%d %dx%d outside %dx%d", x0, y0, w, h, src.W, src.H)
-	}
-	dst := pix.New(w, h, src.C)
-	c := src.C
-	for y := 0; y < h; y++ {
-		srow := src.Pix[((y0+y)*src.W+x0)*c:]
-		copy(dst.Pix[y*w*c:(y+1)*w*c], srow[:w*c])
-	}
-	return dst, nil
-}
-
-// CenterCrop extracts a centred w×h window.
-func CenterCrop(src *pix.Image, w, h int) (*pix.Image, error) {
-	return Crop(src, (src.W-w)/2, (src.H-h)/2, w, h)
-}
-
-// RandomCrop extracts a uniformly random w×h window using rng.
-func RandomCrop(src *pix.Image, w, h int, rng *rand.Rand) (*pix.Image, error) {
-	if w > src.W || h > src.H {
-		return nil, fmt.Errorf("imageproc: crop %dx%d larger than %dx%d", w, h, src.W, src.H)
-	}
-	x0, y0 := 0, 0
-	if src.W > w {
-		x0 = rng.Intn(src.W - w + 1)
-	}
-	if src.H > h {
-		y0 = rng.Intn(src.H - h + 1)
-	}
-	return Crop(src, x0, y0, w, h)
-}
-
-// FlipHorizontal mirrors the image in place around the vertical axis.
-func FlipHorizontal(m *pix.Image) {
-	c := m.C
-	for y := 0; y < m.H; y++ {
-		row := m.Pix[y*m.W*c : (y+1)*m.W*c]
-		for x := 0; x < m.W/2; x++ {
-			xr := m.W - 1 - x
-			for ch := 0; ch < c; ch++ {
-				row[x*c+ch], row[xr*c+ch] = row[xr*c+ch], row[x*c+ch]
-			}
-		}
-	}
-}
-
-// FlipVertical mirrors the image in place around the horizontal axis.
-func FlipVertical(m *pix.Image) {
-	c := m.C
-	rowLen := m.W * c
-	tmp := make([]byte, rowLen)
-	for y := 0; y < m.H/2; y++ {
-		top := m.Pix[y*rowLen : (y+1)*rowLen]
-		bot := m.Pix[(m.H-1-y)*rowLen : (m.H-y)*rowLen]
-		copy(tmp, top)
-		copy(top, bot)
-		copy(bot, tmp)
-	}
-}
-
-// Normalize converts 8-bit HWC samples to float32 CHW with per-channel
-// mean/std — the tensor layout and scaling DL engines consume. mean and
-// std are in 0..255 sample units; std entries must be non-zero.
-func Normalize(m *pix.Image, mean, std []float32) ([]float32, error) {
-	if len(mean) != m.C || len(std) != m.C {
-		return nil, fmt.Errorf("imageproc: mean/std length %d/%d, want %d", len(mean), len(std), m.C)
-	}
-	for _, s := range std {
-		if s == 0 {
-			return nil, fmt.Errorf("imageproc: zero std")
-		}
-	}
-	out := make([]float32, m.C*m.H*m.W)
-	plane := m.H * m.W
-	for i := 0; i < plane; i++ {
-		base := i * m.C
-		for ch := 0; ch < m.C; ch++ {
-			out[ch*plane+i] = (float32(m.Pix[base+ch]) - mean[ch]) / std[ch]
-		}
-	}
-	return out, nil
-}
-
-// ToCHW converts interleaved HWC bytes to planar CHW bytes.
-func ToCHW(m *pix.Image) []byte {
-	out := make([]byte, len(m.Pix))
-	plane := m.H * m.W
-	for i := 0; i < plane; i++ {
-		base := i * m.C
-		for ch := 0; ch < m.C; ch++ {
-			out[ch*plane+i] = m.Pix[base+ch]
-		}
-	}
-	return out
 }

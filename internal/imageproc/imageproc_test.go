@@ -1,7 +1,6 @@
 package imageproc
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -117,229 +116,5 @@ func TestResizeIntoChannelMismatch(t *testing.T) {
 	}
 	if err := ResizeInto(src, pix.New(4, 4, 3), Interpolation(99)); err == nil {
 		t.Fatal("unknown interpolation accepted")
-	}
-}
-
-func TestCrop(t *testing.T) {
-	src := gradient(10, 10, 3)
-	dst, err := Crop(src, 2, 3, 4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dst.W != 4 || dst.H != 5 {
-		t.Fatalf("crop geometry %dx%d", dst.W, dst.H)
-	}
-	for y := 0; y < 5; y++ {
-		for x := 0; x < 4; x++ {
-			for ch := 0; ch < 3; ch++ {
-				if dst.At(x, y, ch) != src.At(x+2, y+3, ch) {
-					t.Fatalf("crop content mismatch at (%d,%d,%d)", x, y, ch)
-				}
-			}
-		}
-	}
-	for _, bad := range [][4]int{{-1, 0, 4, 4}, {0, -1, 4, 4}, {8, 0, 4, 4}, {0, 8, 4, 4}, {0, 0, 0, 4}, {0, 0, 4, 0}} {
-		if _, err := Crop(src, bad[0], bad[1], bad[2], bad[3]); err == nil {
-			t.Fatalf("bad crop %v accepted", bad)
-		}
-	}
-}
-
-func TestCenterCrop(t *testing.T) {
-	src := gradient(10, 10, 1)
-	dst, err := CenterCrop(src, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dst.At(0, 0, 0) != src.At(3, 3, 0) {
-		t.Fatal("center crop not centred")
-	}
-}
-
-func TestRandomCropWithinBounds(t *testing.T) {
-	src := gradient(10, 8, 3)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 100; i++ {
-		dst, err := RandomCrop(src, 5, 5, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dst.W != 5 || dst.H != 5 {
-			t.Fatal("wrong geometry")
-		}
-	}
-	// Exact-size crop must work even though Intn(0) would panic.
-	if _, err := RandomCrop(src, 10, 8, rng); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RandomCrop(src, 11, 8, rng); err == nil {
-		t.Fatal("oversized crop accepted")
-	}
-}
-
-func TestFlipHorizontalInvolution(t *testing.T) {
-	src := gradient(9, 7, 3)
-	clone := src.Clone()
-	FlipHorizontal(src)
-	if d, _ := src.MaxAbsDiff(clone); d == 0 {
-		t.Fatal("flip was a no-op on asymmetric image")
-	}
-	FlipHorizontal(src)
-	if d, _ := src.MaxAbsDiff(clone); d != 0 {
-		t.Fatal("double horizontal flip is not identity")
-	}
-}
-
-func TestFlipVerticalInvolution(t *testing.T) {
-	src := gradient(8, 6, 1)
-	clone := src.Clone()
-	FlipVertical(src)
-	FlipVertical(src)
-	if d, _ := src.MaxAbsDiff(clone); d != 0 {
-		t.Fatal("double vertical flip is not identity")
-	}
-}
-
-func TestFlipHorizontalMirrors(t *testing.T) {
-	src := pix.New(3, 1, 1)
-	src.Pix = []byte{1, 2, 3}
-	FlipHorizontal(src)
-	want := []byte{3, 2, 1}
-	for i := range want {
-		if src.Pix[i] != want[i] {
-			t.Fatalf("flip = %v, want %v", src.Pix, want)
-		}
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	m := pix.New(2, 1, 3)
-	copy(m.Pix, []byte{10, 20, 30, 40, 50, 60})
-	out, err := Normalize(m, []float32{10, 20, 30}, []float32{10, 10, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// CHW layout: channel 0 plane first.
-	want := []float32{0, 3, 0, 3, 0, 3}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("out = %v, want %v", out, want)
-		}
-	}
-	if _, err := Normalize(m, []float32{1}, []float32{1}); err == nil {
-		t.Fatal("wrong mean length accepted")
-	}
-	if _, err := Normalize(m, []float32{0, 0, 0}, []float32{1, 0, 1}); err == nil {
-		t.Fatal("zero std accepted")
-	}
-}
-
-func TestToCHW(t *testing.T) {
-	m := pix.New(2, 2, 3)
-	copy(m.Pix, []byte{
-		1, 2, 3, 4, 5, 6,
-		7, 8, 9, 10, 11, 12,
-	})
-	got := ToCHW(m)
-	want := []byte{1, 4, 7, 10, 2, 5, 8, 11, 3, 6, 9, 12}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("CHW = %v, want %v", got, want)
-		}
-	}
-}
-
-// TestToCHWRoundTripProperty: HWC→CHW is a bijection (every byte lands
-// exactly once).
-func TestToCHWRoundTripProperty(t *testing.T) {
-	f := func(wSeed, hSeed uint8, data []byte) bool {
-		w, h := int(wSeed)%16+1, int(hSeed)%16+1
-		m := pix.New(w, h, 3)
-		for i := range m.Pix {
-			if i < len(data) {
-				m.Pix[i] = data[i]
-			}
-		}
-		chw := ToCHW(m)
-		plane := w * h
-		for i := 0; i < plane; i++ {
-			for ch := 0; ch < 3; ch++ {
-				if chw[ch*plane+i] != m.Pix[i*3+ch] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRotationGeometryAndInverses(t *testing.T) {
-	src := gradient(5, 3, 3)
-	r90 := Rotate90(src)
-	if r90.W != 3 || r90.H != 5 {
-		t.Fatalf("Rotate90 geometry %dx%d", r90.W, r90.H)
-	}
-	// Four quarter turns are the identity.
-	back := Rotate90(Rotate90(Rotate90(r90)))
-	if d, _ := back.MaxAbsDiff(src); d != 0 {
-		t.Fatal("four Rotate90 != identity")
-	}
-	// 90 then 270 is the identity.
-	if d, _ := Rotate270(r90).MaxAbsDiff(src); d != 0 {
-		t.Fatal("Rotate270(Rotate90) != identity")
-	}
-	// 180 twice is the identity, and equals two quarter turns.
-	r180 := Rotate180(src)
-	if d, _ := Rotate180(r180).MaxAbsDiff(src); d != 0 {
-		t.Fatal("Rotate180 twice != identity")
-	}
-	if d, _ := Rotate90(Rotate90(src)).MaxAbsDiff(r180); d != 0 {
-		t.Fatal("two Rotate90 != Rotate180")
-	}
-	// Transpose and Transverse are involutions.
-	if d, _ := Transpose(Transpose(src)).MaxAbsDiff(src); d != 0 {
-		t.Fatal("Transpose twice != identity")
-	}
-	if d, _ := Transverse(Transverse(src)).MaxAbsDiff(src); d != 0 {
-		t.Fatal("Transverse twice != identity")
-	}
-}
-
-func TestRotate90PixelMapping(t *testing.T) {
-	// 2x1 image [A B] rotated 90° CW becomes a 1x2 column [A; B].
-	src := pix.New(2, 1, 1)
-	src.Pix[0], src.Pix[1] = 10, 20
-	dst := Rotate90(src)
-	if dst.W != 1 || dst.H != 2 || dst.At(0, 0, 0) != 10 || dst.At(0, 1, 0) != 20 {
-		t.Fatalf("Rotate90 mapping: %+v", dst.Pix)
-	}
-}
-
-func TestApplyOrientationAllValues(t *testing.T) {
-	src := gradient(4, 3, 1)
-	for o := 0; o <= 8; o++ {
-		got, err := ApplyOrientation(src, o)
-		if err != nil {
-			t.Fatalf("orientation %d: %v", o, err)
-		}
-		wantW, wantH := 4, 3
-		if o >= 5 {
-			wantW, wantH = 3, 4
-		}
-		if got.W != wantW || got.H != wantH {
-			t.Fatalf("orientation %d geometry %dx%d", o, got.W, got.H)
-		}
-	}
-	if _, err := ApplyOrientation(src, 9); err == nil {
-		t.Fatal("orientation 9 accepted")
-	}
-	// Orientation 6 (rotate 90 CW to upright): the top-left of the
-	// upright image is the bottom-left of the stored one.
-	got, _ := ApplyOrientation(src, 6)
-	if got.At(0, 0, 0) != src.At(0, src.H-1, 0) {
-		t.Fatal("orientation 6 mapping wrong")
 	}
 }

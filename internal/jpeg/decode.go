@@ -3,7 +3,6 @@ package jpeg
 import (
 	"fmt"
 
-	"dlbooster/internal/imageproc"
 	"dlbooster/internal/pix"
 )
 
@@ -19,7 +18,6 @@ const (
 	mDQT  = 0xDB
 	mDRI  = 0xDD
 	mSOS  = 0xDA
-	mCOM  = 0xFE
 	mAPP0 = 0xE0
 	mAPP1 = 0xE1
 	mRST0 = 0xD0
@@ -50,7 +48,7 @@ type Header struct {
 
 	// Orientation is the EXIF orientation tag (1–8) when an APP1
 	// segment carries one, else 0. The decoder does not rotate pixels;
-	// use imageproc.ApplyOrientation.
+	// callers that want upright pixels rotate them themselves.
 	Orientation int
 
 	// Tables are stored by value with presence flags so a reused Header
@@ -756,21 +754,6 @@ func (p *Planes) renderInto(dst *pix.Image) {
 // multi-scan frame. Decode handles such streams in software via the
 // multi-scan decoder in progressive.go.
 var ErrProgressive = UnsupportedError("progressive JPEG requires the multi-scan decoder")
-
-// DecodeOriented decodes and then uprights the image per its EXIF
-// orientation, the behaviour an inference front end wants for phone
-// uploads (Figure 1's clients).
-func DecodeOriented(data []byte) (*pix.Image, error) {
-	cfg, err := DecodeConfig(data)
-	if err != nil {
-		return nil, err
-	}
-	img, err := Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	return imageproc.ApplyOrientation(img, cfg.Orientation)
-}
 
 // Decode runs the full three-stage pipeline on a JPEG stream, or the
 // multi-scan software decoder for progressive streams.

@@ -4,9 +4,8 @@ import "encoding/binary"
 
 // Minimal EXIF support: the Orientation tag (0x0112), which phone
 // uploads routinely carry and an inference front end must honour. We
-// parse APP1 far enough to find IFD0's Orientation entry and expose it;
-// applying it is imageproc.ApplyOrientation's job (like libjpeg, the
-// decoder itself never rotates pixels).
+// parse APP1 far enough to find IFD0's Orientation entry and expose it
+// (like libjpeg, the decoder itself never rotates pixels).
 
 const orientationTag = 0x0112
 

@@ -1,13 +1,20 @@
 package jpeg
 
-import (
-	"testing"
+import "testing"
 
-	"dlbooster/internal/imageproc"
-)
-
+// TestEXIFOrientationRoundTrip: every orientation the encoder writes reads
+// back through DecodeConfig, and the decoder never rotates pixels — the
+// stream decodes exactly as the same image written without EXIF.
 func TestEXIFOrientationRoundTrip(t *testing.T) {
 	img := smoothImage(24, 16, 3, 4)
+	noEXIF, err := Encode(img, EncodeOptions{Quality: 90})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Decode(noEXIF)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for o := 1; o <= 8; o++ {
 		data, err := Encode(img, EncodeOptions{Quality: 90, Orientation: o})
 		if err != nil {
@@ -20,23 +27,12 @@ func TestEXIFOrientationRoundTrip(t *testing.T) {
 		if cfg.Orientation != o {
 			t.Fatalf("orientation %d read back as %d", o, cfg.Orientation)
 		}
-		oriented, err := DecodeOriented(data)
+		got, err := Decode(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := Decode(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := imageproc.ApplyOrientation(plain, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d, _ := oriented.MaxAbsDiff(want); d != 0 {
-			t.Fatalf("o=%d: DecodeOriented differs from manual orientation", o)
-		}
-		if o >= 5 && (oriented.W != 16 || oriented.H != 24) {
-			t.Fatalf("o=%d: oriented geometry %dx%d", o, oriented.W, oriented.H)
+		if d, _ := got.MaxAbsDiff(plain); got.W != 24 || got.H != 16 || d != 0 {
+			t.Fatalf("o=%d: EXIF changed the decode (%dx%d, max diff %d)", o, got.W, got.H, d)
 		}
 	}
 }
@@ -119,11 +115,11 @@ func TestEXIFOnProgressiveStream(t *testing.T) {
 	if cfg.Orientation != 8 {
 		t.Fatalf("progressive orientation = %d", cfg.Orientation)
 	}
-	oriented, err := DecodeOriented(spliced)
+	got, err := Decode(spliced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oriented.W != 14 || oriented.H != 20 {
-		t.Fatalf("oriented geometry %dx%d", oriented.W, oriented.H)
+	if got.W != 20 || got.H != 14 {
+		t.Fatalf("decoded geometry %dx%d", got.W, got.H)
 	}
 }

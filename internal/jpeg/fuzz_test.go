@@ -42,11 +42,11 @@ func FuzzDecodeScaledInto(f *testing.F) {
 			for i := range buf {
 				buf[i] = 0xA5
 			}
-			dst, err := pix.FromBytes(g.w, g.h, g.c, buf[margin:margin+n])
+			dst, err := pix.View(g.w, g.h, g.c, buf[margin:margin+n])
 			if err != nil {
 				t.Fatal(err)
 			}
-			scale, err := DecodeScaledInto(data, dst, &sc)
+			scale, err := DecodeScaledInto(data, &dst, &sc)
 			if err == nil {
 				switch scale {
 				case 1, 2, 4, 8:

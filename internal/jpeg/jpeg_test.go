@@ -460,8 +460,8 @@ func TestParseSkipsAppAndComment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Splice a COM and an APP5 segment after SOI.
-	com := []byte{0xFF, mCOM, 0x00, 0x07, 'h', 'e', 'l', 'l', 'o'}
+	// Splice a COM (0xFE) and an APP5 segment after SOI.
+	com := []byte{0xFF, 0xFE, 0x00, 0x07, 'h', 'e', 'l', 'l', 'o'}
 	app := []byte{0xFF, 0xE5, 0x00, 0x04, 0xAA, 0xBB}
 	spliced := append([]byte{0xFF, 0xD8}, com...)
 	spliced = append(spliced, app...)

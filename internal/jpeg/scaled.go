@@ -141,26 +141,6 @@ func DecodeScaledInto(data []byte, dst *pix.Image, sc *Scratch) (scale int, err 
 	return scale, imageproc.ResizeInto(&sc.rgb, dst, imageproc.Bilinear)
 }
 
-// DecodeScaled decodes data at the smallest iDCT scale covering
-// dstW×dstH and returns the still-unresized scaled image plus the scale
-// used; the caller runs the residual resize (the FPGA model's resizer
-// stage does exactly that).
-func DecodeScaled(data []byte, dstW, dstH int) (*pix.Image, int, error) {
-	h, err := Parse(data)
-	if err == ErrProgressive {
-		img, perr := decodeProgressive(data)
-		return img, 8, perr
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	co, err := h.EntropyDecode()
-	if err != nil {
-		return nil, 0, err
-	}
-	return co.ReconstructScaled(dstW, dstH)
-}
-
 // ReconstructScaled runs the iDCT unit at the smallest scale covering
 // dstW×dstH and renders the scaled image with fused upsample + colour
 // conversion. At scale 8 the result is byte-identical to

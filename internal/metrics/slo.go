@@ -76,6 +76,9 @@ func ParseSLO(spec string) (*SLO, error) {
 			s.TargetP99Ms, err = strconv.ParseFloat(val, 64)
 		case "stage":
 			s.LatencyStage = val
+			if val == "" {
+				err = fmt.Errorf("empty stage name")
+			}
 		case "shed":
 			s.ShedBudget, err = strconv.ParseFloat(val, 64)
 			s.shedSet = true
@@ -88,8 +91,9 @@ func ParseSLO(spec string) (*SLO, error) {
 			return nil, fmt.Errorf("slo: bad value for %s: %v", key, err)
 		}
 	}
-	if s.TargetThroughput < 0 || s.TargetP99Ms < 0 || (s.shedSet && s.ShedBudget < 0) || s.Window < 0 {
-		return nil, fmt.Errorf("slo: negative target in %q", spec)
+	// !(x >= 0) also rejects NaN, which String could not render back.
+	if !(s.TargetThroughput >= 0) || !(s.TargetP99Ms >= 0) || (s.shedSet && !(s.ShedBudget >= 0)) || s.Window < 0 {
+		return nil, fmt.Errorf("slo: negative or NaN target in %q", spec)
 	}
 	if s.TargetThroughput == 0 && s.TargetP99Ms == 0 && !s.shedSet {
 		return nil, fmt.Errorf("slo: spec %q names no objective (want at least one of tput/p99ms/shed)", spec)
@@ -108,9 +112,9 @@ func (s *SLO) String() string {
 	}
 	if s.TargetP99Ms > 0 {
 		parts = append(parts, fmt.Sprintf("p99ms=%g", s.TargetP99Ms))
-		if s.LatencyStage != "" && s.LatencyStage != StageBatchE2E {
-			parts = append(parts, "stage="+s.LatencyStage)
-		}
+	}
+	if s.LatencyStage != "" && s.LatencyStage != StageBatchE2E {
+		parts = append(parts, "stage="+s.LatencyStage)
 	}
 	if s.ShedBudget >= 0 {
 		parts = append(parts, fmt.Sprintf("shed=%g", s.ShedBudget))

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -31,6 +32,11 @@ func TestParseSLO(t *testing.T) {
 	if _, err := ParseSLO("tput=-5"); err == nil {
 		t.Fatal("negative target should error")
 	}
+	for _, nan := range []string{"tput=NaN", "p99ms=NaN", "shed=NaN", "tput=1,shed=nan"} {
+		if _, err := ParseSLO(nan); err == nil {
+			t.Fatalf("%q accepted", nan)
+		}
+	}
 	// shed=0 is a valid "no sheds allowed" budget.
 	z, err := ParseSLO("shed=0")
 	if err != nil {
@@ -39,6 +45,30 @@ func TestParseSLO(t *testing.T) {
 	if z.ShedBudget != 0 {
 		t.Fatalf("shed budget = %v, want 0", z.ShedBudget)
 	}
+}
+
+// FuzzParseSLO: a spec ParseSLO accepts renders, through String, to a
+// spec that parses back to an equal SLO.
+func FuzzParseSLO(f *testing.F) {
+	for _, seed := range []string{
+		"tput=900,p99ms=250,shed=0.001,stage=infer_e2e,window=60s",
+		"p99ms=250,stage=infer_e2e", "shed=0", "tput=NaN", "tput=1,stage=", "tput=+Inf",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := ParseSLO(spec)
+		if err != nil {
+			return
+		}
+		r, err := ParseSLO(s.String())
+		if err != nil {
+			t.Fatalf("ParseSLO(%q) accepted, but its String %q does not parse: %v", spec, s.String(), err)
+		}
+		if !reflect.DeepEqual(r, s) {
+			t.Fatalf("ParseSLO(%q) = %+v, but its String %q parses to %+v", spec, *s, s.String(), *r)
+		}
+	})
 }
 
 func TestSLOStringRoundTrip(t *testing.T) {

@@ -87,13 +87,6 @@ func FPGADecodeRate() float64 {
 	return m
 }
 
-// FPGAStageSeconds converts a per-way stage rate into per-image service
-// time scaled by image size (hardware decode time is dominated by
-// per-pixel work, like the CPU's).
-func FPGAStageSeconds(ratePerWayRef float64, pixels int) float64 {
-	return (1.0 / ratePerWayRef) * float64(pixels) / ReferenceImagePixels
-}
-
 // FPGACmdOverheadSeconds is the per-image host-side cost DLBooster keeps
 // on the CPU: DataCollector metadata translation, cmd generation and
 // FIFO submission, and completion draining (Algorithm 1). Anchor:
@@ -206,12 +199,6 @@ var (
 // InferProfiles lists the inference benchmarks in paper order.
 var InferProfiles = []InferProfile{GoogLeNet, VGG16, ResNet50}
 
-// NvJPEGGPUShare is the fraction of GPU compute nvJPEG occupies while
-// decoding at full demand: "the decoding on nvJPEG needs to consume ∼30%
-// of GPU resources" (§5.3), slowing model kernels by 1/(1-share) and
-// producing the ≈ 30–40 % throughput loss of Figures 2 and 7.
-const NvJPEGGPUShare = 0.30
-
 // NvJPEGDecodeRate is nvJPEG's decode rate on an otherwise idle GPU for
 // the reference image (it is fast — the problem the paper demonstrates is
 // contention, not decode speed).
@@ -248,9 +235,8 @@ const (
 	KernelLaunchCores   = 0.95
 	TransformCores      = 0.15
 	ModelUpdateCores    = 0.12
-	DLBoosterFeedCores  = 0.30 // cmd generation + dispatcher, the "preprocessing" slice
-	NvJPEGLaunchCores   = 1.0  // extra CUDA-launch cores nvJPEG burns ("few (1∼2) CPU cores ... to launch CUDA kernels", §5.3)
-	LMDBPerGPUReadCores = 1.0  // deserialize + read threads per GPU for the LMDB backend (Figure 6: ≈ 2.5 total/GPU)
+	NvJPEGLaunchCores   = 1.0 // extra CUDA-launch cores nvJPEG burns ("few (1∼2) CPU cores ... to launch CUDA kernels", §5.3)
+	LMDBPerGPUReadCores = 1.0 // deserialize + read threads per GPU for the LMDB backend (Figure 6: ≈ 2.5 total/GPU)
 )
 
 // --- LMDB offline backend (Figure 2, §2.2) ----------------------------
@@ -299,8 +285,6 @@ const (
 	NVMeWriteLatency = 10e-6 // seconds
 	// NICBandwidthBits: "a 40Gbps NIC".
 	NICBandwidthBits = 40e9 // bits/s
-	// InferenceClients: "we set up 5 clients to send color images".
-	InferenceClients = 5
 	// AvgJPEGBytes: a 500×375 colour JPEG at typical quality.
 	AvgJPEGBytes = 30 * 1024
 )
@@ -308,18 +292,16 @@ const (
 // --- Economics (§5.4) --------------------------------------------------
 
 const (
-	CorePricePerHour     = 0.105 // USD per physical core-hour ("$0.10∼0.11")
-	CoreAnnualRevenue    = 900.0 // USD per core-year ("∼$900 per year")
-	FPGAWatts            = 25.0  // typical decode-board power draw
-	CPUWatts             = 130.0 // server-class CPU package power
-	GPUWatts             = 250.0 // training-class GPU board power
-	FPGAEquivalentCores  = 30    // "a well-optimized FPGA decoder can offer the same ... as 30 cores"
-	SavedCoreResaleHours = 1.5   // "$1.5/h" resale of freed cores per FPGA
+	CorePricePerHour    = 0.105 // USD per physical core-hour ("$0.10∼0.11")
+	CoreAnnualRevenue   = 900.0 // USD per core-year ("∼$900 per year")
+	FPGAWatts           = 25.0  // typical decode-board power draw
+	CPUWatts            = 130.0 // server-class CPU package power
+	GPUWatts            = 250.0 // training-class GPU board power
+	FPGAEquivalentCores = 30    // "a well-optimized FPGA decoder can offer the same ... as 30 cores"
 )
 
 // --- Server inventory (§5.1) -------------------------------------------
 
 const (
 	TestbedCPUCores = 32 // "two Intel Xeon E5-2630-v3 CPUs (32 cores in all)"
-	TestbedGPUs     = 2  // "2 NVIDIA Tesla P100s"
 )

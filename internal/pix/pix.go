@@ -35,19 +35,10 @@ func New(w, h, c int) *Image {
 	return &Image{W: w, H: h, C: c, Pix: make([]byte, w*h*c)}
 }
 
-// FromBytes wraps an existing buffer as an image without copying. The
-// buffer length must be exactly w*h*c.
-func FromBytes(w, h, c int, buf []byte) (*Image, error) {
-	img, err := View(w, h, c, buf)
-	if err != nil {
-		return nil, err
-	}
-	return &img, nil
-}
-
-// View is FromBytes by value: the per-image paths (a board's DMA window,
-// a batch slot) wrap their destination on the stack instead of paying a
-// heap object per image.
+// View wraps an existing buffer as an image without copying; the buffer
+// length must be exactly w*h*c. It returns the Image by value so the
+// per-image paths (a board's DMA window, a batch slot) wrap their
+// destination on the stack instead of paying a heap object per image.
 func View(w, h, c int, buf []byte) (Image, error) {
 	if w <= 0 || h <= 0 || (c != 1 && c != 3) {
 		return Image{}, fmt.Errorf("pix: bad geometry %dx%dx%d", w, h, c)

@@ -32,23 +32,23 @@ func TestNewPanics(t *testing.T) {
 	}
 }
 
-func TestFromBytes(t *testing.T) {
+func TestView(t *testing.T) {
 	buf := make([]byte, 12)
-	m, err := FromBytes(2, 2, 3, buf)
+	m, err := View(2, 2, 3, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Set(0, 0, 0, 7)
 	if buf[0] != 7 {
-		t.Fatal("FromBytes copied instead of wrapping")
+		t.Fatal("View copied instead of wrapping")
 	}
-	if _, err := FromBytes(2, 2, 3, make([]byte, 11)); err == nil {
+	if _, err := View(2, 2, 3, make([]byte, 11)); err == nil {
 		t.Fatal("short buffer accepted")
 	}
-	if _, err := FromBytes(0, 2, 3, nil); err == nil {
+	if _, err := View(0, 2, 3, nil); err == nil {
 		t.Fatal("zero width accepted")
 	}
-	if _, err := FromBytes(2, 2, 2, make([]byte, 8)); err == nil {
+	if _, err := View(2, 2, 2, make([]byte, 8)); err == nil {
 		t.Fatal("2 channels accepted")
 	}
 }

@@ -100,30 +100,3 @@ func (sv *Server) BusyCores(elapsed Time) float64 {
 	}
 	return sv.busy.Seconds() / elapsed.Seconds()
 }
-
-// Gate releases a fixed number of tokens and runs a callback when all
-// have been returned — the join primitive used to detect batch or epoch
-// completion in experiment models.
-type Gate struct {
-	remaining int
-	fn        func()
-}
-
-// NewGate returns a gate expecting n arrivals. n must be positive.
-func NewGate(n int, fn func()) *Gate {
-	if n <= 0 {
-		panic("simtime: gate count must be positive")
-	}
-	return &Gate{remaining: n, fn: fn}
-}
-
-// Arrive records one arrival; the last arrival fires the callback.
-func (g *Gate) Arrive() {
-	if g.remaining <= 0 {
-		panic("simtime: gate arrival after completion")
-	}
-	g.remaining--
-	if g.remaining == 0 && g.fn != nil {
-		g.fn()
-	}
-}

@@ -246,36 +246,6 @@ func TestServerConservationProperty(t *testing.T) {
 	}
 }
 
-func TestGate(t *testing.T) {
-	fired := false
-	g := NewGate(3, func() { fired = true })
-	g.Arrive()
-	g.Arrive()
-	if fired {
-		t.Fatal("gate fired early")
-	}
-	g.Arrive()
-	if !fired {
-		t.Fatal("gate did not fire")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("arrival after completion accepted")
-			}
-		}()
-		g.Arrive()
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("zero gate accepted")
-			}
-		}()
-		NewGate(0, nil)
-	}()
-}
-
 // TestMM1Sanity: an M/D/1-ish queue where arrivals outpace service grows
 // its queue; where service outpaces arrivals it stays bounded. This is
 // the load/saturation behaviour every figure experiment relies on.
