@@ -85,7 +85,7 @@ func TestCPUDecodeReuseParity(t *testing.T) {
 // warm.
 func TestCPUDecodeSteadyStateAllocs(t *testing.T) {
 	data := cpuDecodeStreams(t)[3][0]
-	for _, size := range []int{96, 224} { // iDCT scale 4 and 8
+	for _, size := range []int{96, 224, 480} { // iDCT scale 3, 5 and 8
 		b := newBooster(t, Config{BatchSize: 1, OutW: size, OutH: size, Channels: 3})
 		out := make([]byte, size*size*3)
 		ref := fpga.DataRef{Inline: data}

@@ -107,8 +107,8 @@ type Decoder interface {
 type Job interface {
 	EntropyDecode() error
 	// Reconstruct renders into img (see pix.Image.Reset) and reports the
-	// iDCT scale: 8 for full resolution, 1, 2 or 4 when the image sized
-	// its output to the outW×outH resize target (libjpeg's scale_denom
+	// iDCT scale: 8 for full resolution, N = 1…7 when the image sized
+	// its output to the outW×outH resize target (libjpeg's N/8 scaling
 	// inside the iDCT unit) and left the resizer the residual ratio.
 	Reconstruct(img *pix.Image, outW, outH int) (scale int, err error)
 	Release()

@@ -63,8 +63,8 @@ func TestDecodeIntoDMAWindow(t *testing.T) {
 		ID:       7,
 		Data:     DataRef{Inline: data},
 		DMAAddr:  buf.PhysAddr(),
-		OutW:     64,
-		OutH:     64,
+		OutW:     90,
+		OutH:     72,
 		Channels: 3,
 	}
 	if err := d.Submit(cmd); err != nil {
@@ -77,19 +77,20 @@ func TestDecodeIntoDMAWindow(t *testing.T) {
 	if comp.ID != 7 || comp.Err != nil {
 		t.Fatalf("completion = %+v", comp)
 	}
-	if comp.Bytes != 64*64*3 {
+	if comp.Bytes != 90*72*3 {
 		t.Fatalf("bytes = %d", comp.Bytes)
 	}
-	// The DMA window must contain the bilinear-resized decode.
+	// The DMA window must contain the bilinear-resized decode: 90×72 is
+	// more than 7/8 of 100×80, so the board reconstructs at full scale.
 	decoded, err := jpeg.Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := imageproc.Resize(decoded, 64, 64, imageproc.Bilinear)
+	want, err := imageproc.Resize(decoded, 90, 72, imageproc.Bilinear)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pix.View(64, 64, 3, buf.Bytes()[:64*64*3])
+	got, err := pix.View(90, 72, 3, buf.Bytes()[:90*72*3])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,10 +24,10 @@ type stream struct {
 }
 
 // reuseStreams covers what one occupant of a stage buffer can leave for
-// the next: a large 4:2:0 frame at a scaled and at the full iDCT, a small
-// 4:4:4 one (fewer, differently shaped blocks), a single-component one
-// (fewer components, other tables) and a restart-interval one that takes
-// the segment-parallel entropy path.
+// the next: a large 4:2:0 frame at the 4/8, full, 5/8 and 3/8 iDCT
+// scales, a small 4:4:4 one (fewer, differently shaped blocks), a
+// single-component one (fewer components, other tables) and a
+// restart-interval one.
 func reuseStreams(t testing.TB) []stream {
 	t.Helper()
 	enc := func(img *pix.Image, opt jpeg.EncodeOptions) []byte {
@@ -40,11 +40,13 @@ func reuseStreams(t testing.TB) []stream {
 	}
 	big := enc(testImage(500, 375, 3, 11), jpeg.EncodeOptions{Subsample420: true})
 	return []stream{
-		{"420 scale 4", big, 96, 96, 3},
-		{"420 scale 8", big, 224, 224, 3},
+		{"420 scale 4", big, 200, 150, 3},
+		{"420 scale 8", big, 440, 330, 3},
 		{"444 scale 2", enc(testImage(40, 24, 3, 12), jpeg.EncodeOptions{}), 10, 6, 3},
 		{"gray scale 1", enc(testImage(64, 48, 1, 13), jpeg.EncodeOptions{}), 8, 6, 1},
 		{"dri scale 2", enc(testImage(256, 192, 3, 14), jpeg.EncodeOptions{Subsample420: true, RestartInterval: 16}), 64, 48, 3},
+		{"420 scale 5", big, 224, 224, 3},
+		{"420 scale 3", big, 96, 96, 3},
 	}
 }
 
@@ -162,8 +164,8 @@ func TestReuseParity(t *testing.T) {
 	}
 	d.Close()
 	checkIdle(t, d)
-	if got := d.ScaledDecodes(); got != 4*rounds*4 {
-		t.Errorf("ScaledDecodes = %d, want %d (four of the five streams, every round)", got, 4*rounds*4)
+	if got := d.ScaledDecodes(); got != 4*rounds*6 {
+		t.Errorf("ScaledDecodes = %d, want %d (six of the seven streams, every round)", got, 4*rounds*6)
 	}
 }
 
@@ -362,7 +364,7 @@ func TestDeviceSteadyStateAllocs(t *testing.T) {
 		mirror Mirror
 	}
 	var cases []tcase
-	for _, s := range reuseStreams(t)[:4] { // the restart-interval stream fans out goroutines by design
+	for _, s := range reuseStreams(t) {
 		cases = append(cases, tcase{s, JPEGMirror{}})
 	}
 	raw := testImage(200, 150, 3, 15)

@@ -7,20 +7,9 @@ import "math"
 // encoder runs it. The decoder's inverse transforms are in kernels.go;
 // their plain two-pass reference, idct, is in reference_test.go.
 
-// cosBasis[u][x] = alpha(u)/2 * cos((2x+1)uπ/16), so that an 8-point
-// transform is a plain matrix product.
-var cosBasis = func() (c [8][8]float64) {
-	for u := 0; u < 8; u++ {
-		alpha := 1.0
-		if u == 0 {
-			alpha = 1 / math.Sqrt2
-		}
-		for x := 0; x < 8; x++ {
-			c[u][x] = alpha / 2 * math.Cos(float64(2*x+1)*float64(u)*math.Pi/16)
-		}
-	}
-	return c
-}()
+// cosBasis[u][x] = alpha(u)/2 * cos((2x+1)uπ/16), the 8-point scaledBasis,
+// so that an 8-point transform is a plain matrix product.
+var cosBasis = scaledBasis[8]
 
 // block holds one 8×8 coefficient or sample block in natural (row-major)
 // order.

@@ -627,7 +627,7 @@ func (co *Coefficients) Reconstruct() (*Planes, error) {
 	return p, nil
 }
 
-// reconstructInto runs the iDCT unit at scale s ∈ {1, 2, 4, 8}: every 8×8
+// reconstructInto runs the iDCT unit at scale s = 1…8: every 8×8
 // coefficient block reconstructs to an s×s pixel tile (s == 8 is the
 // full-resolution transform, identical to Reconstruct). p's buffers are
 // grown on demand and reused across calls.
@@ -657,7 +657,7 @@ func (co *Coefficients) reconstructInto(p *Planes, s int) error {
 			}
 			continue
 		}
-		var samples [16]byte // s ≤ 4, so a tile is at most 4×4
+		var samples [64]byte // s ≤ 7: an s×s tile, row-major
 		for by := 0; by < co.blocksY[i]; by++ {
 			for bx := 0; bx < co.blocksX[i]; bx++ {
 				blk := &co.comp[i][by*co.blocksX[i]+bx]

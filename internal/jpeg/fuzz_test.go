@@ -48,10 +48,14 @@ func FuzzDecodeScaledInto(f *testing.F) {
 			}
 			scale, err := DecodeScaledInto(data, &dst, &sc)
 			if err == nil {
-				switch scale {
-				case 1, 2, 4, 8:
-				default:
-					t.Fatalf("successful decode reported scale %d", scale)
+				// A baseline stream decodes at ScaleFor's choice, a
+				// progressive one at full scale.
+				want := 8
+				if h, perr := Parse(data); perr == nil {
+					want = ScaleFor(h.Width, h.Height, g.w, g.h)
+				}
+				if scale != want {
+					t.Fatalf("successful decode reported scale %d, want %d", scale, want)
 				}
 			}
 			for i := 0; i < margin; i++ {

@@ -11,9 +11,9 @@ package jpeg
 // Exactness rules out approximating the float64 iDCT with fixed point;
 // instead the fast iDCT wins by restructuring the same float arithmetic
 // (hoisting the int32 dequantise-and-convert out of the basis loops,
-// unrolling the s-point transforms, and skipping exactly-zero
-// coefficient columns — adding ±0.0 to a float sum is an identity, so
-// sparsity short-cuts are bit-exact), while the YCbCr and resize
+// unrolling the 1-, 2- and 4-point transforms, and skipping exactly-zero
+// coefficients and columns — adding ±0.0 to a float sum is an identity,
+// so sparsity short-cuts are bit-exact), while the YCbCr and resize
 // kernels are genuine fixed-point/SWAR restructurings of loops that
 // were already integer: hoisted per-chroma-sample products shared by
 // the 2×-subsampled pixel pair, branchless sign-mask clamps, and
@@ -106,32 +106,86 @@ func idctFast(coef *block, out *[64]byte) {
 	}
 }
 
-// idctScaledFast dispatches to the per-scale specialisations. Each is
-// the reference idctScaled with the dequantise-and-convert hoisted out
-// of the basis loops and the loops fully unrolled — the same float
-// operations in the same order, so the output is bit-identical.
-func idctScaledFast(blk *block, q *QuantTable, s int, out *[16]byte) {
+// idctScaledFast writes the s×s tile row-major into out[:s*s]: unrolled
+// kernels for s = 1, 2 and 4, the generic one for 3, 5, 6 and 7. Each is
+// the reference idctScaled with the dequantise-and-convert hoisted out of
+// the basis loops — the same float operations in the same order, so the
+// output is bit-identical.
+func idctScaledFast(blk *block, q *QuantTable, s int, out *[64]byte) {
 	switch s {
 	case 1:
 		idctScaled1Fast(blk, q, out)
 	case 2:
 		idctScaled2Fast(blk, q, out)
-	default:
+	case 4:
 		idctScaled4Fast(blk, q, out)
+	default:
+		idctScaledNFast(blk, q, s, out)
+	}
+}
+
+// idctScaledNFast is the n-point transform over the n×n low-frequency
+// corner, for any n < 8. Each nonzero coefficient is dequantised and
+// converted once and its basis row added into its column; all-zero
+// columns are skipped, empty and DC-only blocks fill the tile with one
+// value, and every sum still adds its terms in the reference's order.
+func idctScaledNFast(blk *block, q *QuantTable, n int, out *[64]byte) {
+	b := &scaledBasis[n]
+	var tmp [8][8]float64 // tmp[v][x] = Σ_u b[u][x]·d(u,v)
+	var cols [8]int
+	ncols, nnz := 0, 0
+	for v := 0; v < n; v++ {
+		col := &tmp[v]
+		k := 0
+		for u := 0; u < n; u++ {
+			if c := blk[u*8+v] * int32(q[u*8+v]); c != 0 {
+				d := float64(c)
+				for x, bx := range b[u][:n] {
+					col[x] += bx * d
+				}
+				k++
+			}
+		}
+		if k > 0 {
+			cols[ncols] = v
+			ncols++
+			nnz += k
+		}
+	}
+	if d00 := blk[0] * int32(q[0]); nnz <= 1 && (nnz == 0 || d00 != 0) {
+		// Empty or DC-only block: every sample is the DC basis product
+		// (b[0][x] is one constant), exactly as the two passes compute it.
+		val := clamp8(int32(math.Round(b[0][0]*(b[0][0]*float64(d00)))) + 128)
+		for i := range out[:n*n] {
+			out[i] = val
+		}
+		return
+	}
+	for x := 0; x < n; x++ {
+		var acc [8]float64 // acc[y] = Σ_v b[v][y]·tmp[v][x], ascending v
+		for _, v := range cols[:ncols] {
+			t := tmp[v][x]
+			for y, by := range b[v][:n] {
+				acc[y] += by * t
+			}
+		}
+		for y, s := range acc[:n] {
+			out[x*n+y] = clamp8(int32(math.Round(s)) + 128)
+		}
 	}
 }
 
 // idctScaled1Fast: the 1-point transform touches only the DC
 // coefficient; two multiplies reproduce the reference's two passes.
-func idctScaled1Fast(blk *block, q *QuantTable, out *[16]byte) {
-	b0 := scaledBasis[0][0][0]
+func idctScaled1Fast(blk *block, q *QuantTable, out *[64]byte) {
+	b0 := scaledBasis[1][0][0]
 	out[0] = clamp8(int32(math.Round(b0*(b0*float64(blk[0]*int32(q[0]))))) + 128)
 }
 
 // idctScaled2Fast: the 2-point transform over the 2×2 low-frequency
 // corner, unrolled, with a DC-only short-cut for EOB-after-DC blocks.
-func idctScaled2Fast(blk *block, q *QuantTable, out *[16]byte) {
-	b := &scaledBasis[1]
+func idctScaled2Fast(blk *block, q *QuantTable, out *[64]byte) {
+	b := &scaledBasis[2]
 	d00 := float64(blk[0] * int32(q[0])) // (u=0, v=0)
 	if blk[1]|blk[8]|blk[9] == 0 {
 		val := clamp8(int32(math.Round(b[0][0]*(b[0][0]*d00))) + 128)
@@ -157,13 +211,13 @@ func idctScaled2Fast(blk *block, q *QuantTable, out *[16]byte) {
 // corner. Coefficients are dequantised and converted once (the
 // reference redoes both per output column), all-zero columns are
 // skipped exactly, and the basis products are unrolled.
-func idctScaled4Fast(blk *block, q *QuantTable, out *[16]byte) {
-	b := &scaledBasis[2]
+func idctScaled4Fast(blk *block, q *QuantTable, out *[64]byte) {
+	b := &scaledBasis[4]
 	if blk[1]|blk[2]|blk[3]|blk[8]|blk[9]|blk[10]|blk[11]|
 		blk[16]|blk[17]|blk[18]|blk[19]|blk[24]|blk[25]|blk[26]|blk[27] == 0 {
 		// EOB after DC: sixteen identical samples.
 		val := clamp8(int32(math.Round(b[0][0]*(b[0][0]*float64(blk[0]*int32(q[0]))))) + 128)
-		for i := range out {
+		for i := range out[:16] {
 			out[i] = val
 		}
 		return

@@ -67,27 +67,42 @@ func TestKernelIDCTExactParity(t *testing.T) {
 	}
 }
 
+// TestKernelIDCTScaledExactParity pins idctScaledFast to the reference
+// idctScaled at every scale N = 1…7, and at N = 8 pins the reference to
+// the full-decode path (dequantize + idctFast): the 8-point row of the
+// scaled basis is the full basis, so one reference covers every scale.
 func TestKernelIDCTScaledExactParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(8072026))
 	var q QuantTable
-	for _, s := range []int{1, 2, 4} {
+	for s := 1; s <= 8; s++ {
 		for trial := 0; trial < 400; trial++ {
 			for i := range q {
 				q[i] = uint16(1 + rng.Intn(255))
 			}
 			var blk block
-			switch trial % 4 {
+			switch trial % 5 {
 			case 0: // dense
 				blk = randomSparseBlock(rng, 64)
 			case 1: // EOB after DC
 				blk[0] = int32(rng.Intn(2001) - 1000)
 			case 2: // sparse corner
 				blk = randomSparseBlock(rng, 1+rng.Intn(4))
+			case 4: // single column inside the N×N corner
+				col := rng.Intn(s)
+				for u := 0; u < s; u++ {
+					blk[u*8+col] = int32(rng.Intn(2001) - 1000)
+				}
 			default: // empty
 			}
-			var want, got [16]byte
+			var want, got [64]byte
 			idctScaled(&blk, &q, s, &want)
-			idctScaledFast(&blk, &q, s, &got)
+			if s == 8 {
+				var deq block
+				dequantize(&blk, &q, &deq)
+				idctFast(&deq, &got)
+			} else {
+				idctScaledFast(&blk, &q, s, &got)
+			}
 			if want != got {
 				t.Fatalf("idctScaledFast diverges at scale %d (trial %d)\nblk:  %v\nwant: %v\ngot:  %v", s, trial, blk, want, got)
 			}
@@ -181,13 +196,18 @@ type perScaleCase struct {
 }
 
 // perScaleBenchCases pins one geometry per iDCT scale: a 512×512 source
-// whose target lands each branch of ScaleFor.
+// whose target lands each branch of ScaleFor (N×N covers 64N×64N), and a
+// 448×448 target that no N < 8 covers.
 func perScaleBenchCases() []perScaleCase {
 	return []perScaleCase{
 		{"1x1", 512, 512, 64, 64, 1},
 		{"2x2", 512, 512, 128, 128, 2},
+		{"3x3", 512, 512, 192, 192, 3},
 		{"4x4", 512, 512, 256, 256, 4},
-		{"8x8", 512, 512, 384, 384, 8},
+		{"5x5", 512, 512, 320, 320, 5},
+		{"6x6", 512, 512, 384, 384, 6},
+		{"7x7", 512, 512, 448, 448, 7},
+		{"8x8", 512, 512, 480, 480, 8},
 	}
 }
 

@@ -38,18 +38,11 @@ func idct(coef *block, out *[64]byte) {
 
 // idctScaled dequantises the s² low-frequency coefficients of blk and
 // inverse-transforms them into an s×s tile (row-major in out), for
-// s ∈ {1, 2, 4}. Higher-frequency coefficients are dropped — they cannot
+// s = 1…7. Higher-frequency coefficients are dropped — they cannot
 // survive the downsample the caller is about to perform anyway.
-func idctScaled(blk *block, q *QuantTable, s int, out *[16]byte) {
-	si := 0
-	switch s {
-	case 2:
-		si = 1
-	case 4:
-		si = 2
-	}
-	b := &scaledBasis[si]
-	var tmp [16]float64
+func idctScaled(blk *block, q *QuantTable, s int, out *[64]byte) {
+	b := &scaledBasis[s]
+	var tmp [64]float64
 	// Columns: tmp[x*s+v] = Σ_u basis[u][x] · coef[u][v]
 	for v := 0; v < s; v++ {
 		for x := 0; x < s; x++ {
@@ -93,9 +86,7 @@ func referenceRender(co *Coefficients, s int) *pix.Image {
 					dequantize(blk, q, &deq)
 					idct(&deq, &tile)
 				} else {
-					var small [16]byte
-					idctScaled(blk, q, s, &small)
-					copy(tile[:], small[:])
+					idctScaled(blk, q, s, &tile)
 				}
 				for y := 0; y < s; y++ {
 					copy(plane[(by*s+y)*stride+bx*s:], tile[y*s:y*s+s])
@@ -150,7 +141,7 @@ func TestKernelGoldenCorpusByteParity(t *testing.T) {
 			t.Fatalf("%s: entropy decode: %v", name, err)
 		}
 		var sc Scratch
-		for _, s := range []int{1, 2, 4, 8} {
+		for s := 1; s <= 8; s++ {
 			want := referenceRender(co, s)
 			var pl Planes
 			got := new(pix.Image)

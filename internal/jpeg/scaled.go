@@ -1,12 +1,12 @@
 package jpeg
 
-// Decode-to-scale fast path: the libjpeg scale_denom trick. A JPEG whose
-// decoded pixels are only ever downsampled to a small training/serving
-// resolution does not need a full 8×8 inverse transform per block — an
-// s-point iDCT of the s² lowest-frequency coefficients (s ∈ {1, 2, 4})
-// reconstructs each block directly at s×s, cutting iDCT and colour
-// conversion work by up to 64× before the residual bilinear pass. The
-// paper's decoder feeds a resizer for exactly this reason (§3.3): the
+// Decode-to-scale fast path: libjpeg's scale_num/scale_denom trick. A
+// JPEG whose decoded pixels are only ever downsampled to a small
+// training/serving resolution does not need a full 8×8 inverse transform
+// per block — an N-point iDCT of the N² lowest-frequency coefficients
+// (N = 1…7) reconstructs each block directly at N×N, cutting iDCT and
+// colour conversion work by up to 64× before the residual bilinear pass.
+// The paper's decoder feeds a resizer for exactly this reason (§3.3): the
 // target resolution is known before reconstruction starts, so work that
 // cannot survive the resize is never done.
 
@@ -18,45 +18,46 @@ import (
 	"dlbooster/internal/pix"
 )
 
-// scaledBasis[si][u][x] = alpha(u)/2 · cos((2x+1)uπ/(2s)) for s = 1<<si.
-// Keeping the 8-point amplitude alpha(u)/2 (rather than the orthonormal
-// s-point √(2/s)) makes the s×s output equal the full DCT interpolation
-// point-sampled at the s×s tile centres, and keeps a DC-only block
-// bit-identical to the full path (c00/8 + 128).
-var scaledBasis = func() (b [3][4][4]float64) {
-	for si, s := range [3]int{1, 2, 4} {
-		for u := 0; u < s; u++ {
+// scaledBasis[n][u][x] = alpha(u)/2 · cos((2x+1)uπ/(2n)) is the n-point
+// basis for n = 1…8 (index 0 is unused; scaledBasis[8] is the full
+// 8-point basis). Keeping the 8-point amplitude alpha(u)/2 (rather than
+// the orthonormal n-point √(2/n)) makes the n×n output equal the full DCT
+// interpolation point-sampled at the n×n tile centres, and keeps a
+// DC-only block bit-identical to the full path (c00/8 + 128).
+var scaledBasis = func() (b [9][8][8]float64) {
+	for n := 1; n <= 8; n++ {
+		for u := 0; u < n; u++ {
 			alpha := 1.0
 			if u == 0 {
 				alpha = 1 / math.Sqrt2
 			}
-			for x := 0; x < s; x++ {
-				b[si][u][x] = alpha / 2 * math.Cos(float64(2*x+1)*float64(u)*math.Pi/float64(2*s))
+			for x := 0; x < n; x++ {
+				b[n][u][x] = alpha / 2 * math.Cos(float64(2*x+1)*float64(u)*math.Pi/float64(2*n))
 			}
 		}
 	}
 	return b
 }()
 
-// ScaleFor returns the smallest supported iDCT scale s ∈ {1, 2, 4, 8}
-// whose scaled output (see ScaledSize) still covers dstW×dstH, so the
-// residual bilinear pass only ever downsamples. 8 means full decode:
-// either the target is at least the source resolution, or no target is
-// known (dstW/dstH ≤ 0).
+// ScaleFor returns the smallest iDCT scale N = 1…7 whose scaled output
+// (see ScaledSize) still covers dstW×dstH, so the residual bilinear pass
+// only ever downsamples. 8 means full decode: no N < 8 covers the target
+// (it is an upscale, the same size or only just below it), or no target
+// is known (dstW/dstH ≤ 0).
 func ScaleFor(w, h, dstW, dstH int) int {
 	if dstW <= 0 || dstH <= 0 {
 		return 8
 	}
-	for _, s := range [3]int{1, 2, 4} {
-		if ceilDiv(w*s, 8) >= dstW && ceilDiv(h*s, 8) >= dstH {
-			return s
+	for n := 1; n < 8; n++ {
+		if sw, sh := ScaledSize(w, h, n); sw >= dstW && sh >= dstH {
+			return n
 		}
 	}
 	return 8
 }
 
 // ScaledSize returns the output geometry of a w×h image reconstructed at
-// scale s.
+// scale s (s/8 of each dimension, rounded up).
 func ScaledSize(w, h, s int) (int, int) {
 	return ceilDiv(w*s, 8), ceilDiv(h*s, 8)
 }
@@ -85,8 +86,8 @@ var ErrChannelMismatch = UnsupportedError("decoded channels do not match destina
 // result directly into dst (typically a batch-slot view) with no
 // intermediate full-resolution image. It returns the scale used: 8 is
 // the exact-parity full decode (byte-identical to Decode + ResizeInto),
-// taken when the target is not strictly smaller than the source or the
-// stream is progressive; 1, 2 or 4 is the fast path.
+// taken when no N < 8 covers the target (see ScaleFor) or the stream is
+// progressive; 1…7 is the fast path.
 //
 // sc may be nil (a pooled Scratch is borrowed) but a dedicated
 // per-worker Scratch makes steady-state decoding allocation-free.

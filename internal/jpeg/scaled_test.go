@@ -2,6 +2,7 @@ package jpeg
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"dlbooster/internal/imageproc"
@@ -27,12 +28,15 @@ func TestScaleFor(t *testing.T) {
 	cases := []struct {
 		w, h, dw, dh, want int
 	}{
-		{500, 375, 96, 96, 4},   // dlbench ILSVRC-like geometry
+		{500, 375, 96, 96, 3},   // dlbench ILSVRC-like geometry: 188×141
+		{500, 375, 224, 224, 5}, // the paper's geometry: 313×235
 		{500, 375, 94, 94, 2},   // 2/8 of 375 covers 94 exactly
 		{512, 512, 64, 64, 1},   // exact 1/8
 		{512, 512, 65, 64, 2},   // one pixel over the 1/8 grid
 		{448, 448, 224, 224, 4}, // the paper's training target
-		{100, 80, 64, 64, 8},    // target taller than 4/8 of source
+		{512, 512, 384, 384, 6}, // exact 6/8
+		{100, 80, 64, 64, 7},    // 7/8 gives 88×70
+		{100, 80, 90, 72, 8},    // taller than 7/8 of the source
 		{28, 28, 28, 28, 8},     // same-size: full decode
 		{16, 16, 200, 200, 8},   // upscale: full decode
 		{500, 375, 0, 0, 8},     // no target known
@@ -41,11 +45,15 @@ func TestScaleFor(t *testing.T) {
 		if got := ScaleFor(c.w, c.h, c.dw, c.dh); got != c.want {
 			t.Errorf("ScaleFor(%d,%d → %d,%d) = %d, want %d", c.w, c.h, c.dw, c.dh, got, c.want)
 		}
-		// The chosen scale must actually cover the target.
+		// The chosen scale must actually cover the target, and the next
+		// smaller one must not.
 		if c.dw > 0 {
 			sw, sh := ScaledSize(c.w, c.h, c.want)
 			if c.want < 8 && (sw < c.dw || sh < c.dh) {
 				t.Errorf("scale %d output %dx%d does not cover %dx%d", c.want, sw, sh, c.dw, c.dh)
+			}
+			if sw, sh := ScaledSize(c.w, c.h, c.want-1); c.want > 1 && sw >= c.dw && sh >= c.dh {
+				t.Errorf("scale %d output %dx%d already covers %dx%d", c.want-1, sw, sh, c.dw, c.dh)
 			}
 		}
 	}
@@ -159,15 +167,15 @@ func TestScaledFallbackExactParity(t *testing.T) {
 		}
 	})
 	t.Run("downscale-above-half", func(t *testing.T) {
-		// 100×80 → 64×64 needs more than 4/8 of the source rows, so the
-		// residual bilinear runs from the full-resolution image.
+		// 100×80 → 90×72 needs more than 7/8 of the source columns, so
+		// the residual bilinear runs from the full-resolution image.
 		img := smoothImage(100, 80, 3, 43)
 		data, err := Encode(img, EncodeOptions{Quality: 88})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := fullDecodeResize(t, data, 64, 64, 3)
-		got := pix.New(64, 64, 3)
+		want := fullDecodeResize(t, data, 90, 72, 3)
+		got := pix.New(90, 72, 3)
 		scale, err := DecodeScaledInto(data, got, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -232,8 +240,8 @@ func TestReconstructScaledMatchesDecodeScaledInto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scale != 4 {
-		t.Fatalf("scale = %d, want 4", scale)
+	if scale != 3 {
+		t.Fatalf("scale = %d, want 3", scale)
 	}
 	staged := pix.New(96, 96, 3)
 	if err := imageproc.ResizeInto(scaled, staged, imageproc.Bilinear); err != nil {
@@ -358,11 +366,11 @@ func TestDecodeScaledIntoZeroAllocs(t *testing.T) {
 }
 
 // TestScaledBasisDCNormalisation pins the scaled basis maths: at every
-// scale the DC basis product must be exactly 1/8, and each basis row
-// must match the full 8-point basis sampled at tile centres.
+// scale N = 1…8 the DC basis product must be exactly 1/8, and each basis
+// row must match the full 8-point basis sampled at tile centres.
 func TestScaledBasisDCNormalisation(t *testing.T) {
-	for si, s := range []int{1, 2, 4} {
-		dc := scaledBasis[si][0][0] * scaledBasis[si][0][0]
+	for s := 1; s <= 8; s++ {
+		dc := scaledBasis[s][0][0] * scaledBasis[s][0][0]
 		if math.Abs(dc-1.0/8.0) > 1e-12 {
 			t.Errorf("scale %d: DC product %.15f, want 0.125", s, dc)
 		}
@@ -374,10 +382,143 @@ func TestScaledBasisDCNormalisation(t *testing.T) {
 					alpha = 1 / math.Sqrt2
 				}
 				want := alpha / 2 * math.Cos(float64(2*x+1)*8/float64(s)*float64(u)*math.Pi/16)
-				if math.Abs(scaledBasis[si][u][x]-want) > 1e-12 {
-					t.Errorf("scale %d basis[%d][%d] = %v, want %v", s, u, x, scaledBasis[si][u][x], want)
+				if math.Abs(scaledBasis[s][u][x]-want) > 1e-12 {
+					t.Errorf("scale %d basis[%d][%d] = %v, want %v", s, u, x, scaledBasis[s][u][x], want)
 				}
 			}
+		}
+	}
+}
+
+// ilsvrcLikeImage mirrors the dataset package's ILSVRC-like synthesis at
+// 500×375: a low-frequency sinusoid, ±8 per-pixel noise shared by the
+// channels, and a per-channel colour ripple — the bench corpus's content.
+func ilsvrcLikeImage(seed int64) *pix.Image {
+	const w, h = 500, 375
+	rng := rand.New(rand.NewSource(seed))
+	img := pix.New(w, h, 3)
+	fx, fy, phase := 1+rng.Float64()*2, 1+rng.Float64()*2, rng.Float64()*2*math.Pi
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			wx, wy := float64(x)/w, float64(y)/h
+			base := 128 + 90*math.Sin(fx*math.Pi*wx+phase)*math.Cos(fy*math.Pi*wy)
+			noise := float64(rng.Intn(16) - 8)
+			for ch := 0; ch < 3; ch++ {
+				v := base + noise + 12*float64(ch)*math.Sin(3*math.Pi*wx+float64(ch))
+				img.Set(x, y, ch, clamp8(int32(v)))
+			}
+		}
+	}
+	return img
+}
+
+// areaTap is one source index and its weight in a destination sample.
+type areaTap struct {
+	i int
+	w float64
+}
+
+// areaTaps splits n source samples over m destination samples: each
+// destination sample covers n/m source samples, and a partly covered
+// source sample weighs by its overlap.
+func areaTaps(n, m int) [][]areaTap {
+	scale := float64(n) / float64(m)
+	taps := make([][]areaTap, m)
+	for j := range taps {
+		lo, hi := float64(j)*scale, float64(j+1)*scale
+		for i := int(lo); i < n && float64(i) < hi; i++ {
+			if ov := math.Min(hi, float64(i+1)) - math.Max(lo, float64(i)); ov > 0 {
+				taps[j] = append(taps[j], areaTap{i, ov / scale})
+			}
+		}
+	}
+	return taps
+}
+
+// areaDownscale is the exact area-average downscale: every destination
+// pixel is the mean of the source area it covers. It is the alias-free
+// reference the decode-to-scale paths are measured against.
+func areaDownscale(src *pix.Image, dw, dh int) *pix.Image {
+	tx, ty := areaTaps(src.W, dw), areaTaps(src.H, dh)
+	dst := pix.New(dw, dh, src.C)
+	for y := 0; y < dh; y++ {
+		for x := 0; x < dw; x++ {
+			for ch := 0; ch < src.C; ch++ {
+				var s float64
+				for _, ry := range ty[y] {
+					for _, rx := range tx[x] {
+						s += ry.w * rx.w * float64(src.At(rx.i, ry.i, ch))
+					}
+				}
+				dst.Set(x, y, ch, clamp8(int32(math.Round(s))))
+			}
+		}
+	}
+	return dst
+}
+
+// decodeAtScaleBilinear is a decode pinned to iDCT scale s whatever the
+// target, then the residual bilinear resize to dw×dh: the path ScaleFor
+// took before it knew the scales 3, 5, 6 and 7.
+func decodeAtScaleBilinear(t *testing.T, data []byte, s, dw, dh int) *pix.Image {
+	t.Helper()
+	h, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := h.EntropyDecode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p Planes
+	if err := co.reconstructInto(&p, s); err != nil {
+		t.Fatal(err)
+	}
+	sw, sh := ScaledSize(h.Width, h.Height, s)
+	img := pix.New(sw, sh, 3)
+	p.renderInto(img)
+	dst := pix.New(dw, dh, 3)
+	if err := imageproc.ResizeInto(img, dst, imageproc.Bilinear); err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// TestNearestScaleAliasesLess measures both training geometries of an
+// ILSVRC-like 500×375 4:2:0 image against a full decode followed by an
+// exact area-average downscale: the nearest N/8 scale (5/8 for 224, 3/8
+// for 96) must come at least as close as the scale it replaced (8/8 and
+// 4/8, each followed by the bilinear resize), and never below 30 dB.
+func TestNearestScaleAliasesLess(t *testing.T) {
+	data, err := Encode(ilsvrcLikeImage(2012), DefaultEncodeOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ dst, scale, oldScale int }{{224, 5, 8}, {96, 3, 4}} {
+		ref := areaDownscale(full, c.dst, c.dst)
+		got := pix.New(c.dst, c.dst, 3)
+		scale, err := DecodeScaledInto(data, got, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scale != c.scale {
+			t.Fatalf("500×375→%d decoded at scale %d, want %d", c.dst, scale, c.scale)
+		}
+		pNew, err := got.PSNR(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pOld, err := decodeAtScaleBilinear(t, data, c.oldScale, c.dst, c.dst).PSNR(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("500×375→%d: scale %d/8 %.2f dB, scale %d/8 + bilinear %.2f dB against the area average", c.dst, c.scale, pNew, c.oldScale, pOld)
+		if pNew < pOld-0.5 || pNew < 30 {
+			t.Errorf("500×375→%d: scale %d/8 reads %.2f dB, want ≥ 30 and ≥ %.2f (scale %d/8) − 0.5", c.dst, c.scale, pNew, pOld, c.oldScale)
 		}
 	}
 }

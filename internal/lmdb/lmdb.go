@@ -14,11 +14,13 @@ package lmdb
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"time"
 )
@@ -55,7 +57,7 @@ func Open(path string) (*DB, error) {
 	}
 	defer f.Close()
 	db := New()
-	if err := db.load(bufio.NewReaderSize(f, 1<<20)); err != nil {
+	if err := db.load(bufio.NewReaderSize(f, 64<<10)); err != nil {
 		return nil, fmt.Errorf("lmdb: loading %s: %w", path, err)
 	}
 	return db, nil
@@ -261,6 +263,9 @@ func (db *DB) SaveTo(path string) error {
 	return f.Close()
 }
 
+// load reads a snapshot. It accepts exactly what SaveTo writes — keys
+// strictly ascending, nothing after the last record — and a value costs
+// memory only as its bytes arrive, never what a length field declares.
 func (db *DB) load(r io.Reader) error {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -275,6 +280,7 @@ func (db *DB) load(r io.Reader) error {
 	}
 	count := binary.BigEndian.Uint64(hdr[:])
 	var lenBuf [4]byte
+	var prev []byte
 	for rec := uint64(0); rec < count; rec++ {
 		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 			return fmt.Errorf("record %d key length: %w", rec, err)
@@ -287,6 +293,9 @@ func (db *DB) load(r io.Reader) error {
 		if _, err := io.ReadFull(r, key); err != nil {
 			return fmt.Errorf("record %d key: %w", rec, err)
 		}
+		if prev != nil && bytes.Compare(prev, key) >= 0 {
+			return fmt.Errorf("record %d key out of order", rec)
+		}
 		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 			return fmt.Errorf("record %d value length: %w", rec, err)
 		}
@@ -294,11 +303,35 @@ func (db *DB) load(r io.Reader) error {
 		if vlen > 1<<30 {
 			return fmt.Errorf("record %d value length %d invalid", rec, vlen)
 		}
-		val := make([]byte, vlen)
-		if _, err := io.ReadFull(r, val); err != nil {
+		val, err := readChunked(r, int(vlen))
+		if err != nil {
 			return fmt.Errorf("record %d value: %w", rec, err)
 		}
 		db.tree.put(key, val)
+		prev = key
+	}
+	var extra [1]byte
+	if _, err := io.ReadFull(r, extra[:]); err != io.EOF {
+		if err == nil {
+			return errors.New("data after the last record")
+		}
+		return err
 	}
 	return nil
+}
+
+// readChunked reads exactly n bytes at most 64 KiB at a time, so the
+// buffer grows with the bytes that actually arrive.
+func readChunked(r io.Reader, n int) ([]byte, error) {
+	const chunk = 64 << 10
+	buf := make([]byte, 0, min(n, chunk))
+	for len(buf) < n {
+		k := min(n-len(buf), chunk)
+		buf = slices.Grow(buf, k)
+		if _, err := io.ReadFull(r, buf[len(buf):len(buf)+k]); err != nil {
+			return nil, err
+		}
+		buf = buf[:len(buf)+k]
+	}
+	return buf, nil
 }

@@ -2,11 +2,13 @@ package lmdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -247,6 +249,113 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	if _, err := Open(trunc); err == nil {
 		t.Fatal("truncated snapshot opened")
 	}
+}
+
+// TestOpenBoundsDeclaredValueLength opens a 25-byte snapshot whose one
+// record declares a 64 MiB value: the load must fail having allocated
+// memory for the bytes that exist, not for the length it was promised.
+func TestOpenBoundsDeclaredValueLength(t *testing.T) {
+	var snap []byte
+	snap = append(snap, snapshotMagic[:]...)
+	snap = binary.BigEndian.AppendUint64(snap, 1)
+	snap = binary.BigEndian.AppendUint32(snap, 1)
+	snap = append(snap, 'k')
+	snap = binary.BigEndian.AppendUint32(snap, 64<<20)
+	if len(snap) != 25 {
+		t.Fatalf("snapshot is %d bytes, want 25", len(snap))
+	}
+	path := filepath.Join(t.TempDir(), "lying")
+	if err := os.WriteFile(path, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Open(path)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("snapshot with a missing 64 MiB value opened")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("failed load allocated %d bytes, want < 1 MiB", got)
+	}
+}
+
+// TestOpenRejectsNonCanonicalSnapshots: SaveTo writes keys strictly
+// ascending and nothing after the last record, so a stream that is out
+// of order, repeats a key or carries trailing bytes is not a snapshot.
+func TestOpenRejectsNonCanonicalSnapshots(t *testing.T) {
+	record := func(k, v string) []byte {
+		b := binary.BigEndian.AppendUint32(nil, uint32(len(k)))
+		b = append(b, k...)
+		b = binary.BigEndian.AppendUint32(b, uint32(len(v)))
+		return append(b, v...)
+	}
+	snapshot := func(trailer string, recs ...[]byte) []byte {
+		b := append([]byte(nil), snapshotMagic[:]...)
+		b = binary.BigEndian.AppendUint64(b, uint64(len(recs)))
+		for _, r := range recs {
+			b = append(b, r...)
+		}
+		return append(b, trailer...)
+	}
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{
+		"descending": snapshot("", record("b", "1"), record("a", "2")),
+		"duplicate":  snapshot("", record("a", "1"), record("a", "2")),
+		"trailing":   snapshot("x", record("a", "1")),
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(path); err == nil {
+			t.Errorf("%s snapshot opened", name)
+		}
+	}
+	good := filepath.Join(dir, "good")
+	if err := os.WriteFile(good, snapshot("", record("a", "1"), record("b", "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(good); err != nil {
+		t.Errorf("canonical snapshot: %v", err)
+	}
+}
+
+// FuzzLoad feeds arbitrary bytes to the snapshot loader: it must never
+// panic, and whatever it accepts must save back byte for byte.
+func FuzzLoad(f *testing.F) {
+	for _, n := range []int{0, 1, 40} {
+		db := New()
+		for i := 0; i < n; i++ {
+			_ = db.Put([]byte(fmt.Sprintf("key-%03d", i)), bytes.Repeat([]byte{byte(i)}, i*7))
+		}
+		path := filepath.Join(f.TempDir(), "seed")
+		if err := db.SaveTo(path); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		db := New()
+		if err := db.load(bytes.NewReader(data)); err != nil {
+			return
+		}
+		path := filepath.Join(t.TempDir(), "snap")
+		if err := db.SaveTo(path); err != nil {
+			t.Fatal(err)
+		}
+		back, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(back, data) {
+			t.Fatalf("loaded snapshot (%d bytes) saves back as %d different bytes", len(data), len(back))
+		}
+	})
 }
 
 func TestClosedDB(t *testing.T) {
