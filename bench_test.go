@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"dlbooster/internal/audio"
-	"dlbooster/internal/backends"
 	"dlbooster/internal/core"
 	"dlbooster/internal/dataset"
 	"dlbooster/internal/engine"
@@ -298,7 +297,7 @@ func BenchmarkFunctionalPipeline(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		backend, err := backends.NewDLBooster(core.Config{
+		backend, err := core.New(core.Config{
 			BatchSize: batch, OutW: edge, OutH: edge, Channels: 1,
 			PoolBatches: 4, Source: disk,
 		})

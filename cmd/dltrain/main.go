@@ -55,7 +55,6 @@ func run(backendName string, images, batch, gpus, epochs, workers, outSize int, 
 	}
 
 	busy := metrics.NewBusyTracker()
-	var backend backends.Backend
 	// The RAM tier auto-sizes to hold the whole decoded corpus unless
 	// -cache-mb pins it smaller; -cache-spill-mb then adds an NVMe spill
 	// tier (its own paced device, so spill traffic doesn't contend with
@@ -76,26 +75,17 @@ func run(backendName string, images, batch, gpus, epochs, workers, outSize int, 
 		})
 		cacheCfg.SpillBytes = int64(cacheSpillMB) << 20
 	}
+	cfg := core.Config{
+		BatchSize: batch, OutW: outSize, OutH: outSize, Channels: 1,
+		PoolBatches: 8, Source: disk, Cache: cacheCfg,
+	}
+	var backend *core.Booster
+	var err error
 	switch backendName {
 	case "dlbooster":
-		b, err := backends.NewDLBooster(core.Config{
-			BatchSize: batch, OutW: outSize, OutH: outSize, Channels: 1,
-			PoolBatches: 8, Source: disk, Cache: cacheCfg,
-		})
-		if err != nil {
-			return err
-		}
-		backend = b
+		backend, err = core.New(cfg)
 	case "cpu":
-		b, err := backends.NewCPU(backends.CPUConfig{
-			BatchSize: batch, OutW: outSize, OutH: outSize, Channels: 1,
-			PoolBatches: 8, Workers: workers, Source: disk, Busy: busy,
-			Cache: cacheCfg,
-		})
-		if err != nil {
-			return err
-		}
-		backend = b
+		backend, err = backends.NewCPU(cfg, backends.CPUConfig{Workers: workers, Busy: busy})
 	case "lmdb":
 		fmt.Println("running offline conversion (the cost online backends avoid)...")
 		convStart := time.Now()
@@ -104,16 +94,12 @@ func run(backendName string, images, batch, gpus, epochs, workers, outSize int, 
 			return err
 		}
 		fmt.Printf("offline conversion: %d records in %v\n", images, time.Since(convStart).Round(time.Millisecond))
-		b, err := backends.NewLMDB(backends.LMDBConfig{
-			BatchSize: batch, OutW: outSize, OutH: outSize, Channels: 1,
-			PoolBatches: 8, DB: db, Busy: busy, Cache: cacheCfg,
-		})
-		if err != nil {
-			return err
-		}
-		backend = b
+		backend, err = backends.NewLMDB(cfg, backends.LMDBConfig{DB: db, Busy: busy})
 	default:
 		return fmt.Errorf("unknown backend %q", backendName)
+	}
+	if err != nil {
+		return err
 	}
 	defer backend.Close()
 
@@ -181,7 +167,7 @@ func run(backendName string, images, batch, gpus, epochs, workers, outSize int, 
 		}
 	}
 
-	fmt.Printf("\nbackend=%s gpus=%d batch=%d epochs=%d\n", backend.Name(), gpus, batch, epochs)
+	fmt.Printf("\nbackend=%s gpus=%d batch=%d epochs=%d\n", backendName, gpus, batch, epochs)
 	fmt.Printf("  images trained:    %d (skipped %d bad)\n", st.Images, st.SkippedBad)
 	fmt.Printf("  iterations:        %d\n", st.Iterations)
 	fmt.Printf("  wall time:         %v\n", st.Elapsed.Round(time.Millisecond))

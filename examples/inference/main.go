@@ -11,7 +11,6 @@ import (
 	"log"
 	"time"
 
-	"dlbooster/internal/backends"
 	"dlbooster/internal/core"
 	"dlbooster/internal/dataset"
 	"dlbooster/internal/engine"
@@ -52,7 +51,7 @@ func main() {
 	}()
 
 	// DLBooster backend + one GPU inference engine.
-	backend, err := backends.NewDLBooster(core.Config{
+	backend, err := core.New(core.Config{
 		BatchSize: batchSize, OutW: outEdge, OutH: outEdge, Channels: 3,
 		PoolBatches: 6,
 	})

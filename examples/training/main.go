@@ -53,26 +53,20 @@ func main() {
 
 func trainOnce(which string, spec dataset.Spec, disk *nvme.Device) (uint64, time.Duration, map[string]float64) {
 	busy := metrics.NewBusyTracker()
-	var backend backends.Backend
+	cfg := core.Config{
+		BatchSize: batch, OutW: outEdge, OutH: outEdge, Channels: 1,
+		PoolBatches: 8, Source: disk,
+	}
+	var backend *core.Booster
+	var err error
 	switch which {
 	case "dlbooster":
-		b, err := backends.NewDLBooster(core.Config{
-			BatchSize: batch, OutW: outEdge, OutH: outEdge, Channels: 1,
-			PoolBatches: 8, Source: disk,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		backend = b
+		backend, err = core.New(cfg)
 	case "cpu":
-		b, err := backends.NewCPU(backends.CPUConfig{
-			BatchSize: batch, OutW: outEdge, OutH: outEdge, Channels: 1,
-			PoolBatches: 8, Workers: 2, Source: disk, Busy: busy,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		backend = b
+		backend, err = backends.NewCPU(cfg, backends.CPUConfig{Workers: 2, Busy: busy})
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 	defer backend.Close()
 

@@ -51,19 +51,16 @@ func TestEndToEndTrainingAcrossBackends(t *testing.T) {
 	}
 	defer nvDev.Close()
 
-	builders := map[string]func() (backends.Backend, error){
-		"dlbooster": func() (backends.Backend, error) {
-			return backends.NewDLBooster(core.Config{BatchSize: batch, OutW: edge, OutH: edge, Channels: 1, PoolBatches: 4, Source: disk, FPGADevices: 2})
+	cfg := core.Config{BatchSize: batch, OutW: edge, OutH: edge, Channels: 1, PoolBatches: 4, Source: disk}
+	builders := map[string]func() (*core.Booster, error){
+		"dlbooster": func() (*core.Booster, error) {
+			boards := cfg
+			boards.FPGADevices = 2
+			return core.New(boards)
 		},
-		"cpu": func() (backends.Backend, error) {
-			return backends.NewCPU(backends.CPUConfig{BatchSize: batch, OutW: edge, OutH: edge, Channels: 1, PoolBatches: 4, Workers: 2, Source: disk})
-		},
-		"lmdb": func() (backends.Backend, error) {
-			return backends.NewLMDB(backends.LMDBConfig{BatchSize: batch, OutW: edge, OutH: edge, Channels: 1, PoolBatches: 4, DB: db})
-		},
-		"nvjpeg": func() (backends.Backend, error) {
-			return backends.NewNvJPEG(backends.NvJPEGConfig{BatchSize: batch, OutW: edge, OutH: edge, Channels: 1, PoolBatches: 4, Device: nvDev, Source: disk})
-		},
+		"cpu":    func() (*core.Booster, error) { return backends.NewCPU(cfg, backends.CPUConfig{Workers: 2}) },
+		"lmdb":   func() (*core.Booster, error) { return backends.NewLMDB(cfg, backends.LMDBConfig{DB: db}) },
+		"nvjpeg": func() (*core.Booster, error) { return backends.NewNvJPEG(cfg, backends.NvJPEGConfig{Device: nvDev}) },
 	}
 	digests := map[string]uint64{}
 	for name, build := range builders {
@@ -141,7 +138,7 @@ func TestEndToEndInferenceOverTCP(t *testing.T) {
 		n     = 16
 		edge  = 64
 	)
-	backend, err := backends.NewDLBooster(core.Config{
+	backend, err := core.New(core.Config{
 		BatchSize: batch, OutW: edge, OutH: edge, Channels: 3, PoolBatches: 4,
 	})
 	if err != nil {

@@ -2,6 +2,8 @@ package backends
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"dlbooster/internal/dataset"
 	"dlbooster/internal/fpga"
 	"dlbooster/internal/gpu"
+	"dlbooster/internal/jpeg"
 	"dlbooster/internal/lmdb"
 	"dlbooster/internal/metrics"
 	"dlbooster/internal/nvme"
@@ -22,7 +25,7 @@ type collected struct {
 	pixels [][]byte
 }
 
-func drain(t *testing.T, b Backend) <-chan []collected {
+func drain(t *testing.T, b *core.Booster) <-chan []collected {
 	t.Helper()
 	out := make(chan []collected, 1)
 	go func() {
@@ -54,6 +57,11 @@ const (
 )
 
 func fixtureSpec() dataset.Spec { return dataset.MNISTLike(fixCount) }
+
+// fixConfig is the batch geometry every fixture backend shares.
+func fixConfig(src fpga.DataSource) core.Config {
+	return core.Config{BatchSize: fixBatch, OutW: fixOut, OutH: fixOut, Channels: 1, PoolBatches: 3, Source: src}
+}
 
 func fixtureDisk(t *testing.T) *nvme.Device {
 	t.Helper()
@@ -112,7 +120,7 @@ func verifyEpoch(t *testing.T, all []collected, wantImages int, batch int) {
 	}
 }
 
-func runBackendEpoch(t *testing.T, b Backend, col core.DataCollector) []collected {
+func runBackendEpoch(t *testing.T, b *core.Booster, col core.DataCollector) []collected {
 	t.Helper()
 	results := drain(t, b)
 	if err := b.RunEpoch(col); err != nil {
@@ -124,17 +132,11 @@ func runBackendEpoch(t *testing.T, b Backend, col core.DataCollector) []collecte
 
 func TestDLBoosterBackend(t *testing.T) {
 	disk := fixtureDisk(t)
-	b, err := NewDLBooster(core.Config{
-		BatchSize: fixBatch, OutW: fixOut, OutH: fixOut, Channels: 1,
-		PoolBatches: 3, Source: disk,
-	})
+	b, err := core.New(fixConfig(disk))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if b.Name() != "dlbooster" {
-		t.Fatalf("Name = %q", b.Name())
-	}
 	all := runBackendEpoch(t, b, fixtureCollector(t, disk))
 	verifyEpoch(t, all, fixCount, fixBatch)
 	if b.Images() != fixCount {
@@ -145,17 +147,11 @@ func TestDLBoosterBackend(t *testing.T) {
 func TestCPUBackend(t *testing.T) {
 	disk := fixtureDisk(t)
 	busy := metrics.NewBusyTracker()
-	b, err := NewCPU(CPUConfig{
-		BatchSize: fixBatch, OutW: fixOut, OutH: fixOut, Channels: 1,
-		PoolBatches: 3, Workers: 3, Source: disk, Busy: busy,
-	})
+	b, err := NewCPU(fixConfig(disk), CPUConfig{Workers: 3, Busy: busy})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if b.Name() != "cpu" || b.Workers() != 3 {
-		t.Fatalf("identity: %q/%d", b.Name(), b.Workers())
-	}
 	all := runBackendEpoch(t, b, fixtureCollector(t, disk))
 	verifyEpoch(t, all, fixCount, fixBatch)
 	if busy.Busy("preprocess") <= 0 {
@@ -175,17 +171,11 @@ func fixtureLMDB(t *testing.T) *lmdb.DB {
 func TestLMDBBackend(t *testing.T) {
 	disk := fixtureDisk(t)
 	db := fixtureLMDB(t)
-	b, err := NewLMDB(LMDBConfig{
-		BatchSize: fixBatch, OutW: fixOut, OutH: fixOut, Channels: 1,
-		PoolBatches: 3, DB: db,
-	})
+	b, err := NewLMDB(fixConfig(nil), LMDBConfig{DB: db})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if b.Name() != "lmdb" {
-		t.Fatalf("Name = %q", b.Name())
-	}
 	all := runBackendEpoch(t, b, fixtureCollector(t, disk))
 	verifyEpoch(t, all, fixCount, fixBatch)
 	gets, _, _, _ := db.Stats()
@@ -206,10 +196,7 @@ func TestLMDBBackendMissingAndMismatchedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	disk := fixtureDisk(t)
-	b, err := NewLMDB(LMDBConfig{
-		BatchSize: fixBatch, OutW: fixOut, OutH: fixOut, Channels: 1,
-		PoolBatches: 3, DB: db,
-	})
+	b, err := NewLMDB(fixConfig(nil), LMDBConfig{DB: db})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,21 +222,14 @@ func TestNvJPEGBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dev.Close()
-	busy := metrics.NewBusyTracker()
-	b, err := NewNvJPEG(NvJPEGConfig{
-		BatchSize: fixBatch, OutW: fixOut, OutH: fixOut, Channels: 1,
-		PoolBatches: 3, Device: dev, Lanes: 2, Source: disk, Busy: busy,
-	})
+	b, err := NewNvJPEG(fixConfig(disk), NvJPEGConfig{Device: dev, Lanes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if b.Name() != "nvjpeg" {
-		t.Fatalf("Name = %q", b.Name())
-	}
 	all := runBackendEpoch(t, b, fixtureCollector(t, disk))
 	verifyEpoch(t, all, fixCount, fixBatch)
-	// The decode cost must land on the GPU, not the host tracker.
+	// The decode cost must land on the GPU.
 	if dev.KernelBusy() <= 0 {
 		t.Fatal("GPU kernel busy time is zero: decode did not run on device")
 	}
@@ -265,19 +245,11 @@ func TestBackendsProduceIdenticalPixels(t *testing.T) {
 	dev, _ := gpu.NewDevice(0, 1<<26)
 	defer dev.Close()
 
-	build := map[string]func() (Backend, error){
-		"dlbooster": func() (Backend, error) {
-			return NewDLBooster(core.Config{BatchSize: fixBatch, OutW: fixOut, OutH: fixOut, Channels: 1, PoolBatches: 3, Source: disk})
-		},
-		"cpu": func() (Backend, error) {
-			return NewCPU(CPUConfig{BatchSize: fixBatch, OutW: fixOut, OutH: fixOut, Channels: 1, PoolBatches: 3, Workers: 2, Source: disk})
-		},
-		"lmdb": func() (Backend, error) {
-			return NewLMDB(LMDBConfig{BatchSize: fixBatch, OutW: fixOut, OutH: fixOut, Channels: 1, PoolBatches: 3, DB: db})
-		},
-		"nvjpeg": func() (Backend, error) {
-			return NewNvJPEG(NvJPEGConfig{BatchSize: fixBatch, OutW: fixOut, OutH: fixOut, Channels: 1, PoolBatches: 3, Device: dev, Source: disk})
-		},
+	build := map[string]func() (*core.Booster, error){
+		"dlbooster": func() (*core.Booster, error) { return core.New(fixConfig(disk)) },
+		"cpu":       func() (*core.Booster, error) { return NewCPU(fixConfig(disk), CPUConfig{Workers: 2}) },
+		"lmdb":      func() (*core.Booster, error) { return NewLMDB(fixConfig(nil), LMDBConfig{DB: db}) },
+		"nvjpeg":    func() (*core.Booster, error) { return NewNvJPEG(fixConfig(disk), NvJPEGConfig{Device: dev}) },
 	}
 	outputs := map[string]map[int][]byte{}
 	for name, mk := range build {
@@ -323,10 +295,9 @@ func TestBackendsProduceIdenticalPixels(t *testing.T) {
 func TestBackendCacheParity(t *testing.T) {
 	// CPU backend with cache behaves like DLBooster's hybrid mode.
 	disk := fixtureDisk(t)
-	b, err := NewCPU(CPUConfig{
-		BatchSize: fixBatch, OutW: fixOut, OutH: fixOut, Channels: 1,
-		PoolBatches: 3, Workers: 2, Source: disk, Cache: core.CacheConfig{RAMBytes: 1 << 20},
-	})
+	cfg := fixConfig(disk)
+	cfg.Cache = core.CacheConfig{RAMBytes: 1 << 20}
+	b, err := NewCPU(cfg, CPUConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,29 +328,28 @@ func TestBackendCacheParity(t *testing.T) {
 }
 
 func TestBackendValidation(t *testing.T) {
-	if _, err := NewCPU(CPUConfig{BatchSize: 1, OutW: 8, OutH: 8, Channels: 1, Workers: 0}); err == nil {
+	small := core.Config{BatchSize: 1, OutW: 8, OutH: 8, Channels: 1}
+	if _, err := NewCPU(small, CPUConfig{Workers: 0}); err == nil {
 		t.Fatal("zero workers accepted")
 	}
-	if _, err := NewCPU(CPUConfig{BatchSize: 0, OutW: 8, OutH: 8, Channels: 1, Workers: 1}); err == nil {
+	if _, err := NewCPU(core.Config{BatchSize: 0, OutW: 8, OutH: 8, Channels: 1}, CPUConfig{Workers: 1}); err == nil {
 		t.Fatal("zero batch accepted")
 	}
-	if _, err := NewLMDB(LMDBConfig{BatchSize: 1, OutW: 8, OutH: 8, Channels: 1}); err == nil {
+	if _, err := NewLMDB(small, LMDBConfig{}); err == nil {
 		t.Fatal("nil DB accepted")
 	}
-	if _, err := NewNvJPEG(NvJPEGConfig{BatchSize: 1, OutW: 8, OutH: 8, Channels: 1}); err == nil {
+	if _, err := NewNvJPEG(small, NvJPEGConfig{}); err == nil {
 		t.Fatal("nil device accepted")
 	}
 	dev, _ := gpu.NewDevice(0, 1<<20)
 	defer dev.Close()
-	if _, err := NewNvJPEG(NvJPEGConfig{BatchSize: 1, OutW: 8, OutH: 8, Channels: 1, Device: dev, Lanes: -1}); err == nil {
+	if _, err := NewNvJPEG(small, NvJPEGConfig{Device: dev, Lanes: -1}); err == nil {
 		t.Fatal("negative lanes accepted")
 	}
-	var cpu *CPU
-	c, err := NewCPU(CPUConfig{BatchSize: 1, OutW: 8, OutH: 8, Channels: 1, Workers: 1})
+	cpu, err := NewCPU(small, CPUConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu = c
 	if err := cpu.RunEpoch(nil); err == nil {
 		t.Fatal("nil collector accepted")
 	}
@@ -405,7 +375,7 @@ func TestCPUDecodeErrorsCounted(t *testing.T) {
 		}
 		items[i] = core.Item{Ref: fpga.DataRef{Inline: data}, Meta: core.ItemMeta{Seq: i}}
 	}
-	b, err := NewCPU(CPUConfig{BatchSize: 2, OutW: fixOut, OutH: fixOut, Channels: 1, PoolBatches: 2, Workers: 2})
+	b, err := NewCPU(core.Config{BatchSize: 2, OutW: fixOut, OutH: fixOut, Channels: 1, PoolBatches: 2}, CPUConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +410,7 @@ func TestProgressiveInputsDifferentiateBackends(t *testing.T) {
 		return c
 	}
 
-	dlb, err := NewDLBooster(core.Config{BatchSize: fixBatch, OutW: fixOut, OutH: fixOut, Channels: 1, PoolBatches: 3, Source: disk})
+	dlb, err := core.New(fixConfig(disk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +420,7 @@ func TestProgressiveInputsDifferentiateBackends(t *testing.T) {
 		t.Fatalf("FPGA backend on progressive: %d ok, %d errors (want all errors)", dlb.Images(), dlb.DecodeErrors())
 	}
 
-	cpu, err := NewCPU(CPUConfig{BatchSize: fixBatch, OutW: fixOut, OutH: fixOut, Channels: 1, PoolBatches: 3, Workers: 2, Source: disk})
+	cpu, err := NewCPU(fixConfig(disk), CPUConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +432,7 @@ func TestProgressiveInputsDifferentiateBackends(t *testing.T) {
 func TestCPUBackendSourcelessPathFails(t *testing.T) {
 	// Disk refs without a DataSource must count as decode errors, not
 	// hang or panic.
-	b, err := NewCPU(CPUConfig{BatchSize: 2, OutW: 8, OutH: 8, Channels: 1, PoolBatches: 2, Workers: 1})
+	b, err := NewCPU(core.Config{BatchSize: 2, OutW: 8, OutH: 8, Channels: 1, PoolBatches: 2}, CPUConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +455,7 @@ func TestCPUBackendSourcelessPathFails(t *testing.T) {
 func TestNvJPEGChannelMismatchCounted(t *testing.T) {
 	dev, _ := gpu.NewDevice(0, 1<<24)
 	defer dev.Close()
-	b, err := NewNvJPEG(NvJPEGConfig{BatchSize: 2, OutW: 8, OutH: 8, Channels: 3, PoolBatches: 2, Device: dev})
+	b, err := NewNvJPEG(core.Config{BatchSize: 2, OutW: 8, OutH: 8, Channels: 3, PoolBatches: 2}, NvJPEGConfig{Device: dev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,42 +482,123 @@ func TestNvJPEGChannelMismatchCounted(t *testing.T) {
 }
 
 // TestFailedPublishRecyclesBuffer: a batch finished after the Full
-// queue closed (teardown mid-epoch) cannot be pushed; its HugePage
-// buffer must go back to the pool, not leak with the dropped batch.
+// queue closed (teardown mid-epoch) cannot be pushed; the epoch must
+// fail, and its HugePage buffer — with every other one the epoch held —
+// must go back to the pool, not leak with the dropped batch.
 func TestFailedPublishRecyclesBuffer(t *testing.T) {
 	disk := fixtureDisk(t)
-	lm, err := NewLMDB(LMDBConfig{
-		BatchSize: fixBatch, OutW: fixOut, OutH: fixOut, Channels: 1,
-		PoolBatches: 3, DB: fixtureLMDB(t),
-	})
-	if err != nil {
-		t.Fatal(err)
+	db := fixtureLMDB(t)
+	build := map[string]func() (*core.Booster, error){
+		"lmdb": func() (*core.Booster, error) { return NewLMDB(fixConfig(nil), LMDBConfig{DB: db}) },
+		"cpu":  func() (*core.Booster, error) { return NewCPU(fixConfig(disk), CPUConfig{Workers: 2}) },
 	}
-	defer lm.Close()
-	lm.CloseBatches()
-	if err := lm.RunEpoch(fixtureCollector(t, disk)); err == nil {
-		t.Fatal("lmdb epoch against a closed batch queue returned nil")
+	for _, name := range []string{"lmdb", "cpu"} {
+		b, err := build[name]()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.CloseBatches()
+		if err := b.RunEpoch(fixtureCollector(t, disk)); err == nil {
+			t.Fatalf("%s epoch against a closed batch queue returned nil", name)
+		}
+		if n := b.Pool().Outstanding(); n != 0 {
+			t.Fatalf("%s: %d buffers still checked out after a failed publish", name, n)
+		}
+		b.Close()
 	}
-	if n := lm.Pool().Outstanding(); n != 0 {
-		t.Fatalf("lmdb: %d buffers still checked out after a failed publish", n)
-	}
+}
 
-	cpu, err := NewCPU(CPUConfig{
-		BatchSize: fixBatch, OutW: fixOut, OutH: fixOut, Channels: 1,
-		PoolBatches: 3, Workers: 2, Source: disk,
-	})
+// TestLMDBLabelsComeFromCollector: the store's record label does not
+// override the collector's — the label source is the same for every
+// backend.
+func TestLMDBLabelsComeFromCollector(t *testing.T) {
+	disk := fixtureDisk(t)
+	b, err := NewLMDB(fixConfig(nil), LMDBConfig{DB: fixtureLMDB(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cpu.Close()
-	cpu.CloseBatches()
-	// The workers publish asynchronously, so the epoch itself succeeds;
-	// with more batches than pool buffers it only finishes at all if
-	// every failed publish gave its buffer back.
-	if err := cpu.RunEpoch(fixtureCollector(t, disk)); err != nil {
+	defer b.Close()
+	spec := fixtureSpec()
+	col, err := core.LoadFromDisk(disk, func(name string, i int) int { return spec.Label(i) + 1000 })
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := cpu.Pool().Outstanding(); n != 0 {
-		t.Fatalf("cpu: %d buffers still checked out after failed publishes", n)
+	all := runBackendEpoch(t, b, col)
+	n := 0
+	for _, c := range all {
+		for s := 0; s < c.images; s++ {
+			if want := spec.Label(c.metas[s].Seq) + 1000; c.metas[s].Label != want || !c.valid[s] {
+				t.Fatalf("item %d: label %d valid %v, want the collector's %d", c.metas[s].Seq, c.metas[s].Label, c.valid[s], want)
+			}
+			n++
+		}
 	}
+	if n != fixCount {
+		t.Fatalf("delivered %d items, want %d", n, fixCount)
+	}
+}
+
+// TestCPUEpochSteadyStateAllocs pins the baselines' epoch to the
+// boards' allocation budget (core's TestRunEpochSteadyStateAllocs): once
+// warm, a CPU epoch of 500×375 JPEGs decoded to 96×96 allocates at most
+// 0.75 objects and 1 KiB per image at every worker count.
+func TestCPUEpochSteadyStateAllocs(t *testing.T) {
+	spec := dataset.Spec{Name: "rgb", Count: 1, W: 500, H: 375, C: 3, Classes: 10, Seed: 7}
+	data, err := jpeg.Encode(spec.Image(0), jpeg.EncodeOptions{Quality: 88, Subsample420: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]core.Item, 256)
+	for i := range items {
+		items[i] = core.Item{Ref: fpga.DataRef{Inline: data}, Meta: core.ItemMeta{Seq: i}}
+	}
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprint(workers), func(t *testing.T) {
+			b, err := NewCPU(core.Config{BatchSize: 32, OutW: 96, OutH: 96, Channels: 3, PoolBatches: 4}, CPUConfig{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			results := drainCount(b)
+			epoch := func() {
+				if err := b.RunEpoch(core.CollectorFromItems(items)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			epoch() // warm the lanes' scratch buffers
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			epoch()
+			runtime.ReadMemStats(&after)
+			b.CloseBatches()
+			if n := <-results; n != 2*len(items) {
+				t.Fatalf("consumer saw %d valid images, want %d", n, 2*len(items))
+			}
+			objects := float64(after.Mallocs-before.Mallocs) / float64(len(items))
+			size := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(items))
+			t.Logf("%d workers: %.3f objects, %.0f bytes per image", workers, objects, size)
+			if objects > 0.75 || size > 1024 {
+				t.Errorf("%.2f objects and %.0f bytes per image, want at most 0.75 and 1024", objects, size)
+			}
+		})
+	}
+}
+
+// drainCount recycles every batch without copying it and reports the
+// valid images it saw once the stream closes.
+func drainCount(b *core.Booster) <-chan int {
+	out := make(chan int, 1)
+	go func() {
+		n := 0
+		for {
+			batch, err := b.Batches().Pop()
+			if err != nil {
+				out <- n
+				return
+			}
+			n += batch.ValidCount()
+			_ = b.RecycleBatch(batch)
+		}
+	}()
+	return out
 }

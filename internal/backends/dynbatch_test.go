@@ -11,13 +11,13 @@ import (
 
 // TestCPUPartialFlushDeadline pins deadline-flushed dynamic batching on
 // the CPU baseline: a partial batch fed from a still-open item queue
-// must publish once the oldest item waits out CPUConfig.BatchTimeout.
+// must publish once the oldest item waits out core.Config.BatchTimeout.
 func TestCPUPartialFlushDeadline(t *testing.T) {
 	spec := fixtureSpec()
-	b, err := NewCPU(CPUConfig{
+	b, err := NewCPU(core.Config{
 		BatchSize: 4, OutW: fixOut, OutH: fixOut, Channels: 1,
-		PoolBatches: 3, Workers: 2, BatchTimeout: 20 * time.Millisecond,
-	})
+		PoolBatches: 3, BatchTimeout: 20 * time.Millisecond,
+	}, CPUConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestCPUPartialFlushDeadline(t *testing.T) {
 
 // TestCPUBatchTimeoutValidation rejects negative deadlines.
 func TestCPUBatchTimeoutValidation(t *testing.T) {
-	_, err := NewCPU(CPUConfig{BatchSize: 1, OutW: 8, OutH: 8, Channels: 1, Workers: 1, BatchTimeout: -time.Second})
+	_, err := NewCPU(core.Config{BatchSize: 1, OutW: 8, OutH: 8, Channels: 1, BatchTimeout: -time.Second}, CPUConfig{Workers: 1})
 	if err == nil {
 		t.Fatal("negative batch timeout accepted")
 	}

@@ -43,8 +43,8 @@ type Knobs struct {
 }
 
 // BoosterKnobs is the decode-side knob block — satisfied by
-// *core.Booster (and anything embedding it, e.g. backends.DLBooster)
-// without this package importing core.
+// *core.Booster (DLBooster and every baseline in internal/backends
+// alike) without this package importing core.
 type BoosterKnobs interface {
 	BatchTimeout() time.Duration
 	SetBatchTimeout(time.Duration)

@@ -8,6 +8,7 @@ import (
 	"dlbooster/internal/fpga"
 	"dlbooster/internal/metrics"
 	"dlbooster/internal/pix"
+	"dlbooster/internal/queue"
 )
 
 // Config assembles a DLBooster backend.
@@ -117,7 +118,7 @@ func (r Resilience) normalize() (Resilience, error) {
 }
 
 // normalize validates what is the Booster's own; batch geometry and
-// pool sizing are validated once for every backend by NewBatchPlane.
+// pool sizing are validated by newBatchPlane.
 func (c *Config) normalize() error {
 	res, err := c.Resilience.normalize()
 	if err != nil {
@@ -139,8 +140,10 @@ func (c *Config) normalize() error {
 	return nil
 }
 
-// Booster is the DLBooster data-preprocessing backend: the FPGAReader
-// (epoch.go) decoding into the batch plane it embeds.
+// Booster is a data-preprocessing backend: the FPGAReader (epoch.go)
+// decoding into the batch plane it embeds. New builds DLBooster proper,
+// whose decoder is its FPGA boards; NewHost builds a baseline, whose
+// decoder is a set of host lanes (host.go).
 type Booster struct {
 	// BatchPlane is the pool, Full queue, cache and replay. Its reg is
 	// never nil here: the user's registry when Config.Metrics was set
@@ -152,7 +155,7 @@ type Booster struct {
 	cfg  Config
 	devs []*fpga.Device
 	host *fpga.Pipeline // the mirror loaded for the host CPU (cpuDecode)
-	ch   *FPGAChannel
+	dec  bridge         // the boards' *FPGAChannel, or the host lanes
 
 	collected    metrics.Counter
 	partialFlush metrics.Counter
@@ -187,47 +190,53 @@ type Booster struct {
 // New builds the backend: HugePage pool, FPGA device with the requested
 // mirror, and the Full_Batch_Queue the Dispatcher consumes.
 func New(cfg Config) (*Booster, error) {
+	return build(cfg, func(b *Booster, mirror fpga.Mirror) error {
+		for len(b.devs) < b.cfg.FPGADevices {
+			dev, err := fpga.New(b.cfg.FPGA, b.pool.Arena(), b.cfg.Source, mirror)
+			if err != nil {
+				return err
+			}
+			b.devs = append(b.devs, dev)
+		}
+		b.dec = newFPGAChannel(b.devs)
+		return nil
+	})
+}
+
+// bridge is the decoder a Booster owns: it reads the FINISH stream
+// and closes the decoder.
+type bridge interface {
+	decoder
+	finishQueue() *queue.Queue[fpga.Completion]
+	close()
+}
+
+// build assembles a Booster around the decoder attach installs in b.dec.
+func build(cfg Config, attach func(*Booster, fpga.Mirror) error) (*Booster, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	plane, err := NewBatchPlane(PlaneConfig{
-		BatchSize: cfg.BatchSize, OutW: cfg.OutW, OutH: cfg.OutH, Channels: cfg.Channels,
-		PoolBatches: cfg.PoolBatches, Cache: cfg.Cache, SharedCache: cfg.SharedCache,
-	})
+	plane, err := newBatchPlane(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var devs []*fpga.Device
-	fail := func(err error) (*Booster, error) {
-		for _, d := range devs {
+	b := &Booster{BatchPlane: plane, cfg: cfg, flight: cfg.Flight}
+	mirror, err := fpga.LoadMirror(cfg.Mirror)
+	if err == nil {
+		b.host = fpga.NewPipeline(mirror)
+		err = attach(b, mirror)
+	}
+	if err != nil {
+		for _, d := range b.devs {
 			d.Close()
 		}
 		plane.Close()
 		return nil, err
 	}
-	mirror, err := fpga.LoadMirror(cfg.Mirror)
-	if err != nil {
-		return fail(err)
-	}
-	for len(devs) < cfg.FPGADevices {
-		dev, err := fpga.New(cfg.FPGA, plane.pool.Arena(), cfg.Source, mirror)
-		if err != nil {
-			return fail(err)
-		}
-		devs = append(devs, dev)
-	}
 	plane.reg, plane.traced = cfg.Metrics, cfg.Metrics != nil
 	plane.spanned = plane.traced || cfg.Flight != nil
 	if plane.reg == nil {
 		plane.reg = metrics.NewRegistry()
-	}
-	b := &Booster{
-		BatchPlane: plane,
-		cfg:        cfg,
-		devs:       devs,
-		host:       fpga.NewPipeline(mirror),
-		ch:         newFPGAChannel(devs),
-		flight:     cfg.Flight,
 	}
 	b.batchTimeoutNs.Store(int64(cfg.BatchTimeout))
 	if b.flight != nil {
@@ -287,7 +296,8 @@ func (b *Booster) instrument() {
 	r.RegisterGauge("cache_bytes", func() float64 { return float64(b.cacheStats().RAMBytes) })
 	r.RegisterGauge("cache_spill_bytes", func() float64 { return float64(b.cacheStats().SpillBytes) })
 	r.RegisterQueue("full_batch", b.full.Len, b.full.Cap)
-	r.RegisterQueue("fpga_completions", b.ch.merged.Len, b.ch.merged.Cap)
+	fin := b.dec.finishQueue()
+	r.RegisterQueue("fpga_completions", fin.Len, fin.Cap)
 	b.pool.Instrument(r, b.traced)
 	for i, d := range b.devs {
 		d.Instrument(r, fmt.Sprintf("fpga%d", i))
@@ -305,14 +315,19 @@ func (b *Booster) Snapshot() *metrics.PipelineSnapshot { return b.reg.Snapshot()
 // same snapshot.
 func (b *Booster) Registry() *metrics.Registry { return b.reg }
 
-// Device exposes the first FPGA decoder, for stats.
+// Device exposes the first FPGA decoder, for stats (a NewHost Booster
+// has none).
 func (b *Booster) Device() *fpga.Device { return b.devs[0] }
 
 // Devices exposes every FPGA decoder board.
 func (b *Booster) Devices() []*fpga.Device { return b.devs }
 
-// Channel exposes the FPGAChannel bound to the decoder (Table 1).
-func (b *Booster) Channel() *FPGAChannel { return b.ch }
+// Channel exposes the FPGAChannel bound to the boards (Table 1); nil for
+// a NewHost Booster.
+func (b *Booster) Channel() *FPGAChannel {
+	ch, _ := b.dec.(*FPGAChannel)
+	return ch
+}
 
 // Retries returns the count of decode-command resubmissions.
 func (b *Booster) Retries() int64 { return b.retries.Value() }
@@ -379,16 +394,9 @@ func (b *Booster) backoffDur(attempt int) time.Duration {
 // into the same HugePage batch slot, so the downstream Dispatcher and
 // engines see identical batches.
 func (b *Booster) cpuDecode(ref fpga.DataRef, dst []byte) error {
-	data := ref.Inline
-	if data == nil {
-		if b.cfg.Source == nil {
-			return fpga.ErrNoData
-		}
-		var err error
-		data, err = b.cfg.Source.Fetch(ref)
-		if err != nil {
-			return err
-		}
+	data, err := ref.Bytes(b.cfg.Source)
+	if err != nil {
+		return err
 	}
 	out, err := pix.View(b.cfg.OutW, b.cfg.OutH, b.cfg.Channels, dst)
 	if err != nil {
@@ -401,19 +409,19 @@ func (b *Booster) cpuDecode(ref fpga.DataRef, dst []byte) error {
 	return err
 }
 
-// Close tears the backend down: the boards first, then the plane.
+// Close tears the backend down: the decoder first, then the plane.
 func (b *Booster) Close() {
-	b.ch.close()
+	b.dec.close()
 	b.BatchPlane.Close()
 }
 
 // ReplayCache serves one epoch from the tiered cache (see
-// BatchPlane.Replay), re-decoding evicted batches through RunEpoch.
-func (b *Booster) ReplayCache() error { return b.Replay(0, 1, b.RunEpoch) }
+// BatchPlane.replay), re-decoding evicted batches through RunEpoch.
+func (b *Booster) ReplayCache() error { return b.replay(0, 1, b.RunEpoch) }
 
 // ReplayCacheShard replays this Booster's 1/shards slice of the cached
 // epoch. The fleet uses it to fan one shared cache out across shards
 // (fleet.ReplayShared); single-pipeline callers use ReplayCache.
 func (b *Booster) ReplayCacheShard(shard, shards int) error {
-	return b.Replay(shard, shards, b.RunEpoch)
+	return b.replay(shard, shards, b.RunEpoch)
 }

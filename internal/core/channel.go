@@ -17,9 +17,9 @@ import (
 // devices and their FINISH signals merge into one completion stream, so
 // the FPGAReader is indifferent to how many boards are plugged in.
 type FPGAChannel struct {
-	devs   []*fpga.Device
-	merged *queue.Queue[fpga.Completion]
-	fwd    sync.WaitGroup
+	finishes
+	devs []*fpga.Device
+	fwd  sync.WaitGroup
 
 	mu sync.Mutex
 	rr int
@@ -27,8 +27,8 @@ type FPGAChannel struct {
 
 func newFPGAChannel(devs []*fpga.Device) *FPGAChannel {
 	c := &FPGAChannel{
-		devs:   devs,
-		merged: queue.New[fpga.Completion](256 * len(devs)),
+		finishes: finishes{queue.New[fpga.Completion](256 * len(devs))},
+		devs:     devs,
 	}
 	// One forwarder per board moves FINISH signals into the merged
 	// stream; when every board closes, the stream closes.
@@ -92,10 +92,28 @@ func (c *FPGAChannel) Cancel(id uint64) bool {
 	return false
 }
 
+// close shuts every board down and waits for the merged stream to end.
+func (c *FPGAChannel) close() {
+	for _, d := range c.devs {
+		d.Close()
+	}
+	c.fwd.Wait()
+}
+
+// finishes is the FINISH stream a decoder completes into — the boards'
+// merged stream, or the host lanes' (host.go) — and the three calls the
+// FPGAReader reads it with.
+type finishes struct {
+	merged *queue.Queue[fpga.Completion]
+}
+
+// finishQueue exposes the stream to the Booster's queue-depth probe.
+func (f finishes) finishQueue() *queue.Queue[fpga.Completion] { return f.merged }
+
 // WaitCompletionTimeout waits up to t for the next FINISH signal; ok is
 // false on timeout.
-func (c *FPGAChannel) WaitCompletionTimeout(t time.Duration) (fpga.Completion, bool, error) {
-	comp, ok, err := c.merged.PopTimeout(t)
+func (f finishes) WaitCompletionTimeout(t time.Duration) (fpga.Completion, bool, error) {
+	comp, ok, err := f.merged.PopTimeout(t)
 	if err != nil {
 		return fpga.Completion{}, false, fpga.ErrClosed
 	}
@@ -105,23 +123,15 @@ func (c *FPGAChannel) WaitCompletionTimeout(t time.Duration) (fpga.Completion, b
 // DrainOut queries the decoders' processing signals asynchronously,
 // appending all completions so far to buf, which may be nil (Table 1:
 // drain_out).
-func (c *FPGAChannel) DrainOut(buf []fpga.Completion) []fpga.Completion {
-	return c.merged.DrainInto(buf)
+func (f finishes) DrainOut(buf []fpga.Completion) []fpga.Completion {
+	return f.merged.DrainInto(buf)
 }
 
 // WaitCompletion blocks for the next FINISH signal from any board.
-func (c *FPGAChannel) WaitCompletion() (fpga.Completion, error) {
-	comp, err := c.merged.Pop()
+func (f finishes) WaitCompletion() (fpga.Completion, error) {
+	comp, err := f.merged.Pop()
 	if err != nil {
 		return fpga.Completion{}, fpga.ErrClosed
 	}
 	return comp, nil
-}
-
-// close shuts every board down and waits for the merged stream to end.
-func (c *FPGAChannel) close() {
-	for _, d := range c.devs {
-		d.Close()
-	}
-	c.fwd.Wait()
 }

@@ -15,9 +15,10 @@ import (
 	"dlbooster/internal/metrics"
 )
 
-// decoder is what the epoch state machine needs of its boards. Only
-// *FPGAChannel implements it in the program; the interface exists so a
-// test can drive the transitions with a scripted fake.
+// decoder is what the epoch state machine needs of its boards. The
+// program has two: *FPGAChannel over the boards and *hostLanes (host.go)
+// over a baseline's host goroutines; a test drives the transitions with
+// a scripted fake as well.
 type decoder interface {
 	SubmitCmd(fpga.Cmd) error
 	SubmitCmdTimeout(fpga.Cmd, time.Duration) (bool, error)
@@ -67,7 +68,7 @@ type epochState struct {
 	idle  []*pendingSlot
 	comps []fpga.Completion
 	// live tracks every buffer this epoch has taken from the pool but
-	// not yet handed to Publish. On an abnormal exit (pool or decoder
+	// not yet handed to publish. On an abnormal exit (pool or decoder
 	// closed mid-epoch) release returns them so the get/recycle ledger
 	// stays balanced — the accounting invariant the chaos tests assert.
 	live map[*building]bool
@@ -118,7 +119,7 @@ func (b *Booster) RunEpoch(col DataCollector) (err error) {
 	if col == nil {
 		return errors.New("core: nil collector")
 	}
-	e := newEpochState(b, b.ch)
+	e := newEpochState(b, b.dec)
 	defer e.release()
 	return e.run(col)
 }
@@ -194,7 +195,7 @@ func (e *epochState) run(col DataCollector) error {
 	return nil
 }
 
-// release returns the buffers of batches that never reached Publish.
+// release returns the buffers of batches that never reached publish.
 func (e *epochState) release() {
 	for bld := range e.live {
 		_ = e.b.pool.Put(bld.batch.Buf) // Push may fail post-Close; the checkout is cleared regardless
@@ -282,7 +283,7 @@ func (e *epochState) open() error {
 			return err
 		}
 	}
-	batch, err := b.Acquire()
+	batch, err := b.acquire()
 	if err != nil {
 		return err
 	}
@@ -363,14 +364,14 @@ func (e *epochState) seal(partial bool) error {
 // finishIfDone publishes a batch once it is sealed with no decodes
 // in flight. outstanding is exact — each submitted command is
 // settled exactly once (FINISH, retry exhaustion, or timeout) — so
-// the condition fires exactly once per batch. Publish takes the buffer
+// the condition fires exactly once per batch. publish takes the buffer
 // whether or not the push succeeds, so the batch leaves live either way.
 func (e *epochState) finishIfDone(bld *building) error {
 	if !bld.sealed || bld.outstanding > 0 {
 		return nil
 	}
 	delete(e.live, bld)
-	return e.b.Publish(bld.batch, bld.refs, bld.startedAt)
+	return e.b.publish(bld.batch, bld.refs, bld.startedAt)
 }
 
 // settleSuccess and settleFailure are the only two ways a pending
@@ -378,7 +379,7 @@ func (e *epochState) finishIfDone(bld *building) error {
 func (e *epochState) settleSuccess(ps *pendingSlot) error {
 	b := e.b
 	b.noteFPGASuccess()
-	b.Settle(ps.bld.batch, ps.slot, true)
+	b.settle(ps.bld.batch, ps.slot, true)
 	if b.traced {
 		b.reg.ObserveSince(metrics.StageFPGADecode, ps.submitted)
 	}
@@ -435,7 +436,7 @@ func (e *epochState) decodeOnCPU(bld *building, slot int, ref fpga.DataRef, offl
 		e.markFailed(bld, slot)
 		return
 	}
-	b.Settle(bld.batch, slot, true)
+	b.settle(bld.batch, slot, true)
 	counter, stage := &b.fallbacks, metrics.StageCPUFallback
 	if offload {
 		counter, stage = &b.offloads, metrics.StageCPUOffload
@@ -451,7 +452,7 @@ func (e *epochState) decodeOnCPU(bld *building, slot int, ref fpga.DataRef, offl
 
 // markFailed books a slot no decode path could fill.
 func (e *epochState) markFailed(bld *building, slot int) {
-	e.b.Settle(bld.batch, slot, false)
+	e.b.settle(bld.batch, slot, false)
 	if tr := bld.batch.Trace; tr != nil {
 		tr.Failed++
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,7 +18,9 @@ import (
 // can give — FINISH, FINISH with an error, a FINISH that beats the
 // revocation, silence, a shed submit — is drawn from a seed and the
 // settle-exactly-once and buffer-ledger invariants are checked under
-// hundreds of random failure policies.
+// hundreds of random failure policies. Each seed also runs the same
+// epoch through the baselines' decoder, host lanes (host.go) with one
+// and with four lanes, whose decodes fail or stall at random.
 
 // fate is how the fake board answers one submission of a command.
 type fate int
@@ -162,147 +165,214 @@ func modelPayloads() [][]byte {
 	return [][]byte{{1, 2, 3}, fpga.EncodeRaw(img)}
 }
 
+// modelDecoders are the decoder configurations every seed runs: the
+// scripted fake board (lanes 0) and host lanes.
+var modelDecoders = []struct {
+	name  string
+	lanes int
+}{{"fake", 0}, {"host1", 1}, {"host4", 4}}
+
+// hostModel is host lanes whose decode fails or stalls at random, one
+// generator per lane, counting the FINISHes it raises.
+type hostModel struct {
+	*hostLanes
+	ok, bad atomic.Int64
+}
+
+func newHostModel(b *Booster, seed int64, lanes int) *hostModel {
+	h := &hostModel{}
+	rngs := make([]*rand.Rand, lanes)
+	for i := range rngs {
+		rngs[i] = rand.New(rand.NewSource(seed*8 + int64(i)))
+	}
+	h.hostLanes = newHostLanes(b.pool, b.batchSize, lanes, func(lane int, ref fpga.DataRef, dst *pix.Image) error {
+		var err error
+		switch rngs[lane].Intn(4) {
+		case 0:
+			err = faults.ErrInjected // a FINISH carrying an error
+		case 1:
+			// A stall that may outlive CmdTimeout: the revocation
+			// loses and the command settles late.
+			time.Sleep(time.Duration(rngs[lane].Intn(400)) * time.Microsecond)
+			fallthrough
+		default:
+			_, err = b.host.Decode(ref.Inline, dst)
+		}
+		if err == nil {
+			h.ok.Add(1)
+		} else {
+			h.bad.Add(1)
+		}
+		return err
+	})
+	return h
+}
+
 func TestEpochModel(t *testing.T) {
+	for seed := int64(0); seed < 240; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			t.Parallel()
+			for _, d := range modelDecoders {
+				t.Run(d.name, func(t *testing.T) { runEpochModel(t, seed, d.lanes) })
+			}
+		})
+	}
+}
+
+// runEpochModel runs one seeded epoch through the fake board (lanes 0)
+// or host lanes and checks every invariant.
+func runEpochModel(t *testing.T, seed int64, lanes int) {
 	payloads := modelPayloads()
 	mirror, err := fpga.LoadMirror("raw")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seed := int64(0); seed < 240; seed++ {
-		t.Run(fmt.Sprint(seed), func(t *testing.T) {
-			t.Parallel()
-			rng := rand.New(rand.NewSource(seed))
-			pick := func(d ...time.Duration) time.Duration { return d[rng.Intn(len(d))] }
-			cfg := Config{
-				BatchSize: 1 + rng.Intn(5), OutW: 4, OutH: 4, Channels: 1,
-				PoolBatches:  2 + rng.Intn(3),
-				BatchTimeout: pick(0, 100*time.Microsecond, time.Millisecond),
-				Resilience: Resilience{
-					MaxRetries:    rng.Intn(3),
-					RetryBackoff:  10 * time.Microsecond,
-					CmdTimeout:    pick(0, 300*time.Microsecond),
-					FallbackAfter: []int{0, 2, 1000}[rng.Intn(3)],
-				},
+	rng := rand.New(rand.NewSource(seed))
+	pick := func(d ...time.Duration) time.Duration { return d[rng.Intn(len(d))] }
+	cfg := Config{
+		BatchSize: 1 + rng.Intn(5), OutW: 4, OutH: 4, Channels: 1,
+		PoolBatches:  2 + rng.Intn(3),
+		BatchTimeout: pick(0, 100*time.Microsecond, time.Millisecond),
+		Resilience: Resilience{
+			MaxRetries:    rng.Intn(3),
+			RetryBackoff:  10 * time.Microsecond,
+			CmdTimeout:    pick(0, 300*time.Microsecond),
+			FallbackAfter: []int{0, 2, 1000}[rng.Intn(3)],
+		},
+	}
+	plane, err := newBatchPlane(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plane.Close()
+	plane.spanned = true // stamp spans so the consumer can check conservation
+	b := &Booster{BatchPlane: plane, cfg: cfg, host: fpga.NewPipeline(mirror)}
+	b.batchTimeoutNs.Store(int64(cfg.BatchTimeout))
+	b.SetCPUShare([]float64{0, 0, 0.25, 0.5, 1}[rng.Intn(5)])
+
+	items := make([]Item, 1+rng.Intn(24))
+	for i := range items {
+		p := payloads[1]
+		if rng.Intn(6) == 0 {
+			p = payloads[0]
+		}
+		items[i] = Item{Ref: fpga.DataRef{Inline: p}, Meta: ItemMeta{Seq: i}}
+	}
+	col := CollectorFromItems(items)
+	if rng.Intn(2) == 0 {
+		// Streaming arrivals with pauses, so deadline flushes and
+		// the idle poll loop are in play.
+		q := queue.New[Item](len(items))
+		pauses := make([]time.Duration, len(items))
+		for i := range pauses {
+			pauses[i] = pick(0, 0, 50*time.Microsecond, 400*time.Microsecond)
+		}
+		go func() {
+			for i, it := range items {
+				time.Sleep(pauses[i])
+				_ = q.Push(it)
 			}
-			plane, err := NewBatchPlane(PlaneConfig{
-				BatchSize: cfg.BatchSize, OutW: cfg.OutW, OutH: cfg.OutH, Channels: cfg.Channels,
-				PoolBatches: cfg.PoolBatches,
-			})
+			q.Close()
+		}()
+		col = CollectorFromQueue(q)
+	}
+
+	// Concurrent consumer: check each batch, then recycle it.
+	type tally struct{ batches, images, valid, fpga, fallback, failed int }
+	consumed := make(chan tally, 1)
+	go func() {
+		var tl tally
+		seqs, seen := map[int]bool{}, map[int]bool{}
+		for {
+			bt, err := b.Batches().Pop()
 			if err != nil {
-				t.Fatal(err)
+				consumed <- tl
+				return
 			}
-			defer plane.Close()
-			plane.spanned = true // stamp spans so the consumer can check conservation
-			b := &Booster{BatchPlane: plane, cfg: cfg, host: fpga.NewPipeline(mirror)}
-			b.batchTimeoutNs.Store(int64(cfg.BatchTimeout))
-			b.SetCPUShare([]float64{0, 0, 0.25, 0.5, 1}[rng.Intn(5)])
-
-			items := make([]Item, 1+rng.Intn(24))
-			for i := range items {
-				p := payloads[1]
-				if rng.Intn(6) == 0 {
-					p = payloads[0]
+			tr := bt.Trace
+			switch {
+			case bt.Images == 0 || bt.Images > cfg.BatchSize:
+				t.Errorf("batch %d carries %d images (batch size %d)", bt.Seq, bt.Images, cfg.BatchSize)
+			case seqs[bt.Seq]:
+				t.Errorf("batch %d published twice", bt.Seq)
+			case tr == nil || tr.Images != bt.Images || tr.FPGA+tr.Fallback+tr.Failed != bt.Images:
+				t.Errorf("batch %d span not conserved: %+v for %d images", bt.Seq, tr, bt.Images)
+			case tr.FPGA+tr.Fallback != bt.ValidCount():
+				t.Errorf("batch %d: %d valid slots, span says %d", bt.Seq, bt.ValidCount(), tr.FPGA+tr.Fallback)
+			}
+			seqs[bt.Seq] = true
+			for _, m := range bt.Metas {
+				if seen[m.Seq] {
+					t.Errorf("item %d delivered twice", m.Seq)
 				}
-				items[i] = Item{Ref: fpga.DataRef{Inline: p}, Meta: ItemMeta{Seq: i}}
+				seen[m.Seq] = true
 			}
-			col := CollectorFromItems(items)
-			if rng.Intn(2) == 0 {
-				// Streaming arrivals with pauses, so deadline flushes and
-				// the idle poll loop are in play.
-				q := queue.New[Item](len(items))
-				pauses := make([]time.Duration, len(items))
-				for i := range pauses {
-					pauses[i] = pick(0, 0, 50*time.Microsecond, 400*time.Microsecond)
-				}
-				go func() {
-					for i, it := range items {
-						time.Sleep(pauses[i])
-						_ = q.Push(it)
-					}
-					q.Close()
-				}()
-				col = CollectorFromQueue(q)
+			tl.batches++
+			tl.images += bt.Images
+			tl.valid += bt.ValidCount()
+			if tr != nil {
+				tl.fpga, tl.fallback, tl.failed = tl.fpga+tr.FPGA, tl.fallback+tr.Fallback, tl.failed+tr.Failed
 			}
+			if err := b.RecycleBatch(bt); err != nil {
+				t.Errorf("recycle: %v", err)
+			}
+		}
+	}()
 
-			// Concurrent consumer: check each batch, then recycle it.
-			type tally struct{ batches, images, valid, fpga, fallback, failed int }
-			consumed := make(chan tally, 1)
-			go func() {
-				var tl tally
-				seqs, seen := map[int]bool{}, map[int]bool{}
-				for {
-					bt, err := b.Batches().Pop()
-					if err != nil {
-						consumed <- tl
-						return
-					}
-					tr := bt.Trace
-					switch {
-					case bt.Images == 0 || bt.Images > cfg.BatchSize:
-						t.Errorf("batch %d carries %d images (batch size %d)", bt.Seq, bt.Images, cfg.BatchSize)
-					case seqs[bt.Seq]:
-						t.Errorf("batch %d published twice", bt.Seq)
-					case tr == nil || tr.Images != bt.Images || tr.FPGA+tr.Fallback+tr.Failed != bt.Images:
-						t.Errorf("batch %d span not conserved: %+v for %d images", bt.Seq, tr, bt.Images)
-					case tr.FPGA+tr.Fallback != bt.ValidCount():
-						t.Errorf("batch %d: %d valid slots, span says %d", bt.Seq, bt.ValidCount(), tr.FPGA+tr.Fallback)
-					}
-					seqs[bt.Seq] = true
-					for _, m := range bt.Metas {
-						if seen[m.Seq] {
-							t.Errorf("item %d delivered twice", m.Seq)
-						}
-						seen[m.Seq] = true
-					}
-					tl.batches++
-					tl.images += bt.Images
-					tl.valid += bt.ValidCount()
-					if tr != nil {
-						tl.fpga, tl.fallback, tl.failed = tl.fpga+tr.FPGA, tl.fallback+tr.Fallback, tl.failed+tr.Failed
-					}
-					if err := b.RecycleBatch(bt); err != nil {
-						t.Errorf("recycle: %v", err)
-					}
-				}
-			}()
+	var dec decoder
+	var fake *fakeDecoder
+	var host *hostModel
+	if lanes == 0 {
+		fake = &fakeDecoder{
+			t: t, rng: rng, bounded: cfg.Resilience.CmdTimeout > 0,
+			held: map[uint64]fate{}, inBoard: map[uint64]bool{},
+		}
+		dec = fake
+	} else {
+		host = newHostModel(b, seed, lanes)
+		defer host.close()
+		dec = host
+	}
+	e := newEpochState(b, dec)
+	if err := e.run(col); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	e.release()
+	b.CloseBatches()
+	tl := <-consumed
 
-			dec := &fakeDecoder{
-				t: t, rng: rng, bounded: cfg.Resilience.CmdTimeout > 0,
-				held: map[uint64]fate{}, inBoard: map[uint64]bool{},
-			}
-			e := newEpochState(b, dec)
-			if err := e.run(col); err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			e.release()
-			b.CloseBatches()
-			tl := <-consumed
-
-			n := len(items)
-			if len(e.pending) != 0 || len(e.live) != 0 || e.cur != nil {
-				t.Fatalf("epoch returned with %d pending, %d unpublished batches, cur=%v", len(e.pending), len(e.live), e.cur)
-			}
-			if len(dec.inBoard)+len(dec.held)+len(dec.delayed)+len(dec.ready) != 0 {
-				t.Fatalf("board not quiescent: %d in board, %d held, %d delayed, %d ready",
-					len(dec.inBoard), len(dec.held), len(dec.delayed), len(dec.ready))
-			}
-			if got := b.Images() + b.DecodeErrors(); got != int64(n) || b.collected.Value() != int64(n) {
-				t.Fatalf("images %d + errors %d = %d, collected %d, want %d items", b.Images(), b.DecodeErrors(), got, b.collected.Value(), n)
-			}
-			if tl.images != n || int64(tl.valid) != b.Images() || int64(tl.batches) != b.published.Value() {
-				t.Fatalf("consumer saw %d images (%d valid) in %d batches; booster says %d items, %d images, %d published",
-					tl.images, tl.valid, tl.batches, n, b.Images(), b.published.Value())
-			}
-			if tl.fpga != dec.ok || int64(tl.fallback) != b.FallbackDecodes()+b.OffloadDecodes() || int64(tl.failed) != b.DecodeErrors() {
-				t.Fatalf("spans fpga/fallback/failed = %d/%d/%d; board finished %d, counters say %d+%d fallback+offload, %d errors",
-					tl.fpga, tl.fallback, tl.failed, dec.ok, b.FallbackDecodes(), b.OffloadDecodes(), b.DecodeErrors())
-			}
-			if b.Retries() > int64(dec.bad) {
-				t.Fatalf("%d retries for %d failed FINISHes", b.Retries(), dec.bad)
-			}
-			if out := b.Pool().Outstanding(); out != 0 {
-				t.Fatalf("%d buffers still checked out after the consumer recycled everything", out)
-			}
-		})
+	n := len(items)
+	if len(e.pending) != 0 || len(e.live) != 0 || e.cur != nil {
+		t.Fatalf("epoch returned with %d pending, %d unpublished batches, cur=%v", len(e.pending), len(e.live), e.cur)
+	}
+	finished, failed := 0, 0
+	if fake != nil {
+		if len(fake.inBoard)+len(fake.held)+len(fake.delayed)+len(fake.ready) != 0 {
+			t.Fatalf("board not quiescent: %d in board, %d held, %d delayed, %d ready",
+				len(fake.inBoard), len(fake.held), len(fake.delayed), len(fake.ready))
+		}
+		finished, failed = fake.ok, fake.bad
+	} else {
+		if host.cmds.Len()+host.merged.Len() != 0 {
+			t.Fatalf("lanes not quiescent: %d queued, %d FINISHes unread", host.cmds.Len(), host.merged.Len())
+		}
+		finished, failed = int(host.ok.Load()), int(host.bad.Load())
+	}
+	if got := b.Images() + b.DecodeErrors(); got != int64(n) || b.collected.Value() != int64(n) {
+		t.Fatalf("images %d + errors %d = %d, collected %d, want %d items", b.Images(), b.DecodeErrors(), got, b.collected.Value(), n)
+	}
+	if tl.images != n || int64(tl.valid) != b.Images() || int64(tl.batches) != b.published.Value() {
+		t.Fatalf("consumer saw %d images (%d valid) in %d batches; booster says %d items, %d images, %d published",
+			tl.images, tl.valid, tl.batches, n, b.Images(), b.published.Value())
+	}
+	if tl.fpga != finished || int64(tl.fallback) != b.FallbackDecodes()+b.OffloadDecodes() || int64(tl.failed) != b.DecodeErrors() {
+		t.Fatalf("spans fpga/fallback/failed = %d/%d/%d; decoder finished %d, counters say %d+%d fallback+offload, %d errors",
+			tl.fpga, tl.fallback, tl.failed, finished, b.FallbackDecodes(), b.OffloadDecodes(), b.DecodeErrors())
+	}
+	if b.Retries() > int64(failed) {
+		t.Fatalf("%d retries for %d failed FINISHes", b.Retries(), failed)
+	}
+	if out := b.Pool().Outstanding(); out != 0 {
+		t.Fatalf("%d buffers still checked out after the consumer recycled everything", out)
 	}
 }

@@ -1,8 +1,9 @@
 // The batch plane — everything between "a decoder filled a slot" and
 // "the Dispatcher popped a batch": the MemManager pool (Algorithm 2),
 // the Full_Batch_Queue, the batch sequence, the §3.1 tiered cache and
-// its replay. The Booster and the three baselines in internal/backends
-// all embed one, so assemble → publish → cache → replay exists once.
+// its replay. Every Booster — DLBooster and each baseline in
+// internal/backends — embeds one, so assemble → publish → cache →
+// replay exists once.
 
 package core
 
@@ -19,24 +20,6 @@ import (
 	"dlbooster/internal/queue"
 )
 
-// PlaneConfig is the batch geometry and cache sizing every backend
-// shares.
-type PlaneConfig struct {
-	// BatchSize is images per batch buffer.
-	BatchSize int
-	// OutW/OutH/Channels is the decoded raster geometry of every slot.
-	OutW, OutH, Channels int
-	// PoolBatches is the number of HugePage batch buffers (default 8,
-	// at least 2 for pipelining).
-	PoolBatches int
-	// Cache sizes the tiered epoch cache (RAM → NVMe spill); a zero
-	// RAMBytes disables caching.
-	Cache CacheConfig
-	// SharedCache, when non-nil, captures into and replays from an
-	// externally-owned cache instead of building one from Cache.
-	SharedCache *TieredCache
-}
-
 // BatchPlane owns the batch buffers of one backend from checkout to
 // recycle. It is the only caller of TieredCache.Add and Replay, and the
 // only place a batch is stamped, pushed onto the Full queue and counted.
@@ -51,15 +34,14 @@ type BatchPlane struct {
 	errors    metrics.Counter
 	published metrics.Counter
 
-	// Telemetry sinks, wired by the Booster; the baselines leave them
-	// unset and pay nothing. reg is nil-safe; traced gates per-batch
+	// Telemetry sinks, wired by the Booster. traced gates per-batch
 	// histogram observes, spanned gates per-batch span stamping.
 	reg             *metrics.Registry
 	traced, spanned bool
 
 	// cache is the tiered first-epoch cache (nil = caching disabled),
 	// possibly shared across planes (fleet shards). replaying suppresses
-	// capture while Replay re-decodes evicted entries — without it every
+	// capture while replay re-decodes evicted entries — without it every
 	// replay would re-admit them as duplicates and later epochs would
 	// serve those items twice.
 	cache     *TieredCache
@@ -78,9 +60,10 @@ type BatchPlane struct {
 	closeOnce sync.Once
 }
 
-// NewBatchPlane validates the geometry once for every backend and builds
-// the pool, the Full queue and (when sized) the tiered cache.
-func NewBatchPlane(cfg PlaneConfig) (*BatchPlane, error) {
+// newBatchPlane validates cfg's batch geometry and pool sizing (at
+// least 2 buffers, for pipelining) and builds the pool, the Full queue
+// and (when sized) the tiered cache.
+func newBatchPlane(cfg Config) (*BatchPlane, error) {
 	if cfg.BatchSize <= 0 {
 		return nil, errors.New("core: batch size must be positive")
 	}
@@ -128,9 +111,9 @@ func (p *BatchPlane) Images() int64 { return p.images.Value() }
 // DecodeErrors returns the count of failed decodes.
 func (p *BatchPlane) DecodeErrors() int64 { return p.errors.Value() }
 
-// Settle books the outcome of one slot's decode: the slot's Valid flag
+// settle books the outcome of one slot's decode: the slot's Valid flag
 // and the images / decode-errors counters move together.
-func (p *BatchPlane) Settle(batch *Batch, slot int, ok bool) {
+func (p *BatchPlane) settle(batch *Batch, slot int, ok bool) {
 	batch.Valid[slot] = ok
 	if ok {
 		p.images.Add(1)
@@ -155,9 +138,9 @@ func (p *BatchPlane) newBatch(buf *hugepage.Buffer) *Batch {
 	return &Batch{Buf: buf, W: p.outW, H: p.outH, C: p.channels, Seq: int(p.seq.Add(1))}
 }
 
-// Acquire blocks for a free buffer and returns it as an empty batch for
-// a backend to fill; Publish hands it on.
-func (p *BatchPlane) Acquire() (*Batch, error) {
+// acquire blocks for a free buffer and returns it as an empty batch for
+// the reader to fill; publish hands it on.
+func (p *BatchPlane) acquire() (*Batch, error) {
 	buf, err := p.getBuffer()
 	if err != nil {
 		return nil, err
@@ -169,14 +152,14 @@ func (p *BatchPlane) Acquire() (*Batch, error) {
 	return batch, nil
 }
 
-// Publish stamps a filled batch, admits it to the cache and pushes it
+// publish stamps a filled batch, admits it to the cache and pushes it
 // onto the Full queue. refs are the items' DataRefs (so an evicted entry
 // stays re-decodable) and startedAt the build start, whose distance to
 // assembly is the measured decode cost the eviction policy weighs; both
 // matter only with caching on. The buffer always leaves the caller's
 // hands: an empty batch (stream ended exactly at a boundary) and a
 // failed push (queue closed mid-teardown) return it to the pool.
-func (p *BatchPlane) Publish(batch *Batch, refs []fpga.DataRef, startedAt time.Time) error {
+func (p *BatchPlane) publish(batch *Batch, refs []fpga.DataRef, startedAt time.Time) error {
 	if batch.Images == 0 {
 		return p.pool.Put(batch.Buf)
 	}
@@ -244,7 +227,7 @@ func (p *BatchPlane) Cache() *TieredCache { return p.cache }
 // times.
 func (p *BatchPlane) CacheComplete() bool { return p.cache != nil && p.cache.Complete() }
 
-// CacheReplayable reports whether Replay can serve an epoch at all —
+// CacheReplayable reports whether ReplayCache can serve an epoch at all —
 // possibly re-decoding evicted batches through the decode path. Weaker
 // than CacheComplete: use it when a partially-cached epoch is still
 // worth replaying.
@@ -266,13 +249,13 @@ func (p *BatchPlane) CachedBatches() int {
 	return st.RAMResident + st.SpillResident
 }
 
-// Replay serves this plane's 1/shards slice of the cached epoch — entry
+// replay serves this plane's 1/shards slice of the cached epoch — entry
 // indices congruent to shard modulo shards — the offline-like fast path
 // of the hybrid service (§3.1). RAM-tier batches are copied into pool
 // buffers, spill-tier batches are read back from the NVMe store (paced
 // by its bandwidth model), and evicted batches are re-decoded from
-// their retained DataRefs through redecode, the embedder's own RunEpoch
-// — every batch still flows through pool buffers and the Full queue so
+// their retained DataRefs through redecode, the Booster's RunEpoch —
+// every batch still flows through pool buffers and the Full queue so
 // the downstream pipeline is identical either way.
 //
 // Replayed batches share the cached Metas and Valid slices rather than
@@ -284,7 +267,7 @@ func (p *BatchPlane) CachedBatches() int {
 // When nothing can be served the error wraps ErrCacheUnavailable with
 // the cause — disabled, never filled, over the RAM limit with no spill
 // tier, or fully evicted (see docs/API.md).
-func (p *BatchPlane) Replay(shard, shards int, redecode func(DataCollector) error) error {
+func (p *BatchPlane) replay(shard, shards int, redecode func(DataCollector) error) error {
 	if p.cache == nil {
 		return ErrCacheDisabled
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"dlbooster/internal/backends"
 	"dlbooster/internal/core"
 	"dlbooster/internal/dataset"
 	"dlbooster/internal/fpga"
@@ -18,7 +17,7 @@ import (
 // rig wires a backend, dispatcher, and n solvers — the full functional
 // stack below the engine.
 type rig struct {
-	backend backends.Backend
+	backend *core.Booster
 	solvers []*core.Solver
 	disk    *nvme.Device
 	spec    dataset.Spec
@@ -32,7 +31,7 @@ func newRig(t *testing.T, images, batch, gpus int) *rig {
 	if _, err := spec.WriteToNVMe(disk); err != nil {
 		t.Fatal(err)
 	}
-	b, err := backends.NewDLBooster(core.Config{
+	b, err := core.New(core.Config{
 		BatchSize: batch, OutW: 28, OutH: 28, Channels: 1,
 		PoolBatches: 4, Source: disk,
 	})

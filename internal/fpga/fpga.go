@@ -63,6 +63,17 @@ type DataSource interface {
 	Fetch(ref DataRef) ([]byte, error)
 }
 
+// Bytes returns the raw bytes r names: inline, or fetched from src.
+func (r DataRef) Bytes(src DataSource) ([]byte, error) {
+	if r.Inline != nil {
+		return r.Inline, nil
+	}
+	if src == nil {
+		return nil, ErrNoData
+	}
+	return src.Fetch(r)
+}
+
 // Cmd is one decode command, the unit travelling through the FPGA FIFO
 // queue of Figure 4. The host bridger encodes the DMA target as a
 // physical address plus offset exactly as Algorithm 1 does
@@ -716,15 +727,9 @@ func (d *Device) parseCmd(cmd Cmd, corrupt bool) (Job, error) {
 	if _, err := d.window(cmd); err != nil {
 		return nil, err
 	}
-	data := cmd.Data.Inline
-	if data == nil {
-		if d.source == nil {
-			return nil, ErrNoData
-		}
-		var err error
-		if data, err = d.source.Fetch(cmd.Data); err != nil {
-			return nil, err
-		}
+	data, err := cmd.Data.Bytes(d.source)
+	if err != nil {
+		return nil, err
 	}
 	if corrupt {
 		// Corrupt a copy (the caller's payload may be shared) so the

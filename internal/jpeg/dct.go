@@ -59,13 +59,6 @@ func quantize(coef *block, q *QuantTable, out *block) {
 	}
 }
 
-// dequantize multiplies levels back into coefficient magnitudes.
-func dequantize(levels *block, q *QuantTable, out *block) {
-	for i := range levels {
-		out[i] = levels[i] * int32(q[i])
-	}
-}
-
 func clamp8(v int32) byte {
 	if v < 0 {
 		return 0

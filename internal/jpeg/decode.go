@@ -642,22 +642,7 @@ func (co *Coefficients) reconstructInto(p *Planes, s int) error {
 		stride := co.blocksX[i] * s
 		rows := co.blocksY[i] * s
 		plane := p.setPlane(i, stride, rows)
-		if s == 8 {
-			var deq block
-			var samples [64]byte
-			for by := 0; by < co.blocksY[i]; by++ {
-				for bx := 0; bx < co.blocksX[i]; bx++ {
-					blk := &co.comp[i][by*co.blocksX[i]+bx]
-					dequantize(blk, q, &deq)
-					idctFast(&deq, &samples)
-					for y := 0; y < 8; y++ {
-						copy(plane[(by*8+y)*stride+bx*8:], samples[y*8:y*8+8])
-					}
-				}
-			}
-			continue
-		}
-		var samples [64]byte // s ≤ 7: an s×s tile, row-major
+		var samples [64]byte // an s×s tile, row-major
 		for by := 0; by < co.blocksY[i]; by++ {
 			for bx := 0; bx < co.blocksX[i]; bx++ {
 				blk := &co.comp[i][by*co.blocksX[i]+bx]

@@ -1,8 +1,9 @@
 package jpeg
 
-// The fast decode kernels: the iDCT (full and scaled) and YCbCr→RGB
-// loops every decode runs. The bilinear resizer's counterpart lives in
-// internal/imageproc (resize_fast.go).
+// The fast decode kernels: the iDCT at every scale N/8 (N = 8 is the
+// full-resolution transform) and the YCbCr→RGB loops every decode runs.
+// The bilinear resizer's counterpart lives in internal/imageproc
+// (resize_fast.go).
 //
 // Each kernel is numerically EXACT against a reference — byte-for-byte
 // on every input, not PSNR-close. The float iDCT references idct and
@@ -28,89 +29,11 @@ func KernelName() string { return "swar" }
 
 // --- fast iDCT kernels -------------------------------------------------
 
-// idctFast is the sparsity-specialised full 8×8 inverse transform. It
-// computes exactly the sums idct computes, in the same order, but (a)
-// converts each nonzero coefficient to float64 once instead of once per
-// output column, (b) skips coefficients that are exactly zero (a ±0.0
-// addend never changes a float sum), and (c) short-circuits the two
-// overwhelmingly common shapes — a DC-only column (the 8-point DC basis
-// row is constant) and a DC-only block (all 64 samples equal).
-func idctFast(coef *block, out *[64]byte) {
-	var tmp [64]float64
-	var cols [8]int8
-	ncols := 0
-	dcCol := false
-	for v := 0; v < 8; v++ {
-		// Compact the column's nonzero coefficients, ascending u, so the
-		// accumulation order matches the reference loop.
-		var fv [8]float64
-		var iu [8]int8
-		n := 0
-		for u := 0; u < 8; u++ {
-			if c := coef[u*8+v]; c != 0 {
-				fv[n] = float64(c)
-				iu[n] = int8(u)
-				n++
-			}
-		}
-		if n == 0 {
-			continue // tmp column stays exactly zero
-		}
-		cols[ncols] = int8(v)
-		ncols++
-		if n == 1 && iu[0] == 0 {
-			// DC-only column: cosBasis[0][x] is the same constant for
-			// every x, so the whole column is one multiply.
-			if v == 0 {
-				dcCol = true
-			}
-			t := cosBasis[0][0] * fv[0]
-			for x := 0; x < 8; x++ {
-				tmp[x*8+v] = t
-			}
-			continue
-		}
-		for x := 0; x < 8; x++ {
-			var s float64
-			for k := 0; k < n; k++ {
-				s += cosBasis[iu[k]][x] * fv[k]
-			}
-			tmp[x*8+v] = s
-		}
-	}
-	switch {
-	case ncols == 0:
-		// Empty block: every sample is clamp8(round(0)+128).
-		for i := range out {
-			out[i] = 128
-		}
-		return
-	case ncols == 1 && cols[0] == 0 && dcCol:
-		// DC-only block: one value fills all 64 samples.
-		val := clamp8(int32(math.Round(cosBasis[0][0]*tmp[0])) + 128)
-		for i := range out {
-			out[i] = val
-		}
-		return
-	}
-	for x := 0; x < 8; x++ {
-		row := tmp[x*8 : x*8+8 : x*8+8]
-		for y := 0; y < 8; y++ {
-			var s float64
-			for k := 0; k < ncols; k++ {
-				v := cols[k]
-				s += cosBasis[v][y] * row[v]
-			}
-			out[x*8+y] = clamp8(int32(math.Round(s)) + 128)
-		}
-	}
-}
-
 // idctScaledFast writes the s×s tile row-major into out[:s*s]: unrolled
-// kernels for s = 1, 2 and 4, the generic one for 3, 5, 6 and 7. Each is
-// the reference idctScaled with the dequantise-and-convert hoisted out of
-// the basis loops — the same float operations in the same order, so the
-// output is bit-identical.
+// kernels for s = 1, 2 and 4, the generic one for 3, 5, 6, 7 and the
+// full-resolution 8. Each is the reference idctScaled with the
+// dequantise-and-convert hoisted out of the basis loops — the same float
+// operations in the same order, so the output is bit-identical.
 func idctScaledFast(blk *block, q *QuantTable, s int, out *[64]byte) {
 	switch s {
 	case 1:
@@ -125,41 +48,41 @@ func idctScaledFast(blk *block, q *QuantTable, s int, out *[64]byte) {
 }
 
 // idctScaledNFast is the n-point transform over the n×n low-frequency
-// corner, for any n < 8. Each nonzero coefficient is dequantised and
-// converted once and its basis row added into its column; all-zero
-// columns are skipped, empty and DC-only blocks fill the tile with one
-// value, and every sum still adds its terms in the reference's order.
+// corner, for any n ≤ 8. An empty or DC-only corner — told apart from
+// the levels before any float work — fills the tile with one value.
+// Otherwise each nonzero coefficient is dequantised and converted once
+// and its basis row added into its column, all-zero columns are skipped,
+// and every sum still adds its terms in the reference's order.
 func idctScaledNFast(blk *block, q *QuantTable, n int, out *[64]byte) {
 	b := &scaledBasis[n]
+	if dcOnly(blk, n) {
+		// Every sample is the DC basis product (b[0][x] is one
+		// constant), exactly as the two passes compute it.
+		val := clamp8(int32(math.Round(b[0][0]*(b[0][0]*float64(blk[0]*int32(q[0]))))) + 128)
+		for i := range out[:n*n] {
+			out[i] = val
+		}
+		return
+	}
 	var tmp [8][8]float64 // tmp[v][x] = Σ_u b[u][x]·d(u,v)
 	var cols [8]int
-	ncols, nnz := 0, 0
+	ncols := 0
 	for v := 0; v < n; v++ {
 		col := &tmp[v]
-		k := 0
+		nz := false
 		for u := 0; u < n; u++ {
 			if c := blk[u*8+v] * int32(q[u*8+v]); c != 0 {
 				d := float64(c)
 				for x, bx := range b[u][:n] {
 					col[x] += bx * d
 				}
-				k++
+				nz = true
 			}
 		}
-		if k > 0 {
+		if nz {
 			cols[ncols] = v
 			ncols++
-			nnz += k
 		}
-	}
-	if d00 := blk[0] * int32(q[0]); nnz <= 1 && (nnz == 0 || d00 != 0) {
-		// Empty or DC-only block: every sample is the DC basis product
-		// (b[0][x] is one constant), exactly as the two passes compute it.
-		val := clamp8(int32(math.Round(b[0][0]*(b[0][0]*float64(d00)))) + 128)
-		for i := range out[:n*n] {
-			out[i] = val
-		}
-		return
 	}
 	for x := 0; x < n; x++ {
 		var acc [8]float64 // acc[y] = Σ_v b[v][y]·tmp[v][x], ascending v
@@ -173,6 +96,20 @@ func idctScaledNFast(blk *block, q *QuantTable, n int, out *[64]byte) {
 			out[x*n+y] = clamp8(int32(math.Round(s)) + 128)
 		}
 	}
+}
+
+// dcOnly reports whether every AC level of the n×n corner is zero. It
+// stops at the first nonzero one, which in a block with AC energy is
+// almost always among the first few it reads.
+func dcOnly(blk *block, n int) bool {
+	for u := 0; u < n; u++ {
+		for v, c := range blk[u*8 : u*8+n] {
+			if c != 0 && u|v != 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // idctScaled1Fast: the 1-point transform touches only the DC

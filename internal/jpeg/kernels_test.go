@@ -38,8 +38,15 @@ func randomSparseBlock(rng *rand.Rand, n int) block {
 	return blk
 }
 
+// TestKernelIDCTExactParity pins the full-resolution transform — the
+// generic kernel at N = 8 over a unit quant table, so the levels are the
+// coefficients — to the float reference idct.
 func TestKernelIDCTExactParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
+	var unit QuantTable
+	for i := range unit {
+		unit[i] = 1
+	}
 	densities := []int{0, 1, 2, 3, 5, 8, 16, 32, 64}
 	for _, n := range densities {
 		for trial := 0; trial < 200; trial++ {
@@ -59,18 +66,17 @@ func TestKernelIDCTExactParity(t *testing.T) {
 			}
 			var want, got [64]byte
 			idct(&blk, &want)
-			idctFast(&blk, &got)
+			idctScaledNFast(&blk, &unit, 8, &got)
 			if want != got {
-				t.Fatalf("idctFast diverges from idct (density %d, trial %d)\nblk:  %v\nwant: %v\ngot:  %v", n, trial, blk, want, got)
+				t.Fatalf("idctScaledNFast(8) diverges from idct (density %d, trial %d)\nblk:  %v\nwant: %v\ngot:  %v", n, trial, blk, want, got)
 			}
 		}
 	}
 }
 
 // TestKernelIDCTScaledExactParity pins idctScaledFast to the reference
-// idctScaled at every scale N = 1…7, and at N = 8 pins the reference to
-// the full-decode path (dequantize + idctFast): the 8-point row of the
-// scaled basis is the full basis, so one reference covers every scale.
+// idctScaled at every scale N = 1…8: the 8-point row of the scaled basis
+// is the full basis, so one reference covers every scale.
 func TestKernelIDCTScaledExactParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(8072026))
 	var q QuantTable
@@ -96,13 +102,7 @@ func TestKernelIDCTScaledExactParity(t *testing.T) {
 			}
 			var want, got [64]byte
 			idctScaled(&blk, &q, s, &want)
-			if s == 8 {
-				var deq block
-				dequantize(&blk, &q, &deq)
-				idctFast(&deq, &got)
-			} else {
-				idctScaledFast(&blk, &q, s, &got)
-			}
+			idctScaledFast(&blk, &q, s, &got)
 			if want != got {
 				t.Fatalf("idctScaledFast diverges at scale %d (trial %d)\nblk:  %v\nwant: %v\ngot:  %v", s, trial, blk, want, got)
 			}

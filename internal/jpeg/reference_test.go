@@ -9,6 +9,13 @@ import (
 	"dlbooster/internal/pix"
 )
 
+// dequantize multiplies levels back into coefficient magnitudes.
+func dequantize(levels *block, q *QuantTable, out *block) {
+	for i := range levels {
+		out[i] = levels[i] * int32(q[i])
+	}
+}
+
 // idct transforms dequantised coefficients into level-shifted 8-bit
 // samples, clamping to [0, 255].
 func idct(coef *block, out *[64]byte) {

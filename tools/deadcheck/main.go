@@ -26,7 +26,7 @@ import (
 // allowlist keeps declarations that no binary reaches, keyed by import
 // path + "." + name, each with the reason it stays.
 var allowlist = map[string]string{
-	"dlbooster/internal/backends.NewNvJPEG":        "the paper's GPU-decode baseline (DESIGN.md substitution table), run by the §4.2 byte-identical-batches integration test",
+	"dlbooster/internal/backends.NewNvJPEG":        "the paper's GPU-decode baseline (DESIGN.md substitution table), a core.NewHost decoder no binary offers; the §4.2 byte-identical-batches integration test runs it",
 	"dlbooster/internal/lmdb.Open":                 "reads the databases `dlgen -lmdb` writes",
 	"dlbooster/internal/jpeg.DecodeConfig":         "the header-only probe CI fuzzes (FuzzDecodeConfig)",
 	"dlbooster/internal/jpeg.DefaultEncodeOptions": "encoder defaults shared by the tests of several packages",
