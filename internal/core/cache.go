@@ -53,14 +53,17 @@ var (
 )
 
 // SpillStore is the storage tier the cache spills decoded batches to.
-// *nvme.Device implements it (WriteObject/Read/Delete), with writes and
-// reads paced by its bandwidth model; any durable object store with the
-// same three verbs works.
+// *nvme.Device implements it (WriteObject/ReadInto/Delete), with writes
+// and reads paced by its bandwidth model; any durable object store with
+// the same three verbs works.
 type SpillStore interface {
-	// WriteObject stores one spill record under a cache-unique name.
-	WriteObject(name string, data []byte) error
-	// Read returns a stored record's bytes.
-	Read(name string) ([]byte, error)
+	// WriteObject stores one spill record, the concatenation of parts,
+	// under a cache-unique name.
+	WriteObject(name string, parts ...[]byte) error
+	// ReadInto fills dst with a stored record's bytes from offset off,
+	// so a spill hit lands in the pool buffer it is published from, as
+	// the paper's load_from_disk lands bytes in HugePage memory.
+	ReadInto(name string, off int64, dst []byte) error
 	// Delete removes a record, reclaiming its space.
 	Delete(name string) error
 }
@@ -140,7 +143,10 @@ type cacheEntry struct {
 	data     []byte  // RAM tier (nil when demoted/evicted)
 	spill    string  // spill object name ("" when none)
 	spillLen int64   // stored record length (accounting)
-	dropped  bool    // evicted from both tiers
+	// spillHdr is the spill record's header, kept in RAM so a spill hit
+	// is one device request for the stored bytes, checked against it.
+	spillHdr [SpillHeaderSize]byte
+	dropped  bool // evicted from both tiers
 }
 
 // score is the keep-priority: decode cost scaled by observed hotness.
@@ -149,22 +155,13 @@ type cacheEntry struct {
 // asserts.
 func (e *cacheEntry) score() float64 { return e.cost * float64(1+e.hits) }
 
-// CacheAddStats reports what admitting one batch did to the tiers.
-type CacheAddStats struct {
-	// Demoted counts RAM entries pushed down to the spill tier.
-	Demoted int
-	// Evicted counts entries dropped from both tiers.
-	Evicted int
-	// SpillWriteBytes is the record bytes written while demoting.
-	SpillWriteBytes int64
-}
-
 // TieredCache is the two-tier decoded-tensor epoch cache: a RAM tier in
 // front of an optional NVMe spill tier, with cost-aware admission,
 // demotion and eviction. It is safe for concurrent use — several shards
 // may capture into and replay from one shared cache (see
 // fleet.ReplayShared); Add and promotion serialise on the cache lock
-// (spill writes included), replay reads of RAM entries copy outside it.
+// (spill writes included), replay copies of RAM entries and spill reads
+// run outside it.
 type TieredCache struct {
 	cfg CacheConfig
 
@@ -179,6 +176,14 @@ type TieredCache struct {
 	// ILSVRC behaviour — replaying a subset would serve skewed data,
 	// and there is no tier to hold the rest).
 	overRAM bool
+	// Spill-write scratch, used under mu with Compress: one flate
+	// writer and its output, reset per demotion.
+	zbuf bytes.Buffer
+	zw   *flate.Writer
+	// readers is a leaky free list of compressed spill-read scratch, so
+	// a warm replay allocates none; it holds more than the shards that
+	// ever replay one cache at once.
+	readers chan *spillReader
 
 	demotions       metrics.Counter
 	promotions      metrics.Counter
@@ -202,7 +207,7 @@ func NewTieredCache(cfg CacheConfig) (*TieredCache, error) {
 	if cfg.Spill != nil && cfg.SpillBytes == 0 {
 		cfg.SpillBytes = math.MaxInt64
 	}
-	return &TieredCache{cfg: cfg}, nil
+	return &TieredCache{cfg: cfg, readers: make(chan *spillReader, 16)}, nil
 }
 
 // Add captures one published batch: pixels, metas, valid and refs are
@@ -211,7 +216,7 @@ func NewTieredCache(cfg CacheConfig) (*TieredCache, error) {
 // cost-aware policy — cheapest-coldest entries demote to spill first
 // and evict first when spill is full too. costNanos is the decode cost
 // the entry would take to recompute (≤0 falls back to a size proxy).
-func (c *TieredCache) Add(batch *Batch, refs []fpga.DataRef, costNanos float64) CacheAddStats {
+func (c *TieredCache) Add(batch *Batch, refs []fpga.DataRef, costNanos float64) {
 	if costNanos <= 0 {
 		costNanos = float64(batch.Images * batch.ImageBytes())
 	}
@@ -224,32 +229,30 @@ func (c *TieredCache) Add(batch *Batch, refs []fpga.DataRef, costNanos float64) 
 		cost:   costNanos,
 		data:   append([]byte(nil), batch.Bytes()...),
 	}
-	var st CacheAddStats
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.captured = true
 	if c.overRAM {
-		return st // RAM-only cache already overflowed: nothing is kept
+		return // RAM-only cache already overflowed: nothing is kept
 	}
 	e.seq = c.nextSeq
 	c.nextSeq++
 	c.entries = append(c.entries, e)
 	c.ramBytes += e.bytes
-	c.rebalance(&st)
-	return st
+	c.rebalance()
 }
 
 // rebalance restores the tier budgets after an admission (or a
 // promotion), demoting and evicting in ascending score order. Caller
 // holds mu.
-func (c *TieredCache) rebalance(st *CacheAddStats) {
+func (c *TieredCache) rebalance() {
 	if c.cfg.Spill == nil && c.ramBytes > c.cfg.RAMBytes {
 		// No spill tier to demote into: drop the whole cache, keeping
 		// the legacy all-or-nothing RAM semantics (a partial epoch would
 		// replay skewed data).
 		for _, e := range c.entries {
 			if !e.dropped {
-				c.drop(e, st)
+				c.drop(e)
 			}
 		}
 		c.overRAM = true
@@ -266,39 +269,37 @@ func (c *TieredCache) rebalance(st *CacheAddStats) {
 			v.data = nil
 			c.ramBytes -= v.bytes
 			c.demotions.Add(1)
-			st.Demoted++
 			continue
 		}
-		rec := encodeSpillRecord(v.data, c.cfg.Compress)
+		stored := c.encode(v.data, &v.spillHdr)
+		recLen := int64(SpillHeaderSize + len(stored))
 		// Make room on the spill tier by evicting strictly cheaper
 		// spilled entries; if the cheapest survivor still outranks v,
 		// v itself is the right thing to lose.
-		for c.spillBytes+int64(len(rec)) > c.cfg.SpillBytes {
+		for c.spillBytes+recLen > c.cfg.SpillBytes {
 			w := c.minScore(func(e *cacheEntry) bool { return e.data == nil && e.spill != "" })
 			if w == nil || w.score() >= v.score() {
 				break
 			}
-			c.drop(w, st)
+			c.drop(w)
 		}
-		if c.spillBytes+int64(len(rec)) > c.cfg.SpillBytes {
-			c.drop(v, st)
+		if c.spillBytes+recLen > c.cfg.SpillBytes {
+			c.drop(v)
 			continue
 		}
 		name := fmt.Sprintf("%sspill-%06d", c.cfg.SpillPrefix, v.seq)
-		if err := c.cfg.Spill.WriteObject(name, rec); err != nil {
+		if err := c.cfg.Spill.WriteObject(name, v.spillHdr[:], stored); err != nil {
 			// A failed spill write cannot hold the entry anywhere.
-			c.drop(v, st)
+			c.drop(v)
 			continue
 		}
-		v.spill, v.spillLen = name, int64(len(rec))
+		v.spill, v.spillLen = name, recLen
 		v.data = nil
 		c.ramBytes -= v.bytes
-		c.spillBytes += int64(len(rec))
+		c.spillBytes += recLen
 		c.demotions.Add(1)
 		c.spillWrites.Add(1)
-		c.spillWriteBytes.Add(int64(len(rec)))
-		st.Demoted++
-		st.SpillWriteBytes += int64(len(rec))
+		c.spillWriteBytes.Add(recLen)
 	}
 }
 
@@ -319,7 +320,7 @@ func (c *TieredCache) minScore(pred func(*cacheEntry) bool) *cacheEntry {
 
 // drop evicts an entry from both tiers. Its metas and refs stay, so
 // replay can re-decode the batch. Caller holds mu.
-func (c *TieredCache) drop(e *cacheEntry, st *CacheAddStats) {
+func (c *TieredCache) drop(e *cacheEntry) {
 	if e.data != nil {
 		e.data = nil
 		c.ramBytes -= e.bytes
@@ -331,53 +332,87 @@ func (c *TieredCache) drop(e *cacheEntry, st *CacheAddStats) {
 	}
 	e.dropped = true
 	c.evictions.Add(1)
-	if st != nil {
-		st.Evicted++
-	}
 }
 
-// fetch returns one entry's payload and the tier that served it.
-// TierNone with a nil error means the entry was evicted (re-decode it).
-// A spill hit may promote the entry back to RAM when its score, before
-// this read, beats the cheapest RAM residents'.
-func (c *TieredCache) fetch(e *cacheEntry) ([]byte, CacheTier, error) {
+// fetch fills a buffer from getBuffer with one entry's payload and
+// returns it with the tier that served it; on an error no buffer is
+// held. A nil buffer with a nil error means the entry was evicted —
+// perhaps by a concurrent rebalance after the tier check — and must be
+// re-decoded. A spill hit is one read of the record's stored bytes,
+// straight into the buffer (compressed: into reused scratch, inflated
+// into it), checked against the header the entry kept; it may promote
+// the entry back to RAM when its score, before this read, beats the
+// RAM residents'.
+func (c *TieredCache) fetch(e *cacheEntry, getBuffer func() (*hugepage.Buffer, error)) (*hugepage.Buffer, CacheTier, error) {
 	c.mu.Lock()
-	if e.data != nil {
+	data, name, hdr, recLen := e.data, e.spill, e.spillHdr, e.spillLen
+	if data != nil {
 		e.hits++
-		data := e.data // immutable payload: safe to read after unlock
-		c.mu.Unlock()
-		return data, TierRAM, nil
 	}
-	name := e.spill
 	c.mu.Unlock()
-	if name == "" {
+	if data == nil && name == "" {
 		return nil, TierNone, nil
 	}
-	rec, err := c.cfg.Spill.Read(name)
+	buf, err := getBuffer()
 	if err != nil {
-		return nil, TierNone, fmt.Errorf("core: spill read %s: %w", name, err)
+		return nil, TierNone, err
 	}
-	c.spillReadBytes.Add(int64(len(rec)))
-	payload, err := decodeSpillRecord(rec, e.bytes)
+	dst := buf.Bytes()[:e.bytes]
+	if data != nil {
+		copy(dst, data) // immutable payload: safe to read after unlock
+		return buf, TierRAM, nil
+	}
+	stored := dst
+	var r *spillReader
+	if hdr[5]&spillFlagCompressed != 0 {
+		select {
+		case r = <-c.readers:
+		default:
+			r = new(spillReader)
+		}
+		defer func() {
+			select {
+			case c.readers <- r:
+			default:
+			}
+		}()
+		n := int(recLen) - SpillHeaderSize
+		if cap(r.stored) < n {
+			r.stored = make([]byte, n)
+		}
+		stored = r.stored[:n]
+	}
+	if err = c.cfg.Spill.ReadInto(name, SpillHeaderSize, stored); err == nil {
+		err = decodeSpillRecord(hdr[:], stored, dst, r)
+	}
 	if err != nil {
+		_ = buf.Recycle() // may fail post-Close; the checkout is cleared regardless
+		c.mu.Lock()
+		dropped := e.dropped
+		c.mu.Unlock()
+		if dropped {
+			return nil, TierNone, nil // evicted meanwhile: its record is gone, not damaged
+		}
 		return nil, TierNone, fmt.Errorf("core: spill record %s: %w", name, err)
 	}
+	c.spillReadBytes.Add(recLen)
 	c.mu.Lock()
 	// Judge promotion before counting this read: a replay epoch reads
 	// every entry once, so counting it first would let an entry read
 	// early outscore equally hot residents not yet read, which would then
 	// demote and be read back from spill later in the same epoch.
-	c.maybePromote(e, payload)
+	c.maybePromote(e, dst)
 	e.hits++
 	c.mu.Unlock()
-	return payload, TierSpill, nil
+	return buf, TierSpill, nil
 }
 
 // maybePromote moves a spill-tier entry whose score beats the
 // cheapest RAM residents back into RAM, demoting those residents — the
 // cross-epoch adaptivity that migrates hot, expensive batches up. The
 // promoted entry keeps its spill copy, so a later demotion is free.
-// Caller holds mu and hands over the just-read payload.
+// Caller holds mu and passes the just-read payload, which stays the
+// caller's: only a promotion copies it, into the entry's new RAM payload.
 func (c *TieredCache) maybePromote(e *cacheEntry, payload []byte) {
 	if e.data != nil || e.dropped || e.bytes > c.cfg.RAMBytes {
 		return
@@ -396,18 +431,18 @@ func (c *TieredCache) maybePromote(e *cacheEntry, payload []byte) {
 	if c.ramBytes-displaced+e.bytes > c.cfg.RAMBytes {
 		return
 	}
-	e.data = payload
+	e.data = append([]byte(nil), payload...)
 	c.ramBytes += e.bytes
 	c.promotions.Add(1)
-	var st CacheAddStats
-	c.rebalance(&st)
+	c.rebalance()
 }
 
 // CacheReplaySink is what TieredCache.Replay needs from the consuming
 // pipeline: buffers, a publisher, and a re-decode path for evicted
 // entries. Booster and the backends each wire their own.
 type CacheReplaySink struct {
-	// GetBuffer checks one batch buffer out of the pipeline's pool.
+	// GetBuffer checks one batch buffer out of the pipeline's pool. A
+	// buffer the cache then fails to fill goes back via its Recycle.
 	GetBuffer func() (*hugepage.Buffer, error)
 	// Publish ships one replayed batch. The metas and valid slices are
 	// the cache's immutable copies — the batch must alias, not mutate,
@@ -419,7 +454,8 @@ type CacheReplaySink struct {
 }
 
 // Replay serves one epoch pass through the sink: cached entries from
-// their tiers (RAM copies, paced spill reads), evicted entries
+// their tiers (RAM copies, paced spill reads straight into the pool
+// buffer), evicted entries
 // re-decoded from their retained DataRefs, all in capture order. With
 // shards > 1 only entries where index%shards == shard are served — the
 // cross-shard split fleet.ReplayShared fans out, each shard reading the
@@ -432,7 +468,7 @@ func (c *TieredCache) Replay(shard, shards int, sink CacheReplaySink) error {
 		return err
 	}
 	c.mu.Lock()
-	entries := append([]*cacheEntry(nil), c.entries...)
+	n := len(c.entries)
 	c.mu.Unlock()
 	var redo []Item
 	flush := func() error {
@@ -446,15 +482,23 @@ func (c *TieredCache) Replay(shard, shards int, sink CacheReplaySink) error {
 		}
 		return sink.Redecode(items)
 	}
-	for i, e := range entries {
-		if i%shards != shard {
-			continue
+	for i := shard; i < n; i += shards {
+		c.mu.Lock()
+		e := c.entries[i] // entries only grow: index i stays this entry
+		evicted := e.dropped
+		c.mu.Unlock()
+		// Evicted items re-decode before a cached batch takes a buffer,
+		// so a small pool is never short of one for the re-decode.
+		if !evicted {
+			if err := flush(); err != nil {
+				return err
+			}
 		}
-		payload, tier, err := c.fetch(e)
+		buf, tier, err := c.fetch(e, sink.GetBuffer)
 		if err != nil {
 			return err
 		}
-		if tier == TierNone {
+		if buf == nil {
 			if len(e.refs) != e.images {
 				return fmt.Errorf("core: evicted batch %d is not re-decodable (no data refs captured)", e.seq)
 			}
@@ -463,14 +507,6 @@ func (c *TieredCache) Replay(shard, shards int, sink CacheReplaySink) error {
 			}
 			continue
 		}
-		if err := flush(); err != nil {
-			return err
-		}
-		buf, err := sink.GetBuffer()
-		if err != nil {
-			return err
-		}
-		copy(buf.Bytes(), payload)
 		if err := sink.Publish(buf, e.images, e.metas, e.valid, tier); err != nil {
 			return err
 		}
@@ -560,79 +596,74 @@ func (c *TieredCache) Stats() CacheStats {
 	return st
 }
 
-// Len returns the number of captured batches (including evicted ones).
-func (c *TieredCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// encodeSpillRecord frames one payload: fixed header (magic, version,
-// flags, crc32 of the stored bytes, raw length) + the payload, flate-
-// compressed when that actually shrinks it.
-func encodeSpillRecord(payload []byte, compress bool) []byte {
-	stored := payload
-	flags := byte(0)
-	if compress {
-		if fl := flateCompress(payload); len(fl) < len(payload) {
-			stored, flags = fl, spillFlagCompressed
+// encode frames a demoting payload: it fills hdr (magic, version,
+// flags, crc32 of the stored bytes, raw length) and returns the stored
+// bytes — the payload itself, or with Compress its deflate at BestSpeed
+// when that shrinks it: the "light compression" knob, cheap enough to
+// sit on the spill write path, lossless so the byte-parity tests hold.
+// The stored bytes stay valid until the next encode. Caller holds mu.
+func (c *TieredCache) encode(payload []byte, hdr *[SpillHeaderSize]byte) []byte {
+	stored, flags := payload, byte(0)
+	if c.cfg.Compress {
+		c.zbuf.Reset()
+		if c.zw == nil {
+			c.zw, _ = flate.NewWriter(&c.zbuf, flate.BestSpeed) // fails only on an invalid level
+		} else {
+			c.zw.Reset(&c.zbuf)
+		}
+		if _, err := c.zw.Write(payload); err == nil && c.zw.Close() == nil && c.zbuf.Len() < len(payload) {
+			stored, flags = c.zbuf.Bytes(), spillFlagCompressed
 		}
 	}
-	rec := make([]byte, SpillHeaderSize+len(stored))
-	copy(rec, SpillMagic)
-	rec[4] = SpillFormatVersion
-	rec[5] = flags
-	binary.LittleEndian.PutUint32(rec[8:], crc32.ChecksumIEEE(stored))
-	binary.LittleEndian.PutUint64(rec[12:], uint64(len(payload)))
-	copy(rec[SpillHeaderSize:], stored)
-	return rec
+	copy(hdr[:], SpillMagic)
+	hdr[4], hdr[5] = SpillFormatVersion, flags
+	binary.LittleEndian.PutUint32(hdr[8:], crc32.ChecksumIEEE(stored))
+	binary.LittleEndian.PutUint64(hdr[12:], uint64(len(payload)))
+	return stored
 }
 
-// decodeSpillRecord validates a record (magic, version, checksum) and
-// returns the raw payload, expected to be wantLen bytes.
-func decodeSpillRecord(rec []byte, wantLen int64) ([]byte, error) {
-	if len(rec) < SpillHeaderSize {
-		return nil, fmt.Errorf("record truncated at %d bytes", len(rec))
+// spillReader is the scratch of one compressed spill read: the record's
+// stored bytes and the flate reader that inflates them, reset per record.
+type spillReader struct {
+	stored []byte
+	src    bytes.Reader
+	fr     io.ReadCloser
+}
+
+// decodeSpillRecord validates a record — header hdr, stored bytes
+// stored: magic, version, crc32, raw length — and leaves the raw
+// payload in dst, which must be the length the header declares. A raw
+// record's stored bytes may be dst itself (read straight into its
+// slot); a compressed record inflates into dst through r's reused flate
+// reader (r is used only then).
+func decodeSpillRecord(hdr, stored, dst []byte, r *spillReader) error {
+	if string(hdr[:4]) != SpillMagic {
+		return errors.New("bad magic")
 	}
-	if string(rec[:4]) != SpillMagic {
-		return nil, errors.New("bad magic")
+	if hdr[4] != SpillFormatVersion {
+		return fmt.Errorf("format version %d, want %d", hdr[4], SpillFormatVersion)
 	}
-	if rec[4] != SpillFormatVersion {
-		return nil, fmt.Errorf("format version %d, want %d", rec[4], SpillFormatVersion)
+	if got, want := crc32.ChecksumIEEE(stored), binary.LittleEndian.Uint32(hdr[8:]); got != want {
+		return fmt.Errorf("checksum mismatch: %08x != %08x (media corruption)", got, want)
 	}
-	stored := rec[SpillHeaderSize:]
-	if got, want := crc32.ChecksumIEEE(stored), binary.LittleEndian.Uint32(rec[8:]); got != want {
-		return nil, fmt.Errorf("checksum mismatch: %08x != %08x (media corruption)", got, want)
+	if rawLen := binary.LittleEndian.Uint64(hdr[12:]); rawLen != uint64(len(dst)) {
+		return fmt.Errorf("payload length %d, want %d", rawLen, len(dst))
 	}
-	rawLen := int64(binary.LittleEndian.Uint64(rec[12:]))
-	if rawLen != wantLen {
-		return nil, fmt.Errorf("payload length %d, want %d", rawLen, wantLen)
-	}
-	if rec[5]&spillFlagCompressed == 0 {
-		if int64(len(stored)) != rawLen {
-			return nil, fmt.Errorf("stored %d bytes, header says %d", len(stored), rawLen)
+	if hdr[5]&spillFlagCompressed == 0 {
+		if len(stored) != len(dst) {
+			return fmt.Errorf("stored %d bytes, header says %d", len(stored), len(dst))
 		}
-		return append([]byte(nil), stored...), nil
+		copy(dst, stored) // no-op when stored is dst
+		return nil
 	}
-	out := make([]byte, rawLen)
-	fr := flate.NewReader(bytes.NewReader(stored))
-	if _, err := io.ReadFull(fr, out); err != nil {
-		return nil, fmt.Errorf("inflate: %w", err)
+	r.src.Reset(stored)
+	if r.fr == nil {
+		r.fr = flate.NewReader(&r.src)
+	} else if err := r.fr.(flate.Resetter).Reset(&r.src, nil); err != nil {
+		return fmt.Errorf("inflate: %w", err)
 	}
-	return out, nil
-}
-
-// flateCompress deflates payload at BestSpeed — the "light compression"
-// knob: cheap enough to sit on the spill write path, lossless so the
-// byte-parity tests hold.
-func flateCompress(payload []byte) []byte {
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return payload
+	if _, err := io.ReadFull(r.fr, dst); err != nil {
+		return fmt.Errorf("inflate: %w", err)
 	}
-	if _, err := w.Write(payload); err != nil || w.Close() != nil {
-		return payload
-	}
-	return buf.Bytes()
+	return nil
 }

@@ -13,6 +13,29 @@ import (
 	"dlbooster/internal/nvme"
 )
 
+// encodeSpillRecord frames payload into one record, header then stored
+// bytes, as a demotion writes it.
+func encodeSpillRecord(payload []byte, compress bool) []byte {
+	c := &TieredCache{cfg: CacheConfig{Compress: compress}}
+	var hdr [SpillHeaderSize]byte
+	stored := c.encode(payload, &hdr)
+	return append(hdr[:], stored...)
+}
+
+// decodeInPlace decodes rec into dst laid out as a spill hit reads it: a
+// raw record's stored bytes land in dst itself, a compressed record's
+// stay where they are. A record shorter than the header reads as one
+// zero-padded.
+func decodeInPlace(r *spillReader, rec, dst []byte) error {
+	var hdr [SpillHeaderSize]byte
+	stored := rec[copy(hdr[:], rec):]
+	if hdr[5]&spillFlagCompressed == 0 && len(stored) == len(dst) {
+		copy(dst, stored)
+		stored = dst
+	}
+	return decodeSpillRecord(hdr[:], stored, dst, r)
+}
+
 // TestSpillRecordRoundTrip pins the spill record format: every payload
 // survives encode/decode byte-exactly (the PSNR-exact guarantee —
 // spilling is framing, never re-encoding), compression only engages
@@ -41,8 +64,8 @@ func TestSpillRecordRoundTrip(t *testing.T) {
 			if tc.compress && bytes.Equal(tc.payload, compressible) && len(rec) >= len(tc.payload)+SpillHeaderSize {
 				t.Fatalf("compressible payload did not shrink: %d → %d", len(tc.payload), len(rec))
 			}
-			got, err := decodeSpillRecord(rec, int64(len(tc.payload)))
-			if err != nil {
+			got := make([]byte, len(tc.payload))
+			if err := decodeInPlace(new(spillReader), rec, got); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, tc.payload) {
@@ -54,25 +77,25 @@ func TestSpillRecordRoundTrip(t *testing.T) {
 	t.Run("corruption-detected", func(t *testing.T) {
 		rec := encodeSpillRecord(compressible, false)
 		rec[SpillHeaderSize+100] ^= 0xff
-		if _, err := decodeSpillRecord(rec, int64(len(compressible))); err == nil {
+		if err := decodeInPlace(new(spillReader), rec, make([]byte, len(compressible))); err == nil {
 			t.Fatal("flipped payload byte passed the checksum")
 		}
 	})
 	t.Run("bad-magic", func(t *testing.T) {
 		rec := encodeSpillRecord(compressible, false)
 		rec[0] = 'X'
-		if _, err := decodeSpillRecord(rec, int64(len(compressible))); err == nil {
+		if err := decodeInPlace(new(spillReader), rec, make([]byte, len(compressible))); err == nil {
 			t.Fatal("bad magic accepted")
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
-		if _, err := decodeSpillRecord([]byte("DLSP"), 0); err == nil {
+		if err := decodeInPlace(new(spillReader), []byte("DLSP"), nil); err == nil {
 			t.Fatal("truncated record accepted")
 		}
 	})
 	t.Run("wrong-length", func(t *testing.T) {
 		rec := encodeSpillRecord(compressible, false)
-		if _, err := decodeSpillRecord(rec, int64(len(compressible))+1); err == nil {
+		if err := decodeInPlace(new(spillReader), rec, make([]byte, len(compressible)+1)); err == nil {
 			t.Fatal("length mismatch accepted")
 		}
 	})
@@ -217,8 +240,12 @@ func TestEvictionPolicyDomination(t *testing.T) {
 				if len(live) == 0 {
 					break
 				}
-				if _, _, err := c.fetch(live[rng.Intn(len(live))]); err != nil {
+				buf, _, err := c.fetch(live[rng.Intn(len(live))], tb.pool.Get)
+				if err != nil {
 					t.Fatal(err)
+				}
+				if buf != nil {
+					_ = buf.Recycle()
 				}
 			}
 			before := map[*cacheEntry]bool{}
@@ -284,21 +311,21 @@ func TestSpillPromotion(t *testing.T) {
 	// resident's 200: promotion is judged before a read counts, so the
 	// third read (two prior hits, score 300) promotes it.
 	for i := 0; i < 3; i++ {
-		payload, tier, err := c.fetch(spilled)
+		buf, tier, err := c.fetch(spilled, tb.pool.Get)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(payload) != stride {
-			t.Fatalf("payload length %d", len(payload))
+		if tier != TierSpill || !bytes.Equal(buf.Bytes(), bytes.Repeat([]byte{1}, stride)) {
+			t.Fatalf("read %d: tier %v, payload is not the spilled batch's", i, tier)
 		}
-		_ = tier
+		_ = buf.Recycle()
 	}
 	st = c.Stats()
 	if st.Promotions == 0 {
 		t.Fatalf("hot spilled entry never promoted: %+v", st)
 	}
-	if spilled.data == nil {
-		t.Fatal("promoted entry has no RAM payload")
+	if !bytes.Equal(spilled.data, bytes.Repeat([]byte{1}, stride)) {
+		t.Fatal("promoted entry's RAM payload is not its batch")
 	}
 	if spilled.spill == "" {
 		t.Fatal("promotion discarded the spill copy (demoting it again should be free)")
@@ -356,6 +383,65 @@ func TestReplayNoInEpochPromotion(t *testing.T) {
 	}
 	if promotedAfterFirst > entries {
 		t.Fatalf("%d promotions after the first replay epoch, want ≤ %d entries", promotedAfterFirst, entries)
+	}
+}
+
+// TestReplaySteadyStateAllocs pins what a warm replay of a half-RAM,
+// half-spill cache allocates: nothing. A spill hit is one device
+// request, its stored bytes read straight into the pool buffer — a
+// compressed one's into reused scratch, inflated through a reused flate
+// reader — so the only per-batch object left is the consumer's.
+func TestReplaySteadyStateAllocs(t *testing.T) {
+	const stride, entries = 16 << 10, 8
+	for _, tc := range []struct {
+		name     string
+		compress bool
+	}{{"raw", false}, {"compressed", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := newTestCacheBatch(t, stride)
+			dev := nvme.New(nvme.Config{})
+			c, err := NewTieredCache(CacheConfig{
+				RAMBytes: entries / 2 * stride,
+				Spill:    dev,
+				Compress: tc.compress,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < entries; i++ {
+				c.Add(tb.next(byte(i)), nil, 100)
+			}
+			st := c.Stats()
+			if st.RAMResident != entries/2 || st.SpillResident != entries/2 {
+				t.Fatalf("tiers: %+v, want half RAM and half spill", st)
+			}
+			if compressed := st.SpillBytes < int64(st.SpillResident*stride); compressed != tc.compress {
+				t.Fatalf("spill tier holds %d bytes for %d records: compressed %v, want %v", st.SpillBytes, st.SpillResident, compressed, tc.compress)
+			}
+			sink := CacheReplaySink{
+				GetBuffer: tb.pool.Get,
+				Publish: func(buf *hugepage.Buffer, _ int, _ []ItemMeta, _ []bool, _ CacheTier) error {
+					return buf.Recycle()
+				},
+			}
+			replay := func() {
+				if err := c.Replay(0, 1, sink); err != nil {
+					t.Fatal(err)
+				}
+			}
+			reads, _, _ := dev.Stats()
+			replay() // warm the read scratch
+			if after, _, _ := dev.Stats(); after-reads != entries/2 {
+				t.Fatalf("replay made %d device reads for %d spill hits, want one each", after-reads, entries/2)
+			}
+			allocs := testing.AllocsPerRun(20, replay)
+			if st := c.Stats(); st.Promotions != 0 || st.SpillReadBytes == 0 {
+				t.Fatalf("replay promoted %d entries and read %d spill bytes; want none and some", st.Promotions, st.SpillReadBytes)
+			}
+			if allocs != 0 {
+				t.Errorf("%.1f objects per replay of %d batches, want 0", allocs, entries)
+			}
+		})
 	}
 }
 

@@ -2,12 +2,16 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"dlbooster/internal/dataset"
 	"dlbooster/internal/faults"
 	"dlbooster/internal/fpga"
+	"dlbooster/internal/nvme"
 )
 
 // Chaos tests: deterministic fault injection against the full pipeline.
@@ -369,4 +373,62 @@ func TestChaosRevokedSlowCommandCannotCorruptBuffers(t *testing.T) {
 		t.Fatal("slow board must not flip the mode switch below the threshold")
 	}
 	assertPoolBalanced(t, b)
+}
+
+// TestChaosSpillReadFaults injects NVMe faults into a replay's spill
+// reads — a failed first read, a failed second read (after the first
+// spill hit was published) and a corrupted first read, each with the
+// buffer it fills held. Each replay must return its cause, publish no
+// batch that differs from its first-epoch twin, and leave every buffer
+// back in the pool.
+func TestChaosSpillReadFaults(t *testing.T) {
+	items := chaosItems(t, 16)
+	for _, tc := range []struct {
+		name  string
+		fault faults.Config
+		cause string
+	}{
+		// Epoch 1 only writes the spill tier, so the replay's reads are
+		// ops 1, 2, …: one per spill hit.
+		{"fail-first", faults.Config{FailEvery: 1}, faults.ErrInjected.Error()},
+		{"fail-second", faults.Config{FailEvery: 2}, faults.ErrInjected.Error()},
+		{"corrupt-first", faults.Config{CorruptEvery: 1}, "checksum mismatch"},
+	} {
+		for _, compress := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/compress=%v", tc.name, compress), func(t *testing.T) {
+				// 4 batches of 4×784 bytes; the RAM tier holds 2.
+				b := newBooster(t, Config{
+					BatchSize: 4, OutW: 28, OutH: 28, Channels: 1, PoolBatches: 3,
+					Cache: CacheConfig{
+						RAMBytes: 2 * 4 * 28 * 28,
+						Spill:    nvme.New(nvme.Config{Inject: faults.New(tc.fault)}),
+						Compress: compress,
+					},
+				})
+				results := drainAll(t, b)
+				runEpochWatchdog(t, b, CollectorFromItems(items))
+				err := b.ReplayCache()
+				b.CloseBatches()
+				all := <-results
+				if err == nil || !strings.Contains(err.Error(), tc.cause) {
+					t.Fatalf("ReplayCache = %v, want the %q cause", err, tc.cause)
+				}
+				if tc.fault.FailEvery > 0 && !errors.Is(err, faults.ErrInjected) {
+					t.Fatalf("ReplayCache = %v, does not wrap faults.ErrInjected", err)
+				}
+				first := map[int][][]byte{}
+				for _, d := range all[:4] {
+					first[d.metas[0].Seq] = d.pixels
+				}
+				for _, d := range all[4:] {
+					for s, px := range d.pixels {
+						if !bytes.Equal(px, first[d.metas[0].Seq][s]) {
+							t.Fatalf("replay published a damaged batch (seq %d slot %d)", d.metas[0].Seq, s)
+						}
+					}
+				}
+				assertPoolBalanced(t, b)
+			})
+		}
+	}
 }

@@ -85,6 +85,9 @@ type epochState struct {
 	// item to the CPU decode path each time it crosses 1, spreading the
 	// offloaded items evenly through the batch instead of bursting.
 	offloadAcc float64
+	// fill is the last sealed batch's image count, the next batch's
+	// capacity: full batches when training, a few images when serving.
+	fill int
 }
 
 func newEpochState(b *Booster, dec decoder) *epochState {
@@ -93,6 +96,7 @@ func newEpochState(b *Booster, dec decoder) *epochState {
 		pending: make(map[uint64]*pendingSlot),
 		live:    make(map[*building]bool),
 		bt:      b.BatchTimeout(),
+		fill:    b.batchSize,
 	}
 }
 
@@ -287,7 +291,13 @@ func (e *epochState) open() error {
 	if err != nil {
 		return err
 	}
+	// Sized like the last batch, so admit's appends rarely grow them.
+	batch.Metas = make([]ItemMeta, 0, e.fill)
+	batch.Valid = make([]bool, 0, e.fill)
 	e.cur = &building{batch: batch, startedAt: time.Now()}
+	if b.cache != nil {
+		e.cur.refs = make([]fpga.DataRef, 0, e.fill)
+	}
 	e.live[e.cur] = true
 	if tr := batch.Trace; tr != nil {
 		tr.Collected = collectedAt
@@ -350,6 +360,7 @@ func (e *epochState) submit(ps *pendingSlot) error {
 func (e *epochState) seal(partial bool) error {
 	cur := e.cur
 	cur.sealed = true
+	e.fill = cur.batch.Images
 	if partial {
 		e.b.partialFlush.Add(1)
 	}

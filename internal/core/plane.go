@@ -252,8 +252,8 @@ func (p *BatchPlane) CachedBatches() int {
 // replay serves this plane's 1/shards slice of the cached epoch — entry
 // indices congruent to shard modulo shards — the offline-like fast path
 // of the hybrid service (§3.1). RAM-tier batches are copied into pool
-// buffers, spill-tier batches are read back from the NVMe store (paced
-// by its bandwidth model), and evicted batches are re-decoded from
+// buffers, spill-tier batches are read into them from the NVMe store
+// (paced by its bandwidth model), and evicted batches are re-decoded from
 // their retained DataRefs through redecode, the Booster's RunEpoch —
 // every batch still flows through pool buffers and the Full queue so
 // the downstream pipeline is identical either way.

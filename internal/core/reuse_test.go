@@ -111,9 +111,10 @@ func TestCPUDecodeSteadyStateAllocs(t *testing.T) {
 
 // TestRunEpochSteadyStateAllocs pins the FPGAReader's own per-image cost:
 // with the boards' buffers warm, what an epoch allocates is per batch
-// (the building record, the Batch and its slices) plus the first fill of
-// the slot reuse list — well under one object an image, where a slot per
-// command or a slice per poll would be at least one.
+// (the building record, the Batch and its slices, each made at its
+// final size) plus the first fill of the slot reuse list — well under
+// one object an image, where a slot per command, a slice per poll or a
+// slice grown by append would add one.
 func TestRunEpochSteadyStateAllocs(t *testing.T) {
 	b := newBooster(t, Config{BatchSize: 32, OutW: 96, OutH: 96, Channels: 3, PoolBatches: 4})
 	data := cpuDecodeStreams(t)[3][0]
@@ -150,7 +151,7 @@ func TestRunEpochSteadyStateAllocs(t *testing.T) {
 	objects := float64(after.Mallocs-before.Mallocs) / float64(len(items))
 	size := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(items))
 	t.Logf("%.3f objects, %.0f bytes per image", objects, size)
-	if objects > 0.75 || size > 1024 {
-		t.Errorf("%.2f objects and %.0f bytes per image, want at most 0.75 and 1024", objects, size)
+	if objects > 0.5 || size > 1024 {
+		t.Errorf("%.2f objects and %.0f bytes per image, want at most 0.5 and 1024", objects, size)
 	}
 }

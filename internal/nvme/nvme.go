@@ -14,8 +14,6 @@ package nvme
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -45,14 +43,14 @@ type Config struct {
 	ReadBandwidth float64       // bytes/s; 0 = unpaced
 	ReadLatency   time.Duration // per-request; 0 = none
 	// WriteBandwidth/WriteLatency pace Put the way the read knobs pace
-	// ReadAt — the cost model the tiered ReplayCache's spill writes ride
+	// ReadInto — the cost model the tiered ReplayCache's spill writes ride
 	// (docs/CACHE.md sizing example). 0 = unpaced.
 	WriteBandwidth float64
 	WriteLatency   time.Duration
 	// Inject hooks a fault injector into the read path (nil = no
 	// faults): Fail (and Drop, which for a disk is the same thing)
 	// fails the read with ErrInjected, Corrupt flips bytes in the
-	// returned copy (a media error the checksum-less read misses), and
+	// buffer read into (a media error the checksum-less read misses), and
 	// Delay models a stalled request. Stuck is ignored — a hung disk is
 	// modelled by a large Delay.
 	Inject *faults.Injector
@@ -68,12 +66,9 @@ type Device struct {
 	order    []string // insertion order for deterministic iteration
 	free     []extent // deleted block ranges, reusable by Put
 
-	reads        int64
-	bytesRead    int64
-	writes       int64
-	bytesWritten int64
-	busy         time.Duration
-	readFaults   int64
+	reads     int64
+	bytesRead int64
+	busy      time.Duration
 }
 
 // extent is one contiguous run of free blocks left behind by Delete.
@@ -86,31 +81,37 @@ func New(cfg Config) *Device {
 	return &Device{cfg: cfg, manifest: make(map[string]FileInfo)}
 }
 
-// Put stores an object — into the first free extent that fits (block
-// ranges reclaimed by Delete), else appended at the next block boundary —
-// and returns its manifest entry. Writes are paced by the
-// WriteBandwidth/WriteLatency model the way reads are by ReadAt.
-func (d *Device) Put(name string, data []byte) (FileInfo, error) {
+// Put stores an object, the concatenation of parts (so a header and a
+// payload need not be copied together first) — into the first free
+// extent that fits (block ranges reclaimed by Delete), else appended at
+// the next block boundary — and returns its manifest entry. Writes are
+// paced by the WriteBandwidth/WriteLatency model as reads are.
+func (d *Device) Put(name string, parts ...[]byte) (FileInfo, error) {
 	if name == "" {
 		return FileInfo{}, errors.New("nvme: empty object name")
+	}
+	size := 0
+	for _, p := range parts {
+		size += len(p)
 	}
 	d.mu.Lock()
 	if _, dup := d.manifest[name]; dup {
 		d.mu.Unlock()
 		return FileInfo{}, fmt.Errorf("nvme: object %q already stored", name)
 	}
-	nblocks := int64((len(data) + BlockSize - 1) / BlockSize)
+	nblocks := int64((size + BlockSize - 1) / BlockSize)
 	if nblocks == 0 {
 		nblocks = 1 // empty objects still own a block, like a real FS
 	}
 	start := d.allocBlocks(nblocks)
-	copy(d.blocks[start*BlockSize:(start+nblocks)*BlockSize], data)
-	fi := FileInfo{Name: name, Size: int64(len(data)), BlockStart: start, Blocks: nblocks}
+	dst := d.blocks[start*BlockSize : (start+nblocks)*BlockSize]
+	for _, p := range parts {
+		dst = dst[copy(dst, p):]
+	}
+	fi := FileInfo{Name: name, Size: int64(size), BlockStart: start, Blocks: nblocks}
 	d.manifest[name] = fi
 	d.order = append(d.order, name)
-	d.writes++
-	d.bytesWritten += int64(len(data))
-	pause := d.paceWrite(int64(len(data)))
+	pause := pace(d.cfg.WriteLatency, d.cfg.WriteBandwidth, int64(size))
 	d.busy += pause
 	d.mu.Unlock()
 	if pause > 0 {
@@ -168,40 +169,13 @@ func (d *Device) Delete(name string) error {
 	return nil
 }
 
-// WriteObject stores an object, discarding the manifest entry — the
-// write half of the core.SpillStore contract the tiered ReplayCache
-// spills through (Read and Delete are the other two thirds).
-func (d *Device) WriteObject(name string, data []byte) error {
-	_, err := d.Put(name, data)
+// WriteObject stores an object, the concatenation of parts, discarding
+// the manifest entry — the write verb of the core.SpillStore contract
+// the tiered ReplayCache spills through (ReadInto and Delete are the
+// other two).
+func (d *Device) WriteObject(name string, parts ...[]byte) error {
+	_, err := d.Put(name, parts...)
 	return err
-}
-
-// LoadDir stores every regular file under dir (recursively), keyed by
-// slash-separated path relative to dir.
-func (d *Device) LoadDir(dir string) (int, error) {
-	n := 0
-	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		if info.IsDir() {
-			return nil
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(dir, path)
-		if err != nil {
-			return err
-		}
-		if _, err := d.Put(filepath.ToSlash(rel), data); err != nil {
-			return err
-		}
-		n++
-		return nil
-	})
-	return n, err
 }
 
 // Stat returns the manifest entry for an object.
@@ -234,17 +208,37 @@ func (d *Device) Len() int {
 	return len(d.manifest)
 }
 
-// ReadAt reads length bytes of an object starting at off, applying the
-// pacing model.
+// ReadInto fills dst with len(dst) bytes of an object starting at off,
+// so the tiered ReplayCache reads a spill record straight into the
+// HugePage slot it publishes from (the paper's load_from_disk, Table 1).
+func (d *Device) ReadInto(name string, off int64, dst []byte) error {
+	_, err := d.read(name, off, int64(len(dst)), dst)
+	return err
+}
+
+// ReadAt reads length bytes of an object starting at off.
 func (d *Device) ReadAt(name string, off, length int64) ([]byte, error) {
+	return d.read(name, off, length, nil)
+}
+
+// Read reads a whole object.
+func (d *Device) Read(name string) ([]byte, error) {
+	fi, err := d.Stat(name)
+	if err != nil {
+		return nil, err
+	}
+	return d.ReadAt(name, 0, fi.Size)
+}
+
+// read is every read's one body: fault plan, bounds, copy, stats and
+// pacing. A nil dst is allocated once the range is known to lie inside
+// the object, so a bad length never sizes a buffer.
+func (d *Device) read(name string, off, length int64, dst []byte) ([]byte, error) {
 	plan := d.cfg.Inject.Next()
 	if plan.Delay > 0 {
 		time.Sleep(plan.Delay)
 	}
 	if plan.Fail || plan.Drop {
-		d.mu.Lock()
-		d.readFaults++
-		d.mu.Unlock()
 		return nil, fmt.Errorf("nvme: read %q: %w", name, faults.ErrInjected)
 	}
 	d.mu.Lock()
@@ -257,52 +251,31 @@ func (d *Device) ReadAt(name string, off, length int64) ([]byte, error) {
 		d.mu.Unlock()
 		return nil, fmt.Errorf("nvme: read [%d,%d) outside %q of %d bytes", off, off+length, name, fi.Size)
 	}
+	if dst == nil {
+		dst = make([]byte, length)
+	}
 	base := fi.BlockStart * BlockSize
-	out := make([]byte, length)
-	copy(out, d.blocks[base+off:base+off+length])
+	copy(dst, d.blocks[base+off:base+off+length])
 	d.reads++
 	d.bytesRead += length
-	pause := d.pace(length)
+	pause := pace(d.cfg.ReadLatency, d.cfg.ReadBandwidth, length)
 	d.busy += pause
 	d.mu.Unlock()
 	if pause > 0 {
 		time.Sleep(pause)
 	}
 	if plan.Corrupt {
-		d.cfg.Inject.CorruptBytes(out) // out is already a private copy
+		d.cfg.Inject.CorruptBytes(dst) // a media error lands in the caller's buffer
 	}
-	return out, nil
+	return dst, nil
 }
 
-// Read reads a whole object.
-func (d *Device) Read(name string) ([]byte, error) {
-	fi, err := d.Stat(name)
-	if err != nil {
-		return nil, err
-	}
-	return d.ReadAt(name, 0, fi.Size)
-}
-
-// pace returns the simulated device time for a transfer; caller holds mu.
-func (d *Device) pace(length int64) time.Duration {
-	var t time.Duration
-	if d.cfg.ReadLatency > 0 {
-		t += d.cfg.ReadLatency
-	}
-	if d.cfg.ReadBandwidth > 0 {
-		t += time.Duration(float64(length) / d.cfg.ReadBandwidth * float64(time.Second))
-	}
-	return t
-}
-
-// paceWrite returns the simulated device time for a Put; caller holds mu.
-func (d *Device) paceWrite(length int64) time.Duration {
-	var t time.Duration
-	if d.cfg.WriteLatency > 0 {
-		t += d.cfg.WriteLatency
-	}
-	if d.cfg.WriteBandwidth > 0 {
-		t += time.Duration(float64(length) / d.cfg.WriteBandwidth * float64(time.Second))
+// pace returns the simulated device time of one request moving length
+// bytes: its latency plus the transfer at bandwidth (0 = unpaced).
+func pace(latency time.Duration, bandwidth float64, length int64) time.Duration {
+	t := max(latency, 0)
+	if bandwidth > 0 {
+		t += time.Duration(float64(length) / bandwidth * float64(time.Second))
 	}
 	return t
 }
@@ -312,33 +285,6 @@ func (d *Device) Stats() (reads, bytesRead int64, busy time.Duration) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.reads, d.bytesRead, d.busy
-}
-
-// WriteStats returns total Puts and bytes written, the spill-tier side
-// of the ledger Stats reports for reads.
-func (d *Device) WriteStats() (writes, bytesWritten int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.writes, d.bytesWritten
-}
-
-// FreeBlocks returns the number of blocks currently on the free list —
-// space Delete reclaimed that the next Puts will reuse.
-func (d *Device) FreeBlocks() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var n int64
-	for _, e := range d.free {
-		n += e.blocks
-	}
-	return n
-}
-
-// ReadFaults returns the number of reads failed by injected faults.
-func (d *Device) ReadFaults() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.readFaults
 }
 
 // Fetch implements fpga.DataSource: the FPGA DataReader's DMA-from-disk

@@ -3,8 +3,6 @@ package nvme
 import (
 	"bytes"
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 	"time"
@@ -49,10 +47,14 @@ func TestBlockLayout(t *testing.T) {
 	}
 }
 
+// TestReadAtRanges reads an object stored in parts back through both
+// read verbs: the parts land contiguously, and a range outside the
+// object is refused before anything is copied.
 func TestReadAtRanges(t *testing.T) {
 	d := New(Config{})
-	data := []byte("0123456789")
-	_, _ = d.Put("x", data)
+	if _, err := d.Put("x", []byte("012"), nil, []byte("3456789")); err != nil {
+		t.Fatal(err)
+	}
 	got, err := d.ReadAt("x", 3, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -60,9 +62,19 @@ func TestReadAtRanges(t *testing.T) {
 	if string(got) != "3456" {
 		t.Fatalf("ReadAt = %q", got)
 	}
+	into := []byte("......")
+	if err := d.ReadInto("x", 1, into[1:5]); err != nil || string(into) != ".1234." {
+		t.Fatalf("ReadInto = %q, %v", into, err)
+	}
 	for _, bad := range [][2]int64{{-1, 2}, {0, 11}, {9, 2}, {0, -1}} {
 		if _, err := d.ReadAt("x", bad[0], bad[1]); err == nil {
 			t.Fatalf("range %v accepted", bad)
+		}
+		if bad[1] >= 0 {
+			dst := make([]byte, bad[1])
+			if err := d.ReadInto("x", bad[0], dst); err == nil || !bytes.Equal(dst, make([]byte, bad[1])) {
+				t.Fatalf("ReadInto range %v: %v, dst %q", bad, err, dst)
+			}
 		}
 	}
 	if _, err := d.ReadAt("missing", 0, 1); !errors.Is(err, ErrNotFound) {
@@ -140,32 +152,6 @@ func TestFetchDataSource(t *testing.T) {
 	}
 	if _, err := d.Fetch(fpga.DataRef{Path: "none"}); err == nil {
 		t.Fatal("missing fetch accepted")
-	}
-}
-
-func TestLoadDir(t *testing.T) {
-	dir := t.TempDir()
-	sub := filepath.Join(dir, "train")
-	if err := os.MkdirAll(sub, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(sub, "0.jpg"), []byte("one"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "top.jpg"), []byte("two"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d := New(Config{})
-	n, err := d.LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("loaded %d files", n)
-	}
-	got, err := d.Read("train/0.jpg")
-	if err != nil || string(got) != "one" {
-		t.Fatalf("Read = %q, %v", got, err)
 	}
 }
 
