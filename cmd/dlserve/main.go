@@ -74,7 +74,7 @@ const (
 func main() {
 	listen := flag.String("listen", "", "serve on this address (server mode)")
 	connect := flag.String("connect", "", "send to this address (client mode)")
-	backendName := flag.String("backend", "dlbooster", "server backend: dlbooster, or cpu — the same pipeline with every decode offloaded to the host CPU, one inline decode goroutine per shard, so the baseline scales with -shards")
+	backendName := flag.String("backend", "dlbooster", "server backend: dlbooster, or cpu — the same pipeline with every decode offloaded to the host CPU, GOMAXPROCS host decode lanes per shard")
 	batch := flag.Int("batch", 8, "server batch size")
 	shards := flag.Int("shards", 1, "server: number of independent pipeline shards (1 = a fleet of one)")
 	placement := flag.String("placement", "least-loaded", "server: shard placement policy with -shards > 1: least-loaded or hash (consistent hash of the client id)")

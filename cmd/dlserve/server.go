@@ -167,8 +167,8 @@ func serve(cfg serveConfig) error {
 		return fmt.Errorf("unknown backend %q", cfg.backend)
 	}
 	// The cpu backend is the same pipeline with the offload knob pinned:
-	// every item takes the Booster's CPU decode path, inline on its
-	// shard's collector, and the boards sit idle.
+	// every item goes to its shard's GOMAXPROCS host decode lanes, and
+	// the boards sit idle.
 	cpuOnly := cfg.backend == "cpu"
 	faultCfg, err := faults.ParseSpec(cfg.faultFPGA)
 	if err != nil {

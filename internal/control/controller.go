@@ -321,10 +321,10 @@ func (c *Controller) decide() Decision {
 	// starvation causes) trend is the evidence that decode capacity —
 	// not batching policy — is the constraint, so the offload knob may
 	// move. Even then the share escalates only after the deadline knob
-	// is pinned at its limit: offloaded decodes run inline on the
-	// collector, so a share raised while the deadline is still short
-	// turns every offloaded decode into a deadline-blown partial flush —
-	// exhaust the cheap knob before paying for the expensive one.
+	// is pinned at its limit: offloaded decodes run on the host lanes
+	// and take host cores from the collector, the dispatcher and the
+	// engines, while a longer deadline costs no CPU at all — exhaust the
+	// cheap knob before paying for the expensive one.
 	decodeConstrained := td != nil && td.Sustained &&
 		(td.Verdict == metrics.VerdictDecoderBound || td.Verdict == metrics.VerdictIngestOverloaded)
 

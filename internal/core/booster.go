@@ -2,12 +2,12 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"time"
 
 	"dlbooster/internal/fpga"
 	"dlbooster/internal/metrics"
-	"dlbooster/internal/pix"
 	"dlbooster/internal/queue"
 )
 
@@ -96,11 +96,11 @@ type Resilience struct {
 	// reader forever (0 = wait forever).
 	CmdTimeout time.Duration
 	// FallbackAfter engages graceful degradation: after N consecutive
-	// final FPGA failures the booster reroutes decode work to the CPU
-	// backend path and records the switch in the event log. While
-	// fallback is configured, every finally-failed command is also
-	// rescued by a CPU decode, so a dead decoder loses no images
-	// (0 = disabled).
+	// final FPGA failures the booster places every decode on its host
+	// lanes and records the switch in the event log. While fallback is
+	// configured, every finally-failed board command is also resubmitted
+	// to the lanes, with the same retries, spans and settle path, so a
+	// dead decoder loses no images (0 = disabled).
 	FallbackAfter int
 }
 
@@ -141,9 +141,9 @@ func (c *Config) normalize() error {
 }
 
 // Booster is a data-preprocessing backend: the FPGAReader (epoch.go)
-// decoding into the batch plane it embeds. New builds DLBooster proper,
-// whose decoder is its FPGA boards; NewHost builds a baseline, whose
-// decoder is a set of host lanes (host.go).
+// decoding into the batch plane it embeds through two decoders, its FPGA
+// boards and its host lanes (host.go), which share one FINISH stream.
+// New builds DLBooster proper; NewHost a baseline, which has no boards.
 type Booster struct {
 	// BatchPlane is the pool, Full queue, cache and replay. Its reg is
 	// never nil here: the user's registry when Config.Metrics was set
@@ -152,10 +152,11 @@ type Booster struct {
 	// answers. spanned is on when either the full instrumentation or a
 	// flight recorder wants spans.
 	*BatchPlane
-	cfg  Config
-	devs []*fpga.Device
-	host *fpga.Pipeline // the mirror loaded for the host CPU (cpuDecode)
-	dec  bridge         // the boards' *FPGAChannel, or the host lanes
+	cfg    Config
+	devs   []*fpga.Device
+	boards *FPGAChannel // nil when devs is empty
+	lanes  *hostLanes
+	fin    finishes
 
 	collected    metrics.Counter
 	partialFlush metrics.Counter
@@ -164,7 +165,7 @@ type Booster struct {
 	// flight is the optional always-on recorder (nil-safe to call).
 	flight *metrics.FlightRecorder
 
-	// scaledCPU counts CPU-fallback decodes that took the
+	// scaledCPU counts a New Booster's lane decodes that took the
 	// decode-to-scale fast path below full resolution; the boards keep
 	// their own per-device counters.
 	scaledCPU metrics.Counter
@@ -174,8 +175,8 @@ type Booster struct {
 	// at New and retunable from any goroutine while epochs run.
 	batchTimeoutNs atomic.Int64
 	cpuShareUnits  atomic.Int64
-	// offloads counts images the fractional offload knob routed to the
-	// CPU decode path (distinct from failure-driven fallbacks).
+	// offloads counts images the fractional offload knob placed on the
+	// host lanes (distinct from failure-driven fallbacks).
 	offloads metrics.Counter
 
 	// Failure-policy accounting (see Resilience).
@@ -187,32 +188,15 @@ type Booster struct {
 	degraded     atomic.Bool
 }
 
-// New builds the backend: HugePage pool, FPGA device with the requested
-// mirror, and the Full_Batch_Queue the Dispatcher consumes.
-func New(cfg Config) (*Booster, error) {
-	return build(cfg, func(b *Booster, mirror fpga.Mirror) error {
-		for len(b.devs) < b.cfg.FPGADevices {
-			dev, err := fpga.New(b.cfg.FPGA, b.pool.Arena(), b.cfg.Source, mirror)
-			if err != nil {
-				return err
-			}
-			b.devs = append(b.devs, dev)
-		}
-		b.dec = newFPGAChannel(b.devs)
-		return nil
-	})
-}
+// New builds the backend: HugePage pool, FPGA devices with the requested
+// mirror, host lanes running the same mirror (one per GOMAXPROCS), and
+// the Full_Batch_Queue the Dispatcher consumes.
+func New(cfg Config) (*Booster, error) { return build(cfg, runtime.GOMAXPROCS(0), nil) }
 
-// bridge is the decoder a Booster owns: it reads the FINISH stream
-// and closes the decoder.
-type bridge interface {
-	decoder
-	finishQueue() *queue.Queue[fpga.Completion]
-	close()
-}
-
-// build assembles a Booster around the decoder attach installs in b.dec.
-func build(cfg Config, attach func(*Booster, fpga.Mirror) error) (*Booster, error) {
+// build assembles a Booster with no boards and lanes host lanes calling
+// decode, or, when decode is nil, DLBooster proper: cfg.FPGADevices
+// boards and lanes host lanes running the same mirror.
+func build(cfg Config, lanes int, decode HostDecode) (*Booster, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
@@ -220,11 +204,21 @@ func build(cfg Config, attach func(*Booster, fpga.Mirror) error) (*Booster, erro
 	if err != nil {
 		return nil, err
 	}
-	b := &Booster{BatchPlane: plane, cfg: cfg, flight: cfg.Flight}
-	mirror, err := fpga.LoadMirror(cfg.Mirror)
-	if err == nil {
-		b.host = fpga.NewPipeline(mirror)
-		err = attach(b, mirror)
+	b := &Booster{
+		BatchPlane: plane, cfg: cfg, flight: cfg.Flight,
+		fin: finishes{queue.New[fpga.Completion](plane.pool.Count() * plane.batchSize)},
+	}
+	var mirror fpga.Mirror
+	boards := 0
+	if decode == nil {
+		boards = cfg.FPGADevices
+		mirror, err = fpga.LoadMirror(cfg.Mirror)
+	}
+	for err == nil && len(b.devs) < boards {
+		var dev *fpga.Device
+		if dev, err = fpga.New(cfg.FPGA, plane.pool.Arena(), cfg.Source, mirror); err == nil {
+			b.devs = append(b.devs, dev)
+		}
 	}
 	if err != nil {
 		for _, d := range b.devs {
@@ -233,6 +227,11 @@ func build(cfg Config, attach func(*Booster, fpga.Mirror) error) (*Booster, erro
 		plane.Close()
 		return nil, err
 	}
+	if decode == nil {
+		b.boards = newFPGAChannel(b.devs, b.fin)
+		decode = b.mirrorDecode(fpga.NewPipeline(mirror))
+	}
+	b.lanes = newHostLanes(plane.pool.Arena(), b.fin, lanes, decode)
 	plane.reg, plane.traced = cfg.Metrics, cfg.Metrics != nil
 	plane.spanned = plane.traced || cfg.Flight != nil
 	if plane.reg == nil {
@@ -296,8 +295,7 @@ func (b *Booster) instrument() {
 	r.RegisterGauge("cache_bytes", func() float64 { return float64(b.cacheStats().RAMBytes) })
 	r.RegisterGauge("cache_spill_bytes", func() float64 { return float64(b.cacheStats().SpillBytes) })
 	r.RegisterQueue("full_batch", b.full.Len, b.full.Cap)
-	fin := b.dec.finishQueue()
-	r.RegisterQueue("fpga_completions", fin.Len, fin.Cap)
+	r.RegisterQueue("fpga_completions", b.fin.merged.Len, b.fin.merged.Cap)
 	b.pool.Instrument(r, b.traced)
 	for i, d := range b.devs {
 		d.Instrument(r, fmt.Sprintf("fpga%d", i))
@@ -315,19 +313,21 @@ func (b *Booster) Snapshot() *metrics.PipelineSnapshot { return b.reg.Snapshot()
 // same snapshot.
 func (b *Booster) Registry() *metrics.Registry { return b.reg }
 
-// Device exposes the first FPGA decoder, for stats (a NewHost Booster
-// has none).
-func (b *Booster) Device() *fpga.Device { return b.devs[0] }
+// Device exposes the first FPGA decoder, for stats; nil for a Booster
+// with none (NewHost).
+func (b *Booster) Device() *fpga.Device {
+	if len(b.devs) == 0 {
+		return nil
+	}
+	return b.devs[0]
+}
 
 // Devices exposes every FPGA decoder board.
 func (b *Booster) Devices() []*fpga.Device { return b.devs }
 
 // Channel exposes the FPGAChannel bound to the boards (Table 1); nil for
 // a NewHost Booster.
-func (b *Booster) Channel() *FPGAChannel {
-	ch, _ := b.dec.(*FPGAChannel)
-	return ch
-}
+func (b *Booster) Channel() *FPGAChannel { return b.boards }
 
 // Retries returns the count of decode-command resubmissions.
 func (b *Booster) Retries() int64 { return b.retries.Value() }
@@ -336,8 +336,9 @@ func (b *Booster) Retries() int64 { return b.retries.Value() }
 // never arrived, or the board FIFO never accepted the submit).
 func (b *Booster) CmdTimeouts() int64 { return b.timeouts.Value() }
 
-// FallbackDecodes returns the count of images decoded on the CPU
-// fallback path instead of the FPGA.
+// FallbackDecodes returns the count of images the failure policy
+// decoded on the host lanes instead of the FPGA: degraded mode and the
+// rescue of failed board commands.
 func (b *Booster) FallbackDecodes() int64 { return b.fallbacks.Value() }
 
 // LateFinishes returns the count of commands whose FINISH beat the
@@ -350,8 +351,8 @@ func (b *Booster) LateFinishes() int64 { return b.lateFinishes.Value() }
 // that keep online-serving latency bounded.
 func (b *Booster) PartialFlushes() int64 { return b.partialFlush.Value() }
 
-// Degraded reports whether the booster has switched decode work to the
-// CPU fallback path.
+// Degraded reports whether the booster has switched decode work to its
+// host lanes.
 func (b *Booster) Degraded() bool { return b.degraded.Load() }
 
 // Events exposes the failure-event log (degraded-mode switches).
@@ -388,30 +389,14 @@ func (b *Booster) backoffDur(attempt int) time.Duration {
 	return d << shift
 }
 
-// cpuDecode is the degraded-mode decode path: the same pipeline the
-// boards run (parse → entropy decode → reconstruct → resize), loaded
-// once for the host CPU and reusing its buffers the same way, writing
-// into the same HugePage batch slot, so the downstream Dispatcher and
-// engines see identical batches.
-func (b *Booster) cpuDecode(ref fpga.DataRef, dst []byte) error {
-	data, err := ref.Bytes(b.cfg.Source)
-	if err != nil {
-		return err
-	}
-	out, err := pix.View(b.cfg.OutW, b.cfg.OutH, b.cfg.Channels, dst)
-	if err != nil {
-		return err
-	}
-	scale, err := b.host.Decode(data, &out)
-	if err == nil && scale < 8 {
-		b.scaledCPU.Add(1)
-	}
-	return err
-}
-
-// Close tears the backend down: the decoder first, then the plane.
+// Close tears the backend down: the boards and the lanes first, then
+// the FINISH stream they complete into, then the plane.
 func (b *Booster) Close() {
-	b.dec.close()
+	if b.boards != nil {
+		b.boards.close()
+	}
+	b.lanes.close()
+	b.fin.merged.Close()
 	b.BatchPlane.Close()
 }
 

@@ -25,13 +25,10 @@ type FPGAChannel struct {
 	rr int
 }
 
-func newFPGAChannel(devs []*fpga.Device) *FPGAChannel {
-	c := &FPGAChannel{
-		finishes: finishes{queue.New[fpga.Completion](256 * len(devs))},
-		devs:     devs,
-	}
-	// One forwarder per board moves FINISH signals into the merged
-	// stream; when every board closes, the stream closes.
+// newFPGAChannel binds devs to fin, the Booster's one FINISH stream.
+// One forwarder per board moves its FINISH signals into the stream.
+func newFPGAChannel(devs []*fpga.Device, fin finishes) *FPGAChannel {
+	c := &FPGAChannel{finishes: fin, devs: devs}
 	for _, d := range devs {
 		c.fwd.Add(1)
 		go func(d *fpga.Device) {
@@ -47,10 +44,6 @@ func newFPGAChannel(devs []*fpga.Device) *FPGAChannel {
 			}
 		}(d)
 	}
-	go func() {
-		c.fwd.Wait()
-		c.merged.Close()
-	}()
 	return c
 }
 
@@ -92,7 +85,7 @@ func (c *FPGAChannel) Cancel(id uint64) bool {
 	return false
 }
 
-// close shuts every board down and waits for the merged stream to end.
+// close shuts every board down and waits for their forwarders to stop.
 func (c *FPGAChannel) close() {
 	for _, d := range c.devs {
 		d.Close()
@@ -100,15 +93,14 @@ func (c *FPGAChannel) close() {
 	c.fwd.Wait()
 }
 
-// finishes is the FINISH stream a decoder completes into — the boards'
-// merged stream, or the host lanes' (host.go) — and the three calls the
-// FPGAReader reads it with.
+// finishes is a Booster's one FINISH stream, which its boards and its
+// host lanes (host.go) both complete into, and the three calls the
+// FPGAReader reads it with. It holds one completion per slot of the
+// pool, the most that can be in flight, so neither a lane nor a board
+// forwarder blocks on it while the reader blocks on a submit.
 type finishes struct {
 	merged *queue.Queue[fpga.Completion]
 }
-
-// finishQueue exposes the stream to the Booster's queue-depth probe.
-func (f finishes) finishQueue() *queue.Queue[fpga.Completion] { return f.merged }
 
 // WaitCompletionTimeout waits up to t for the next FINISH signal; ok is
 // false on timeout.
@@ -127,7 +119,7 @@ func (f finishes) DrainOut(buf []fpga.Completion) []fpga.Completion {
 	return f.merged.DrainInto(buf)
 }
 
-// WaitCompletion blocks for the next FINISH signal from any board.
+// WaitCompletion blocks for the next FINISH signal from any decoder.
 func (f finishes) WaitCompletion() (fpga.Completion, error) {
 	comp, err := f.merged.Pop()
 	if err != nil {

@@ -308,7 +308,7 @@ func TestChaosCorruptPayloadsHitRealDecodeErrors(t *testing.T) {
 // TestChaosRevokedSlowCommandCannotCorruptBuffers covers the
 // slow-but-alive board: the first decode command stalls the board
 // worker carrying it far past the command timeout, so the reader
-// revokes the overdue command, rescues its slot on the CPU, publishes,
+// revokes the overdue command, rescues its slot on the host lanes, publishes,
 // and recycles the buffer — all while the board is still working. The
 // revocation fence must keep every late DMA write from landing: each
 // published slot holds exactly its own item's pixels, the late FINISH
@@ -331,12 +331,12 @@ func TestChaosRevokedSlowCommandCannotCorruptBuffers(t *testing.T) {
 			FallbackAfter: 100, // rescue failed slots, don't switch modes
 		},
 	})
-	// Reference pixels: the CPU path runs the same mirror stages and
+	// Reference pixels: the host lanes run the same mirror stages and
 	// resize the board would, so every slot must match byte for byte.
 	refs := make([][]byte, n)
 	for i := range refs {
 		refs[i] = make([]byte, 28*28)
-		if err := b.cpuDecode(items[i].Ref, refs[i]); err != nil {
+		if err := b.lanes.decode(0, items[i].Ref, laneView(t, b, refs[i])); err != nil {
 			t.Fatal(err)
 		}
 	}

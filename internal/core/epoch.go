@@ -1,7 +1,7 @@
-// The FPGAReader event loop — Algorithm 1 of the paper, plus the
-// failure policy (retry scheduling, command timeouts, degraded-mode
-// rescue) layered on top of it. RunEpoch is the collector loop; the
-// per-epoch state and every transition on it live in epochState, so
+// The FPGAReader event loop — Algorithm 1 of the paper, plus placement
+// (boards or host lanes) and the failure policy (retry scheduling,
+// command timeouts, degraded-mode rescue) layered on top of it. RunEpoch
+// is the collector loop; the per-epoch state and every transition on it live in epochState, so
 // each can be exercised against a fake decoder (epoch_model_test.go).
 
 package core
@@ -15,18 +15,36 @@ import (
 	"dlbooster/internal/metrics"
 )
 
-// decoder is what the epoch state machine needs of its boards. The
-// program has two: *FPGAChannel over the boards and *hostLanes (host.go)
-// over a baseline's host goroutines; a test drives the transitions with
-// a scripted fake as well.
-type decoder interface {
-	SubmitCmd(fpga.Cmd) error
-	SubmitCmdTimeout(fpga.Cmd, time.Duration) (bool, error)
-	Cancel(id uint64) bool
-	DrainOut(buf []fpga.Completion) []fpga.Completion
-	WaitCompletion() (fpga.Completion, error)
-	WaitCompletionTimeout(time.Duration) (fpga.Completion, bool, error)
-}
+// The epoch state machine sends each command to one of two decoders,
+// *FPGAChannel or *hostLanes (host.go), and reads every FINISH from the
+// Booster's one stream; a test substitutes scripted fakes for all three.
+type (
+	// boardDecoder can wedge: a submit may be shed and a command revoked.
+	boardDecoder interface {
+		SubmitCmd(fpga.Cmd) error
+		SubmitCmdTimeout(fpga.Cmd, time.Duration) (bool, error)
+		Cancel(id uint64) bool
+	}
+	// laneDecoder cannot: every command it accepts raises a FINISH.
+	laneDecoder  interface{ SubmitCmd(fpga.Cmd) error }
+	finishStream interface {
+		DrainOut(buf []fpga.Completion) []fpga.Completion
+		WaitCompletion() (fpga.Completion, error)
+		WaitCompletionTimeout(time.Duration) (fpga.Completion, bool, error)
+	}
+)
+
+// placement is where a command runs and what its success is booked as:
+// the Booster's own decoder (its boards, or the lanes of a Booster that
+// has none), or the lanes as the CPU-share knob's offload or as the
+// failure policy's fallback (degraded mode, or a failed board command).
+type placement uint8
+
+const (
+	onBoards placement = iota
+	offloaded
+	fallenBack
+)
 
 // building tracks one batch buffer being filled by in-flight decodes.
 // It also carries what cache admission needs: the items' DataRefs
@@ -42,24 +60,27 @@ type building struct {
 }
 
 // pendingSlot maps an in-flight command to its batch slot, carrying
-// what the failure policy needs: the command itself for resubmission,
-// the attempt count, the submit time for timeout detection, and — when
-// the command is held host-side between a failed attempt and its
-// retry — the earliest time the resubmission may go out.
+// what the failure policy needs: its placement, the command itself for
+// resubmission, the attempt count, the submit time for timeout
+// detection, and — when the command is held host-side between a failed
+// attempt and its retry — the earliest time the resubmission may go out.
 type pendingSlot struct {
 	bld       *building
 	slot      int
+	place     placement
 	cmd       fpga.Cmd
 	attempts  int
 	submitted time.Time
-	retryAt   time.Time // zero = in the board; set = awaiting scheduled retry
+	retryAt   time.Time // zero = in a decoder; set = awaiting scheduled retry
 }
 
 // epochState is one pass of the FPGAReader: the batch being filled, the
 // commands in flight and the knob values latched for the current batch.
 type epochState struct {
 	b       *Booster
-	dec     decoder
+	boards  boardDecoder // nil: every command runs on the lanes
+	lanes   laneDecoder
+	fin     finishStream
 	res     Resilience
 	pending map[uint64]*pendingSlot
 	cur     *building
@@ -81,8 +102,8 @@ type epochState struct {
 	bt      time.Duration
 	flushAt time.Time
 	// offloadAcc is the error-diffusion accumulator of the fractional
-	// CPU-share knob: it gains CPUShare per submission and routes one
-	// item to the CPU decode path each time it crosses 1, spreading the
+	// CPU-share knob: it gains CPUShare per submission and places one
+	// item on the host lanes each time it crosses 1, spreading the
 	// offloaded items evenly through the batch instead of bursting.
 	offloadAcc float64
 	// fill is the last sealed batch's image count, the next batch's
@@ -90,9 +111,9 @@ type epochState struct {
 	fill int
 }
 
-func newEpochState(b *Booster, dec decoder) *epochState {
+func newEpochState(b *Booster, boards boardDecoder, lanes laneDecoder, fin finishStream) *epochState {
 	return &epochState{
-		b: b, dec: dec, res: b.cfg.Resilience,
+		b: b, boards: boards, lanes: lanes, fin: fin, res: b.cfg.Resilience,
 		pending: make(map[uint64]*pendingSlot),
 		live:    make(map[*building]bool),
 		bt:      b.BatchTimeout(),
@@ -100,7 +121,7 @@ func newEpochState(b *Booster, dec decoder) *epochState {
 	}
 }
 
-// RunEpoch drives one pass of the collector through the FPGA decoder —
+// RunEpoch drives one pass of the collector through the decoders —
 // Algorithm 1 of the paper. It returns once every input item has been
 // decoded (or failed) and every completed batch is on the Full queue. A
 // consumer must drain Batches() concurrently, or the pool back-pressure
@@ -123,7 +144,11 @@ func (b *Booster) RunEpoch(col DataCollector) (err error) {
 	if col == nil {
 		return errors.New("core: nil collector")
 	}
-	e := newEpochState(b, b.dec)
+	var boards boardDecoder
+	if b.boards != nil {
+		boards = b.boards
+	}
+	e := newEpochState(b, boards, b.lanes, b.fin)
 	defer e.release()
 	return e.run(col)
 }
@@ -207,8 +232,9 @@ func (e *epochState) release() {
 }
 
 // admit places one collected item in the building batch (opening one if
-// needed) and routes its decode: to the boards, or — degraded mode, or
-// the offload knob's turn — to the host CPU.
+// needed) and submits its decode: to the host lanes when the Booster has
+// no boards, is degraded or the offload knob's turn has come, otherwise
+// to the boards.
 func (e *epochState) admit(item Item) error {
 	b := e.b
 	b.collected.Add(1)
@@ -225,45 +251,43 @@ func (e *epochState) admit(item Item) error {
 	if b.cache != nil {
 		cur.refs = append(cur.refs, item.Ref)
 	}
+	place := onBoards
 	switch {
+	case e.boards == nil:
 	case b.degraded.Load():
-		// Degraded mode overrides the share — every decode is already on
-		// the CPU and counted as a fallback.
-		e.decodeOnCPU(cur, slot, item.Ref, false)
+		// Degraded mode overrides the share: every decode is already
+		// on the lanes and counted as a fallback.
+		place = fallenBack
 	case e.offloadDue():
-		e.decodeOnCPU(cur, slot, item.Ref, true)
-	default:
-		b.cmdID++
-		cur.outstanding++
-		// Algorithm 1 lines 11–12: encapsulate the physical address
-		// (base + offset of this datum in the batch) into the cmd.
-		var ps *pendingSlot
-		if n := len(e.idle); n > 0 {
-			ps, e.idle = e.idle[n-1], e.idle[:n-1]
-		} else {
-			ps = new(pendingSlot)
-		}
-		*ps = pendingSlot{bld: cur, slot: slot, cmd: fpga.Cmd{
-			ID:       b.cmdID,
-			Data:     item.Ref,
-			DMAAddr:  cur.batch.Buf.PhysAddr(),
-			DMAOff:   slot * cur.batch.ImageBytes(),
-			OutW:     b.cfg.OutW,
-			OutH:     b.cfg.OutH,
-			Channels: b.cfg.Channels,
-		}}
-		if err := e.submit(ps); err != nil {
-			return err
-		}
+		place = offloaded
+	}
+	b.cmdID++
+	cur.outstanding++
+	// Algorithm 1 lines 11–12: encapsulate the physical address (base +
+	// offset of this datum in the batch) into the cmd.
+	var ps *pendingSlot
+	if n := len(e.idle); n > 0 {
+		ps, e.idle = e.idle[n-1], e.idle[:n-1]
+	} else {
+		ps = new(pendingSlot)
+	}
+	*ps = pendingSlot{bld: cur, slot: slot, place: place, cmd: fpga.Cmd{
+		ID:       b.cmdID,
+		Data:     item.Ref,
+		DMAAddr:  cur.batch.Buf.PhysAddr(),
+		DMAOff:   slot * cur.batch.ImageBytes(),
+		OutW:     b.cfg.OutW,
+		OutH:     b.cfg.OutH,
+		Channels: b.cfg.Channels,
+	}}
+	if err := e.submit(ps); err != nil {
+		return err
 	}
 	// Lines 13–15: pull processed batches with best effort.
 	if err := e.poll(); err != nil {
 		return err
 	}
 	if cur.batch.Images == b.cfg.BatchSize {
-		// A full batch seals here; with every slot already settled
-		// (pure degraded mode) no FINISH will arrive to publish the
-		// batch, so finishIfDone inside seal does it.
 		return e.seal(false)
 	}
 	return nil
@@ -314,7 +338,7 @@ func (e *epochState) open() error {
 }
 
 // offloadDue advances the fractional FPGA/CPU split (SetCPUShare) by one
-// submission and reports whether this item is the CPU's. The knob is
+// submission and reports whether this item is the host lanes'. The knob is
 // re-read per submission, so a retune takes effect on the very next item.
 func (e *epochState) offloadDue() bool {
 	share := e.b.CPUShare()
@@ -329,18 +353,27 @@ func (e *epochState) offloadDue() bool {
 	return true
 }
 
-// submit sends a command — a first attempt or a due retry — to the
-// boards and records it pending. Under a command timeout the push is
-// bounded, so the full FIFO of a wedged board sheds the command instead
-// of deadlocking the reader; a shed command is settled host-side without
+// onLanes reports whether ps runs on the host lanes.
+func (e *epochState) onLanes(ps *pendingSlot) bool {
+	return ps.place != onBoards || e.boards == nil
+}
+
+// submit sends a command — a first attempt, a due retry or a rescue — to
+// its decoder and records it pending. A lane cannot wedge, so a lane
+// submit is unbounded. Under a command timeout a board push is bounded,
+// so the full FIFO of a wedged board sheds the command instead of
+// deadlocking the reader; a shed command is settled host-side without
 // waiting for a FINISH that cannot come.
 func (e *epochState) submit(ps *pendingSlot) error {
 	accepted := true
 	var err error
-	if t := e.res.CmdTimeout; t > 0 {
-		accepted, err = e.dec.SubmitCmdTimeout(ps.cmd, t)
-	} else {
-		err = e.dec.SubmitCmd(ps.cmd)
+	switch t := e.res.CmdTimeout; {
+	case e.onLanes(ps):
+		err = e.lanes.SubmitCmd(ps.cmd)
+	case t > 0:
+		accepted, err = e.boards.SubmitCmdTimeout(ps.cmd, t)
+	default:
+		err = e.boards.SubmitCmd(ps.cmd)
 	}
 	if err != nil {
 		return err
@@ -386,31 +419,51 @@ func (e *epochState) finishIfDone(bld *building) error {
 }
 
 // settleSuccess and settleFailure are the only two ways a pending
-// command resolves; both decrement outstanding and retire the slot.
+// command resolves; both decrement outstanding and retire the slot. A
+// success books by placement, its span running from submit to FINISH.
 func (e *epochState) settleSuccess(ps *pendingSlot) error {
 	b := e.b
-	b.noteFPGASuccess()
 	b.settle(ps.bld.batch, ps.slot, true)
+	stage := metrics.StageFPGADecode
+	switch ps.place {
+	case onBoards:
+		b.noteFPGASuccess()
+	case offloaded:
+		b.offloads.Add(1)
+		stage = metrics.StageCPUOffload
+	case fallenBack:
+		b.fallbacks.Add(1)
+		stage = metrics.StageCPUFallback
+	}
 	if b.traced {
-		b.reg.ObserveSince(metrics.StageFPGADecode, ps.submitted)
+		b.reg.ObserveSince(stage, ps.submitted)
 	}
 	if tr := ps.bld.batch.Trace; tr != nil {
-		tr.FPGA++
+		if ps.place == onBoards {
+			tr.FPGA++
+		} else {
+			tr.Fallback++
+		}
 	}
 	return e.retire(ps)
 }
 
-// settleFailure resolves a command whose FPGA decode finally failed
-// (retries exhausted, submission shed, or timed out). With fallback
-// configured the item is rescued by the CPU decode path — the
-// degradation of the failure model — otherwise its slot stays
-// invalid, the paper's original behaviour.
+// settleFailure resolves a command whose decode finally failed (retries
+// exhausted, submission shed, or timed out). A board failure feeds the
+// degradation streak and, with fallback configured, is resubmitted to
+// the lanes with a fresh retry budget. Otherwise, and always on the
+// lanes, the slot stays invalid: the paper's original behaviour.
 func (e *epochState) settleFailure(ps *pendingSlot) error {
-	e.b.noteFPGAFailure()
-	if e.res.FallbackAfter > 0 {
-		e.decodeOnCPU(ps.bld, ps.slot, ps.cmd.Data, false)
-	} else {
-		e.markFailed(ps.bld, ps.slot)
+	if !e.onLanes(ps) {
+		e.b.noteFPGAFailure()
+		if e.res.FallbackAfter > 0 {
+			ps.place, ps.attempts = fallenBack, 0
+			return e.submit(ps)
+		}
+	}
+	e.b.settle(ps.bld.batch, ps.slot, false)
+	if tr := ps.bld.batch.Trace; tr != nil {
+		tr.Failed++
 	}
 	return e.retire(ps)
 }
@@ -432,43 +485,6 @@ func (e *epochState) timeOut(ps *pendingSlot) error {
 	return e.settleFailure(ps)
 }
 
-// decodeOnCPU decodes one slot on the host CPU, bypassing the boards —
-// the same mirror stages writing into the same HugePage slot — and books
-// the outcome. offload names the reason: the SetCPUShare knob's
-// deliberate load-splitting, as opposed to the failure policy's rescue
-// and degraded mode, which count as fallbacks.
-func (e *epochState) decodeOnCPU(bld *building, slot int, ref fpga.DataRef, offload bool) {
-	b := e.b
-	var t0 time.Time
-	if b.traced {
-		t0 = time.Now()
-	}
-	if b.cpuDecode(ref, bld.batch.Image(slot)) != nil {
-		e.markFailed(bld, slot)
-		return
-	}
-	b.settle(bld.batch, slot, true)
-	counter, stage := &b.fallbacks, metrics.StageCPUFallback
-	if offload {
-		counter, stage = &b.offloads, metrics.StageCPUOffload
-	}
-	counter.Add(1)
-	if b.traced {
-		b.reg.ObserveSince(stage, t0)
-	}
-	if tr := bld.batch.Trace; tr != nil {
-		tr.Fallback++
-	}
-}
-
-// markFailed books a slot no decode path could fill.
-func (e *epochState) markFailed(bld *building, slot int) {
-	e.b.settle(bld.batch, slot, false)
-	if tr := bld.batch.Trace; tr != nil {
-		tr.Failed++
-	}
-}
-
 // process settles a burst of FINISH signals: success, a scheduled
 // retry, or final failure.
 func (e *epochState) process(comps []fpga.Completion) error {
@@ -482,7 +498,7 @@ func (e *epochState) process(comps []fpga.Completion) error {
 		case c.Err == nil:
 			delete(e.pending, c.ID)
 			err = e.settleSuccess(ps)
-		case ps.attempts < e.res.MaxRetries && !e.b.degraded.Load():
+		case ps.attempts < e.res.MaxRetries && (e.onLanes(ps) || !e.b.degraded.Load()):
 			// Schedule the retry by deadline instead of sleeping the
 			// backoff inline: the reader keeps draining completions
 			// and expiring timeouts for every other command while
@@ -502,8 +518,8 @@ func (e *epochState) process(comps []fpga.Completion) error {
 }
 
 // resubmitDue sends every host-held retry whose backoff has elapsed
-// back to the boards; a shed resubmission (full FIFO of a wedged
-// board) or a degraded-mode switch settles the command instead.
+// back to its decoder; a shed resubmission (full FIFO of a wedged
+// board) or a degraded-mode switch settles a board command instead.
 func (e *epochState) resubmitDue() error {
 	if len(e.pending) == 0 {
 		return nil
@@ -514,7 +530,7 @@ func (e *epochState) resubmitDue() error {
 			continue
 		}
 		var err error
-		if e.b.degraded.Load() {
+		if !e.onLanes(ps) && e.b.degraded.Load() {
 			delete(e.pending, id)
 			err = e.settleFailure(ps)
 		} else {
@@ -545,7 +561,7 @@ func (e *epochState) nextRetry() (time.Duration, bool) {
 	return d, true
 }
 
-// expire settles every in-board command whose FINISH is overdue —
+// expire settles every board command whose FINISH is overdue —
 // the only way a wedged board's swallowed commands ever resolve.
 // Before a slot is settled (and its buffer thereby becomes eligible
 // for publishing and recycling) the command is revoked on its board:
@@ -560,13 +576,13 @@ func (e *epochState) expire() error {
 	}
 	now := time.Now()
 	for id, ps := range e.pending {
-		if !ps.retryAt.IsZero() {
-			continue // host-held awaiting retry: nothing in the board
+		if !ps.retryAt.IsZero() || e.onLanes(ps) {
+			continue // awaiting retry, or on a lane, which always finishes
 		}
 		if now.Sub(ps.submitted) < e.res.CmdTimeout {
 			continue
 		}
-		if !e.dec.Cancel(id) {
+		if !e.boards.Cancel(id) {
 			e.b.lateFinishes.Add(1)
 			ps.submitted = now
 			continue
@@ -580,7 +596,7 @@ func (e *epochState) expire() error {
 	return nil
 }
 
-// await blocks for the next FINISH from any board. The wait is
+// await blocks for the next FINISH from either decoder. The wait is
 // bounded by a fraction of the command timeout (so a stuck board
 // cannot park the reader past its own detection threshold) and by
 // the earliest scheduled retry (so a backing-off command is
@@ -604,23 +620,23 @@ func (e *epochState) await() error {
 	var err error
 	got := true
 	if wait < 0 {
-		comp, err = e.dec.WaitCompletion()
+		comp, err = e.fin.WaitCompletion()
 	} else {
-		comp, got, err = e.dec.WaitCompletionTimeout(wait)
+		comp, got, err = e.fin.WaitCompletionTimeout(wait)
 	}
 	if err != nil {
 		return fmt.Errorf("core: decoder closed mid-epoch: %w", err)
 	}
 	e.comps = e.comps[:0]
 	if got {
-		e.comps = e.dec.DrainOut(append(e.comps, comp))
+		e.comps = e.fin.DrainOut(append(e.comps, comp))
 	}
 	return e.sweep(e.comps)
 }
 
 // poll is the non-blocking sweep between submissions.
 func (e *epochState) poll() error {
-	e.comps = e.dec.DrainOut(e.comps[:0])
+	e.comps = e.fin.DrainOut(e.comps[:0])
 	return e.sweep(e.comps)
 }
 

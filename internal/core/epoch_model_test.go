@@ -14,13 +14,15 @@ import (
 )
 
 // Model test of the epoch state machine: epochState is driven through a
-// scripted decoder instead of an fpga.Device, so every answer a board
-// can give — FINISH, FINISH with an error, a FINISH that beats the
-// revocation, silence, a shed submit — is drawn from a seed and the
-// settle-exactly-once and buffer-ledger invariants are checked under
-// hundreds of random failure policies. Each seed also runs the same
-// epoch through the baselines' decoder, host lanes (host.go) with one
-// and with four lanes, whose decodes fail or stall at random.
+// scripted board and scripted host lanes instead of an fpga.Device, so
+// every answer a board can give — FINISH, FINISH with an error, a FINISH
+// that beats the revocation, silence, a shed submit — and every answer a
+// lane can give — FINISH, with or without an error — is drawn from a
+// seed, and the settle-exactly-once and buffer-ledger invariants are
+// checked under hundreds of random placement and failure policies. Each
+// seed also runs the same epoch on a board-less Booster, the baselines'
+// shape: real host lanes (host.go), one and four of them, whose decodes
+// fail or stall at random.
 
 // fate is how the fake board answers one submission of a command.
 type fate int
@@ -33,9 +35,11 @@ const (
 	fateShed              // FIFO full: the bounded submit is refused
 )
 
-// fakeDecoder implements the decoder interface on the epoch goroutine
-// alone (no locks): completions sit in delayed until a poll releases
-// them into ready; held are the commands a wedged board swallowed.
+// fakeDecoder implements the board and the FINISH stream on the epoch
+// goroutine alone (no locks), and its lanes field the host lanes:
+// completions of both sit in delayed until a poll releases them into
+// ready; held are the commands a wedged board swallowed. inBoard holds
+// every command in either decoder, onLane those on a lane.
 type fakeDecoder struct {
 	t       *testing.T
 	rng     *rand.Rand
@@ -44,7 +48,29 @@ type fakeDecoder struct {
 	delayed []fpga.Completion
 	ready   []fpga.Completion
 	inBoard map[uint64]bool
-	ok, bad int
+	onLane  map[uint64]bool
+	// FINISHes taken by the reader, ok and failed, from the board and
+	// from the lanes.
+	ok, bad         int
+	laneOK, laneBad int
+}
+
+// fakeLanes is the host-lane side of a fakeDecoder: a lane accepts every
+// command and finishes it, with or without an error, some polls later.
+type fakeLanes struct{ f *fakeDecoder }
+
+func (l fakeLanes) SubmitCmd(cmd fpga.Cmd) error {
+	f := l.f
+	if f.inBoard[cmd.ID] {
+		f.t.Errorf("cmd %d sent to a lane while its previous attempt is still in a decoder", cmd.ID)
+	}
+	c := fpga.Completion{ID: cmd.ID}
+	if f.rng.Intn(4) == 0 {
+		c.Err = faults.ErrInjected
+	}
+	f.delayed = append(f.delayed, c)
+	f.inBoard[cmd.ID], f.onLane[cmd.ID] = true, true
+	return nil
 }
 
 func (f *fakeDecoder) draw() fate {
@@ -89,6 +115,9 @@ func (f *fakeDecoder) SubmitCmdTimeout(cmd fpga.Cmd, _ time.Duration) (bool, err
 }
 
 func (f *fakeDecoder) Cancel(id uint64) bool {
+	if f.onLane[id] {
+		f.t.Errorf("cmd %d revoked on a lane, which always finishes", id)
+	}
 	ft, ok := f.held[id]
 	if !ok {
 		return false // FINISH already raised: in flight to the reader
@@ -121,12 +150,18 @@ func (f *fakeDecoder) take(n int) []fpga.Completion {
 	out := f.ready[:n:n]
 	f.ready = f.ready[n:]
 	for _, c := range out {
-		delete(f.inBoard, c.ID)
-		if c.Err == nil {
+		switch {
+		case f.onLane[c.ID] && c.Err == nil:
+			f.laneOK++
+		case f.onLane[c.ID]:
+			f.laneBad++
+		case c.Err == nil:
 			f.ok++
-		} else {
+		default:
 			f.bad++
 		}
+		delete(f.inBoard, c.ID)
+		delete(f.onLane, c.ID)
 	}
 	return out
 }
@@ -166,26 +201,28 @@ func modelPayloads() [][]byte {
 }
 
 // modelDecoders are the decoder configurations every seed runs: the
-// scripted fake board (lanes 0) and host lanes.
+// scripted board and lanes (lanes 0), and a board-less Booster's real
+// host lanes.
 var modelDecoders = []struct {
 	name  string
 	lanes int
 }{{"fake", 0}, {"host1", 1}, {"host4", 4}}
 
 // hostModel is host lanes whose decode fails or stalls at random, one
-// generator per lane, counting the FINISHes it raises.
+// generator per lane, counting the FINISHes it raises into its stream.
 type hostModel struct {
 	*hostLanes
+	finishes
 	ok, bad atomic.Int64
 }
 
-func newHostModel(b *Booster, seed int64, lanes int) *hostModel {
-	h := &hostModel{}
+func newHostModel(b *Booster, pipe *fpga.Pipeline, seed int64, lanes int) *hostModel {
+	h := &hostModel{finishes: finishes{queue.New[fpga.Completion](b.pool.Count() * b.batchSize)}}
 	rngs := make([]*rand.Rand, lanes)
 	for i := range rngs {
 		rngs[i] = rand.New(rand.NewSource(seed*8 + int64(i)))
 	}
-	h.hostLanes = newHostLanes(b.pool, b.batchSize, lanes, func(lane int, ref fpga.DataRef, dst *pix.Image) error {
+	h.hostLanes = newHostLanes(b.pool.Arena(), h.finishes, lanes, func(lane int, ref fpga.DataRef, dst *pix.Image) error {
 		var err error
 		switch rngs[lane].Intn(4) {
 		case 0:
@@ -196,7 +233,7 @@ func newHostModel(b *Booster, seed int64, lanes int) *hostModel {
 			time.Sleep(time.Duration(rngs[lane].Intn(400)) * time.Microsecond)
 			fallthrough
 		default:
-			_, err = b.host.Decode(ref.Inline, dst)
+			_, err = pipe.Decode(ref.Inline, dst)
 		}
 		if err == nil {
 			h.ok.Add(1)
@@ -206,6 +243,11 @@ func newHostModel(b *Booster, seed int64, lanes int) *hostModel {
 		return err
 	})
 	return h
+}
+
+func (h *hostModel) close() {
+	h.hostLanes.close()
+	h.merged.Close()
 }
 
 func TestEpochModel(t *testing.T) {
@@ -219,8 +261,9 @@ func TestEpochModel(t *testing.T) {
 	}
 }
 
-// runEpochModel runs one seeded epoch through the fake board (lanes 0)
-// or host lanes and checks every invariant.
+// runEpochModel runs one seeded epoch through the fake board and lanes
+// (lanes 0) or a board-less Booster's host lanes and checks every
+// invariant.
 func runEpochModel(t *testing.T, seed int64, lanes int) {
 	payloads := modelPayloads()
 	mirror, err := fpga.LoadMirror("raw")
@@ -246,7 +289,7 @@ func runEpochModel(t *testing.T, seed int64, lanes int) {
 	}
 	defer plane.Close()
 	plane.spanned = true // stamp spans so the consumer can check conservation
-	b := &Booster{BatchPlane: plane, cfg: cfg, host: fpga.NewPipeline(mirror)}
+	b := &Booster{BatchPlane: plane, cfg: cfg}
 	b.batchTimeoutNs.Store(int64(cfg.BatchTimeout))
 	b.SetCPUShare([]float64{0, 0, 0.25, 0.5, 1}[rng.Intn(5)])
 
@@ -319,21 +362,20 @@ func runEpochModel(t *testing.T, seed int64, lanes int) {
 		}
 	}()
 
-	var dec decoder
+	var e *epochState
 	var fake *fakeDecoder
 	var host *hostModel
 	if lanes == 0 {
 		fake = &fakeDecoder{
 			t: t, rng: rng, bounded: cfg.Resilience.CmdTimeout > 0,
-			held: map[uint64]fate{}, inBoard: map[uint64]bool{},
+			held: map[uint64]fate{}, inBoard: map[uint64]bool{}, onLane: map[uint64]bool{},
 		}
-		dec = fake
+		e = newEpochState(b, fake, fakeLanes{fake}, fake)
 	} else {
-		host = newHostModel(b, seed, lanes)
+		host = newHostModel(b, fpga.NewPipeline(mirror), seed, lanes)
 		defer host.close()
-		dec = host
+		e = newEpochState(b, nil, host, host)
 	}
-	e := newEpochState(b, dec)
 	if err := e.run(col); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -345,18 +387,23 @@ func runEpochModel(t *testing.T, seed int64, lanes int) {
 	if len(e.pending) != 0 || len(e.live) != 0 || e.cur != nil {
 		t.Fatalf("epoch returned with %d pending, %d unpublished batches, cur=%v", len(e.pending), len(e.live), e.cur)
 	}
-	finished, failed := 0, 0
+	// finished counts the Booster's own decoder's successes, rescued
+	// the lanes' successes booked as offloads or fallbacks.
+	finished, rescued, failed := 0, 0, 0
 	if fake != nil {
 		if len(fake.inBoard)+len(fake.held)+len(fake.delayed)+len(fake.ready) != 0 {
-			t.Fatalf("board not quiescent: %d in board, %d held, %d delayed, %d ready",
+			t.Fatalf("decoders not quiescent: %d in a decoder, %d held, %d delayed, %d ready",
 				len(fake.inBoard), len(fake.held), len(fake.delayed), len(fake.ready))
 		}
-		finished, failed = fake.ok, fake.bad
+		finished, rescued, failed = fake.ok, fake.laneOK, fake.bad+fake.laneBad
 	} else {
 		if host.cmds.Len()+host.merged.Len() != 0 {
 			t.Fatalf("lanes not quiescent: %d queued, %d FINISHes unread", host.cmds.Len(), host.merged.Len())
 		}
 		finished, failed = int(host.ok.Load()), int(host.bad.Load())
+	}
+	if cfg.Resilience.FallbackAfter == 0 && b.FallbackDecodes() != 0 {
+		t.Fatalf("%d fallbacks with fallback disabled", b.FallbackDecodes())
 	}
 	if got := b.Images() + b.DecodeErrors(); got != int64(n) || b.collected.Value() != int64(n) {
 		t.Fatalf("images %d + errors %d = %d, collected %d, want %d items", b.Images(), b.DecodeErrors(), got, b.collected.Value(), n)
@@ -365,9 +412,9 @@ func runEpochModel(t *testing.T, seed int64, lanes int) {
 		t.Fatalf("consumer saw %d images (%d valid) in %d batches; booster says %d items, %d images, %d published",
 			tl.images, tl.valid, tl.batches, n, b.Images(), b.published.Value())
 	}
-	if tl.fpga != finished || int64(tl.fallback) != b.FallbackDecodes()+b.OffloadDecodes() || int64(tl.failed) != b.DecodeErrors() {
-		t.Fatalf("spans fpga/fallback/failed = %d/%d/%d; decoder finished %d, counters say %d+%d fallback+offload, %d errors",
-			tl.fpga, tl.fallback, tl.failed, finished, b.FallbackDecodes(), b.OffloadDecodes(), b.DecodeErrors())
+	if tl.fpga != finished || tl.fallback != rescued || int64(rescued) != b.FallbackDecodes()+b.OffloadDecodes() || int64(tl.failed) != b.DecodeErrors() {
+		t.Fatalf("spans fpga/fallback/failed = %d/%d/%d; decoder finished %d, lanes rescued %d, counters say %d+%d fallback+offload, %d errors",
+			tl.fpga, tl.fallback, tl.failed, finished, rescued, b.FallbackDecodes(), b.OffloadDecodes(), b.DecodeErrors())
 	}
 	if b.Retries() > int64(failed) {
 		t.Fatalf("%d retries for %d failed FINISHes", b.Retries(), failed)

@@ -1,16 +1,17 @@
-// Host decode lanes — the decoder behind a Booster whose decodes run on
-// host goroutines instead of FPGA boards. The CPU, nvJPEG and LMDB
-// baselines (internal/backends) are such Boosters: each supplies only a
-// HostDecode and a lane count, and the epoch loop, failure policy, batch
-// plane and telemetry are the ones the boards run under (§4.2: backends
-// swapped under an unchanged engine).
+// Host decode lanes — every Booster's decoder on host goroutines, next
+// to its FPGA boards. A New Booster's lanes run the loaded mirror for
+// offloads, degraded mode and the rescue of failed board commands. A
+// NewHost Booster has no boards, so its lanes take every command: the
+// CPU, nvJPEG and LMDB baselines (internal/backends) supply only a
+// HostDecode and a lane count, and run under the boards' epoch loop,
+// failure policy, batch plane and telemetry (§4.2: backends swapped
+// under an unchanged engine).
 
 package core
 
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"dlbooster/internal/fpga"
 	"dlbooster/internal/hugepage"
@@ -24,42 +25,38 @@ import (
 // state needs no lock; calls on different lanes run concurrently.
 type HostDecode func(lane int, ref fpga.DataRef, dst *pix.Image) error
 
-// NewHost builds a Booster whose decodes run on lanes host goroutines,
-// each calling decode, instead of on FPGA boards. cfg's FPGA and
-// FPGADevices are unused; everything else means what it means for New.
+// NewHost builds a Booster with no FPGA boards, whose decodes run on
+// lanes host goroutines, each calling decode. cfg's FPGA, FPGADevices and
+// Mirror are unused; everything else means what it means for New.
 func NewHost(cfg Config, lanes int, decode HostDecode) (*Booster, error) {
 	if lanes <= 0 {
 		return nil, fmt.Errorf("core: %d host decode lanes", lanes)
 	}
-	return build(cfg, func(b *Booster, _ fpga.Mirror) error {
-		b.dec = newHostLanes(b.pool, b.batchSize, lanes, decode)
-		return nil
-	})
+	return build(cfg, lanes, decode)
 }
 
-// hostLanes is the decoder interface over host goroutines: a command
-// queue feeds the lanes, each resolves its command's DMA window in the
-// pool arena as a board does, decodes into it and raises the FINISH on
-// one stream. A lane never wedges, so every FINISH arrives.
+// hostLanes is the decoder over host goroutines: a command queue feeds
+// the lanes, each resolves its command's DMA window in the pool arena as
+// a board does, decodes into it and raises the FINISH on the Booster's
+// one stream. A lane never wedges, so every FINISH arrives: the reader
+// submits without a shed bound and never revokes.
 type hostLanes struct {
-	finishes
 	cmds   *queue.Queue[fpga.Cmd]
+	fin    *queue.Queue[fpga.Completion]
 	arena  *hugepage.Arena
 	decode HostDecode
 	wg     sync.WaitGroup
 }
 
-// newHostLanes starts the lanes. The FINISH stream holds one completion
-// per slot of the pool, the most that can be in flight, so a lane never
-// blocks on it while the reader blocks on the command queue. The command
-// queue holds two per lane: a lane finds its next command waiting while
-// the reader is between submissions.
-func newHostLanes(pool *hugepage.Pool, batchSize, lanes int, decode HostDecode) *hostLanes {
+// newHostLanes starts the lanes. The command queue holds two per lane: a
+// lane finds its next command waiting while the reader is between
+// submissions.
+func newHostLanes(arena *hugepage.Arena, fin finishes, lanes int, decode HostDecode) *hostLanes {
 	h := &hostLanes{
-		finishes: finishes{queue.New[fpga.Completion](pool.Count() * batchSize)},
-		cmds:     queue.New[fpga.Cmd](2 * lanes),
-		arena:    pool.Arena(),
-		decode:   decode,
+		cmds:   queue.New[fpga.Cmd](2 * lanes),
+		fin:    fin.merged,
+		arena:  arena,
+		decode: decode,
 	}
 	h.wg.Add(lanes)
 	for i := range lanes {
@@ -88,7 +85,7 @@ func (h *hostLanes) lane(i int) {
 		if err == nil {
 			c.Bytes = n
 		}
-		if h.merged.Push(c) != nil {
+		if h.fin.Push(c) != nil {
 			return
 		}
 	}
@@ -97,17 +94,24 @@ func (h *hostLanes) lane(i int) {
 // SubmitCmd queues a command for the next free lane.
 func (h *hostLanes) SubmitCmd(cmd fpga.Cmd) error { return h.cmds.Push(cmd) }
 
-// SubmitCmdTimeout queues a command, giving up after t.
-func (h *hostLanes) SubmitCmdTimeout(cmd fpga.Cmd, t time.Duration) (bool, error) {
-	return h.cmds.PushTimeout(cmd, t)
-}
-
-// Cancel never revokes: a queued or running command always finishes.
-func (h *hostLanes) Cancel(uint64) bool { return false }
-
-// close lets the lanes finish what is queued, then ends the stream.
+// close lets the lanes finish what is queued.
 func (h *hostLanes) close() {
 	h.cmds.Close()
 	h.wg.Wait()
-	h.merged.Close()
+}
+
+// mirrorDecode is a New Booster's lane decode: the pipeline the boards
+// run (parse → entropy decode → reconstruct → resize), loaded once for
+// the host and shared by its lanes as a board's workers share theirs.
+func (b *Booster) mirrorDecode(p *fpga.Pipeline) HostDecode {
+	return func(_ int, ref fpga.DataRef, dst *pix.Image) error {
+		data, err := ref.Bytes(b.cfg.Source)
+		if err == nil {
+			var scale int
+			if scale, err = p.Decode(data, dst); err == nil && scale < 8 {
+				b.scaledCPU.Add(1)
+			}
+		}
+		return err
+	}
 }

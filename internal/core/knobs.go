@@ -40,15 +40,15 @@ func (b *Booster) BatchTimeout() time.Duration {
 }
 
 // SetCPUShare retunes the fractional FPGA/CPU decode split: the given
-// fraction [0,1] of decode submissions is routed to the host CPU
-// decode path instead of the FPGA boards — deliberate load-splitting,
-// unlike the all-or-nothing degradation latch the failure policy
-// flips. The collector spreads the share with an error-diffusion
-// accumulator (a 0.25 share CPU-decodes every 4th item, not bursts of
-// four), re-reading the knob per submission, so a retune takes effect
-// on the very next item. Out-of-range values clamp; degraded mode
-// overrides any share (everything is on the CPU already). Safe from
-// any goroutine.
+// fraction [0,1] of decode submissions is placed on the Booster's host
+// lanes, which decode concurrently next to the FPGA boards —
+// deliberate load-splitting, unlike the all-or-nothing degradation
+// latch the failure policy flips. The collector spreads the share with
+// an error-diffusion accumulator (a 0.25 share offloads every 4th item,
+// not bursts of four), re-reading the knob per submission, so a retune
+// takes effect on the very next item. Out-of-range values clamp;
+// degraded mode overrides any share (everything is on the lanes
+// already). Safe from any goroutine.
 func (b *Booster) SetCPUShare(f float64) {
 	if f < 0 {
 		f = 0
@@ -65,7 +65,7 @@ func (b *Booster) CPUShare() float64 {
 	return float64(b.cpuShareUnits.Load()) / cpuShareScale
 }
 
-// OffloadDecodes returns the count of images decoded on the CPU by the
-// fractional offload knob — distinct from FallbackDecodes, which
+// OffloadDecodes returns the count of images decoded on the host lanes
+// by the fractional offload knob — distinct from FallbackDecodes, which
 // counts the failure policy's rescue and degraded-mode decodes.
 func (b *Booster) OffloadDecodes() int64 { return b.offloads.Value() }

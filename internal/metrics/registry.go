@@ -18,12 +18,13 @@ const (
 	// StageFPGADecode is submit_cmd → FINISH for one decode command
 	// (last attempt when retried).
 	StageFPGADecode = "fpga_decode"
-	// StageCPUFallback is the duration of one CPU rescue/degraded-mode
-	// decode.
+	// StageCPUFallback is host submit → FINISH for one rescue or
+	// degraded-mode decode on the host lanes (last attempt when retried).
 	StageCPUFallback = "cpu_fallback"
-	// StageCPUOffload is the duration of one CPU decode routed by the
-	// fractional offload knob (core.Booster.SetCPUShare) — deliberate
-	// load-splitting, distinct from the failure-driven cpu_fallback path.
+	// StageCPUOffload is host submit → FINISH for one host-lane decode
+	// placed by the fractional offload knob (core.Booster.SetCPUShare) —
+	// deliberate load-splitting, distinct from the failure-driven
+	// cpu_fallback path.
 	StageCPUOffload = "cpu_offload"
 	// StageGetItemWait is the time the FPGAReader blocked in get_item
 	// waiting for a free HugePage buffer (back-pressure).
