@@ -1,16 +1,14 @@
 // Command dlbench regenerates the paper's evaluation: every figure of
-// §5 plus the ablations, as deterministic virtual-time simulations. It
-// also drives one traced wall-clock run of the real pipeline for the
-// telemetry table and the bottleneck doctor. Performance is measured by
-// the benchmark of record, `bash bench/run.sh` (bench/README.md), not
-// here.
+// §5 plus the ablations, as deterministic virtual-time simulations.
+// Performance is measured by the benchmark of record, `bash
+// bench/run.sh` (bench/README.md), not here; a traced view of the real
+// pipeline comes from `dlserve -metrics-addr` or `bash bench/run.sh
+// --trace 1`.
 //
 //	dlbench                 # all figures, paper order
 //	dlbench -fig fig7a      # one figure
 //	dlbench -fig ablations  # the design-choice ablations
 //	dlbench -list           # figure ids
-//	dlbench -metrics        # traced end-to-end run + telemetry table
-//	dlbench -doctor         # traced run + ranked bottleneck diagnosis
 package main
 
 import (
@@ -20,7 +18,6 @@ import (
 	"strings"
 
 	"dlbooster/internal/experiments"
-	"dlbooster/internal/metrics"
 )
 
 var runners = map[string]func() (experiments.Figure, error){
@@ -52,28 +49,7 @@ var runners = map[string]func() (experiments.Figure, error){
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate (all, ablations, or a figure id)")
 	list := flag.Bool("list", false, "list figure ids and exit")
-	showMetrics := flag.Bool("metrics", false, "run a traced end-to-end pipeline and print the telemetry table")
-	doctor := flag.Bool("doctor", false, "run a traced end-to-end pipeline and print the ranked bottleneck diagnosis")
-	metricsImages := flag.Int("metrics-images", 64, "with -metrics/-doctor: images to push through the pipeline")
-	metricsBatch := flag.Int("metrics-batch", 8, "with -metrics/-doctor: batch size")
 	flag.Parse()
-
-	if *showMetrics || *doctor {
-		// One traced run feeds both instrumented views, so -metrics and
-		// -doctor can be combined without re-running.
-		res, err := tracedRun(*metricsImages, *metricsBatch)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dlbench: %v\n", err)
-			os.Exit(1)
-		}
-		if *showMetrics {
-			printMetrics(res)
-		}
-		if *doctor {
-			fmt.Print(metrics.Diagnose(res.snap, nil).Report())
-		}
-		return
-	}
 
 	if *list {
 		ids := make([]string, 0, len(runners))

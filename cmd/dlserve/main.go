@@ -94,8 +94,6 @@ func main() {
 	sloSpec := flag.String("slo", "", "server: judge this SLO spec over the telemetry window at shutdown, e.g. tput=900,p99ms=250,shed=0.001,window=60s (keys: tput p99ms stage shed window)")
 	autotuneSpec := flag.String("autotune", "", "server: run the adaptive SLO autotuner against this spec (same keys as -slo), actuating each shard's batch-timeout, CPU-offload and admission knobs each sampling interval; dlbooster backend only, implies -history")
 	pprofOn := flag.Bool("pprof", false, "server: mount net/http/pprof under /debug/pprof/ on the -metrics-addr mux")
-	snapEvery := flag.Duration("snapshot-every", 0, "server: write a JSON telemetry snapshot at this interval (0 = off)")
-	snapFile := flag.String("snapshot-file", "", "server: overwrite this file with each periodic snapshot (default: stderr)")
 	traceFile := flag.String("trace-file", "", "server: write a Chrome trace_event timeline (Perfetto-loadable) to this file on shutdown; also serves /trace.json when -metrics-addr is set")
 	flightDir := flag.String("flight-dir", "", "server: enable the flight recorder, dumping its rings into this directory on degradation, wedged-device faults, backend errors and shutdown")
 	cacheMB := flag.Int("cache-mb", 0, "server: RAM tier of the decoded-tensor ReplayCache in MiB (0 = no cache); the tiers are shared across shards")
@@ -122,8 +120,6 @@ func main() {
 			sloSpec:        *sloSpec,
 			autotuneSpec:   *autotuneSpec,
 			pprof:          *pprofOn,
-			snapEvery:      *snapEvery,
-			snapFile:       *snapFile,
 			traceFile:      *traceFile,
 			flightDir:      *flightDir,
 			cacheMB:        *cacheMB,

@@ -6,10 +6,9 @@
 // the stealer drains its backlog into healthy shards, and every
 // response frame names the shard that served it so clients can
 // attribute per-shard sheds and latency. Telemetry is the rollup
-// (metrics.FleetSnapshot) for every shard count: /metrics.json and the
-// periodic snapshots carry per-shard snapshots plus totals, /metrics
-// the fleet-total Prometheus text, and /trace.json a timeline with one
-// process track per shard.
+// (metrics.FleetSnapshot) for every shard count: /metrics.json carries
+// per-shard snapshots plus totals, /metrics the fleet-total Prometheus
+// text, and /trace.json a timeline with one process track per shard.
 
 package main
 
@@ -58,14 +57,11 @@ type serveConfig struct {
 	queueCap     int
 
 	// Telemetry: metricsAddr serves /metrics, /metrics.json,
-	// /history.json and /trace.json over HTTP; snapEvery writes periodic
-	// JSON snapshots to snapFile (or stderr); traceFile receives a
-	// Chrome trace timeline on shutdown. Any of them enables full
+	// /history.json and /trace.json over HTTP; traceFile receives a
+	// Chrome trace timeline on shutdown. Either of them enables full
 	// tracing on the pipeline. flightDir enables the always-on flight
 	// recorder independently.
 	metricsAddr string
-	snapEvery   time.Duration
-	snapFile    string
 	traceFile   string
 	flightDir   string
 
@@ -183,9 +179,6 @@ func serve(cfg serveConfig) error {
 		// fleet is watching one shard degrade while the rest carry on.
 		inject = faults.New(faultCfg)
 	}
-	if cfg.snapFile != "" && cfg.snapEvery <= 0 {
-		fmt.Fprintf(os.Stderr, "dlserve: warning: -snapshot-file %q has no effect without -snapshot-every\n", cfg.snapFile)
-	}
 	slo, ctlSLO, histEvery, err := cfg.telemetryPlan()
 	if err != nil {
 		return err
@@ -193,7 +186,7 @@ func serve(cfg serveConfig) error {
 	if ctlSLO != nil && cpuOnly {
 		return fmt.Errorf("-autotune retunes the CPU-offload share; the cpu backend pins it at 1")
 	}
-	telemetry := cfg.metricsAddr != "" || cfg.snapEvery > 0 || cfg.traceFile != "" || histEvery > 0
+	telemetry := cfg.metricsAddr != "" || cfg.traceFile != "" || histEvery > 0
 	var flight *metrics.FlightRecorder
 	if cfg.flightDir != "" {
 		flight = metrics.NewFlightRecorder(metrics.FlightConfig{DumpDir: cfg.flightDir})
@@ -312,11 +305,6 @@ func serve(cfg serveConfig) error {
 			return err
 		}
 	}
-	var snapStop, snapDone chan struct{}
-	if cfg.snapEvery > 0 {
-		snapStop, snapDone = make(chan struct{}), make(chan struct{})
-		go periodicSnapshots(fl, cfg.snapEvery, cfg.snapFile, snapStop, snapDone)
-	}
 	if flight != nil {
 		// Sample the registry of the faulted shard — the one whose
 		// degradation the recorder exists to explain.
@@ -404,20 +392,12 @@ func serve(cfg serveConfig) error {
 		}
 		waitEngines(engines, 3*time.Second)
 		cs.closeAll()
-		// Join the periodic-snapshot goroutine: it records state right
-		// up to the drain and does not outlive the server.
-		if snapStop != nil {
-			close(snapStop)
-			<-snapDone
-		}
 		reportShards(fl)
-		if histEvery > 0 {
-			if fd := fl.DiagnoseTrend(); fd != nil {
-				fmt.Fprintf(os.Stderr, "dlserve: fleet trend:\n%s", fd.Report())
-			}
-			if slo != nil {
-				fmt.Fprintf(os.Stderr, "dlserve: %s", slo.Evaluate(fl.History()).Report())
-			}
+		// One doctor: over the samplers' histories with -history, over
+		// each shard's final snapshot without.
+		fmt.Fprintf(os.Stderr, "dlserve: doctor %s", fl.Diagnose().Report())
+		if slo != nil {
+			fmt.Fprintf(os.Stderr, "dlserve: %s", slo.Evaluate(fl.History()).Report())
 		}
 		if cfg.traceFile != "" {
 			writeTrace(cfg.traceFile, fl)
@@ -456,8 +436,7 @@ func reportAutotune(ctl *control.Controller, shard int) {
 		base.BatchTimeout, cur.BatchTimeout, base.QueueCap, cur.QueueCap, base.CPUShare, cur.CPUShare)
 }
 
-// reportShards prints each shard's event log and degradation summary,
-// plus the fleet doctor's spread sentence.
+// reportShards prints each shard's event log and degradation summary.
 func reportShards(fl *fleet.Fleet) {
 	for _, s := range fl.Shards() {
 		b := s.Booster()
@@ -472,7 +451,6 @@ func reportShards(fl *fleet.Fleet) {
 	if st := fl.Steals(); st > 0 {
 		fmt.Fprintf(os.Stderr, "dlserve: work stealer moved %d queued requests off degraded shards\n", st)
 	}
-	fmt.Fprintf(os.Stderr, "dlserve: fleet doctor: %s\n", fl.Diagnose(nil).Summary)
 }
 
 // serveTelemetry exposes the fleet rollup over HTTP: /metrics is the
@@ -529,46 +507,6 @@ func serveTelemetry(addr string, fl *fleet.Fleet, histOn, pprofOn bool) error {
 	fmt.Printf("dlserve: telemetry on http://%s/metrics\n", ln.Addr())
 	go func() { _ = http.Serve(ln, mux) }()
 	return nil
-}
-
-// periodicSnapshots renders the fleet rollup to JSON every tick,
-// overwriting path (or appending to stderr when path is empty) — the
-// capture mechanism EXPERIMENTS.md uses for offline analysis. Render
-// and write failures reach stderr, at most once per minute instead of
-// once per tick; closing stop ends the loop, and done is closed on the
-// way out so the drain path can join it.
-func periodicSnapshots(fl *fleet.Fleet, every time.Duration, path string, stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	t := time.NewTicker(every)
-	defer t.Stop()
-	var lastWarn time.Time
-	warnf := func(format string, args ...any) {
-		if now := time.Now(); now.Sub(lastWarn) >= time.Minute {
-			lastWarn = now
-			fmt.Fprintf(os.Stderr, "dlserve: snapshot: "+format+"\n", args...)
-		}
-	}
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-		}
-		data, err := fl.Snapshot().JSON()
-		if err != nil {
-			warnf("rendering snapshot: %v", err)
-			continue
-		}
-		if path == "" {
-			fmt.Fprintf(os.Stderr, "%s\n", data)
-			continue
-		}
-		// Atomic (temp + fsync + rename): a scraper reading the file
-		// mid-write sees the previous snapshot, never a truncated one.
-		if err := metrics.WriteFileAtomic(path, append(data, '\n')); err != nil {
-			warnf("writing %s: %v", path, err)
-		}
-	}
 }
 
 // writeTrace renders the fleet's recent spans and events as a Chrome

@@ -8,9 +8,9 @@
 //
 // The control loop is deliberately conservative. Every decision passes
 // three gates before a knob moves: the evaluation window must hold
-// enough samples to mean anything, the trend doctor must not be
-// reporting a FLAPPING verdict (load sitting at a capacity knee, where
-// steering would amplify the oscillation), and a cooldown of full
+// enough samples to mean anything, the doctor (metrics.Diagnose) must
+// not be reporting a FLAPPING verdict (load sitting at a capacity knee,
+// where steering would amplify the oscillation), and a cooldown of full
 // windows must have elapsed since the last retune (so each actuation
 // is judged on settled evidence, not its own transient). Inside the
 // gates a small deadband around attainment 1.0 keeps the controller

@@ -296,7 +296,7 @@ func (c *Controller) decide() Decision {
 	if card == nil || card.Samples < minWindowSamples {
 		return c.hold(fmt.Sprintf("window too thin (%d samples, need %d)", cardSamples(card), minWindowSamples))
 	}
-	td := metrics.DiagnoseHistory(c.hist)
+	td := metrics.Diagnose([]*metrics.History{c.hist})
 	if td != nil && td.Flapping {
 		// The actuation gate: a flapping verdict means load is sitting
 		// at a capacity knee, where any steering amplifies the

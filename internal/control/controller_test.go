@@ -145,7 +145,7 @@ func TestControlGateFlapping(t *testing.T) {
 		}
 		s.sample(simtime.Time(i)*simtime.Second, 500, shed, 25, metrics.QueueDepth{Len: 0, Cap: 256})
 	}
-	if td := metrics.DiagnoseHistory(s.hist); td == nil || !td.Flapping {
+	if td := metrics.Diagnose([]*metrics.History{s.hist}); td == nil || !td.Flapping {
 		t.Fatalf("fixture does not flap: %+v", td)
 	}
 	p := &fakePlant{k: Knobs{BatchTimeout: 2 * time.Millisecond, QueueCap: 256}}
@@ -499,7 +499,7 @@ func TestControlConvergeUnderOverloadSim(t *testing.T) {
 		t.Fatalf("controller kept hunting after settling: retunes %d at step %d → %d at step %d",
 			retunesAtSettle, settle, got, steps)
 	}
-	if td := metrics.DiagnoseHistory(s.hist); td != nil && td.Flapping {
+	if td := metrics.Diagnose([]*metrics.History{s.hist}); td != nil && td.Flapping {
 		t.Fatalf("closed-loop run flaps: %+v", td.Ranked)
 	}
 	snap := reg.Snapshot()

@@ -406,8 +406,8 @@ func (f *Fleet) leastLoaded(except *Shard) *Shard {
 
 // Snapshot rolls every shard's telemetry into one FleetSnapshot:
 // counter sums, merged stage histograms, summed queue depths, and the
-// per-shard snapshots the fleet doctor and the per-shard trace tracks
-// read. Booster registries always answer, so no entry is nil.
+// per-shard snapshots the per-shard trace tracks read. Booster
+// registries always answer, so no entry is nil.
 func (f *Fleet) Snapshot() *metrics.FleetSnapshot {
 	snaps := make([]*metrics.PipelineSnapshot, len(f.shards))
 	for i, s := range f.shards {
@@ -416,12 +416,20 @@ func (f *Fleet) Snapshot() *metrics.FleetSnapshot {
 	return metrics.MergeSnapshots(snaps)
 }
 
-// Diagnose runs the fleet doctor over the current rollup (and an
-// optional previous one for rate evidence): per-shard verdicts plus
-// the spread sentence — "shard 3 is decoder-bound, the rest are
-// healthy".
-func (f *Fleet) Diagnose(prev *metrics.FleetSnapshot) *metrics.FleetDiagnosis {
-	return metrics.DiagnoseFleet(f.Snapshot(), prev)
+// Diagnose runs the bottleneck doctor over the shards' telemetry
+// histories — "decoder-bound, sustained; shard 3 is decoder-bound, the
+// rest are healthy". A shard whose sampler has no sample yet (or that
+// has no sampler, before StartSampler) is read as a history of one: its
+// current snapshot.
+func (f *Fleet) Diagnose() *metrics.Diagnosis {
+	hs := f.Histories()
+	for i, h := range hs {
+		if h.Len() == 0 {
+			hs[i] = metrics.NewHistory(1)
+			hs[i].Record(f.shards[i].b.Snapshot())
+		}
+	}
+	return metrics.Diagnose(hs)
 }
 
 // StartSampler launches one windowed-telemetry sampler per shard, each
@@ -468,17 +476,9 @@ func (f *Fleet) Histories() []*metrics.History {
 
 // History merges the per-shard rings into one fleet history —
 // MergeHistories aligning samples from the newest end — the window the
-// fleet scorecard and trend doctor read. Nil before StartSampler.
+// fleet scorecard reads. Nil before StartSampler.
 func (f *Fleet) History() *metrics.History {
 	return metrics.MergeHistories(f.Histories())
-}
-
-// DiagnoseTrend runs the trend-aware doctor over the merged fleet
-// history and every shard's own — "the fleet is decoder-bound
-// sustained; only shard 2 flaps". Nil until the samplers have at least
-// two samples.
-func (f *Fleet) DiagnoseTrend() *metrics.FleetTrendDiagnosis {
-	return metrics.DiagnoseFleetHistory(f.Histories())
 }
 
 // Drain shuts intake down in the order the zero-loss invariant needs:

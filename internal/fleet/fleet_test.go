@@ -176,11 +176,39 @@ func TestFleetLeastLoadedLifecycle(t *testing.T) {
 		t.Fatal("rollup missing fleet_stolen_out_total")
 	}
 
-	diag := f.Diagnose(nil)
-	if diag == nil || len(diag.Shards) != 2 || diag.Summary == "" {
+	// Before StartSampler each shard is read as a history of one: its
+	// current snapshot, one window.
+	diag := f.Diagnose()
+	if diag == nil || len(diag.Shards) != 2 || diag.Summary == "" || diag.Windows != 1 {
 		t.Fatalf("diagnosis: %+v", diag)
 	}
 	assertShardPoolsBalanced(t, f)
+}
+
+// TestFleetDiagnoseReadsSamplerHistories: once the samplers run, the
+// doctor reads their rings — several windows per shard — instead of
+// one snapshot each.
+func TestFleetDiagnoseReadsSamplerHistories(t *testing.T) {
+	f := newFleet(t, Config{
+		Shards: 2,
+		NewBooster: func(int) (*core.Booster, error) {
+			return core.New(shardConfig())
+		},
+	})
+	f.StartSampler(metrics.SamplerConfig{Interval: 2 * time.Millisecond})
+	deadline := time.Now().Add(5 * time.Second)
+	for f.Histories()[0].Len() < 3 || f.Histories()[1].Len() < 3 {
+		if time.Now().After(deadline) {
+			t.Fatal("samplers recorded fewer than 3 samples per shard in 5s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	f.StopSampler()
+	diag := f.Diagnose()
+	if diag == nil || len(diag.Shards) != 2 || diag.Windows < 2 ||
+		diag.Shards[0] == nil || diag.Shards[0].Windows < 2 || diag.Shards[1] == nil || diag.Shards[1].Windows < 2 {
+		t.Fatalf("diagnosis over the sampler rings: %+v", diag)
+	}
 }
 
 // TestFleetHashAffinity: with hash placement, one key always lands on

@@ -635,10 +635,10 @@ func (d *Device) Cancelled() int64 { return d.cancelled.Load() }
 func (d *Device) ScaledDecodes() int64 { return d.scaled.Load() }
 
 // Instrument registers the board's telemetry under the given prefix
-// (e.g. "fpga0"): command counters, per-stage busy seconds and job
-// counts (the load-balance view of §3.3), and a wedged gauge. All
-// series are pull-based — the decode pipeline pays nothing until a
-// snapshot is taken. A nil registry is a no-op.
+// (e.g. "fpga0"): command counters and a wedged gauge. All series are
+// pull-based — the decode pipeline pays nothing until a snapshot is
+// taken. The per-stage load-balance view of §3.3 is Stats, not a
+// series. A nil registry is a no-op.
 func (d *Device) Instrument(r *metrics.Registry, prefix string) {
 	if !r.On() {
 		return
@@ -653,11 +653,6 @@ func (d *Device) Instrument(r *metrics.Registry, prefix string) {
 		}
 		return 0
 	})
-	for i, c := range []*stageClock{&d.parserSt, &d.huffmanSt, &d.idctSt, &d.resizeSt} {
-		name := prefix + "_" + [...]string{"parser", "huffman", "idct", "resize"}[i]
-		r.RegisterGauge(name+"_busy_seconds", func() float64 { return c.stats().Busy.Seconds() })
-		r.RegisterGauge(name+"_jobs", func() float64 { return float64(c.stats().Jobs) })
-	}
 }
 
 // run carries one command from its injector decision to its FINISH.

@@ -1,11 +1,15 @@
 // The bottleneck doctor codifies docs/METRICS.md's worked example —
-// "where is the pipeline limited?" answered from one or two
-// PipelineSnapshots. It reads the queue-depth signatures of Algorithm
-// 1's back-pressure chain (Free queue → FPGAReader → Full queue →
-// Dispatcher → Trans queues → engines), the per-stage p95s, Little's-law
-// utilisation estimates and the fault counters, and emits ranked,
-// paper-grounded findings ending in the §4-style verdict: which backend
-// stage limits throughput.
+// "where is the pipeline limited?" — as one entry point, Diagnose, over
+// shard histories: a single pipeline is a fleet of one, a snapshot is a
+// history of one. Each window is read for the queue-depth signatures of
+// Algorithm 1's back-pressure chain (Free queue → FPGAReader → Full
+// queue → Dispatcher → Trans queues → engines), the per-stage p95s,
+// Little's-law utilisation and the fault counters, ending in the
+// §4-style verdict: which backend stage limits throughput. Across
+// windows it judges persistence (sustained, transient spike, or
+// flapping at a capacity knee — the autotuner's actuation gate); across
+// shards it names outliers: "shard 3 is decoder-bound, the rest are
+// healthy".
 
 package metrics
 
@@ -19,8 +23,8 @@ import (
 // Verdict codes the doctor can return, ordered roughly along the
 // pipeline. Each is the stage that limits throughput in the §4 sense.
 const (
-	// VerdictDecoderBound means the FPGA decoder (or the CPU fallback
-	// path while degraded) is the limiting stage: everything downstream
+	// VerdictDecoderBound means the FPGA decoder (or the host decode
+	// lanes while degraded) is the limiting stage: everything downstream
 	// is starved. The paper's lever is plugging more boards (§5.3).
 	VerdictDecoderBound = "decoder-bound"
 	// VerdictPoolStarved means the Free_Batch_Queue is the limit: the
@@ -59,13 +63,40 @@ type Finding struct {
 	Advice     string   `json:"advice,omitempty"`
 }
 
-// Diagnosis is the doctor's report: the verdict, the ranked findings
-// it rests on, and the throughput the interval sustained (0 when not
-// derivable).
+// VerdictShare is one verdict's footprint across a history's windows:
+// how many windows returned it, and their share of all windows.
+type VerdictShare struct {
+	Verdict string  `json:"verdict"`
+	Windows int     `json:"windows"`
+	Share   float64 `json:"share"`
+}
+
+// Diagnosis is the doctor's report over a set of shard histories.
+// Verdict is the dominant structural verdict across the windows of the
+// (merged) history, Sequence the per-window verdicts oldest first,
+// Transitions the changes between consecutive windows, and Ranked every
+// verdict's footprint, most windows first. From minTrendWindows windows
+// on, the dominant verdict is Sustained when it held ≥ sustainedShare
+// of them, the history is Flapping when the verdict changed on ≥
+// flapTransitionShare of adjacent pairs (load at a capacity knee), and
+// Transients are the other verdicts seen on ≤ transientShare — one-off
+// spikes, not the story. Throughput (images/s, 0 when not derivable)
+// and Findings are the latest window's. Shards holds each shard's own
+// diagnosis in shard order (nil for a shard without samples), and
+// Summary is their spread sentence.
 type Diagnosis struct {
-	Verdict    string    `json:"verdict"`
-	Throughput float64   `json:"throughput_images_per_sec"`
-	Findings   []Finding `json:"findings"`
+	Verdict     string         `json:"verdict"`
+	Sustained   bool           `json:"sustained"`
+	Flapping    bool           `json:"flapping"`
+	Windows     int            `json:"windows"`
+	Transitions int            `json:"transitions"`
+	Ranked      []VerdictShare `json:"ranked"`
+	Transients  []VerdictShare `json:"transients,omitempty"`
+	Sequence    []string       `json:"sequence"`
+	Throughput  float64        `json:"throughput_images_per_sec"`
+	Findings    []Finding      `json:"findings"`
+	Shards      []*Diagnosis   `json:"shards,omitempty"`
+	Summary     string         `json:"summary,omitempty"`
 }
 
 // fpgaCmdsRe counts decoder boards from their counter names.
@@ -74,20 +105,96 @@ var fpgaCmdsRe = regexp.MustCompile(`^fpga\d+_cmds_total$`)
 // transFullRe matches the per-solver Trans Full queue probes.
 var transFullRe = regexp.MustCompile(`^trans\d+_full$`)
 
-// queue-fill thresholds of the signature rules: a queue under low is
-// "drained", over high is "backed up".
+// Thresholds: a queue under fillLow is "drained" and over fillHigh
+// "backed up" in the signature rules; the shares and minTrendWindows
+// label a history's persistence (see Diagnosis).
 const (
-	fillLow  = 0.25
-	fillHigh = 0.75
+	fillLow             = 0.25
+	fillHigh            = 0.75
+	sustainedShare      = 0.6
+	flapTransitionShare = 0.5
+	transientShare      = 0.25
+	minTrendWindows     = 3
 )
 
-// Diagnose reads one snapshot (cur) — or the interval between two
-// (prev then cur, for rate-form evidence) — and returns the ranked
-// report. prev may be nil. A nil cur returns nil.
-func Diagnose(cur, prev *PipelineSnapshot) *Diagnosis {
-	if cur == nil {
+// Diagnose is the bottleneck doctor. It merges the shard histories
+// (MergeHistories; a one-shard slice is used as it is), reads every
+// window — each adjacent sample pair, or a one-sample history's lone
+// sample — and ranks the verdicts across time. Each shard is diagnosed
+// on its own too, to name outliers. Nil when no shard has a sample.
+func Diagnose(shards []*History) *Diagnosis {
+	own := make([]*Diagnosis, len(shards))
+	for i, h := range shards {
+		own[i] = diagnoseHistory(h)
+	}
+	var d *Diagnosis
+	if len(shards) == 1 {
+		if own[0] != nil {
+			whole := *own[0]
+			d = &whole
+		}
+	} else {
+		d = diagnoseHistory(MergeHistories(shards))
+	}
+	if d == nil {
 		return nil
 	}
+	d.Shards = own
+	d.Summary = verdictSpread(own)
+	return d
+}
+
+// diagnoseHistory runs the window rules over every window of one
+// history and labels the verdict's persistence. Nil or empty histories
+// return nil.
+func diagnoseHistory(h *History) *Diagnosis {
+	samples := h.Samples()
+	if len(samples) == 0 {
+		return nil
+	}
+	var d *Diagnosis
+	var seq []string
+	counts := make(map[string]int)
+	transitions := 0
+	for i := min(1, len(samples)-1); i < len(samples); i++ {
+		var prev *PipelineSnapshot
+		if i > 0 {
+			prev = samples[i-1].Snapshot
+		}
+		d = diagnoseWindow(samples[i].Snapshot, prev)
+		if n := len(seq); n > 0 && seq[n-1] != d.Verdict {
+			transitions++
+		}
+		seq = append(seq, d.Verdict)
+		counts[d.Verdict]++
+	}
+	d.Windows, d.Transitions, d.Sequence = len(seq), transitions, seq
+	for v, n := range counts {
+		d.Ranked = append(d.Ranked, VerdictShare{Verdict: v, Windows: n, Share: float64(n) / float64(d.Windows)})
+	}
+	sort.Slice(d.Ranked, func(i, j int) bool {
+		a, b := d.Ranked[i], d.Ranked[j]
+		return a.Windows > b.Windows || (a.Windows == b.Windows && a.Verdict < b.Verdict)
+	})
+	dominant := d.Ranked[0]
+	d.Verdict = dominant.Verdict
+	if d.Windows >= minTrendWindows {
+		d.Sustained = dominant.Share >= sustainedShare
+		d.Flapping = len(counts) >= 2 &&
+			float64(d.Transitions) >= flapTransitionShare*float64(d.Windows-1)
+		for _, vs := range d.Ranked[1:] {
+			if vs.Share <= transientShare {
+				d.Transients = append(d.Transients, vs)
+			}
+		}
+	}
+	return d
+}
+
+// diagnoseWindow reads one window — the interval from prev to cur, for
+// rate-form evidence, or cur alone when prev is nil — and returns its
+// verdict, ranked findings and throughput.
+func diagnoseWindow(cur, prev *PipelineSnapshot) *Diagnosis {
 	d := &Diagnosis{}
 	delta := cur.Delta(prev)
 	d.Throughput = delta.Rate("images_decoded_total")
@@ -101,7 +208,7 @@ func Diagnose(cur, prev *PipelineSnapshot) *Diagnosis {
 
 	decode := cur.Stages[StageFPGADecode]
 	if cur.Gauges["degraded"] >= 1 {
-		// While degraded the CPU fallback is the decode stage.
+		// While degraded the host decode lanes are the decode stage.
 		if fb, ok := cur.Stages[StageCPUFallback]; ok && fb.Count > 0 {
 			decode = fb
 		}
@@ -246,12 +353,12 @@ func (d *Diagnosis) healthFindings(cur *PipelineSnapshot, delta *SnapshotDelta) 
 	if cur.Gauges["degraded"] >= 1 {
 		d.add(Finding{
 			Code: "degraded", Confidence: 0.95,
-			Title: "pipeline is running in FPGA→CPU degraded mode",
+			Title: "pipeline is running degraded: every decode runs on the host CPU lanes",
 			Evidence: []string{
 				fmt.Sprintf("fallback_decodes_total %d, cmd_timeouts_total %d, decode_retries_total %d",
 					cur.Counters["fallback_decodes_total"], cur.Counters["cmd_timeouts_total"], cur.Counters["decode_retries_total"]),
 			},
-			Advice: "throughput is bounded by CPU decode (~300 img/s/core, §2): replace or restart the decoder boards, then clear degraded mode",
+			Advice: "throughput is bounded by host decode on GOMAXPROCS lanes, one per core the Go scheduler runs, and those cores are also the collector's, the dispatcher's and the engines': replace or restart the decoder boards, then clear degraded mode",
 		})
 	}
 	if n := cur.Counters["decode_errors_total"]; n > 0 {
@@ -281,17 +388,34 @@ func (d *Diagnosis) healthFindings(cur *PipelineSnapshot, delta *SnapshotDelta) 
 	}
 }
 
-// Report renders the diagnosis as an aligned human-readable block —
-// the dlbench -doctor output.
+// Report renders the diagnosis as a human-readable block: the verdict
+// with its persistence, the verdict footprint, the shard spread, then
+// the latest window's ranked findings. A nil diagnosis explains itself.
 func (d *Diagnosis) Report() string {
+	if d == nil {
+		return "doctor: no telemetry samples\n"
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "verdict: %s", d.Verdict)
+	fmt.Fprintf(&b, "verdict: %s (%s)", d.Verdict, d.persistence())
 	if d.Throughput > 0 {
-		fmt.Fprintf(&b, " (%.0f images/s)", d.Throughput)
+		fmt.Fprintf(&b, ", %.0f images/s in the latest window", d.Throughput)
 	}
 	b.WriteString("\n")
+	for _, vs := range d.Ranked {
+		fmt.Fprintf(&b, "  %-20s %3d/%d windows (%.0f%%)\n", vs.Verdict, vs.Windows, d.Windows, 100*vs.Share)
+	}
+	for _, vs := range d.Transients {
+		fmt.Fprintf(&b, "  transient spike: %s (%d window(s)) — not the sustained story\n", vs.Verdict, vs.Windows)
+	}
+	fmt.Fprintf(&b, "shards: %s\n", d.Summary)
+	for i, s := range d.Shards {
+		if s != nil && len(d.Shards) > 1 {
+			fmt.Fprintf(&b, "  shard %d: %s (%s)\n", i, s.Verdict, s.persistence())
+		}
+	}
+	b.WriteString("\nlatest window:\n")
 	for i, f := range d.Findings {
-		fmt.Fprintf(&b, "\n%d. [%s] %s (confidence %.2f)\n", i+1, f.Code, f.Title, f.Confidence)
+		fmt.Fprintf(&b, "%d. [%s] %s (confidence %.2f)\n", i+1, f.Code, f.Title, f.Confidence)
 		for _, e := range f.Evidence {
 			fmt.Fprintf(&b, "   - %s\n", e)
 		}
@@ -300,6 +424,60 @@ func (d *Diagnosis) Report() string {
 		}
 	}
 	return b.String()
+}
+
+// persistence labels the dominant verdict — flapping, sustained,
+// intermittent, or too few windows to tell — with its window counts.
+func (d *Diagnosis) persistence() string {
+	label := "intermittent"
+	switch {
+	case d.Flapping:
+		label = "FLAPPING"
+	case d.Sustained:
+		label = "sustained"
+	case d.Windows < minTrendWindows:
+		label = "too few windows for a trend"
+	}
+	return fmt.Sprintf("%s, %d/%d windows, %d transition(s)", label, d.Ranked[0].Windows, d.Windows, d.Transitions)
+}
+
+// verdictSpread renders the per-shard verdicts as one sentence,
+// naming outlier shards individually against the most common verdict.
+func verdictSpread(shards []*Diagnosis) string {
+	verdicts := make([]string, len(shards))
+	counts := make(map[string]int)
+	for i, d := range shards {
+		verdicts[i] = VerdictInconclusive
+		if d != nil {
+			verdicts[i] = d.Verdict
+		}
+		counts[verdicts[i]]++
+	}
+	// The most common verdict, ties broken deterministically by name.
+	majority, best := "", 0
+	for _, v := range sortedKeys(counts) {
+		if counts[v] > best {
+			majority, best = v, counts[v]
+		}
+	}
+	switch {
+	case len(verdicts) == 1:
+		return "shard 0 is " + majority
+	case best == len(verdicts):
+		return fmt.Sprintf("all %d shards are %s", best, majority)
+	}
+	// Name the outliers against the majority; with no real majority
+	// (every shard differs) name every shard.
+	var named []string
+	for i, v := range verdicts {
+		if v != majority || best == 1 {
+			named = append(named, fmt.Sprintf("shard %d is %s", i, v))
+		}
+	}
+	if best == 1 {
+		return strings.Join(named, ", ")
+	}
+	return strings.Join(named, ", ") + ", the rest are " + majority
 }
 
 // queueFill returns a queue's len/cap fill fraction and whether the

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -31,6 +32,34 @@ func doctorSnap(mut func(*PipelineSnapshot)) *PipelineSnapshot {
 	return s
 }
 
+// diagnoseFixture runs the window rules on one fixture window, then
+// checks that the doctor over the same window as a history of one shard
+// — one sample when prev is nil, two otherwise — loses nothing: the
+// same verdict, findings and throughput in one window, and a one-shard
+// spread that is the shard itself.
+func diagnoseFixture(t *testing.T, cur, prev *PipelineSnapshot) *Diagnosis {
+	t.Helper()
+	w := diagnoseWindow(cur, prev)
+	h := NewHistory(2)
+	h.Record(prev)
+	h.Record(cur)
+	d := Diagnose([]*History{h})
+	if d == nil {
+		t.Fatal("Diagnose over a non-empty history returned nil")
+	}
+	if d.Verdict != w.Verdict || d.Throughput != w.Throughput || !reflect.DeepEqual(d.Findings, w.Findings) {
+		t.Fatalf("history of one diverges from its window:\nwindow:\n%+v\nhistory:\n%s", w, d.Report())
+	}
+	if d.Windows != 1 || !reflect.DeepEqual(d.Sequence, []string{w.Verdict}) || d.Sustained || d.Flapping {
+		t.Fatalf("one window read as windows=%d sequence=%v sustained=%v flapping=%v",
+			d.Windows, d.Sequence, d.Sustained, d.Flapping)
+	}
+	if len(d.Shards) != 1 || d.Shards[0].Verdict != w.Verdict || d.Summary != "shard 0 is "+w.Verdict {
+		t.Fatalf("fleet of one: shards %+v, summary %q", d.Shards, d.Summary)
+	}
+	return d
+}
+
 func TestDoctorDecoderBound(t *testing.T) {
 	s := doctorSnap(func(s *PipelineSnapshot) {
 		// Downstream drained, decoder saturated: 100 img/s × 10ms mean
@@ -39,7 +68,7 @@ func TestDoctorDecoderBound(t *testing.T) {
 		s.Queues["trans0_full"] = QueueDepth{Len: 0, Cap: 2}
 		s.Stages[StageFPGADecode] = Summary{Count: 1000, Mean: 10, P50: 10, P95: 12}
 	})
-	d := Diagnose(s, nil)
+	d := diagnoseFixture(t, s, nil)
 	if d.Verdict != VerdictDecoderBound {
 		t.Fatalf("verdict = %q, want %q\n%s", d.Verdict, VerdictDecoderBound, d.Report())
 	}
@@ -58,7 +87,7 @@ func TestDoctorDispatcherBound(t *testing.T) {
 		s.Queues["trans0_full"] = QueueDepth{Len: 0, Cap: 2}
 		s.Stages[StageCopySync] = Summary{Count: 125, Mean: 15, P95: 20}
 	})
-	if d := Diagnose(s, nil); d.Verdict != VerdictDispatcherBound {
+	if d := diagnoseFixture(t, s, nil); d.Verdict != VerdictDispatcherBound {
 		t.Fatalf("verdict = %q, want %q\n%s", d.Verdict, VerdictDispatcherBound, d.Report())
 	}
 }
@@ -68,7 +97,7 @@ func TestDoctorGPUBound(t *testing.T) {
 		s.Queues["full_batch"] = QueueDepth{Len: 6, Cap: 8}
 		s.Queues["trans0_full"] = QueueDepth{Len: 2, Cap: 2}
 	})
-	d := Diagnose(s, nil)
+	d := diagnoseFixture(t, s, nil)
 	if d.Verdict != VerdictGPUBound {
 		t.Fatalf("verdict = %q, want %q\n%s", d.Verdict, VerdictGPUBound, d.Report())
 	}
@@ -86,13 +115,13 @@ func TestDoctorPoolStarved(t *testing.T) {
 		s.Queues["hugepage_free"] = QueueDepth{Len: 0, Cap: 4}
 		s.Stages[StageGetItemWait] = Summary{Count: 100, Mean: 8, P95: 9}
 	})
-	if d := Diagnose(s, nil); d.Verdict != VerdictPoolStarved {
+	if d := diagnoseFixture(t, s, nil); d.Verdict != VerdictPoolStarved {
 		t.Fatalf("verdict = %q, want %q\n%s", d.Verdict, VerdictPoolStarved, d.Report())
 	}
 }
 
 func TestDoctorHealthy(t *testing.T) {
-	if d := Diagnose(doctorSnap(func(*PipelineSnapshot) {}), nil); d.Verdict != VerdictHealthy {
+	if d := diagnoseFixture(t, doctorSnap(func(*PipelineSnapshot) {}), nil); d.Verdict != VerdictHealthy {
 		t.Fatalf("verdict = %q, want %q\n%s", d.Verdict, VerdictHealthy, d.Report())
 	}
 }
@@ -101,7 +130,7 @@ func TestDoctorInconclusiveWithoutProbes(t *testing.T) {
 	s := doctorSnap(func(s *PipelineSnapshot) {
 		delete(s.Queues, "trans0_full")
 	})
-	if d := Diagnose(s, nil); d.Verdict != VerdictInconclusive {
+	if d := diagnoseFixture(t, s, nil); d.Verdict != VerdictInconclusive {
 		t.Fatalf("verdict = %q, want %q\n%s", d.Verdict, VerdictInconclusive, d.Report())
 	}
 }
@@ -118,12 +147,16 @@ func TestDoctorDegradedHealthFinding(t *testing.T) {
 		s.Stages[StageCPUFallback] = Summary{Count: 500, Mean: 10, P95: 12}
 		delete(s.Stages, StageFPGADecode)
 	})
-	d := Diagnose(s, nil)
+	d := diagnoseFixture(t, s, nil)
 	if d.Verdict != VerdictDecoderBound {
 		t.Fatalf("verdict = %q, want %q (CPU fallback is the decode stage)\n%s", d.Verdict, VerdictDecoderBound, d.Report())
 	}
-	if d.Findings[0].Code != "degraded" {
-		t.Fatalf("top finding = %q, want degraded\n%s", d.Findings[0].Code, d.Report())
+	if d.Findings[0].Code != "degraded" || d.Findings[0].Confidence != 0.95 {
+		t.Fatalf("top finding = %q at %.2f, want degraded at 0.95\n%s", d.Findings[0].Code, d.Findings[0].Confidence, d.Report())
+	}
+	// Degraded decodes run on the GOMAXPROCS host lanes, not one core.
+	if !strings.Contains(d.Findings[0].Advice, "GOMAXPROCS") {
+		t.Fatalf("degraded advice does not name the host lanes: %q", d.Findings[0].Advice)
 	}
 }
 
@@ -136,12 +169,9 @@ func TestDoctorIntervalThroughput(t *testing.T) {
 		s.UptimeSeconds = 10
 		s.Counters["images_decoded_total"] = 1000
 	})
-	d := Diagnose(cur, prev)
+	d := diagnoseFixture(t, cur, prev)
 	if d.Throughput != 120 {
 		t.Fatalf("interval throughput = %v, want (1000-400)/(10-5) = 120", d.Throughput)
-	}
-	if Diagnose(nil, nil) != nil {
-		t.Fatal("Diagnose(nil) != nil")
 	}
 }
 
@@ -152,7 +182,7 @@ func TestDoctorIngestOverloaded(t *testing.T) {
 		s.Queues["ingest_items"] = QueueDepth{Len: 256, Cap: 256}
 		s.Counters["serve_shed_total"] = 42
 	})
-	d := Diagnose(s, nil)
+	d := diagnoseFixture(t, s, nil)
 	if d.Verdict != VerdictIngestOverloaded {
 		t.Fatalf("verdict = %q, want %q\n%s", d.Verdict, VerdictIngestOverloaded, d.Report())
 	}
@@ -165,7 +195,7 @@ func TestDoctorIngestOverloaded(t *testing.T) {
 	s = doctorSnap(func(s *PipelineSnapshot) {
 		s.Queues["ingest_items"] = QueueDepth{Len: 200, Cap: 256}
 	})
-	d = Diagnose(s, nil)
+	d = diagnoseFixture(t, s, nil)
 	if d.Verdict != VerdictIngestOverloaded {
 		t.Fatalf("verdict = %q, want %q (queue at fill ≥ %.2f)\n%s", d.Verdict, VerdictIngestOverloaded, fillHigh, d.Report())
 	}
@@ -177,7 +207,7 @@ func TestDoctorIngestOverloaded(t *testing.T) {
 	s = doctorSnap(func(s *PipelineSnapshot) {
 		s.Queues["ingest_items"] = QueueDepth{Len: 3, Cap: 256}
 	})
-	if d := Diagnose(s, nil); d.Verdict != VerdictHealthy {
+	if d := diagnoseFixture(t, s, nil); d.Verdict != VerdictHealthy {
 		t.Fatalf("verdict = %q, want %q with idle ingest queue\n%s", d.Verdict, VerdictHealthy, d.Report())
 	}
 }
@@ -189,7 +219,7 @@ func TestDoctorCacheThrashingFinding(t *testing.T) {
 		s.Counters["cache_redecode_images_total"] = 288
 		s.Gauges["cache_spill_bytes"] = 1 << 26
 	})
-	d := Diagnose(s, nil)
+	d := diagnoseFixture(t, s, nil)
 	var found *Finding
 	for i := range d.Findings {
 		if d.Findings[i].Code == "cache-thrashing" {
@@ -208,7 +238,7 @@ func TestDoctorCacheThrashingFinding(t *testing.T) {
 		t.Fatalf("cache-thrashing became the verdict:\n%s", d.Report())
 	}
 	// No evictions in the interval → no finding.
-	quiet := Diagnose(doctorSnap(func(s *PipelineSnapshot) {
+	quiet := diagnoseFixture(t, doctorSnap(func(s *PipelineSnapshot) {
 		s.Counters["cache_demotions_total"] = 40
 	}), nil)
 	for _, f := range quiet.Findings {
@@ -222,7 +252,7 @@ func TestDoctorCmdTimeoutFinding(t *testing.T) {
 	s := doctorSnap(func(s *PipelineSnapshot) {
 		s.Counters["cmd_timeouts_total"] = 7
 	})
-	d := Diagnose(s, nil)
+	d := diagnoseFixture(t, s, nil)
 	var found bool
 	for _, f := range d.Findings {
 		if f.Code == "cmd-timeouts" {
@@ -231,5 +261,258 @@ func TestDoctorCmdTimeoutFinding(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no cmd-timeouts finding in\n%s", d.Report())
+	}
+}
+
+// trendSnap builds one cumulative snapshot for the trend tests: decode
+// throughput 100 img/s with the queue fills chosen per sample.
+func trendSnap(t0 time.Time, sec int, fullLen, transLen int) *PipelineSnapshot {
+	return &PipelineSnapshot{
+		TakenAt:       t0.Add(time.Duration(sec) * time.Second),
+		UptimeSeconds: float64(sec),
+		Counters: map[string]int64{
+			"images_decoded_total": int64(100 * sec),
+			"fpga0_cmds_total":     int64(100 * sec),
+		},
+		Gauges: map[string]float64{"degraded": 0},
+		Stages: map[string]Summary{
+			StageFPGADecode: {Count: 100 * sec, Mean: 10, P50: 10, P95: 12},
+			StageBatchE2E:   {Count: 12 * sec, Mean: 20, P95: 30},
+		},
+		Queues: map[string]QueueDepth{
+			"full_batch":    {Len: fullLen, Cap: 8},
+			"trans0_full":   {Len: transLen, Cap: 2},
+			"hugepage_free": {Len: 4, Cap: 8},
+		},
+	}
+}
+
+// TestDiagnoseHistorySustainedVsTransient: the doctor tells a sustained
+// decoder-bound history apart from a single transient spike that a
+// single window would report with the same confidence.
+func TestDiagnoseHistorySustainedVsTransient(t *testing.T) {
+	t0 := time.Now()
+
+	// Sustained: every window shows the decoder-bound signature
+	// (downstream drained, decoder saturated at util 1.0).
+	sustained := NewHistory(16)
+	for i := 0; i <= 10; i++ {
+		sustained.Record(trendSnap(t0, i, 0, 0))
+	}
+	d := Diagnose([]*History{sustained})
+	if d == nil || d.Verdict != VerdictDecoderBound {
+		t.Fatalf("sustained verdict = %+v, want %s", d, VerdictDecoderBound)
+	}
+	if !d.Sustained || d.Flapping {
+		t.Fatalf("sustained run labelled sustained=%v flapping=%v:\n%s", d.Sustained, d.Flapping, d.Report())
+	}
+	if d.Windows != 10 || d.Ranked[0].Share != 1.0 {
+		t.Fatalf("footprint = %+v", d.Ranked)
+	}
+
+	// Transient: nine healthy windows around one dispatcher-bound spike.
+	// The spike's window alone reports dispatcher-bound at 0.9
+	// confidence; the history keeps the healthy story and files the
+	// spike as transient.
+	transient := NewHistory(16)
+	for i := 0; i <= 10; i++ {
+		full, trans := 4, 1 // mid fills → healthy
+		if i == 5 {
+			full, trans = 8, 0 // one spike: Full backed up, engines starved
+		}
+		transient.Record(trendSnap(t0, i, full, trans))
+	}
+	d = Diagnose([]*History{transient})
+	if d.Verdict != VerdictHealthy {
+		t.Fatalf("transient-spike verdict = %s, want %s:\n%s", d.Verdict, VerdictHealthy, d.Report())
+	}
+	if !d.Sustained {
+		t.Fatalf("dominant healthy share %.2f should read sustained:\n%s", d.Ranked[0].Share, d.Report())
+	}
+	if len(d.Transients) != 1 || d.Transients[0].Verdict != VerdictDispatcherBound {
+		t.Fatalf("transients = %+v, want one dispatcher-bound spike", d.Transients)
+	}
+	// The spike window itself still reads dispatcher-bound — the
+	// difference is temporal judgement, not weaker window rules.
+	spike := diagnoseWindow(trendSnap(t0, 5, 8, 0), trendSnap(t0, 4, 4, 1))
+	if spike.Verdict != VerdictDispatcherBound {
+		t.Fatalf("spike window verdict = %s", spike.Verdict)
+	}
+	if !strings.Contains(d.Report(), "transient spike") {
+		t.Fatalf("report lacks the transient callout:\n%s", d.Report())
+	}
+}
+
+func TestDiagnoseHistoryFlapping(t *testing.T) {
+	t0 := time.Now()
+	h := NewHistory(16)
+	for i := 0; i <= 10; i++ {
+		if i%2 == 0 {
+			h.Record(trendSnap(t0, i, 0, 0)) // decoder-bound signature
+		} else {
+			h.Record(trendSnap(t0, i, 8, 0)) // dispatcher-bound signature
+		}
+	}
+	d := Diagnose([]*History{h})
+	if !d.Flapping {
+		t.Fatalf("alternating verdicts not labelled flapping:\n%s", d.Report())
+	}
+	if d.Sustained {
+		t.Fatalf("flapping run labelled sustained:\n%s", d.Report())
+	}
+	if d.Transitions < 5 {
+		t.Fatalf("transitions = %d, want the alternation visible", d.Transitions)
+	}
+	if !strings.Contains(d.Report(), "FLAPPING") {
+		t.Fatalf("report lacks FLAPPING:\n%s", d.Report())
+	}
+}
+
+func TestDiagnoseHistoryTooShort(t *testing.T) {
+	if Diagnose(nil) != nil || Diagnose([]*History{nil}) != nil || Diagnose([]*History{NewHistory(4)}) != nil {
+		t.Fatal("no samples should diagnose nil")
+	}
+	// One sample is one window read against nothing (prev == nil).
+	t0 := time.Now()
+	h := NewHistory(4)
+	h.Record(trendSnap(t0, 1, 0, 0))
+	d := Diagnose([]*History{h})
+	if want := diagnoseWindow(trendSnap(t0, 1, 0, 0), nil); d == nil || d.Windows != 1 || d.Verdict != want.Verdict {
+		t.Fatalf("one-sample diagnosis = %+v, want one %s window", d, want.Verdict)
+	}
+	// Two samples are still one window: a verdict, but no trend labels.
+	h.Record(trendSnap(t0, 2, 0, 0))
+	d = Diagnose([]*History{h})
+	if d.Windows != 1 || d.Sustained || d.Flapping || len(d.Transients) != 0 {
+		t.Fatalf("one window is below minTrendWindows — no persistence labels: %+v", d)
+	}
+	if !strings.Contains(d.Report(), "too few windows") {
+		t.Fatalf("report does not say the window is too short for a trend:\n%s", d.Report())
+	}
+	var none *Diagnosis
+	if !strings.Contains(none.Report(), "no telemetry samples") {
+		t.Fatal("nil diagnosis report should explain itself")
+	}
+}
+
+// TestDiagnoseOneShardIsItself: a one-shard slice is diagnosed as it
+// is — the fleet verdict and sequence are the shard's own, and the
+// spread sentence names shard 0.
+func TestDiagnoseOneShardIsItself(t *testing.T) {
+	t0 := time.Now()
+	h := NewHistory(16)
+	for i := 0; i <= 6; i++ {
+		h.Record(trendSnap(t0, i, 8*(i%2), 0))
+	}
+	d := Diagnose([]*History{h})
+	if len(d.Shards) != 1 {
+		t.Fatalf("shards = %d, want 1", len(d.Shards))
+	}
+	own := d.Shards[0]
+	if d.Verdict != own.Verdict || !reflect.DeepEqual(d.Sequence, own.Sequence) ||
+		d.Flapping != own.Flapping || !reflect.DeepEqual(d.Findings, own.Findings) {
+		t.Fatalf("fleet of one diverges from its shard:\nfleet %+v\nshard %+v", d, own)
+	}
+	if d.Summary != "shard 0 is "+own.Verdict {
+		t.Fatalf("summary = %q", d.Summary)
+	}
+	if own.Shards != nil {
+		t.Fatal("a shard's own diagnosis carries shards")
+	}
+}
+
+func TestDiagnoseFleetHistory(t *testing.T) {
+	t0 := time.Now()
+	// Shard 0 decoder-bound throughout; shard 1 healthy throughout. The
+	// merged fleet history sums queues (16-cap full queue at fill 4/16,
+	// 4-cap trans at 1/4 → drained signature with decode saturated).
+	s0, s1 := NewHistory(16), NewHistory(16)
+	for i := 0; i <= 6; i++ {
+		s0.Record(trendSnap(t0, i, 0, 0))
+		s1.Record(trendSnap(t0, i, 4, 1))
+	}
+	d := Diagnose([]*History{s0, s1})
+	if d == nil || d.Verdict != VerdictDecoderBound || !d.Sustained {
+		t.Fatalf("merged verdict = %+v, want sustained %s", d, VerdictDecoderBound)
+	}
+	if d.Shards[0].Verdict != VerdictDecoderBound || !d.Shards[0].Sustained {
+		t.Fatalf("shard 0 = %+v", d.Shards[0])
+	}
+	if d.Shards[1].Verdict != VerdictHealthy {
+		t.Fatalf("shard 1 = %+v", d.Shards[1])
+	}
+	rep := d.Report()
+	if !strings.Contains(rep, "shard 0: decoder-bound") || !strings.Contains(rep, "shard 1: healthy") {
+		t.Fatalf("report lacks per-shard lines:\n%s", rep)
+	}
+	if Diagnose([]*History{NewHistory(4), nil}) != nil {
+		t.Fatal("shards without history should diagnose nil")
+	}
+}
+
+// healthySnapshot and decoderBoundSnapshot build the two queue
+// signatures the doctor distinguishes, for the spread-sentence tests.
+func healthySnapshot() *PipelineSnapshot {
+	return &PipelineSnapshot{
+		Counters: map[string]int64{"images_decoded_total": 1000},
+		Gauges:   map[string]float64{},
+		Stages:   map[string]Summary{StageFPGADecode: {Count: 100, Mean: 1, P95: 2}},
+		Queues: map[string]QueueDepth{
+			"full_batch":  {Len: 4, Cap: 8},
+			"trans0_full": {Len: 1, Cap: 2},
+		},
+	}
+}
+
+func decoderBoundSnapshot() *PipelineSnapshot {
+	return &PipelineSnapshot{
+		Counters: map[string]int64{"images_decoded_total": 100},
+		Gauges:   map[string]float64{},
+		Stages:   map[string]Summary{StageFPGADecode: {Count: 100, Mean: 20, P95: 40}},
+		Queues: map[string]QueueDepth{
+			"full_batch":  {Len: 0, Cap: 8},
+			"trans0_full": {Len: 0, Cap: 2},
+		},
+	}
+}
+
+// snapshotHistories turns each snapshot into a one-sample history —
+// a snapshot is a history of one.
+func snapshotHistories(snaps ...*PipelineSnapshot) []*History {
+	hs := make([]*History, len(snaps))
+	for i, s := range snaps {
+		hs[i] = NewHistory(1)
+		hs[i].Record(s)
+	}
+	return hs
+}
+
+func TestDiagnoseFleetOutlierSentence(t *testing.T) {
+	d := Diagnose(snapshotHistories(healthySnapshot(), healthySnapshot(), healthySnapshot(), decoderBoundSnapshot()))
+	if d.Summary != "shard 3 is decoder-bound, the rest are healthy" {
+		t.Fatalf("spread sentence: %q", d.Summary)
+	}
+	if len(d.Shards) != 4 || d.Shards[3].Verdict != VerdictDecoderBound {
+		t.Fatalf("per-shard verdicts: %+v", d.Shards)
+	}
+	if want := diagnoseWindow(MergeSnapshots([]*PipelineSnapshot{
+		healthySnapshot(), healthySnapshot(), healthySnapshot(), decoderBoundSnapshot(),
+	}).Total, nil); d.Verdict != want.Verdict {
+		t.Fatalf("fleet verdict %q, want the rollup's %q", d.Verdict, want.Verdict)
+	}
+	if !strings.Contains(d.Report(), "shards: shard 3 is decoder-bound") {
+		t.Fatalf("report:\n%s", d.Report())
+	}
+
+	uniform := Diagnose(snapshotHistories(healthySnapshot(), healthySnapshot()))
+	if uniform.Summary != "all 2 shards are healthy" {
+		t.Fatalf("uniform sentence: %q", uniform.Summary)
+	}
+
+	// No majority: every shard is named, and a shard without samples
+	// reads inconclusive.
+	split := Diagnose(append(snapshotHistories(healthySnapshot(), decoderBoundSnapshot()), nil))
+	if want := "shard 0 is healthy, shard 1 is decoder-bound, shard 2 is inconclusive"; split.Summary != want {
+		t.Fatalf("split sentence: %q, want %q", split.Summary, want)
 	}
 }

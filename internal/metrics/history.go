@@ -1,14 +1,13 @@
 // Windowed telemetry: the History ring of periodic snapshot samples and
 // the Sampler goroutine that fills it. Every other observability surface
 // in this package is point-in-time — PipelineSnapshot is cumulative-only
-// and the doctor reads one capture — but the questions the SLO scorecard
-// and the trend-aware doctor answer ("decoder-bound for the last 45 s"
-// vs "one transient spike", "what throughput did the last window
-// sustain") only exist over windows. A History keeps the last N samples,
-// each carrying the interval view since its predecessor, so windowed
-// rates, count-weighted windowed stage percentiles (via the same
-// histogram-merge machinery the fleet rollup uses) and queue-depth
-// trends all fall out of one bounded ring.
+// — but the questions the SLO scorecard and the doctor answer
+// ("decoder-bound for the last 45 s" vs "one transient spike", "what
+// throughput did the last window sustain") only exist over windows. A
+// History keeps the last N samples, each carrying the interval view
+// since its predecessor, so windowed rates, count-weighted windowed
+// stage percentiles (via the same histogram-merge machinery the fleet
+// rollup uses) and queue-depth trends all fall out of one bounded ring.
 
 package metrics
 
@@ -95,8 +94,7 @@ const trendFlatSlope = 1.0 / 60
 // WindowStats is the rolled-up view of the samples inside one window:
 // summed counter deltas and their rates, count-weighted merged interval
 // stage summaries, per-queue trends, the latest gauges, and every event
-// recorded inside the window. It is what SLO evaluation and the
-// trend-aware doctor consume.
+// recorded inside the window. It is what SLO evaluation consumes.
 type WindowStats struct {
 	// Seconds is the window's measured length (sum of sample intervals).
 	Seconds float64 `json:"seconds"`
@@ -449,7 +447,7 @@ type SamplerConfig struct {
 }
 
 // Sampler periodically snapshots one registry into a History ring — the
-// sensing loop under the SLO scorecard and the trend-aware doctor. It
+// sensing loop under the SLO scorecard and the doctor. It
 // costs the pipeline's hot path nothing: Snapshot is pull-based, and
 // without a sampler (or with a nil registry) no goroutine exists at all.
 // All methods are safe on a nil *Sampler.

@@ -1,19 +1,15 @@
 // Fleet rollup: merging per-shard PipelineSnapshots into one
-// FleetSnapshot, and the fleet doctor that diagnoses each shard
-// individually before summarising the spread ("shard 3 is
-// decoder-bound, the rest are healthy"). Counters, queue depths and
-// gauges add across shards; stage summaries merge with exact counts
-// and weighted statistics; per-shard spans stay on their shard so the
-// trace export can give every shard its own process track.
+// FleetSnapshot. Counters, queue depths and gauges add across shards;
+// stage summaries merge with exact counts and weighted statistics;
+// per-shard spans stay on their shard so the trace export can give
+// every shard its own process track.
 
 package metrics
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -123,113 +119,4 @@ func MergeSnapshots(shards []*PipelineSnapshot) *FleetSnapshot {
 	t.TakenAt = f.TakenAt
 	sort.SliceStable(t.Events, func(i, j int) bool { return t.Events[i].At.Before(t.Events[j].At) })
 	return f
-}
-
-// FleetDiagnosis is the fleet doctor's report: one Diagnosis per shard
-// (nil for shards without telemetry), the rollup diagnosis over the
-// merged Total, the fleet verdict (the rollup's), and the one-line
-// per-shard spread — "shard 3 is decoder-bound, the rest are healthy".
-type FleetDiagnosis struct {
-	Verdict string       `json:"verdict"`
-	Summary string       `json:"summary"`
-	Shards  []*Diagnosis `json:"shards"`
-	Fleet   *Diagnosis   `json:"fleet"`
-}
-
-// DiagnoseFleet diagnoses every shard independently, then the merged
-// rollup, so the report can say which shard is the outlier instead of
-// blurring N shards into one average. prev may be nil; when it has the
-// same shard count as cur, per-shard deltas use the matching shard.
-func DiagnoseFleet(cur, prev *FleetSnapshot) *FleetDiagnosis {
-	if cur == nil {
-		return nil
-	}
-	fd := &FleetDiagnosis{}
-	for i, s := range cur.Shards {
-		var p *PipelineSnapshot
-		if prev != nil && len(prev.Shards) == len(cur.Shards) {
-			p = prev.Shards[i]
-		}
-		fd.Shards = append(fd.Shards, Diagnose(s, p))
-	}
-	var prevTotal *PipelineSnapshot
-	if prev != nil {
-		prevTotal = prev.Total
-	}
-	fd.Fleet = Diagnose(cur.Total, prevTotal)
-	if fd.Fleet != nil {
-		fd.Verdict = fd.Fleet.Verdict
-	}
-	fd.Summary = verdictSpread(fd.Shards)
-	return fd
-}
-
-// verdictSpread renders the per-shard verdicts as one sentence,
-// naming outlier shards individually against the most common verdict.
-func verdictSpread(shards []*Diagnosis) string {
-	verdicts := make([]string, len(shards))
-	counts := make(map[string]int)
-	for i, d := range shards {
-		v := VerdictInconclusive
-		if d != nil {
-			v = d.Verdict
-		}
-		verdicts[i] = v
-		counts[v]++
-	}
-	if len(verdicts) == 0 {
-		return "no shards"
-	}
-	// The most common verdict, ties broken deterministically by name.
-	majority, best := "", 0
-	for _, v := range sortedKeys(counts) {
-		if counts[v] > best {
-			majority, best = v, counts[v]
-		}
-	}
-	if best == len(verdicts) {
-		if len(verdicts) == 1 {
-			return fmt.Sprintf("shard 0 is %s", majority)
-		}
-		return fmt.Sprintf("all %d shards are %s", len(verdicts), majority)
-	}
-	var outliers []string
-	for i, v := range verdicts {
-		if v != majority {
-			outliers = append(outliers, fmt.Sprintf("shard %d is %s", i, v))
-		}
-	}
-	if best <= 1 && len(outliers) >= len(verdicts)-1 {
-		// No real majority: name every shard.
-		all := make([]string, len(verdicts))
-		for i, v := range verdicts {
-			all[i] = fmt.Sprintf("shard %d is %s", i, v)
-		}
-		return strings.Join(all, ", ")
-	}
-	rest := "the rest are " + majority
-	if best == 1 {
-		rest = "the other is " + majority
-	}
-	return strings.Join(outliers, ", ") + ", " + rest
-}
-
-// Report renders the fleet diagnosis: the spread sentence, the rollup
-// report, then each shard's own report — the sharded dlbench -doctor
-// and dlserve shutdown output.
-func (fd *FleetDiagnosis) Report() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "fleet: %s\n", fd.Summary)
-	if fd.Fleet != nil {
-		b.WriteString("\nrollup ")
-		b.WriteString(fd.Fleet.Report())
-	}
-	for i, d := range fd.Shards {
-		if d == nil {
-			continue
-		}
-		fmt.Fprintf(&b, "\nshard %d ", i)
-		b.WriteString(d.Report())
-	}
-	return b.String()
 }

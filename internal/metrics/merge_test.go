@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 )
@@ -145,56 +144,6 @@ func TestMergeSummariesStatistics(t *testing.T) {
 	}
 	if got := MergeSummaries(Summary{}, b); got != b {
 		t.Fatalf("identity merge: %+v", got)
-	}
-}
-
-// healthySnapshot and decoderBoundSnapshot build the two queue
-// signatures the doctor distinguishes, for the spread-sentence tests.
-func healthySnapshot() *PipelineSnapshot {
-	return &PipelineSnapshot{
-		Counters: map[string]int64{"images_decoded_total": 1000},
-		Gauges:   map[string]float64{},
-		Stages:   map[string]Summary{StageFPGADecode: {Count: 100, Mean: 1, P95: 2}},
-		Queues: map[string]QueueDepth{
-			"full_batch":  {Len: 4, Cap: 8},
-			"trans0_full": {Len: 1, Cap: 2},
-		},
-	}
-}
-
-func decoderBoundSnapshot() *PipelineSnapshot {
-	return &PipelineSnapshot{
-		Counters: map[string]int64{"images_decoded_total": 100},
-		Gauges:   map[string]float64{},
-		Stages:   map[string]Summary{StageFPGADecode: {Count: 100, Mean: 20, P95: 40}},
-		Queues: map[string]QueueDepth{
-			"full_batch":  {Len: 0, Cap: 8},
-			"trans0_full": {Len: 0, Cap: 2},
-		},
-	}
-}
-
-func TestDiagnoseFleetOutlierSentence(t *testing.T) {
-	shards := []*PipelineSnapshot{
-		healthySnapshot(), healthySnapshot(), healthySnapshot(), decoderBoundSnapshot(),
-	}
-	fd := DiagnoseFleet(MergeSnapshots(shards), nil)
-	if fd.Summary != "shard 3 is decoder-bound, the rest are healthy" {
-		t.Fatalf("spread sentence: %q", fd.Summary)
-	}
-	if len(fd.Shards) != 4 || fd.Shards[3].Verdict != VerdictDecoderBound {
-		t.Fatalf("per-shard verdicts: %+v", fd.Shards)
-	}
-	if fd.Fleet == nil || fd.Verdict != fd.Fleet.Verdict {
-		t.Fatalf("fleet verdict %q not the rollup's", fd.Verdict)
-	}
-	if !strings.Contains(fd.Report(), "fleet: shard 3 is decoder-bound") {
-		t.Fatalf("report:\n%s", fd.Report())
-	}
-
-	uniform := DiagnoseFleet(MergeSnapshots([]*PipelineSnapshot{healthySnapshot(), healthySnapshot()}), nil)
-	if uniform.Summary != "all 2 shards are healthy" {
-		t.Fatalf("uniform sentence: %q", uniform.Summary)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"text/tabwriter"
 	"time"
 )
 
@@ -328,7 +327,7 @@ type QueueDepth struct {
 // pipeline's telemetry at one instant: every counter, stage latency
 // summary, queue depth, gauge, busy-core estimate, event and recent
 // span. It marshals to JSON directly and renders as Prometheus text
-// (WritePrometheus) or an aligned table (Table).
+// (WritePrometheus).
 type PipelineSnapshot struct {
 	TakenAt        time.Time             `json:"taken_at"`
 	UptimeSeconds  float64               `json:"uptime_seconds"`
@@ -502,45 +501,4 @@ func (s *PipelineSnapshot) WritePrometheus(w io.Writer) error {
 	fmt.Fprintf(&b, "dlbooster_spans_completed_total %d\n", s.SpansCompleted)
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// Table renders the snapshot as an aligned human-readable report — the
-// dlbench -metrics output.
-func (s *PipelineSnapshot) Table() string {
-	var b strings.Builder
-	tw := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "uptime\t%.3fs\tspans\t%d\n", s.UptimeSeconds, s.SpansCompleted)
-	fmt.Fprintln(tw, "\nSTAGE (ms)\tCOUNT\tMEAN\tP50\tP95\tP99\tMAX")
-	for _, k := range sortedKeys(s.Stages) {
-		sm := s.Stages[k]
-		fmt.Fprintf(tw, "%s\t%d\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\n",
-			k, sm.Count, sm.Mean, sm.P50, sm.P95, sm.P99, sm.Max)
-	}
-	fmt.Fprintln(tw, "\nCOUNTER\tVALUE")
-	for _, k := range sortedKeys(s.Counters) {
-		fmt.Fprintf(tw, "%s\t%d\n", k, s.Counters[k])
-	}
-	fmt.Fprintln(tw, "\nGAUGE\tVALUE")
-	for _, k := range sortedKeys(s.Gauges) {
-		fmt.Fprintf(tw, "%s\t%g\n", k, s.Gauges[k])
-	}
-	fmt.Fprintln(tw, "\nQUEUE\tLEN\tCAP")
-	for _, k := range sortedKeys(s.Queues) {
-		q := s.Queues[k]
-		fmt.Fprintf(tw, "%s\t%d\t%d\n", k, q.Len, q.Cap)
-	}
-	if len(s.Cores) > 0 {
-		fmt.Fprintln(tw, "\nCOMPONENT\tCORES")
-		for _, k := range sortedKeys(s.Cores) {
-			fmt.Fprintf(tw, "%s\t%.2f\n", k, s.Cores[k])
-		}
-	}
-	if len(s.Events) > 0 {
-		fmt.Fprintln(tw, "\nEVENT\tDETAIL")
-		for _, e := range s.Events {
-			fmt.Fprintf(tw, "%s\t%s\n", e.Name, e.Detail)
-		}
-	}
-	tw.Flush()
-	return b.String()
 }

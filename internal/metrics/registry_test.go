@@ -162,7 +162,7 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-func TestSnapshotJSONAndTable(t *testing.T) {
+func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Add("images_decoded_total", 1)
 	r.Observe(StageFPGADecode, 2)
@@ -176,13 +176,7 @@ func TestSnapshotJSONAndTable(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Counters["images_decoded_total"] != 1 || back.Stages[StageFPGADecode].Count != 1 {
+	if back.Counters["images_decoded_total"] != 1 || back.Stages[StageFPGADecode].Count != 1 || back.Queues["full_batch"].Cap != 8 {
 		t.Fatalf("JSON round trip lost data: %+v", back)
-	}
-	tbl := s.Table()
-	for _, want := range []string{"STAGE (ms)", "fpga_decode", "COUNTER", "images_decoded_total", "QUEUE", "full_batch"} {
-		if !strings.Contains(tbl, want) {
-			t.Fatalf("table missing %q:\n%s", want, tbl)
-		}
 	}
 }

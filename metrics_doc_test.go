@@ -24,17 +24,13 @@ import (
 )
 
 var (
-	fpgaStageRe = regexp.MustCompile(`^fpga\d+_(parser|huffman|idct|resize)_(busy_seconds|jobs)$`)
-	fpgaRe      = regexp.MustCompile(`^fpga\d+_`)
-	transRe     = regexp.MustCompile(`^trans\d+_`)
+	fpgaRe  = regexp.MustCompile(`^fpga\d+_`)
+	transRe = regexp.MustCompile(`^trans\d+_`)
 )
 
 // normalizeMetricName maps per-board / per-solver instrument names onto
 // the placeholder forms docs/METRICS.md documents.
 func normalizeMetricName(name string) string {
-	if m := fpgaStageRe.FindStringSubmatch(name); m != nil {
-		return "fpga<i>_<stage>_" + m[2]
-	}
 	name = fpgaRe.ReplaceAllString(name, "fpga<i>_")
 	name = transRe.ReplaceAllString(name, "trans<i>_")
 	return name
