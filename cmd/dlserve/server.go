@@ -278,9 +278,9 @@ func serve(cfg serveConfig) error {
 		}
 		inf, err := engine.NewInference(engine.InferenceConfig{
 			Profile: perf.GoogLeNet, Solver: solver, Classes: 1000,
-			PaceCompute: cfg.pace, Latency: &metrics.Histogram{},
-			Emit:    cs.emit(id),
-			Metrics: b.Registry(),
+			PaceCompute: cfg.pace,
+			Emit:        cs.emit(id),
+			Metrics:     b.Registry(),
 		})
 		if err != nil {
 			return err

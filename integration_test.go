@@ -269,8 +269,8 @@ func TestEndToEndInferenceOverTCP(t *testing.T) {
 			t.Fatalf("implausible latency %v", latency)
 		}
 	}
-	if lat.Count() != n {
-		t.Fatalf("latency samples = %d", lat.Count())
+	if lat.Summarize().Count != n {
+		t.Fatalf("latency samples = %d", lat.Summarize().Count)
 	}
 	items.Close()
 }

@@ -27,7 +27,7 @@ type synth struct {
 	t0      time.Time
 	decoded int64
 	shed    int64
-	count   int
+	e2e     metrics.Histogram
 }
 
 func newSynth(capacity int) *synth {
@@ -38,14 +38,17 @@ func newSynth(capacity int) *synth {
 }
 
 // sample records one cumulative snapshot at virtual time at, after an
-// interval that decoded decodedInc and shed shedInc frames with the
-// given batch_e2e p99. The queue probes are shaped so the bottleneck
-// doctor reads "ingest-overloaded" whenever the interval shed (or the
-// ingest queue sits at capacity) and "healthy" otherwise.
+// interval that decoded decodedInc and shed shedInc frames, each with
+// a batch_e2e latency of p99Ms (so the interval's p99 is p99Ms). The
+// queue probes are shaped so the bottleneck doctor reads
+// "ingest-overloaded" whenever the interval shed (or the ingest queue
+// sits at capacity) and "healthy" otherwise.
 func (s *synth) sample(at simtime.Time, decodedInc, shedInc int64, p99Ms float64, ingest metrics.QueueDepth) {
 	s.decoded += decodedInc
 	s.shed += shedInc
-	s.count += int(decodedInc)
+	for i := int64(0); i < decodedInc; i++ {
+		s.e2e.Add(p99Ms)
+	}
 	snap := &metrics.PipelineSnapshot{
 		TakenAt:       s.t0.Add(time.Duration(at)),
 		UptimeSeconds: at.Seconds(),
@@ -55,10 +58,7 @@ func (s *synth) sample(at simtime.Time, decodedInc, shedInc int64, p99Ms float64
 		},
 		Gauges: map[string]float64{},
 		Stages: map[string]metrics.Summary{
-			metrics.StageBatchE2E: {
-				Count: s.count, Mean: p99Ms / 2, P50: p99Ms / 2,
-				P95: p99Ms * 0.9, P99: p99Ms, Min: p99Ms / 4, Max: p99Ms,
-			},
+			metrics.StageBatchE2E: s.e2e.Summarize(),
 		},
 		Queues: map[string]metrics.QueueDepth{
 			"full_batch":   {Len: 0, Cap: 4},

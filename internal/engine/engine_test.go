@@ -258,10 +258,11 @@ func TestInferenceEngine(t *testing.T) {
 	if st.Images != 24 || st.Batches != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if lat.Count() != 24 {
-		t.Fatalf("latency samples = %d", lat.Count())
+	s := lat.Summarize()
+	if s.Count != 24 {
+		t.Fatalf("latency samples = %d", s.Count)
 	}
-	if lat.Min() < 0 {
+	if s.Min < 0 {
 		t.Fatal("negative latency")
 	}
 	mu.Lock()
@@ -364,8 +365,8 @@ func TestEndToEndLatencyIsMeasuredFromReceipt(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if lat.Min() < 1000 {
-		t.Fatalf("latency min = %v ms, want >= 1000 (back-dated receipt)", lat.Min())
+	if lat.Summarize().Min < 1000 {
+		t.Fatalf("latency min = %v ms, want >= 1000 (back-dated receipt)", lat.Summarize().Min)
 	}
 }
 

@@ -47,7 +47,6 @@ type InferResult struct {
 	Setup         InferSetup
 	Throughput    float64 // images/s at saturation (Figure 7)
 	MeanLatencyMs float64 // receipt→prediction at 80 % load (Figure 8)
-	P99LatencyMs  float64
 	TotalCores    float64 // host CPU cost (Figure 9)
 	Breakdown     map[string]float64
 	CPUThreads    int
@@ -104,8 +103,7 @@ func RunInference(s InferSetup) (InferResult, error) {
 	return InferResult{
 		Setup:         s,
 		Throughput:    round1(throughput),
-		MeanLatencyMs: round3(lat.Mean()),
-		P99LatencyMs:  round3(lat.Percentile(99)),
+		MeanLatencyMs: round3(lat.Summarize().Mean),
 		TotalCores:    round1(total),
 		Breakdown:     breakdown,
 		CPUThreads:    threads,

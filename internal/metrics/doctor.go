@@ -124,8 +124,11 @@ const (
 // on its own too, to name outliers. Nil when no shard has a sample.
 func Diagnose(shards []*History) *Diagnosis {
 	own := make([]*Diagnosis, len(shards))
+	boards := 0
 	for i, h := range shards {
-		own[i] = diagnoseHistory(h)
+		n := boardsOf(h)
+		own[i] = diagnoseHistory(h, n)
+		boards += n
 	}
 	var d *Diagnosis
 	if len(shards) == 1 {
@@ -134,7 +137,9 @@ func Diagnose(shards []*History) *Diagnosis {
 			d = &whole
 		}
 	} else {
-		d = diagnoseHistory(MergeHistories(shards))
+		// The merged snapshots sum every shard's fpga0_cmds_total into
+		// one name, so the fleet's board count is the shards' sum.
+		d = diagnoseHistory(MergeHistories(shards), boards)
 	}
 	if d == nil {
 		return nil
@@ -145,9 +150,9 @@ func Diagnose(shards []*History) *Diagnosis {
 }
 
 // diagnoseHistory runs the window rules over every window of one
-// history and labels the verdict's persistence. Nil or empty histories
-// return nil.
-func diagnoseHistory(h *History) *Diagnosis {
+// history served by the given number of decoder boards and labels the
+// verdict's persistence. Nil or empty histories return nil.
+func diagnoseHistory(h *History, boards int) *Diagnosis {
 	samples := h.Samples()
 	if len(samples) == 0 {
 		return nil
@@ -161,7 +166,7 @@ func diagnoseHistory(h *History) *Diagnosis {
 		if i > 0 {
 			prev = samples[i-1].Snapshot
 		}
-		d = diagnoseWindow(samples[i].Snapshot, prev)
+		d = diagnoseWindow(samples[i].Snapshot, prev, boards)
 		if n := len(seq); n > 0 && seq[n-1] != d.Verdict {
 			transitions++
 		}
@@ -191,11 +196,33 @@ func diagnoseHistory(h *History) *Diagnosis {
 	return d
 }
 
-// diagnoseWindow reads one window — the interval from prev to cur, for
-// rate-form evidence, or cur alone when prev is nil — and returns its
-// verdict, ranked findings and throughput.
-func diagnoseWindow(cur, prev *PipelineSnapshot) *Diagnosis {
+// boardsOf counts a history's decoder boards by the command counters
+// of its newest sample (at least 1, so Little's law has a divisor).
+func boardsOf(h *History) int {
+	boards := 0
+	if l := h.Latest(); l != nil {
+		for name := range l.Snapshot.Counters {
+			if fpgaCmdsRe.MatchString(name) {
+				boards++
+			}
+		}
+	}
+	return max(boards, 1)
+}
+
+// diagnoseWindow reads one window — the interval from prev to cur, or
+// cur alone when prev is nil — over the given number of decoder boards,
+// and returns its verdict, ranked findings and throughput. Counters and
+// stage summaries are the interval's (SubtractSummaries); queue depths
+// and gauges are cur's.
+func diagnoseWindow(cur, prev *PipelineSnapshot, boards int) *Diagnosis {
 	d := &Diagnosis{}
+	stage := func(name string) Summary {
+		if prev == nil {
+			return cur.Stages[name]
+		}
+		return SubtractSummaries(cur.Stages[name], prev.Stages[name])
+	}
 	delta := cur.Delta(prev)
 	d.Throughput = delta.Rate("images_decoded_total")
 
@@ -206,26 +233,17 @@ func diagnoseWindow(cur, prev *PipelineSnapshot) *Diagnosis {
 	_, freeKnown := cur.Queues["hugepage_free"]
 	transFill, transKnown := maxTransFill(cur)
 
-	decode := cur.Stages[StageFPGADecode]
+	decode := stage(StageFPGADecode)
 	if cur.Gauges["degraded"] >= 1 {
 		// While degraded the host decode lanes are the decode stage.
-		if fb, ok := cur.Stages[StageCPUFallback]; ok && fb.Count > 0 {
+		if fb := stage(StageCPUFallback); fb.Count > 0 {
 			decode = fb
 		}
 	}
-	copySync := cur.Stages[StageCopySync]
-	getWait := cur.Stages[StageGetItemWait]
-	e2e := cur.Stages[StageBatchE2E]
+	copySync := stage(StageCopySync)
+	getWait := stage(StageGetItemWait)
+	e2e := stage(StageBatchE2E)
 
-	boards := 0
-	for name := range cur.Counters {
-		if fpgaCmdsRe.MatchString(name) {
-			boards++
-		}
-	}
-	if boards == 0 {
-		boards = 1
-	}
 	// Little's law: images/s × mean decode seconds = decoders busy, in
 	// board-equivalents. Near (or above) the board count means the
 	// decode stage is saturated.
@@ -272,7 +290,7 @@ func diagnoseWindow(cur, prev *PipelineSnapshot) *Diagnosis {
 			Code: VerdictGPUBound, Confidence: conf,
 			Title: "compute engines limit throughput (Trans Full queues at capacity)",
 			Evidence: append(queueEv,
-				ev("infer_e2e p95 %.3fms, train_iter p95 %.3fms", cur.Stages[StageInferE2E].P95, cur.Stages[StageTrainIter].P95)),
+				ev("infer_e2e p95 %.3fms, train_iter p95 %.3fms", stage(StageInferE2E).P95, stage(StageTrainIter).P95)),
 			Advice: "the pipeline feeds the GPUs faster than they compute — the paper's performance boundary; add GPUs/solvers or grow the model budget, preprocessing is not the problem",
 		})
 	case fullKnown && transKnown && fullFill >= fillHigh && transFill <= fillLow:

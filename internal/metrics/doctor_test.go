@@ -19,8 +19,8 @@ func doctorSnap(mut func(*PipelineSnapshot)) *PipelineSnapshot {
 		},
 		Gauges: map[string]float64{"degraded": 0},
 		Stages: map[string]Summary{
-			StageFPGADecode: {Count: 1000, Mean: 2, P50: 2, P95: 3},
-			StageBatchE2E:   {Count: 125, Mean: 20, P95: 30},
+			StageFPGADecode: summaryOf(1000, 1, 3),
+			StageBatchE2E:   summaryOf(125, 10, 30),
 		},
 		Queues: map[string]QueueDepth{
 			"full_batch":    {Len: 2, Cap: 8},
@@ -39,7 +39,7 @@ func doctorSnap(mut func(*PipelineSnapshot)) *PipelineSnapshot {
 // spread that is the shard itself.
 func diagnoseFixture(t *testing.T, cur, prev *PipelineSnapshot) *Diagnosis {
 	t.Helper()
-	w := diagnoseWindow(cur, prev)
+	w := diagnoseWindow(cur, prev, 1)
 	h := NewHistory(2)
 	h.Record(prev)
 	h.Record(cur)
@@ -66,7 +66,7 @@ func TestDoctorDecoderBound(t *testing.T) {
 		// on one board = util 1.0.
 		s.Queues["full_batch"] = QueueDepth{Len: 0, Cap: 8}
 		s.Queues["trans0_full"] = QueueDepth{Len: 0, Cap: 2}
-		s.Stages[StageFPGADecode] = Summary{Count: 1000, Mean: 10, P50: 10, P95: 12}
+		s.Stages[StageFPGADecode] = summaryOf(1000, 8, 12)
 	})
 	d := diagnoseFixture(t, s, nil)
 	if d.Verdict != VerdictDecoderBound {
@@ -85,7 +85,7 @@ func TestDoctorDispatcherBound(t *testing.T) {
 		// Full queue backed up while engines starve.
 		s.Queues["full_batch"] = QueueDepth{Len: 8, Cap: 8}
 		s.Queues["trans0_full"] = QueueDepth{Len: 0, Cap: 2}
-		s.Stages[StageCopySync] = Summary{Count: 125, Mean: 15, P95: 20}
+		s.Stages[StageCopySync] = summaryOf(125, 10, 20)
 	})
 	if d := diagnoseFixture(t, s, nil); d.Verdict != VerdictDispatcherBound {
 		t.Fatalf("verdict = %q, want %q\n%s", d.Verdict, VerdictDispatcherBound, d.Report())
@@ -113,7 +113,7 @@ func TestDoctorPoolStarved(t *testing.T) {
 		s.Queues["full_batch"] = QueueDepth{Len: 0, Cap: 8}
 		s.Queues["trans0_full"] = QueueDepth{Len: 0, Cap: 2}
 		s.Queues["hugepage_free"] = QueueDepth{Len: 0, Cap: 4}
-		s.Stages[StageGetItemWait] = Summary{Count: 100, Mean: 8, P95: 9}
+		s.Stages[StageGetItemWait] = summaryOf(100, 7, 9)
 	})
 	if d := diagnoseFixture(t, s, nil); d.Verdict != VerdictPoolStarved {
 		t.Fatalf("verdict = %q, want %q\n%s", d.Verdict, VerdictPoolStarved, d.Report())
@@ -144,7 +144,7 @@ func TestDoctorDegradedHealthFinding(t *testing.T) {
 		s.Counters["fallback_decodes_total"] = 500
 		s.Queues["full_batch"] = QueueDepth{Len: 0, Cap: 8}
 		s.Queues["trans0_full"] = QueueDepth{Len: 0, Cap: 2}
-		s.Stages[StageCPUFallback] = Summary{Count: 500, Mean: 10, P95: 12}
+		s.Stages[StageCPUFallback] = summaryOf(500, 8, 12)
 		delete(s.Stages, StageFPGADecode)
 	})
 	d := diagnoseFixture(t, s, nil)
@@ -276,8 +276,8 @@ func trendSnap(t0 time.Time, sec int, fullLen, transLen int) *PipelineSnapshot {
 		},
 		Gauges: map[string]float64{"degraded": 0},
 		Stages: map[string]Summary{
-			StageFPGADecode: {Count: 100 * sec, Mean: 10, P50: 10, P95: 12},
-			StageBatchE2E:   {Count: 12 * sec, Mean: 20, P95: 30},
+			StageFPGADecode: summaryOf(100*sec, 8, 12),
+			StageBatchE2E:   summaryOf(12*sec, 10, 30),
 		},
 		Queues: map[string]QueueDepth{
 			"full_batch":    {Len: fullLen, Cap: 8},
@@ -334,7 +334,7 @@ func TestDiagnoseHistorySustainedVsTransient(t *testing.T) {
 	}
 	// The spike window itself still reads dispatcher-bound — the
 	// difference is temporal judgement, not weaker window rules.
-	spike := diagnoseWindow(trendSnap(t0, 5, 8, 0), trendSnap(t0, 4, 4, 1))
+	spike := diagnoseWindow(trendSnap(t0, 5, 8, 0), trendSnap(t0, 4, 4, 1), 1)
 	if spike.Verdict != VerdictDispatcherBound {
 		t.Fatalf("spike window verdict = %s", spike.Verdict)
 	}
@@ -377,7 +377,7 @@ func TestDiagnoseHistoryTooShort(t *testing.T) {
 	h := NewHistory(4)
 	h.Record(trendSnap(t0, 1, 0, 0))
 	d := Diagnose([]*History{h})
-	if want := diagnoseWindow(trendSnap(t0, 1, 0, 0), nil); d == nil || d.Windows != 1 || d.Verdict != want.Verdict {
+	if want := diagnoseWindow(trendSnap(t0, 1, 0, 0), nil, 1); d == nil || d.Windows != 1 || d.Verdict != want.Verdict {
 		t.Fatalf("one-sample diagnosis = %+v, want one %s window", d, want.Verdict)
 	}
 	// Two samples are still one window: a verdict, but no trend labels.
@@ -456,7 +456,7 @@ func healthySnapshot() *PipelineSnapshot {
 	return &PipelineSnapshot{
 		Counters: map[string]int64{"images_decoded_total": 1000},
 		Gauges:   map[string]float64{},
-		Stages:   map[string]Summary{StageFPGADecode: {Count: 100, Mean: 1, P95: 2}},
+		Stages:   map[string]Summary{StageFPGADecode: summaryOf(100, 0.5, 1.5)},
 		Queues: map[string]QueueDepth{
 			"full_batch":  {Len: 4, Cap: 8},
 			"trans0_full": {Len: 1, Cap: 2},
@@ -468,7 +468,7 @@ func decoderBoundSnapshot() *PipelineSnapshot {
 	return &PipelineSnapshot{
 		Counters: map[string]int64{"images_decoded_total": 100},
 		Gauges:   map[string]float64{},
-		Stages:   map[string]Summary{StageFPGADecode: {Count: 100, Mean: 20, P95: 40}},
+		Stages:   map[string]Summary{StageFPGADecode: summaryOf(100, 10, 30)},
 		Queues: map[string]QueueDepth{
 			"full_batch":  {Len: 0, Cap: 8},
 			"trans0_full": {Len: 0, Cap: 2},
@@ -497,7 +497,7 @@ func TestDiagnoseFleetOutlierSentence(t *testing.T) {
 	}
 	if want := diagnoseWindow(MergeSnapshots([]*PipelineSnapshot{
 		healthySnapshot(), healthySnapshot(), healthySnapshot(), decoderBoundSnapshot(),
-	}).Total, nil); d.Verdict != want.Verdict {
+	}).Total, nil, 4); d.Verdict != want.Verdict {
 		t.Fatalf("fleet verdict %q, want the rollup's %q", d.Verdict, want.Verdict)
 	}
 	if !strings.Contains(d.Report(), "shards: shard 3 is decoder-bound") {
@@ -514,5 +514,46 @@ func TestDiagnoseFleetOutlierSentence(t *testing.T) {
 	split := Diagnose(append(snapshotHistories(healthySnapshot(), decoderBoundSnapshot()), nil))
 	if want := "shard 0 is healthy, shard 1 is decoder-bound, shard 2 is inconclusive"; split.Summary != want {
 		t.Fatalf("split sentence: %q, want %q", split.Summary, want)
+	}
+}
+
+// TestDoctorIdleWindowAfterTraffic: a decoder-bound stretch followed by
+// an idle interval. The idle window decoded nothing, so it reads
+// healthy — the lifetime decode count must not make it decoder-bound.
+func TestDoctorIdleWindowAfterTraffic(t *testing.T) {
+	t0 := time.Now()
+	busy := trendSnap(t0, 10, 0, 0)
+	idle := trendSnap(t0, 10, 0, 0)
+	idle.TakenAt, idle.UptimeSeconds = t0.Add(11*time.Second), 11
+	if d := diagnoseWindow(busy, trendSnap(t0, 9, 0, 0), 1); d.Verdict != VerdictDecoderBound {
+		t.Fatalf("busy window = %s, want %s", d.Verdict, VerdictDecoderBound)
+	}
+	d := diagnoseFixture(t, idle, busy)
+	if d.Verdict != VerdictHealthy || d.Throughput != 0 {
+		t.Fatalf("idle window = %s at %v img/s, want healthy at 0\n%s", d.Verdict, d.Throughput, d.Report())
+	}
+}
+
+// TestDiagnoseFleetCountsEveryBoard: two one-board shards at 100 img/s
+// each with a 10 ms decode mean keep both boards busy. The merged
+// snapshots fold both fpga0_cmds_total counters into one name, so the
+// fleet windows must take their board count from the shards.
+func TestDiagnoseFleetCountsEveryBoard(t *testing.T) {
+	t0 := time.Now()
+	s0, s1 := NewHistory(4), NewHistory(4)
+	for i := 1; i <= 2; i++ {
+		s0.Record(trendSnap(t0, i, 0, 0))
+		s1.Record(trendSnap(t0, i, 0, 0))
+	}
+	d := Diagnose([]*History{s0, s1})
+	if d == nil || d.Verdict != VerdictDecoderBound || d.Throughput != 200 {
+		t.Fatalf("fleet = %+v, want decoder-bound at 200 img/s", d)
+	}
+	ev := strings.Join(d.Findings[0].Evidence, "\n")
+	if !strings.Contains(ev, "over 2 board(s)") || !strings.Contains(ev, "(util 1.00)") {
+		t.Fatalf("fleet evidence does not count both boards:\n%s", d.Report())
+	}
+	if own := strings.Join(d.Shards[0].Findings[0].Evidence, "\n"); !strings.Contains(own, "over 1 board(s)") || !strings.Contains(own, "(util 1.00)") {
+		t.Fatalf("shard evidence:\n%s", own)
 	}
 }

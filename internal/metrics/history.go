@@ -5,9 +5,10 @@
 // ("decoder-bound for the last 45 s" vs "one transient spike", "what
 // throughput did the last window sustain") only exist over windows. A
 // History keeps the last N samples, each carrying the interval view
-// since its predecessor, so windowed rates, count-weighted windowed
-// stage percentiles (via the same histogram-merge machinery the fleet
-// rollup uses) and queue-depth trends all fall out of one bounded ring.
+// since its predecessor, so windowed rates, windowed stage percentiles
+// (bucket counts subtracted per interval and summed per window, the
+// arithmetic the fleet rollup uses) and queue-depth trends all fall out
+// of one bounded ring.
 
 package metrics
 
@@ -21,8 +22,7 @@ import (
 // HistorySample is one entry of a History ring: the trimmed cumulative
 // snapshot at sample time, the rate-form delta against the previous
 // sample, and the interval stage summaries (SubtractSummaries of the
-// cumulative pair — exact counts and means, order statistics inherited
-// from the interval's end, the same honesty contract as MergeSummaries).
+// cumulative pair).
 type HistorySample struct {
 	// TakenAt is when the sample was captured.
 	TakenAt time.Time `json:"taken_at"`
@@ -47,13 +47,14 @@ type HistorySample struct {
 }
 
 // SubtractSummaries returns the interval view of a cumulative stage
-// summary pair: Count is exactly cur − prev, Mean is the exact interval
-// mean recovered from the sums (mean × count), and the order statistics
-// (percentiles, min, max, stddev) are inherited from cur — without the
-// raw samples an interval p95 cannot be exact, so like MergeSummaries
-// the result is honest about being an approximation. A prev with no
-// samples returns cur unchanged; an interval with no new samples (or a
-// restarted registry, cur.Count < prev.Count) returns a zero Summary.
+// summary pair: Count and the bucket counts are cur − prev, Mean is
+// the interval mean recovered from the sums, and the percentiles are
+// re-ranked over the interval's buckets. The interval's Min and Max are
+// cur's clamped to the edges of its occupied bucket span, so they and
+// the percentiles stay within the histogram's 2⁻⁵ bound. A prev with no
+// samples returns cur unchanged; an interval with no new samples, or a
+// restarted registry (a count of cur below prev's), returns a zero
+// Summary.
 func SubtractSummaries(cur, prev Summary) Summary {
 	if prev.Count == 0 {
 		return cur
@@ -62,11 +63,16 @@ func SubtractSummaries(cur, prev Summary) Summary {
 	if n <= 0 {
 		return Summary{}
 	}
+	counts := append([]uint64(nil), cur.counts...)
+	for i, c := range prev.counts {
+		j := prev.first - cur.first + i
+		if j < 0 || j >= len(counts) || counts[j] < c {
+			return Summary{}
+		}
+		counts[j] -= c
+	}
 	mean := (cur.Mean*float64(cur.Count) - prev.Mean*float64(prev.Count)) / float64(n)
-	out := cur
-	out.Count = n
-	out.Mean = mean
-	return out
+	return newSummary(n, mean, cur.Min, cur.Max, cur.first, counts)
 }
 
 // QueueTrend is one queue's behaviour across a window: fill fraction at
@@ -92,9 +98,10 @@ type QueueTrend struct {
 const trendFlatSlope = 1.0 / 60
 
 // WindowStats is the rolled-up view of the samples inside one window:
-// summed counter deltas and their rates, count-weighted merged interval
-// stage summaries, per-queue trends, the latest gauges, and every event
-// recorded inside the window. It is what SLO evaluation consumes.
+// summed counter deltas and their rates, the interval stage summaries
+// merged (bucket counts summed), per-queue trends, the latest gauges,
+// and every event recorded inside the window. It is what SLO evaluation
+// consumes.
 type WindowStats struct {
 	// Seconds is the window's measured length (sum of sample intervals).
 	Seconds float64 `json:"seconds"`
@@ -107,7 +114,7 @@ type WindowStats struct {
 	Counters map[string]int64   `json:"counters"`
 	Rates    map[string]float64 `json:"rates"`
 	// Stages are the window's stage summaries: the samples' interval
-	// summaries merged count-weighted via MergeSummaries.
+	// summaries merged via MergeSummaries.
 	Stages map[string]Summary `json:"stages,omitempty"`
 	// Queues holds the per-queue fill trends across the window.
 	Queues map[string]QueueTrend `json:"queues,omitempty"`
@@ -278,8 +285,8 @@ func (h *History) Latest() *HistorySample {
 
 // Window rolls up the samples whose interval ended within the trailing
 // window of the given length (0 or negative covers the whole ring): the
-// summed counter deltas with rates, the count-weighted merged interval
-// stage summaries, per-queue fill trends, newest gauges and the events
+// summed counter deltas with rates, the merged interval stage
+// summaries, per-queue fill trends, newest gauges and the events
 // recorded inside the window. The first sample of a history covers the
 // whole registry uptime, so a window that reaches it reports since
 // registry start. Nil histories and empty rings return nil.

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -15,7 +16,7 @@ func histSnap(t0 time.Time, offset time.Duration, decoded int64, fullLen int) *P
 		Counters:      map[string]int64{"images_decoded_total": decoded},
 		Gauges:        map[string]float64{"degraded": 0},
 		Stages: map[string]Summary{
-			StageFPGADecode: {Count: int(decoded), Mean: 2, P50: 2, P95: 3, P99: 4},
+			StageFPGADecode: summaryOf(int(decoded), 1, 3),
 		},
 		Queues: map[string]QueueDepth{
 			"full_batch": {Len: fullLen, Cap: 8},
@@ -24,8 +25,15 @@ func histSnap(t0 time.Time, offset time.Duration, decoded int64, fullLen int) *P
 }
 
 func TestSubtractSummaries(t *testing.T) {
-	prev := Summary{Count: 100, Mean: 2, P95: 3}
-	cur := Summary{Count: 150, Mean: 4, P95: 9, P99: 11}
+	var h Histogram
+	for i := 0; i < 100; i++ {
+		h.Add(2)
+	}
+	prev := h.Summarize()
+	for i := 0; i < 50; i++ {
+		h.Add(8)
+	}
+	cur := h.Summarize()
 	iv := SubtractSummaries(cur, prev)
 	if iv.Count != 50 {
 		t.Fatalf("interval count = %d, want 50", iv.Count)
@@ -34,11 +42,12 @@ func TestSubtractSummaries(t *testing.T) {
 	if iv.Mean != 8 {
 		t.Fatalf("interval mean = %v, want 8", iv.Mean)
 	}
-	// Order statistics inherit from cur (documented approximation).
-	if iv.P95 != 9 || iv.P99 != 11 {
-		t.Fatalf("interval order stats = %+v, want cur's", iv)
+	// Order statistics are the interval's own, not cur's: every
+	// interval sample is 8, while cur's p50 is 2.
+	if iv.P50 != 8 || iv.P95 != 8 || iv.P99 != 8 || iv.Min != 8 || iv.Max != 8 {
+		t.Fatalf("interval order stats = %+v, want all 8", iv)
 	}
-	if got := SubtractSummaries(cur, Summary{}); got != cur {
+	if got := SubtractSummaries(cur, Summary{}); !reflect.DeepEqual(got, cur) {
 		t.Fatalf("empty prev should return cur, got %+v", got)
 	}
 	// Registry restart (cur behind prev) and empty intervals go to zero.
@@ -202,26 +211,35 @@ func TestHistoryWindowQueueTrend(t *testing.T) {
 func TestHistoryWindowStagePercentiles(t *testing.T) {
 	t0 := time.Now()
 	h := NewHistory(8)
-	// Sample 1: 100 obs at mean 2 / p99 4. Sample 2 adds 300 obs whose
-	// cumulative mean moves to 5 → interval mean (400×5−100×2)/300 = 6.
+	// Sample 1: 100 obs alternating 1 and 3 (mean 2). Sample 2 adds
+	// 300 obs at 6, so the cumulative mean moves to 5 and the interval
+	// mean is (400×5−100×2)/300 = 6.
 	h.Record(histSnap(t0, 0, 100, 0))
+	var whole Histogram
+	for i := 0; i < 400; i++ {
+		v := 6.0
+		if i < 100 {
+			v = float64(1 + 2*(i%2))
+		}
+		whole.Add(v)
+	}
 	s2 := histSnap(t0, time.Second, 400, 0)
-	s2.Stages[StageFPGADecode] = Summary{Count: 400, Mean: 5, P95: 8, P99: 10}
+	s2.Stages[StageFPGADecode] = whole.Summarize()
 	h.Record(s2)
 	w := h.Window(0)
 	st := w.Stages[StageFPGADecode]
 	if st.Count != 400 {
 		t.Fatalf("window stage count = %d, want 400", st.Count)
 	}
-	// Count-weighted merged mean: (100×2 + 300×6)/400 = 5 — the true
-	// cumulative mean, recovered through the interval split.
+	// Merged mean: (100×2 + 300×6)/400 = 5 — the true cumulative mean,
+	// recovered through the interval split.
 	if st.Mean != 5 {
 		t.Fatalf("window stage mean = %v, want 5", st.Mean)
 	}
-	// p99 is the count-weighted blend of the interval p99s (100×4 +
-	// 300×10)/400 = 8.5 — an estimate, but count-weighted as documented.
-	if st.P99 != 8.5 {
-		t.Fatalf("window stage p99 = %v, want 8.5", st.P99)
+	// The window's percentiles are those of all 400 samples: p50 and
+	// p99 both land on the 300 samples at 6.
+	if st.P50 != 6 || st.P99 != 6 || st.Min != 1 || st.Max != 6 {
+		t.Fatalf("window stage = %+v, want p50 = p99 = 6 over [1, 6]", st)
 	}
 }
 
@@ -429,5 +447,39 @@ func TestSamplerRestartElapsed(t *testing.T) {
 	// 80 − 500 = −420 over 2s: the rate is computed, not zeroed.
 	if r := s.Delta.Rate("images_decoded_total"); r > -209 || r < -211 {
 		t.Fatalf("restart rate = %v, want −210 over the measured gap", r)
+	}
+}
+
+// TestHistoryWindowTail: 10 000 observations at 1 ms, then 100 at
+// 50 ms one second later. The trailing 1 s window holds only the 50 ms
+// tail, so its p99 is 50 ms and a 10 ms p99 objective over it is not
+// met — a window that inherited the lifetime percentiles read 1 ms.
+func TestHistoryWindowTail(t *testing.T) {
+	reg := NewRegistry()
+	h := NewHistory(8)
+	t0 := time.Now()
+	for i := 0; i < 10000; i++ {
+		reg.Observe(StageBatchE2E, 1)
+	}
+	s := reg.Snapshot()
+	s.TakenAt = t0
+	h.Record(s)
+	for i := 0; i < 100; i++ {
+		reg.Observe(StageBatchE2E, 50)
+	}
+	s = reg.Snapshot()
+	s.TakenAt = t0.Add(time.Second)
+	h.Record(s)
+
+	st := h.Window(time.Second).Stages[StageBatchE2E]
+	if st.Count != 100 || st.Mean != 50 || !within(st.P50, 50) || !within(st.P99, 50) {
+		t.Fatalf("1s window stage = %+v, want 100 samples with p50 = p99 = 50", st)
+	}
+	slo, err := ParseSLO("p99ms=10,window=1s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if card := slo.Evaluate(h); card.Met {
+		t.Fatalf("p99 ≤ 10 ms met over a 50 ms window:\n%s", card.Report())
 	}
 }

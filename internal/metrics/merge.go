@@ -1,8 +1,8 @@
 // Fleet rollup: merging per-shard PipelineSnapshots into one
 // FleetSnapshot. Counters, queue depths and gauges add across shards;
-// stage summaries merge with exact counts and weighted statistics;
-// per-shard spans stay on their shard so the trace export can give
-// every shard its own process track.
+// stage summaries add their bucket counts (MergeSummaries); per-shard
+// spans stay on their shard so the trace export can give every shard
+// its own process track.
 
 package metrics
 
@@ -29,12 +29,10 @@ func (f *FleetSnapshot) JSON() ([]byte, error) {
 	return json.MarshalIndent(f, "", "  ")
 }
 
-// MergeSummaries combines two stage summaries. Count is exact (the sum
-// — the conservation property the fleet tests assert), Mean is the
-// count-weighted mean, Min/Max are true extremes, and the percentiles
-// and standard deviation are count-weighted estimates: without the raw
-// samples a merged p95 cannot be exact, so the rollup is honest about
-// being an approximation (docs/METRICS.md).
+// MergeSummaries combines two stage summaries: counts and bucket counts
+// add, Min and Max are the true extremes, Mean is the count-weighted
+// mean, and the percentiles are re-ranked over the summed buckets — the
+// summary of the union, within the one histogram's 2⁻⁵ bound.
 func MergeSummaries(a, b Summary) Summary {
 	if a.Count == 0 {
 		return b
@@ -42,27 +40,17 @@ func MergeSummaries(a, b Summary) Summary {
 	if b.Count == 0 {
 		return a
 	}
+	first := min(a.first, b.first)
+	counts := make([]uint64, max(a.first+len(a.counts), b.first+len(b.counts))-first)
+	for i, c := range a.counts {
+		counts[a.first-first+i] += c
+	}
+	for i, c := range b.counts {
+		counts[b.first-first+i] += c
+	}
 	n := a.Count + b.Count
-	wa, wb := float64(a.Count)/float64(n), float64(b.Count)/float64(n)
-	mean := wa*a.Mean + wb*b.Mean
-	// Pooled population variance from per-summary moments:
-	// E[x²] = stddev² + mean², merged var = E[x²]_merged − mean².
-	ex2 := wa*(a.StdDevPopulationEst*a.StdDevPopulationEst+a.Mean*a.Mean) +
-		wb*(b.StdDevPopulationEst*b.StdDevPopulationEst+b.Mean*b.Mean)
-	variance := ex2 - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return Summary{
-		Count:               n,
-		Mean:                mean,
-		P50:                 wa*a.P50 + wb*b.P50,
-		P95:                 wa*a.P95 + wb*b.P95,
-		P99:                 wa*a.P99 + wb*b.P99,
-		Min:                 math.Min(a.Min, b.Min),
-		Max:                 math.Max(a.Max, b.Max),
-		StdDevPopulationEst: math.Sqrt(variance),
-	}
+	mean := (a.Mean*float64(a.Count) + b.Mean*float64(b.Count)) / float64(n)
+	return newSummary(n, mean, math.Min(a.Min, b.Min), math.Max(a.Max, b.Max), first, counts)
 }
 
 // MergeSnapshots rolls per-shard snapshots up into a FleetSnapshot.

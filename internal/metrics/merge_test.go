@@ -13,7 +13,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
@@ -42,12 +45,7 @@ func randomSnapshot(rng *rand.Rand) *PipelineSnapshot {
 	for _, n := range stageNames {
 		if rng.Intn(4) > 0 {
 			mean := rng.Float64() * 10
-			s.Stages[n] = Summary{
-				Count: 1 + rng.Intn(500), Mean: mean,
-				P50: mean, P95: mean * 2, P99: mean * 3,
-				Min: mean / 2, Max: mean * 4,
-				StdDevPopulationEst: rng.Float64() * 2,
-			}
+			s.Stages[n] = summaryOf(1+rng.Intn(500), mean/2, mean, mean*1.5)
 		}
 	}
 	for _, n := range queueNames {
@@ -123,8 +121,15 @@ func TestFleetCounterConservation(t *testing.T) {
 }
 
 func TestMergeSummariesStatistics(t *testing.T) {
-	a := Summary{Count: 10, Mean: 2, P50: 2, P95: 4, P99: 5, Min: 1, Max: 6, StdDevPopulationEst: 1}
-	b := Summary{Count: 30, Mean: 6, P50: 6, P95: 8, P99: 9, Min: 3, Max: 20, StdDevPopulationEst: 2}
+	a, b := summaryOf(10, 1, 3), summaryOf(30, 3, 9)
+	var h Histogram
+	for i := 0; i < 10; i++ {
+		h.Add([]float64{1, 3}[i%2])
+	}
+	for i := 0; i < 30; i++ {
+		h.Add([]float64{3, 9}[i%2])
+	}
+	union := h.Summarize()
 	m := MergeSummaries(a, b)
 	if m.Count != 40 {
 		t.Fatalf("count %d", m.Count)
@@ -132,18 +137,99 @@ func TestMergeSummariesStatistics(t *testing.T) {
 	if want := 0.25*2 + 0.75*6; math.Abs(m.Mean-want) > 1e-9 {
 		t.Fatalf("mean %v, want %v", m.Mean, want)
 	}
-	if m.Min != 1 || m.Max != 20 {
+	if m.Min != 1 || m.Max != 9 {
 		t.Fatalf("extremes %v..%v", m.Min, m.Max)
 	}
-	if m.P95 <= a.P95 || m.P95 >= b.P95+1 {
-		t.Fatalf("merged p95 %v out of plausible range", m.P95)
+	// The merged percentiles are the union's: 15 of the 40 samples are
+	// 9, so p95 is 9 — a blend of a's 3 and b's 9 would not be.
+	if m.P50 != union.P50 || m.P95 != union.P95 || m.P99 != union.P99 || m.P95 != 9 {
+		t.Fatalf("merged percentiles %v/%v/%v, union's %v/%v/%v",
+			m.P50, m.P95, m.P99, union.P50, union.P95, union.P99)
 	}
 	// Merging with an empty summary is the identity.
-	if got := MergeSummaries(a, Summary{}); got != a {
+	if got := MergeSummaries(a, Summary{}); !reflect.DeepEqual(got, a) {
 		t.Fatalf("identity merge: %+v", got)
 	}
-	if got := MergeSummaries(Summary{}, b); got != b {
+	if got := MergeSummaries(Summary{}, b); !reflect.DeepEqual(got, b) {
 		t.Fatalf("identity merge: %+v", got)
+	}
+}
+
+// TestMergeSummariesTail: shard A holds 99 samples at 1 ms and one at
+// 100 ms, shard B 100 at 100 ms. Half of the 200 samples and more are
+// at 100 ms, so the fleet p50 and p95 are 100 — a count-weighted blend
+// of the shards' percentiles read 50.5.
+func TestMergeSummariesTail(t *testing.T) {
+	var a Histogram
+	for i := 0; i < 99; i++ {
+		a.Add(1)
+	}
+	a.Add(100)
+	m := MergeSummaries(a.Summarize(), summaryOf(100, 100))
+	if !within(m.P50, 100) || !within(m.P95, 100) || !within(m.P99, 100) {
+		t.Fatalf("merged p50/p95/p99 = %v/%v/%v, want 100 within 2⁻⁵", m.P50, m.P95, m.P99)
+	}
+}
+
+// latencyOf maps a random uint32 onto [2⁻¹², 2²²) ms log-uniformly, so
+// random sample sets reach both the under- and overflow buckets.
+func latencyOf(x uint32) float64 { return math.Exp2(-12 + 34*float64(x)/(1<<32)) }
+
+// TestSummaryAlgebra is the exactness property of the bucket summary:
+// for random sample sets A and B, merging S(A) and S(B) gives S(A∪B),
+// and subtracting the cumulative S(A) from S(A then B) gives B's bucket
+// counts and B's percentiles.
+func TestSummaryAlgebra(t *testing.T) {
+	f := func(ra, rb []uint32) bool {
+		var ha, hb, hab Histogram
+		var b []float64
+		for _, x := range ra {
+			ha.Add(latencyOf(x))
+			hab.Add(latencyOf(x))
+		}
+		sa := ha.Summarize()
+		for _, x := range rb {
+			b = append(b, latencyOf(x))
+			hb.Add(b[len(b)-1])
+			hab.Add(b[len(b)-1])
+		}
+		sb, sab := hb.Summarize(), hab.Summarize()
+
+		m := MergeSummaries(sa, sb)
+		if m.Count != sab.Count || m.Min != sab.Min || m.Max != sab.Max ||
+			m.P50 != sab.P50 || m.P95 != sab.P95 || m.P99 != sab.P99 ||
+			math.Abs(m.Mean-sab.Mean) > 1e-9*math.Abs(sab.Mean) {
+			t.Logf("merge %+v, union %+v", m, sab)
+			return false
+		}
+
+		iv := SubtractSummaries(sab, sa)
+		if iv.Count != sb.Count || iv.first != sb.first || !reflect.DeepEqual(iv.counts, sb.counts) {
+			t.Logf("interval %+v, B %+v", iv, sb)
+			return false
+		}
+		if len(b) == 0 {
+			return true
+		}
+		// The interval's extremes are bounded by its bucket edges, not
+		// known exactly, so each percentile lies in B's bucket and reads
+		// as B's once clamped to B's true extremes.
+		sort.Float64s(b)
+		clamp := func(v float64) float64 { return math.Min(math.Max(v, sb.Min), sb.Max) }
+		for _, c := range []struct{ p, iv, b float64 }{{50, iv.P50, sb.P50}, {95, iv.P95, sb.P95}, {99, iv.P99, sb.P99}} {
+			if clamp(c.iv) != c.b {
+				t.Logf("interval p%v = %v, B's %v", c.p, c.iv, c.b)
+				return false
+			}
+			if exact := exactPercentile(b, c.p); exact >= histLow && exact < histHigh && !within(c.iv, exact) {
+				t.Logf("interval p%v = %v, exact %v", c.p, c.iv, exact)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -8,7 +8,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,127 +24,146 @@ func (c *Counter) Add(delta int64) { c.n.Add(delta) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n.Load() }
 
-// Rate returns count per second over the given elapsed seconds.
-func (c *Counter) Rate(elapsedSeconds float64) float64 {
-	if elapsedSeconds <= 0 {
+// Histogram bucket geometry: histSub linear sub-buckets per power of
+// two over [2^histMinExp, 2^histMaxExp) ms, plus an underflow and an
+// overflow bucket. A bucket's midpoint is within 2⁻⁵ relative of every
+// value in it.
+const (
+	histSub     = 16
+	histMinExp  = -10
+	histMaxExp  = 20
+	histBuckets = (histMaxExp-histMinExp)*histSub + 2
+	histLow     = 1.0 / (1 << -histMinExp) // lowest bucketed value
+	histHigh    = 1 << histMaxExp          // the overflow bucket's edge
+)
+
+// bucketOf returns the bucket index of v. Values below 2⁻¹⁰, and NaN,
+// underflow; values from 2²⁰ on map to the overflow bucket's edge.
+func bucketOf(v float64) int {
+	if !(v >= histLow) {
 		return 0
 	}
-	return float64(c.n.Load()) / elapsedSeconds
+	frac, exp := math.Frexp(math.Min(v, histHigh)) // frac ∈ [0.5, 1)
+	return 1 + (exp-1-histMinExp)*histSub + int((2*frac-1)*histSub)
 }
 
-// Histogram accumulates samples and reports order statistics. It is safe
-// for concurrent Add; reporting methods snapshot under the same lock.
+// bucketLow returns bucket i's inclusive lower edge, which is also
+// bucket i−1's exclusive upper edge: −Inf for the underflow bucket,
+// +Inf past the overflow bucket.
+func bucketLow(i int) float64 {
+	if i <= 0 || i >= histBuckets {
+		return math.Inf(i - 1) // the sign of i−1 picks −Inf or +Inf
+	}
+	k := i - 1
+	return math.Ldexp(1+float64(k%histSub)/histSub, histMinExp+k/histSub)
+}
+
+// rankBucket is the one nearest-rank walk behind every percentile in
+// this package: the index of the bucket that holds the p-th percentile
+// (0 ≤ p ≤ 100) of the samples counted in counts, or −1 when there are
+// none.
+func rankBucket(counts []uint64, p float64) int {
+	var total uint64
+	for _, c := range counts {
+		total += c
+	}
+	if total == 0 {
+		return -1
+	}
+	rank := min(max(uint64(math.Ceil(p/100*float64(total))), 1), total)
+	var seen uint64
+	for i, c := range counts {
+		if seen += c; seen >= rank {
+			return i
+		}
+	}
+	return len(counts) - 1
+}
+
+// Histogram accumulates samples into fixed log-linear buckets, with
+// exact count, sum, min and max: Add is O(1) in constant memory however
+// many samples arrive. It is safe for concurrent use.
 type Histogram struct {
-	mu     sync.Mutex
-	vals   []float64
-	sorted bool
+	mu       sync.Mutex
+	n        uint64
+	sum      float64
+	min, max float64
+	counts   [histBuckets]uint64
 }
 
 // Add records one sample.
 func (h *Histogram) Add(v float64) {
+	i := bucketOf(v)
 	h.mu.Lock()
-	h.vals = append(h.vals, v)
-	h.sorted = false
+	if h.n == 0 {
+		h.min, h.max = v, v
+	}
+	h.min, h.max = math.Min(h.min, v), math.Max(h.max, v)
+	h.n++
+	h.sum += v
+	h.counts[i]++
 	h.mu.Unlock()
 }
 
-// Count returns the number of samples.
-func (h *Histogram) Count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.vals)
-}
-
-// Mean returns the sample mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.vals) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range h.vals {
-		s += v
-	}
-	return s / float64(len(h.vals))
-}
-
-// StdDev returns the population standard deviation (0 when empty).
-func (h *Histogram) StdDev() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.vals) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range h.vals {
-		s += v
-	}
-	m := s / float64(len(h.vals))
-	var ss float64
-	for _, v := range h.vals {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(h.vals)))
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) using
-// nearest-rank; it returns 0 when empty.
-func (h *Histogram) Percentile(p float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := len(h.vals)
-	if n == 0 {
-		return 0
-	}
-	if !h.sorted {
-		sort.Float64s(h.vals)
-		h.sorted = true
-	}
-	if p <= 0 {
-		return h.vals[0]
-	}
-	if p >= 100 {
-		return h.vals[n-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	return h.vals[rank-1]
-}
-
-// Min returns the smallest sample (0 when empty).
-func (h *Histogram) Min() float64 { return h.Percentile(0) }
-
-// Max returns the largest sample (0 when empty).
-func (h *Histogram) Max() float64 { return h.Percentile(100) }
-
-// Summary is a rendered snapshot of a histogram.
+// Summary is a rendered snapshot of a histogram: exact Count and Mean,
+// Min and Max (exact but for an interval's, see SubtractSummaries), and
+// P50, P95 and P99 within 2⁻⁵ relative of the exact nearest-rank
+// values. It carries the counts of its occupied bucket span
+// (unexported, not serialised), which merges, intervals and windows add
+// and subtract before they re-rank.
 type Summary struct {
-	Count               int     `json:"count"`
-	Mean                float64 `json:"mean"`
-	P50                 float64 `json:"p50"`
-	P95                 float64 `json:"p95"`
-	P99                 float64 `json:"p99"`
-	Min                 float64 `json:"min"`
-	Max                 float64 `json:"max"`
-	StdDevPopulationEst float64 `json:"stddev"`
+	Count int     `json:"count"`
+	Mean  float64 `json:"mean"`
+	P50   float64 `json:"p50"`
+	P95   float64 `json:"p95"`
+	P99   float64 `json:"p99"`
+	Min   float64 `json:"min"`
+	Max   float64 `json:"max"`
+
+	first  int      // bucket index of counts[0]
+	counts []uint64 // occupied bucket span
 }
 
-// Summarize returns the standard report for a latency distribution.
+// Summarize returns the standard report for a latency distribution,
+// taken under one lock so every field describes the same samples.
 func (h *Histogram) Summarize() Summary {
-	return Summary{
-		Count:               h.Count(),
-		Mean:                h.Mean(),
-		P50:                 h.Percentile(50),
-		P95:                 h.Percentile(95),
-		P99:                 h.Percentile(99),
-		Min:                 h.Min(),
-		Max:                 h.Max(),
-		StdDevPopulationEst: h.StdDev(),
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.n == 0 {
+		return Summary{}
 	}
+	return newSummary(int(h.n), h.sum/float64(h.n), h.min, h.max, 0, h.counts[:])
+}
+
+// newSummary builds a Summary over a copy of counts (bucket index first
+// at counts[0]) trimmed to its occupied span, clamps lo and hi to the
+// span's edges (a no-op for true extremes, a bound for an interval's),
+// and ranks it.
+func newSummary(n int, mean, lo, hi float64, first int, counts []uint64) Summary {
+	a, b := 0, len(counts)
+	for a < b && counts[a] == 0 {
+		a++
+	}
+	for b > a && counts[b-1] == 0 {
+		b--
+	}
+	s := Summary{Count: n, Mean: mean, first: first + a, counts: append([]uint64(nil), counts[a:b]...),
+		Min: math.Max(lo, bucketLow(first+a)), Max: math.Min(hi, bucketLow(first+b))}
+	s.P50, s.P95, s.P99 = s.percentile(50), s.percentile(95), s.percentile(99)
+	return s
+}
+
+// percentile is the nearest-rank p-th percentile: the midpoint of the
+// bucket rankBucket picks, clamped to [Min, Max] (the under- and
+// overflow buckets' ±Inf midpoints read as Min and Max). 0 without
+// bucket counts.
+func (s Summary) percentile(p float64) float64 {
+	i := rankBucket(s.counts, p)
+	if i < 0 {
+		return 0
+	}
+	mid := (bucketLow(s.first+i) + bucketLow(s.first+i+1)) / 2
+	return math.Min(math.Max(mid, s.Min), s.Max)
 }
 
 // String renders the summary for harness output.
@@ -252,16 +270,4 @@ func (b *BusyTracker) TotalCores(elapsedSeconds float64) float64 {
 		t += v
 	}
 	return t
-}
-
-// Components returns the tracked component names, sorted.
-func (b *BusyTracker) Components() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	names := make([]string, 0, len(b.busy))
-	for k := range b.busy {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -307,16 +307,6 @@ func (r *Registry) CompleteSpan(sp Span) {
 	f.Span(sp)
 }
 
-// SpansCompleted returns the number of spans ingested so far.
-func (r *Registry) SpansCompleted() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.spanDone
-}
-
 // QueueDepth is one queue's occupancy at snapshot time.
 type QueueDepth struct {
 	Len int `json:"len"`

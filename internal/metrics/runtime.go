@@ -1,11 +1,11 @@
 // Go runtime health gauges sampled via runtime/metrics: goroutine
 // count, heap bytes, GC pause p99 and scheduler latency p99, registered
 // as pull-based gauges so they land in PipelineSnapshot (and therefore
-// in the Prometheus, JSON, table and history renderings) with zero
-// hot-path cost — the runtime/metrics reads happen only at snapshot
-// time. These are process-wide numbers: in a fleet, register them on
-// exactly one shard's registry or the rollup sums them ×N (the same
-// caveat docs/METRICS.md documents for shared-cache counters).
+// in the Prometheus, JSON and history renderings) with zero hot-path
+// cost — the runtime/metrics reads happen only at snapshot time. These
+// are process-wide numbers: in a fleet, register them on exactly one
+// shard's registry or the rollup sums them ×N (the same caveat
+// docs/METRICS.md documents for shared-cache counters).
 
 package metrics
 
@@ -71,36 +71,17 @@ func RegisterRuntimeGauges(r *Registry) {
 	}
 }
 
-// histP99 estimates the 99th percentile of a runtime/metrics
-// Float64Histogram from its bucket counts (returns the lower bound of
-// the bucket holding the p99 mass; 0 for an empty histogram).
+// histP99 reads the 99th percentile of a runtime/metrics
+// Float64Histogram by the package's nearest-rank walk (rankBucket) and
+// returns the lower bound of the bucket it lands in, floored at 0 (0
+// for an empty histogram).
 func histP99(h *rtmetrics.Float64Histogram) float64 {
 	if h == nil {
 		return 0
 	}
-	var total uint64
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total == 0 {
+	i := rankBucket(h.Counts, 99)
+	if i < 0 {
 		return 0
 	}
-	goal := uint64(float64(total) * 0.99)
-	if goal == 0 {
-		goal = 1
-	}
-	var seen uint64
-	for i, c := range h.Counts {
-		seen += c
-		if seen >= goal {
-			// Buckets[i] is the lower bound of Counts[i]; the first
-			// bucket's bound can be -Inf, the last's +Inf.
-			lo := h.Buckets[i]
-			if lo < 0 {
-				lo = 0
-			}
-			return lo
-		}
-	}
-	return h.Buckets[len(h.Buckets)-1]
+	return max(h.Buckets[i], 0)
 }

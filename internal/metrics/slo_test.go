@@ -104,7 +104,7 @@ func sloHistory(tput float64, p99 float64, shedPerSec int64) *History {
 				"serve_shed_total":     shedPerSec * int64(i),
 			},
 			Stages: map[string]Summary{
-				StageBatchE2E: {Count: int(n / 8), Mean: p99 / 2, P95: p99 * 0.9, P99: p99},
+				StageBatchE2E: summaryOf(int(n/8), p99/2, p99),
 			},
 		}
 		h.Record(s)
