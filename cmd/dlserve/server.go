@@ -308,8 +308,9 @@ func serve(cfg serveConfig) error {
 	if flight != nil {
 		// Sample the registry of the faulted shard — the one whose
 		// degradation the recorder exists to explain.
-		stop := flight.SampleLoop(fl.Shards()[0].Booster().Registry(), time.Second)
-		defer stop()
+		s := flight.Sampler(fl.Shards()[0].Booster().Registry(), time.Second)
+		s.Start()
+		defer s.Stop()
 	}
 	if histEvery > 0 {
 		// Per-shard history rings behind the merged fleet view; Drain

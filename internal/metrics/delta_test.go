@@ -5,6 +5,16 @@ import (
 	"time"
 )
 
+// uptimeDelta diffs cur against prev over their uptime gap (the whole
+// uptime when prev is nil).
+func uptimeDelta(cur, prev *PipelineSnapshot) *SnapshotDelta {
+	seconds := cur.UptimeSeconds
+	if prev != nil {
+		seconds -= prev.UptimeSeconds
+	}
+	return cur.Delta(prev, seconds)
+}
+
 func TestSnapshotDelta(t *testing.T) {
 	t0 := time.Now()
 	prev := &PipelineSnapshot{
@@ -24,7 +34,7 @@ func TestSnapshotDelta(t *testing.T) {
 			{Name: "degraded", At: t0.Add(2 * time.Second)},
 		},
 	}
-	d := cur.Delta(prev)
+	d := uptimeDelta(cur, prev)
 	if d.Seconds != 5 {
 		t.Fatalf("Seconds = %v, want 5", d.Seconds)
 	}
@@ -49,7 +59,7 @@ func TestSnapshotDeltaNilPrev(t *testing.T) {
 		SpansCompleted: 25,
 		Events:         []Event{{Name: "e", At: time.Now()}},
 	}
-	d := cur.Delta(nil)
+	d := uptimeDelta(cur, nil)
 	if d.Seconds != 4 || d.Counters["images_decoded_total"] != 200 || d.SpansCompleted != 25 {
 		t.Fatalf("whole-uptime delta = %+v", d)
 	}
@@ -60,7 +70,7 @@ func TestSnapshotDeltaNilPrev(t *testing.T) {
 		t.Fatalf("events = %v", d.Events)
 	}
 	var nilSnap *PipelineSnapshot
-	if nilSnap.Delta(nil) != nil {
+	if nilSnap.Delta(nil, 0) != nil {
 		t.Fatal("nil snapshot Delta != nil")
 	}
 	var nilDelta *SnapshotDelta
@@ -83,7 +93,7 @@ func TestSnapshotDeltaRegistryRestart(t *testing.T) {
 		TakenAt: t0.Add(2 * time.Second), UptimeSeconds: 2, // restarted process
 		Counters: map[string]int64{"images_decoded_total": 40},
 	}
-	d := cur.Delta(prev)
+	d := uptimeDelta(cur, prev)
 	if d.Counters["images_decoded_total"] != -4960 {
 		t.Fatalf("restart delta = %d, want -4960 (negative, not clamped)", d.Counters["images_decoded_total"])
 	}
@@ -119,14 +129,14 @@ func TestSnapshotDeltaEventAtBoundary(t *testing.T) {
 		Counters: map[string]int64{}, Events: events[:2]}
 	second := &PipelineSnapshot{TakenAt: end, UptimeSeconds: 2,
 		Counters: map[string]int64{}, Events: events}
-	d := second.Delta(first)
+	d := uptimeDelta(second, first)
 	if len(d.Events) != 1 || d.Events[0].Name != "after" {
 		t.Fatalf("interval events = %v, want only the strictly-after one", d.Events)
 	}
 	// Conservation across the boundary: the whole-interval event set is
 	// the union of the first interval's (vs nil) and the second's.
-	whole := second.Delta(nil)
-	firstHalf := first.Delta(nil)
+	whole := uptimeDelta(second, nil)
+	firstHalf := uptimeDelta(first, nil)
 	if len(firstHalf.Events)+len(d.Events) != len(whole.Events) {
 		t.Fatalf("boundary event double-counted or dropped: %d + %d != %d",
 			len(firstHalf.Events), len(d.Events), len(whole.Events))
@@ -153,7 +163,7 @@ func TestSnapshotDeltaConservation(t *testing.T) {
 	a := mk(1, 100, 3, 10)
 	b := mk(4.5, 950, 40, 112)
 	c := mk(9, 2212, 41, 263)
-	ab, bc, ac := b.Delta(a), c.Delta(b), c.Delta(a)
+	ab, bc, ac := uptimeDelta(b, a), uptimeDelta(c, b), uptimeDelta(c, a)
 	for k := range ac.Counters {
 		if ab.Counters[k]+bc.Counters[k] != ac.Counters[k] {
 			t.Fatalf("counter %s: %d + %d != %d", k, ab.Counters[k], bc.Counters[k], ac.Counters[k])

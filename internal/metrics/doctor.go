@@ -119,7 +119,7 @@ const (
 
 // Diagnose is the bottleneck doctor. It merges the shard histories
 // (MergeHistories; a one-shard slice is used as it is), reads every
-// window — each adjacent sample pair, or a one-sample history's lone
+// window — each sample after the first, or a one-sample history's lone
 // sample — and ranks the verdicts across time. Each shard is diagnosed
 // on its own too, to name outliers. Nil when no shard has a sample.
 func Diagnose(shards []*History) *Diagnosis {
@@ -162,11 +162,7 @@ func diagnoseHistory(h *History, boards int) *Diagnosis {
 	counts := make(map[string]int)
 	transitions := 0
 	for i := min(1, len(samples)-1); i < len(samples); i++ {
-		var prev *PipelineSnapshot
-		if i > 0 {
-			prev = samples[i-1].Snapshot
-		}
-		d = diagnoseWindow(samples[i].Snapshot, prev, boards)
+		d = diagnoseWindow(&samples[i], boards)
 		if n := len(seq); n > 0 && seq[n-1] != d.Verdict {
 			transitions++
 		}
@@ -210,20 +206,14 @@ func boardsOf(h *History) int {
 	return max(boards, 1)
 }
 
-// diagnoseWindow reads one window — the interval from prev to cur, or
-// cur alone when prev is nil — over the given number of decoder boards,
-// and returns its verdict, ranked findings and throughput. Counters and
-// stage summaries are the interval's (SubtractSummaries); queue depths
-// and gauges are cur's.
-func diagnoseWindow(cur, prev *PipelineSnapshot, boards int) *Diagnosis {
+// diagnoseWindow reads one window — one history sample — over the
+// given number of decoder boards, and returns its verdict, ranked
+// findings and throughput. Counters, rates and stage summaries are the
+// sample's interval (Delta, IntervalStages); queue depths, gauges and
+// lifetime counters are its cumulative snapshot's.
+func diagnoseWindow(s *HistorySample, boards int) *Diagnosis {
 	d := &Diagnosis{}
-	stage := func(name string) Summary {
-		if prev == nil {
-			return cur.Stages[name]
-		}
-		return SubtractSummaries(cur.Stages[name], prev.Stages[name])
-	}
-	delta := cur.Delta(prev)
+	cur, delta, stage := s.Snapshot, s.Delta, s.IntervalStages
 	d.Throughput = delta.Rate("images_decoded_total")
 
 	fullFill, fullKnown := queueFill(cur, "full_batch")
@@ -233,16 +223,16 @@ func diagnoseWindow(cur, prev *PipelineSnapshot, boards int) *Diagnosis {
 	_, freeKnown := cur.Queues["hugepage_free"]
 	transFill, transKnown := maxTransFill(cur)
 
-	decode := stage(StageFPGADecode)
+	decode := stage[StageFPGADecode]
 	if cur.Gauges["degraded"] >= 1 {
 		// While degraded the host decode lanes are the decode stage.
-		if fb := stage(StageCPUFallback); fb.Count > 0 {
+		if fb := stage[StageCPUFallback]; fb.Count > 0 {
 			decode = fb
 		}
 	}
-	copySync := stage(StageCopySync)
-	getWait := stage(StageGetItemWait)
-	e2e := stage(StageBatchE2E)
+	copySync := stage[StageCopySync]
+	getWait := stage[StageGetItemWait]
+	e2e := stage[StageBatchE2E]
 
 	// Little's law: images/s × mean decode seconds = decoders busy, in
 	// board-equivalents. Near (or above) the board count means the
@@ -290,7 +280,7 @@ func diagnoseWindow(cur, prev *PipelineSnapshot, boards int) *Diagnosis {
 			Code: VerdictGPUBound, Confidence: conf,
 			Title: "compute engines limit throughput (Trans Full queues at capacity)",
 			Evidence: append(queueEv,
-				ev("infer_e2e p95 %.3fms, train_iter p95 %.3fms", stage(StageInferE2E).P95, stage(StageTrainIter).P95)),
+				ev("infer_e2e p95 %.3fms, train_iter p95 %.3fms", stage[StageInferE2E].P95, stage[StageTrainIter].P95)),
 			Advice: "the pipeline feeds the GPUs faster than they compute — the paper's performance boundary; add GPUs/solvers or grow the model budget, preprocessing is not the problem",
 		})
 	case fullKnown && transKnown && fullFill >= fillHigh && transFill <= fillLow:

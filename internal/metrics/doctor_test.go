@@ -7,11 +7,15 @@ import (
 	"time"
 )
 
+// doctorEpoch is the fixture registries' start: a fixture snapshot is
+// taken at doctorEpoch + UptimeSeconds, so its wall clock and its
+// uptime agree the way a registry's do.
+var doctorEpoch = time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+
 // doctorSnap builds a synthetic snapshot with the queue signature and
 // stage stats a scenario needs.
 func doctorSnap(mut func(*PipelineSnapshot)) *PipelineSnapshot {
 	s := &PipelineSnapshot{
-		TakenAt:       time.Now(),
 		UptimeSeconds: 10,
 		Counters: map[string]int64{
 			"images_decoded_total": 1000,
@@ -29,7 +33,17 @@ func doctorSnap(mut func(*PipelineSnapshot)) *PipelineSnapshot {
 		},
 	}
 	mut(s)
+	s.TakenAt = doctorEpoch.Add(time.Duration(s.UptimeSeconds * float64(time.Second)))
 	return s
+}
+
+// windowOf reads the window from prev to cur (cur alone when prev is
+// nil): the newest sample of the history those snapshots record.
+func windowOf(cur, prev *PipelineSnapshot, boards int) *Diagnosis {
+	h := NewHistory(2)
+	h.Record(prev)
+	h.Record(cur)
+	return diagnoseWindow(h.Latest(), boards)
 }
 
 // diagnoseFixture runs the window rules on one fixture window, then
@@ -39,10 +53,10 @@ func doctorSnap(mut func(*PipelineSnapshot)) *PipelineSnapshot {
 // spread that is the shard itself.
 func diagnoseFixture(t *testing.T, cur, prev *PipelineSnapshot) *Diagnosis {
 	t.Helper()
-	w := diagnoseWindow(cur, prev, 1)
 	h := NewHistory(2)
 	h.Record(prev)
 	h.Record(cur)
+	w := diagnoseWindow(h.Latest(), 1)
 	d := Diagnose([]*History{h})
 	if d == nil {
 		t.Fatal("Diagnose over a non-empty history returned nil")
@@ -334,7 +348,7 @@ func TestDiagnoseHistorySustainedVsTransient(t *testing.T) {
 	}
 	// The spike window itself still reads dispatcher-bound — the
 	// difference is temporal judgement, not weaker window rules.
-	spike := diagnoseWindow(trendSnap(t0, 5, 8, 0), trendSnap(t0, 4, 4, 1), 1)
+	spike := windowOf(trendSnap(t0, 5, 8, 0), trendSnap(t0, 4, 4, 1), 1)
 	if spike.Verdict != VerdictDispatcherBound {
 		t.Fatalf("spike window verdict = %s", spike.Verdict)
 	}
@@ -377,7 +391,7 @@ func TestDiagnoseHistoryTooShort(t *testing.T) {
 	h := NewHistory(4)
 	h.Record(trendSnap(t0, 1, 0, 0))
 	d := Diagnose([]*History{h})
-	if want := diagnoseWindow(trendSnap(t0, 1, 0, 0), nil, 1); d == nil || d.Windows != 1 || d.Verdict != want.Verdict {
+	if want := windowOf(trendSnap(t0, 1, 0, 0), nil, 1); d == nil || d.Windows != 1 || d.Verdict != want.Verdict {
 		t.Fatalf("one-sample diagnosis = %+v, want one %s window", d, want.Verdict)
 	}
 	// Two samples are still one window: a verdict, but no trend labels.
@@ -495,7 +509,7 @@ func TestDiagnoseFleetOutlierSentence(t *testing.T) {
 	if len(d.Shards) != 4 || d.Shards[3].Verdict != VerdictDecoderBound {
 		t.Fatalf("per-shard verdicts: %+v", d.Shards)
 	}
-	if want := diagnoseWindow(MergeSnapshots([]*PipelineSnapshot{
+	if want := windowOf(MergeSnapshots([]*PipelineSnapshot{
 		healthySnapshot(), healthySnapshot(), healthySnapshot(), decoderBoundSnapshot(),
 	}).Total, nil, 4); d.Verdict != want.Verdict {
 		t.Fatalf("fleet verdict %q, want the rollup's %q", d.Verdict, want.Verdict)
@@ -525,7 +539,7 @@ func TestDoctorIdleWindowAfterTraffic(t *testing.T) {
 	busy := trendSnap(t0, 10, 0, 0)
 	idle := trendSnap(t0, 10, 0, 0)
 	idle.TakenAt, idle.UptimeSeconds = t0.Add(11*time.Second), 11
-	if d := diagnoseWindow(busy, trendSnap(t0, 9, 0, 0), 1); d.Verdict != VerdictDecoderBound {
+	if d := windowOf(busy, trendSnap(t0, 9, 0, 0), 1); d.Verdict != VerdictDecoderBound {
 		t.Fatalf("busy window = %s, want %s", d.Verdict, VerdictDecoderBound)
 	}
 	d := diagnoseFixture(t, idle, busy)
@@ -555,5 +569,36 @@ func TestDiagnoseFleetCountsEveryBoard(t *testing.T) {
 	}
 	if own := strings.Join(d.Shards[0].Findings[0].Evidence, "\n"); !strings.Contains(own, "over 1 board(s)") || !strings.Contains(own, "(util 1.00)") {
 		t.Fatalf("shard evidence:\n%s", own)
+	}
+}
+
+// TestDiagnoseThroughputIsWindowRate: the doctor and the SLO window
+// read one interval. A sampler that stalled stamps a 4 s wall-clock gap
+// across a 5 s uptime gap; the doctor's throughput is the sample's own
+// rate over the measured 4 s, not a second delta over the uptime gap.
+func TestDiagnoseThroughputIsWindowRate(t *testing.T) {
+	prev := doctorSnap(func(s *PipelineSnapshot) {
+		s.UptimeSeconds = 5
+		s.Counters["images_decoded_total"] = 400
+	})
+	cur := doctorSnap(func(s *PipelineSnapshot) {
+		s.UptimeSeconds = 10
+		s.Counters["images_decoded_total"] = 1000
+	})
+	cur.TakenAt = prev.TakenAt.Add(4 * time.Second)
+	h := NewHistory(4)
+	h.Record(prev)
+	h.Record(cur)
+	want := h.Latest().Delta.Rate("images_decoded_total")
+	if want != 150 {
+		t.Fatalf("sample rate = %v, want (1000-400)/4 = 150", want)
+	}
+	if d := Diagnose([]*History{h}); d == nil || d.Throughput != want {
+		t.Fatalf("doctor throughput = %+v, want the window rate %v", d, want)
+	}
+	// The SLO scorecard's trailing window over that one interval reads
+	// the same rate.
+	if got := h.Window(4 * time.Second).Rate("images_decoded_total"); got != want {
+		t.Fatalf("4s window rate = %v, want %v", got, want)
 	}
 }

@@ -21,28 +21,18 @@ type FlightNote struct {
 	At     time.Time `json:"at"`
 }
 
-// MiniSnapshot is the flight recorder's periodic sample: the cheap,
-// pull-based subset of a PipelineSnapshot (counters, gauges, queue
-// depths) without stage summaries, events or spans, so a ring of them
-// stays small while still showing how queue depths and counters moved
-// in the seconds before an incident.
-type MiniSnapshot struct {
-	TakenAt  time.Time             `json:"taken_at"`
-	Counters map[string]int64      `json:"counters,omitempty"`
-	Gauges   map[string]float64    `json:"gauges,omitempty"`
-	Queues   map[string]QueueDepth `json:"queues,omitempty"`
-}
-
 // FlightDump is the serialised post-mortem: everything the recorder's
 // rings held at dump time, stamped with the reason that triggered it.
+// Samples are the recorder's History samples, oldest first, so queue
+// depths, counters and interval rates read the same as /history.json.
 // WriteChromeTrace renders it as a loadable timeline.
 type FlightDump struct {
-	DumpedAt   time.Time      `json:"dumped_at"`
-	Reason     string         `json:"reason"`
-	SpansTotal int64          `json:"spans_total"`
-	Spans      []Span         `json:"spans,omitempty"`
-	Notes      []FlightNote   `json:"notes,omitempty"`
-	Samples    []MiniSnapshot `json:"samples,omitempty"`
+	DumpedAt   time.Time       `json:"dumped_at"`
+	Reason     string          `json:"reason"`
+	SpansTotal int64           `json:"spans_total"`
+	Spans      []Span          `json:"spans,omitempty"`
+	Notes      []FlightNote    `json:"notes,omitempty"`
+	Samples    []HistorySample `json:"samples,omitempty"`
 }
 
 // FlightConfig tunes the flight recorder. The zero value is usable:
@@ -52,8 +42,6 @@ type FlightConfig struct {
 	SpanRing int
 	// NoteRing bounds the note ring (default 256).
 	NoteRing int
-	// SampleRing bounds the mini-snapshot ring (default 64).
-	SampleRing int
 	// DumpDir is where triggered dumps land as timestamped JSON files;
 	// empty disables dumping (the rings still record).
 	DumpDir string
@@ -76,9 +64,10 @@ func DefaultDumpOn() []string {
 	return []string{"degraded", "fault_stuck", "backend_error", "panic"}
 }
 
-// FlightRecorder is the always-on black box of the pipeline: three
-// fixed-size rings (completed batch spans, notes, periodic
-// mini-snapshots) recorded with one short mutex hold each, cheap enough
+// FlightRecorder is the always-on black box of the pipeline: two
+// fixed-size rings (completed batch spans, notes) recorded with one
+// short mutex hold each, plus a flightSamples-deep History that a
+// Sampler fills (see FlightRecorder.Sampler) — cheap enough
 // to leave running even when full registry tracing is off. On a
 // triggering note — a degradation event, a device revocation storm, a
 // crash — it dumps the rings to a timestamped JSON file, so post-mortems
@@ -95,11 +84,15 @@ type FlightRecorder struct {
 	spansTotal int64
 	notes      []FlightNote
 	noteNext   int
-	samples    []MiniSnapshot
-	sampleNext int
 	lastDump   time.Time
 	dumps      int
+
+	hist *History
 }
+
+// flightSamples is the depth of the recorder's sample ring: at dlserve's
+// 1 s sampling, the minute before an incident.
+const flightSamples = 64
 
 // NewFlightRecorder builds a recorder with the configured ring sizes
 // and dump policy.
@@ -110,9 +103,6 @@ func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
 	if cfg.NoteRing <= 0 {
 		cfg.NoteRing = 256
 	}
-	if cfg.SampleRing <= 0 {
-		cfg.SampleRing = 64
-	}
 	if cfg.DumpMinInterval <= 0 {
 		cfg.DumpMinInterval = 5 * time.Second
 	}
@@ -122,7 +112,7 @@ func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
 	if cfg.DumpOn == nil {
 		cfg.DumpOn = DefaultDumpOn()
 	}
-	return &FlightRecorder{cfg: cfg}
+	return &FlightRecorder{cfg: cfg, hist: NewHistory(flightSamples)}
 }
 
 // Span records one completed batch span into the ring. Registries with
@@ -188,50 +178,19 @@ func (f *FlightRecorder) Note(name, detail string) (dumpPath string) {
 	return ""
 }
 
-// Sample records the cheap subset of a snapshot into the sample ring. A
-// nil snapshot is ignored.
-func (f *FlightRecorder) Sample(s *PipelineSnapshot) {
-	if f == nil || s == nil {
-		return
+// Sampler returns a Sampler that snapshots the registry into the
+// recorder's sample ring at the given interval (1 s when ≤ 0); the
+// caller starts and stops it. A nil recorder or registry returns a nil
+// Sampler, whose methods do nothing.
+func (f *FlightRecorder) Sampler(r *Registry, every time.Duration) *Sampler {
+	if f == nil {
+		return nil
 	}
-	m := MiniSnapshot{
-		TakenAt:  s.TakenAt,
-		Counters: s.Counters,
-		Gauges:   s.Gauges,
-		Queues:   s.Queues,
+	s := NewSampler(r, SamplerConfig{Interval: every})
+	if s != nil {
+		s.hist = f.hist
 	}
-	f.mu.Lock()
-	if len(f.samples) < f.cfg.SampleRing {
-		f.samples = append(f.samples, m)
-	} else {
-		f.samples[f.sampleNext] = m
-		f.sampleNext = (f.sampleNext + 1) % f.cfg.SampleRing
-	}
-	f.mu.Unlock()
-}
-
-// SampleLoop snapshots the registry into the sample ring at the given
-// interval until the returned stop function is called. The goroutine
-// exits after stop; stop is idempotent.
-func (f *FlightRecorder) SampleLoop(r *Registry, every time.Duration) (stop func()) {
-	if f == nil || r == nil || every <= 0 {
-		return func() {}
-	}
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				f.Sample(r.Snapshot())
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
+	return s
 }
 
 // Dump forces a dump now, regardless of the DumpOn set and the
@@ -310,8 +269,7 @@ func (f *FlightRecorder) dumpLocked(reason string, now time.Time) FlightDump {
 	d.Spans = append(d.Spans, f.spans[:f.spanNext]...)
 	d.Notes = append(d.Notes, f.notes[f.noteNext:]...)
 	d.Notes = append(d.Notes, f.notes[:f.noteNext]...)
-	d.Samples = append(d.Samples, f.samples[f.sampleNext:]...)
-	d.Samples = append(d.Samples, f.samples[:f.sampleNext]...)
+	d.Samples = f.hist.Samples()
 	return d
 }
 

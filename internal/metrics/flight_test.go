@@ -15,8 +15,9 @@ func TestFlightNilSafety(t *testing.T) {
 	if p := f.Note("degraded", "x"); p != "" {
 		t.Fatalf("nil recorder dumped to %q", p)
 	}
-	f.Sample(&PipelineSnapshot{})
-	f.SampleLoop(NewRegistry(), time.Millisecond)()
+	s := f.Sampler(NewRegistry(), time.Millisecond)
+	s.Start()
+	s.Stop()
 	if _, err := f.Dump("x"); err != nil {
 		t.Fatalf("nil Dump: %v", err)
 	}
@@ -164,21 +165,26 @@ func TestFlightDumpOnPanic(t *testing.T) {
 }
 
 func TestFlightSampleRing(t *testing.T) {
-	f := NewFlightRecorder(FlightConfig{SampleRing: 2})
-	for i := 1; i <= 3; i++ {
-		f.Sample(&PipelineSnapshot{
+	f := NewFlightRecorder(FlightConfig{})
+	for i := 1; i <= flightSamples+2; i++ {
+		f.hist.Record(&PipelineSnapshot{
 			TakenAt:  time.Unix(int64(i), 0),
 			Counters: map[string]int64{"n": int64(i)},
 			Queues:   map[string]QueueDepth{"full_batch": {Len: i, Cap: 8}},
 		})
 	}
-	f.Sample(nil) // ignored
 	d := f.Contents("test")
-	if len(d.Samples) != 2 {
-		t.Fatalf("kept %d samples, want 2", len(d.Samples))
+	if len(d.Samples) != flightSamples {
+		t.Fatalf("kept %d samples, want %d", len(d.Samples), flightSamples)
 	}
-	if d.Samples[0].Counters["n"] != 2 || d.Samples[1].Counters["n"] != 3 {
-		t.Fatalf("samples out of order: %+v", d.Samples)
+	// Oldest first, the two oldest evicted; each sample carries its
+	// interval (one n per second) next to the cumulative queue depth.
+	first, last := d.Samples[0], d.Samples[flightSamples-1]
+	if first.Snapshot.Counters["n"] != 3 || last.Snapshot.Counters["n"] != flightSamples+2 {
+		t.Fatalf("samples out of order: first n %d, last n %d", first.Snapshot.Counters["n"], last.Snapshot.Counters["n"])
+	}
+	if last.Delta.Counters["n"] != 1 || last.Delta.Rate("n") != 1 || last.Snapshot.Queues["full_batch"].Len != flightSamples+2 {
+		t.Fatalf("newest sample = %+v, delta %+v", last.Snapshot, last.Delta)
 	}
 }
 
@@ -186,18 +192,22 @@ func TestFlightSampleLoop(t *testing.T) {
 	reg := NewRegistry()
 	reg.Add("ticks", 1)
 	f := NewFlightRecorder(FlightConfig{})
-	stop := f.SampleLoop(reg, time.Millisecond)
-	defer stop()
+	s := f.Sampler(reg, time.Millisecond)
+	s.Start()
+	defer s.Stop()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if len(f.Contents("t").Samples) > 0 {
-			stop()
-			stop() // idempotent
+		if samples := f.Contents("t").Samples; len(samples) > 1 {
+			s.Stop()
+			s.Stop() // idempotent
+			if got := samples[0].Snapshot.Counters["ticks"]; got != 1 {
+				t.Fatalf("sampled ticks = %d, want 1", got)
+			}
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatal("sample loop recorded nothing within 2s")
+	t.Fatal("sampler recorded nothing into the flight ring within 2s")
 }
 
 func TestRegistryForwardsToAttachedFlight(t *testing.T) {

@@ -5,24 +5,25 @@
 // ("decoder-bound for the last 45 s" vs "one transient spike", "what
 // throughput did the last window sustain") only exist over windows. A
 // History keeps the last N samples, each carrying the interval view
-// since its predecessor, so windowed rates, windowed stage percentiles
-// (bucket counts subtracted per interval and summed per window, the
-// arithmetic the fleet rollup uses) and queue-depth trends all fall out
-// of one bounded ring.
+// since its predecessor, computed once in Record: the doctor reads one
+// sample as one window, Window sums samples (stage bucket counts
+// included, the arithmetic the fleet rollup uses), MergeHistories adds
+// aligned shard samples, and the flight recorder dumps them.
 
 package metrics
 
 import (
 	"encoding/json"
 	"math"
+	"sort"
 	"sync"
 	"time"
 )
 
-// HistorySample is one entry of a History ring: the trimmed cumulative
-// snapshot at sample time, the rate-form delta against the previous
-// sample, and the interval stage summaries (SubtractSummaries of the
-// cumulative pair).
+// HistorySample is one entry of a History ring — one telemetry
+// interval: the trimmed cumulative snapshot at sample time, the
+// rate-form delta against the previous sample, and the interval stage
+// summaries.
 type HistorySample struct {
 	// TakenAt is when the sample was captured.
 	TakenAt time.Time `json:"taken_at"`
@@ -34,15 +35,18 @@ type HistorySample struct {
 	// and SLO burn math stay honest when the sampler stalls. The first
 	// sample covers the whole registry uptime.
 	Seconds float64 `json:"seconds"`
-	// Snapshot is the cumulative snapshot, trimmed of events and recent
-	// spans so a long ring stays bounded (events live in Delta instead).
+	// Snapshot is the cumulative snapshot — counters, gauges, queue
+	// depths — trimmed of stages, events and recent spans so a long ring
+	// stays bounded: stage summaries live in IntervalStages and events in
+	// Delta instead.
 	Snapshot *PipelineSnapshot `json:"snapshot"`
 	// Delta is the interval view against the previous sample (against
 	// the registry's start for the first sample): counter differences,
 	// per-second rates, and the events recorded inside the interval.
 	Delta *SnapshotDelta `json:"delta"`
 	// IntervalStages are the per-stage summaries of observations that
-	// landed inside this interval.
+	// landed inside this interval (since registry start for the first
+	// sample).
 	IntervalStages map[string]Summary `json:"interval_stages,omitempty"`
 }
 
@@ -134,16 +138,20 @@ func (w *WindowStats) Rate(name string) float64 {
 }
 
 // History is a bounded ring of HistorySamples, oldest evicted first.
-// Record is cheap (one trim, one delta); the windowed queries walk the
-// ring under the lock. All methods are safe on a nil *History and
-// return zero values there — the same cost contract as Registry, so a
-// pipeline without a sampler pays nothing.
+// Record is cheap (one trim, one delta, one subtraction per stage); the
+// windowed queries walk the ring under the lock. All methods are safe
+// on a nil *History and return zero values there — the same cost
+// contract as Registry, so a pipeline without a sampler pays nothing.
 type History struct {
 	mu   sync.Mutex
 	cap  int
 	ring []HistorySample
 	next int
 	n    int64 // lifetime samples recorded
+	// stages are the newest recorded cumulative stage summaries: the
+	// base the next sample's interval stages subtract, and the only
+	// cumulative bucket counts the ring holds.
+	stages map[string]Summary
 }
 
 // DefaultHistorySamples is the ring capacity when HistoryConfig leaves
@@ -159,55 +167,55 @@ func NewHistory(capacity int) *History {
 	return &History{cap: capacity}
 }
 
-// trimSnapshot drops the unbounded parts of a snapshot (events, recent
-// spans) so a ring of samples stays small; interval events are kept in
-// the sample's Delta instead.
+// trimSnapshot drops the unbounded and interval-derived parts of a
+// snapshot (stages, events, recent spans) so a ring of samples stays
+// small; the sample keeps interval stages and interval events instead.
 func trimSnapshot(s *PipelineSnapshot) *PipelineSnapshot {
 	t := *s
+	t.Stages = nil
 	t.Events = nil
 	t.RecentSpans = nil
 	return &t
 }
 
 // Record appends one cumulative snapshot as a sample, computing its
-// interval delta and interval stage summaries against the previous
-// sample. Nil receivers and nil snapshots are ignored, so callers can
-// thread an optional history unconditionally.
+// interval against the previous sample once: the measured seconds
+// first, then the delta and rates over them, then the interval stage
+// summaries. Nil receivers and nil snapshots are ignored, so callers
+// can thread an optional history unconditionally.
 func (h *History) Record(s *PipelineSnapshot) {
 	if h == nil || s == nil {
 		return
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var prev *HistorySample
+	sample := HistorySample{TakenAt: s.TakenAt, Seconds: s.UptimeSeconds, IntervalStages: s.Stages}
+	var prev *PipelineSnapshot
 	if h.len() > 0 {
-		prev = h.at(h.len() - 1)
-	}
-	sample := HistorySample{TakenAt: s.TakenAt, Snapshot: trimSnapshot(s)}
-	if prev != nil {
-		sample.Delta = s.Delta(prev.Snapshot)
-		// Stamp the measured elapsed time and re-derive the rates from
-		// it: the snapshots' own wall clocks, not the uptime diff (wrong
-		// after a registry restart or across merged fleet snapshots) and
-		// not the nominal sampler tick (wrong when the ticker drops
-		// ticks under CPU saturation).
-		sample.Seconds = sample.Delta.Seconds
+		prev = h.at(h.len() - 1).Snapshot
+		// The measured elapsed time: the snapshots' own wall clocks, not
+		// the uptime diff (negative after a registry restart) and not
+		// the nominal sampler tick (wrong when the ticker drops ticks
+		// under CPU saturation).
+		sample.Seconds = s.UptimeSeconds - prev.UptimeSeconds
 		if !prev.TakenAt.IsZero() && s.TakenAt.After(prev.TakenAt) {
 			sample.Seconds = s.TakenAt.Sub(prev.TakenAt).Seconds()
 		}
-		sample.Delta.Rebase(sample.Seconds)
 		sample.IntervalStages = make(map[string]Summary, len(s.Stages))
 		for k, cur := range s.Stages {
-			iv := SubtractSummaries(cur, prev.Snapshot.Stages[k])
-			if iv.Count > 0 {
+			if iv := SubtractSummaries(cur, h.stages[k]); iv.Count > 0 {
 				sample.IntervalStages[k] = iv
 			}
 		}
-	} else {
-		sample.Delta = s.Delta(nil)
-		sample.Seconds = sample.Delta.Seconds
-		sample.IntervalStages = s.Stages
 	}
+	sample.Delta = s.Delta(prev, sample.Seconds)
+	sample.Snapshot = trimSnapshot(s)
+	h.stages = s.Stages
+	h.push(sample)
+}
+
+// push appends a sample, evicting the oldest when the ring is full.
+func (h *History) push(sample HistorySample) {
 	if len(h.ring) < h.cap {
 		h.ring = append(h.ring, sample)
 	} else {
@@ -319,13 +327,11 @@ func (h *History) Window(window time.Duration) *WindowStats {
 	for i := start; i < n; i++ {
 		s := h.at(i)
 		w.Samples++
-		if s.Delta != nil {
-			w.Seconds += s.Delta.Seconds
-			for k, v := range s.Delta.Counters {
-				w.Counters[k] += v
-			}
-			w.Events = append(w.Events, s.Delta.Events...)
+		w.Seconds += s.Seconds
+		for k, v := range s.Delta.Counters {
+			w.Counters[k] += v
 		}
+		w.Events = append(w.Events, s.Delta.Events...)
 		for k, iv := range s.IntervalStages {
 			w.Stages[k] = MergeSummaries(w.Stages[k], iv)
 		}
@@ -405,19 +411,17 @@ func (h *History) JSON() ([]byte, error) {
 
 // MergeHistories rolls per-shard histories into one fleet history the
 // way MergeSnapshots rolls snapshots: samples align by position from the
-// newest end (shards sampled by one fleet sampler tick together), each
-// aligned set's cumulative snapshots merge via MergeSnapshots, and the
-// merged samples re-derive their deltas and interval summaries from the
-// merged cumulative pairs — so counter conservation carries over from
-// the snapshot merge. Nil and empty histories are skipped; the result's
-// capacity is the largest input capacity (nil when none have samples).
+// newest end (shards sampled by one fleet sampler tick together), and
+// each aligned set adds up into one sample — trimmed snapshots via
+// MergeSnapshots, interval counters and events summed, interval stages
+// via MergeSummaries, Seconds the longest aligned interval. A merged
+// window is therefore the sum of the shards' windows, whatever the ring
+// depths. Nil and empty histories are skipped; the result's capacity is
+// the largest input capacity (nil when none have samples).
 func MergeHistories(hs []*History) *History {
 	depth, capacity := 0, 0
 	samples := make([][]HistorySample, 0, len(hs))
 	for _, h := range hs {
-		if h == nil {
-			continue
-		}
 		s := h.Samples()
 		if len(s) == 0 {
 			continue
@@ -426,9 +430,7 @@ func MergeHistories(hs []*History) *History {
 		if depth == 0 || len(s) < depth {
 			depth = len(s)
 		}
-		if h.Cap() > capacity {
-			capacity = h.Cap()
-		}
+		capacity = max(capacity, h.Cap())
 	}
 	if depth == 0 {
 		return nil
@@ -436,10 +438,28 @@ func MergeHistories(hs []*History) *History {
 	merged := NewHistory(capacity)
 	for i := depth; i >= 1; i-- {
 		snaps := make([]*PipelineSnapshot, 0, len(samples))
+		d := &SnapshotDelta{Counters: make(map[string]int64), Rates: make(map[string]float64)}
+		sample := HistorySample{Delta: d, IntervalStages: make(map[string]Summary)}
 		for _, s := range samples {
-			snaps = append(snaps, s[len(s)-i].Snapshot)
+			p := s[len(s)-i]
+			snaps = append(snaps, p.Snapshot)
+			sample.Seconds = max(sample.Seconds, p.Seconds)
+			for k, v := range p.Delta.Counters {
+				d.Counters[k] += v
+			}
+			d.SpansCompleted += p.Delta.SpansCompleted
+			d.Events = append(d.Events, p.Delta.Events...)
+			for k, iv := range p.IntervalStages {
+				sample.IntervalStages[k] = MergeSummaries(sample.IntervalStages[k], iv)
+			}
 		}
-		merged.Record(MergeSnapshots(snaps).Total)
+		sample.Snapshot = MergeSnapshots(snaps).Total
+		sample.Snapshot.Stages = nil
+		sample.TakenAt = sample.Snapshot.TakenAt
+		d.Seconds = sample.Seconds
+		d.deriveRates()
+		sort.SliceStable(d.Events, func(i, j int) bool { return d.Events[i].At.Before(d.Events[j].At) })
+		merged.push(sample)
 	}
 	return merged
 }

@@ -146,10 +146,10 @@ func TestHistoryWindowConservation(t *testing.T) {
 		h.Record(s)
 	}
 	w := h.Window(0) // whole ring
-	whole := snaps[len(snaps)-1].Delta(snaps[0])
+	whole := uptimeDelta(snaps[len(snaps)-1], snaps[0])
 	// The first sample's delta covers registry start → sample 0, so the
 	// window's counters are whole-interval plus that lead-in.
-	lead := snaps[0].Delta(nil)
+	lead := uptimeDelta(snaps[0], nil)
 	for _, k := range []string{"images_decoded_total", "serve_shed_total"} {
 		want := whole.Counters[k] + lead.Counters[k]
 		if got := w.Counters[k]; got != want {
@@ -167,7 +167,7 @@ func TestHistoryWindowConservation(t *testing.T) {
 	// A trailing sub-window also conserves against its own edges.
 	sub := h.Window(3 * time.Second)
 	first := len(snaps) - sub.Samples
-	wantSub := snaps[len(snaps)-1].Delta(snaps[first-1])
+	wantSub := uptimeDelta(snaps[len(snaps)-1], snaps[first-1])
 	if got := sub.Counters["images_decoded_total"]; got != wantSub.Counters["images_decoded_total"] {
 		t.Fatalf("sub-window counter = %d, want %d", got, wantSub.Counters["images_decoded_total"])
 	}
@@ -285,15 +285,19 @@ func TestMergeHistoriesConservation(t *testing.T) {
 	t0 := time.Now()
 	a, b := NewHistory(8), NewHistory(8)
 	for i := 0; i < 5; i++ {
-		a.Record(histSnap(t0, time.Duration(i)*time.Second, int64(100*i), 2))
+		sa := histSnap(t0, time.Duration(i)*time.Second, int64(100*i), 2)
+		if i == 3 {
+			sa.Events = []Event{{Name: "degraded", At: sa.TakenAt.Add(-time.Second / 2)}}
+		}
+		a.Record(sa)
 		b.Record(histSnap(t0, time.Duration(i)*time.Second, int64(40*i), 6))
 	}
 	m := MergeHistories([]*History{a, b, nil, NewHistory(8)})
 	if m == nil || m.Len() != 5 {
 		t.Fatalf("merged history len = %d, want 5", m.Len())
 	}
-	// Each merged sample's cumulative counter is the shard sum, and the
-	// interval deltas re-derive from the merged cumulatives.
+	// Each merged sample's cumulative counter is the shard sum, and its
+	// interval is the sum of the shards' intervals.
 	last := m.Latest()
 	if got := last.Snapshot.Counters["images_decoded_total"]; got != 4*140 {
 		t.Fatalf("merged cumulative = %d, want %d", got, 4*140)
@@ -301,14 +305,30 @@ func TestMergeHistoriesConservation(t *testing.T) {
 	if got := last.Delta.Counters["images_decoded_total"]; got != 140 {
 		t.Fatalf("merged interval delta = %d, want 140 (100+40)", got)
 	}
+	if last.Seconds != 1 || last.Delta.Rate("images_decoded_total") != 140 {
+		t.Fatalf("merged interval = %vs at %v img/s, want 1s at 140", last.Seconds, last.Delta.Rate("images_decoded_total"))
+	}
+	if got := last.IntervalStages[StageFPGADecode].Count; got != 140 {
+		t.Fatalf("merged interval stage count = %d, want 140", got)
+	}
+	if last.Snapshot.Stages != nil {
+		t.Fatal("merged sample keeps cumulative stages")
+	}
 	// Queue caps sum across shards: 8+8 at each sample.
 	if q := last.Snapshot.Queues["full_batch"]; q.Len != 8 || q.Cap != 16 {
 		t.Fatalf("merged queue = %+v, want 8/16", q)
 	}
-	// Window conservation holds on the merged ring too.
+	// Window conservation holds on the merged ring too, stage counts and
+	// interval events included.
 	w := m.Window(0)
 	if got := w.Counters["images_decoded_total"]; got != 4*140 {
 		t.Fatalf("merged window counter = %d, want %d", got, 4*140)
+	}
+	if got := w.Stages[StageFPGADecode].Count; got != 4*140 {
+		t.Fatalf("merged window stage count = %d, want %d", got, 4*140)
+	}
+	if len(w.Events) != 1 || w.Events[0].Name != "degraded" {
+		t.Fatalf("merged window events = %+v, want the one degraded event", w.Events)
 	}
 	if MergeHistories(nil) != nil || MergeHistories([]*History{nil}) != nil {
 		t.Fatal("merge of no histories should be nil")
@@ -331,6 +351,62 @@ func TestMergeHistoriesUnevenDepths(t *testing.T) {
 	}
 	if got := m.Latest().Snapshot.Counters["images_decoded_total"]; got != 50+1005 {
 		t.Fatalf("merged newest = %d, want %d", got, 50+1005)
+	}
+	// The merged window is the sum of the shards' samples over the
+	// aligned depth: a's last two intervals (10 + 10) plus b's two (its
+	// first covers registry start, 1004, then 1) — not everything a
+	// counted since its own start.
+	want, wantStage := int64(0), 0
+	for _, s := range append(a.Samples()[4:], b.Samples()...) {
+		want += s.Delta.Counters["images_decoded_total"]
+		wantStage += s.IntervalStages[StageFPGADecode].Count
+	}
+	w := m.Window(0)
+	if got := w.Counters["images_decoded_total"]; got != want || want != 10+10+1004+1 {
+		t.Fatalf("merged window counter = %d, want %d (sum of aligned shard samples)", got, want)
+	}
+	if got := w.Stages[StageFPGADecode].Count; got != wantStage || wantStage != int(want) {
+		t.Fatalf("merged window stage count = %d, want %d", got, wantStage)
+	}
+}
+
+// TestHistoryHoldsOneCumulativeSpan pins the ring's stage memory: a
+// sample keeps interval stage summaries only, and the history keeps the
+// newest cumulative summaries as the base of the next interval, so the
+// ring holds at most (Len + 1) cumulative spans of bucket counts per
+// stage rather than two per sample.
+func TestHistoryHoldsOneCumulativeSpan(t *testing.T) {
+	reg := NewRegistry()
+	h := NewHistory(16)
+	stages := []string{StageFPGADecode, StageCopySync, StageBatchE2E}
+	for i := 0; i < 40; i++ {
+		for j := 0; j < 50; j++ {
+			for k, st := range stages {
+				reg.Observe(st, float64(k+1)*(0.5+float64((i*50+j)%97)/10))
+			}
+		}
+		h.Record(reg.Snapshot())
+	}
+	samples := h.Samples()
+	held := 0
+	for _, s := range samples {
+		if s.Snapshot.Stages != nil {
+			t.Fatalf("sample at %v keeps cumulative stages", s.TakenAt)
+		}
+		for _, iv := range s.IntervalStages {
+			held += len(iv.counts)
+		}
+	}
+	span := 0
+	for _, cum := range h.stages {
+		held += len(cum.counts)
+		span += len(cum.counts)
+	}
+	if len(h.stages) != len(stages) || span == 0 {
+		t.Fatalf("history keeps %d cumulative stages (span %d), want %d", len(h.stages), span, len(stages))
+	}
+	if bound := (len(samples) + 1) * span; held > bound {
+		t.Fatalf("ring holds %d bucket counts, want ≤ (Len + 1) × spans = %d", held, bound)
 	}
 }
 

@@ -69,7 +69,7 @@ var traceTracks = []struct {
 // sampled queue depth becomes a counter ("C") series named
 // queue:<name>. Timestamps are offset from the earliest one present so
 // the timeline starts near zero.
-func WriteChromeTrace(w io.Writer, spans []Span, events []Event, samples []MiniSnapshot) error {
+func WriteChromeTrace(w io.Writer, spans []Span, events []Event, samples []HistorySample) error {
 	t0 := earliestTimestamp(spans, events, samples)
 	evs := appendProcessTrace(nil, tracePID, "dlbooster pipeline", spans, events, samples, t0)
 	enc := json.NewEncoder(w)
@@ -81,7 +81,7 @@ func WriteChromeTrace(w io.Writer, spans []Span, events []Event, samples []MiniS
 // stage threads, the span slices, the instant event markers and the
 // queue-depth counter series. A sharded fleet calls it once per shard
 // with a distinct pid, so every shard reads as its own process track.
-func appendProcessTrace(evs []traceEvent, pid int, procName string, spans []Span, events []Event, samples []MiniSnapshot, t0 time.Time) []traceEvent {
+func appendProcessTrace(evs []traceEvent, pid int, procName string, spans []Span, events []Event, samples []HistorySample, t0 time.Time) []traceEvent {
 	evs = append(evs, traceEvent{
 		Name: "process_name", Ph: "M", PID: pid, TID: 0,
 		Args: map[string]any{"name": procName},
@@ -114,14 +114,14 @@ func appendProcessTrace(evs []traceEvent, pid int, procName string, spans []Span
 		})
 	}
 	for _, m := range samples {
-		if m.TakenAt.IsZero() {
+		if m.TakenAt.IsZero() || m.Snapshot == nil {
 			continue
 		}
 		ts := usSince(t0, m.TakenAt)
-		for _, q := range sortedKeys(m.Queues) {
+		for _, q := range sortedKeys(m.Snapshot.Queues) {
 			evs = append(evs, traceEvent{
 				Name: "queue:" + q, Ph: "C", TS: ts, PID: pid, TID: 0,
-				Args: map[string]any{"len": m.Queues[q].Len},
+				Args: map[string]any{"len": m.Snapshot.Queues[q].Len},
 			})
 		}
 	}
@@ -157,7 +157,7 @@ func spanEvents(sp Span, t0 time.Time, pid int) []traceEvent {
 
 // earliestTimestamp scans every non-zero timestamp so the exported
 // timeline is offset to start near zero.
-func earliestTimestamp(spans []Span, events []Event, samples []MiniSnapshot) time.Time {
+func earliestTimestamp(spans []Span, events []Event, samples []HistorySample) time.Time {
 	var t0 time.Time
 	consider := func(t time.Time) {
 		if t.IsZero() {
@@ -230,7 +230,7 @@ func (f *FleetSnapshot) WriteChromeTrace(w io.Writer) error {
 
 // WriteChromeTrace renders a flight dump as a Chrome trace_event
 // timeline: its spans as stage slices, its notes as instant markers,
-// its mini-snapshots as queue-depth counter tracks — a post-mortem file
+// its samples' queue depths as counter tracks — a post-mortem file
 // turned into a picture.
 func (d FlightDump) WriteChromeTrace(w io.Writer) error {
 	events := make([]Event, 0, len(d.Notes))

@@ -35,9 +35,9 @@ func TestWriteChromeTrace(t *testing.T) {
 	base := time.Now()
 	spans := []Span{traceSpan(base, 1), traceSpan(base.Add(20*time.Millisecond), 2)}
 	events := []Event{{Name: "degraded", Detail: "chaos", At: base.Add(15 * time.Millisecond)}}
-	samples := []MiniSnapshot{{
-		TakenAt: base.Add(10 * time.Millisecond),
-		Queues:  map[string]QueueDepth{"full_batch": {Len: 3, Cap: 8}},
+	samples := []HistorySample{{
+		TakenAt:  base.Add(10 * time.Millisecond),
+		Snapshot: &PipelineSnapshot{Queues: map[string]QueueDepth{"full_batch": {Len: 3, Cap: 8}}},
 	}}
 
 	var buf bytes.Buffer
@@ -155,7 +155,7 @@ func TestFlightDumpWriteChromeTrace(t *testing.T) {
 	f := NewFlightRecorder(FlightConfig{})
 	f.Span(traceSpan(time.Now(), 3))
 	f.Note("cmd_revoked", "cmd 9 revoked")
-	f.Sample(&PipelineSnapshot{
+	f.hist.Record(&PipelineSnapshot{
 		TakenAt: time.Now(),
 		Queues:  map[string]QueueDepth{"hugepage_free": {Len: 0, Cap: 4}},
 	})
