@@ -179,7 +179,12 @@ func TestEndToEndInferenceOverTCP(t *testing.T) {
 		backend.CloseBatches()
 	}()
 	go func() { _ = disp.Run() }()
-	go func() { _, _ = inf.Run() }()
+	inferDone := make(chan struct{})
+	go func() {
+		defer close(inferDone)
+		_, _ = inf.Run()
+		close(preds) // Emit's only caller has returned; the reply goroutine's range ends
+	}()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -273,6 +278,7 @@ func TestEndToEndInferenceOverTCP(t *testing.T) {
 		t.Fatalf("latency samples = %d", lat.Summarize().Count)
 	}
 	items.Close()
+	<-inferDone
 }
 
 // TestMirrorSwapEndToEnd runs the speech workload through the identical

@@ -161,6 +161,12 @@ type Booster struct {
 	collected    metrics.Counter
 	partialFlush metrics.Counter
 	cmdID        uint64
+	// idle holds settled pendingSlots for reuse (too big for a map to
+	// store by value without a heap object each). It outlives the epoch,
+	// so only the first epoch pays new(pendingSlot) for the commands it
+	// keeps in flight. Like cmdID it is unguarded: every caller runs one
+	// epoch at a time on a Booster (see RunEpoch).
+	idle []*pendingSlot
 
 	// flight is the optional always-on recorder (nil-safe to call).
 	flight *metrics.FlightRecorder

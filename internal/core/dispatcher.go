@@ -25,7 +25,8 @@ type Solver struct {
 }
 
 // NewSolver allocates a solver with depth device-side batch buffers of
-// batchBytes each.
+// batchBytes each. On failure it frees the buffers it took and closes
+// its stream, so the device is left as it was found.
 func NewSolver(dev *gpu.Device, depth, batchBytes int) (*Solver, error) {
 	if depth < 1 {
 		return nil, errors.New("core: solver depth must be >= 1")
@@ -40,13 +41,19 @@ func NewSolver(dev *gpu.Device, depth, batchBytes int) (*Solver, error) {
 		Free:   queue.New[*gpu.Buffer](depth),
 		Full:   queue.New[*DeviceBatch](depth),
 	}
+	bufs := make([]*gpu.Buffer, 0, depth)
 	for i := 0; i < depth; i++ {
 		buf, err := dev.Malloc(batchBytes)
-		if err != nil {
-			return nil, fmt.Errorf("core: allocating device batch %d: %w", i, err)
+		if err == nil {
+			bufs = append(bufs, buf)
+			err = s.Free.Push(buf)
 		}
-		if err := s.Free.Push(buf); err != nil {
-			return nil, err
+		if err != nil {
+			for _, b := range bufs {
+				_ = b.Free() // each was taken above and freed once here
+			}
+			stream.Close()
+			return nil, fmt.Errorf("core: allocating device batch %d: %w", i, err)
 		}
 	}
 	return s, nil

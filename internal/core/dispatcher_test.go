@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"dlbooster/internal/dataset"
 	"dlbooster/internal/fpga"
@@ -160,11 +163,35 @@ func TestDispatcherValidation(t *testing.T) {
 		t.Fatal("no solvers accepted")
 	}
 	dev, _ := gpu.NewDevice(1, 1<<20)
+	defer dev.Close()
 	if _, err := NewSolver(dev, 0, 128); err == nil {
 		t.Fatal("zero depth accepted")
 	}
 	if _, err := NewSolver(dev, 1, 1<<21); err == nil {
 		t.Fatal("oversized device batch accepted")
+	}
+}
+
+// TestNewSolverFailureReleasesDevice gives NewSolver a device with room
+// for one of its two buffers: the failed call must leave no device
+// memory taken and no stream goroutine running.
+func TestNewSolverFailureReleasesDevice(t *testing.T) {
+	before := runtime.NumGoroutine()
+	dev, err := gpu.NewDevice(0, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSolver(dev, 2, 1024); !errors.Is(err, gpu.ErrOutOfMemory) {
+		t.Fatalf("NewSolver on a device too small for its second buffer: err = %v, want ErrOutOfMemory", err)
+	}
+	if used := dev.MemUsed(); used != 0 {
+		t.Errorf("%d bytes of device memory still taken after the failed NewSolver", used)
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed NewSolver, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -84,9 +84,8 @@ type epochState struct {
 	res     Resilience
 	pending map[uint64]*pendingSlot
 	cur     *building
-	// Settled slots (too big for a map to store by value without a heap
-	// object each) and the FINISH burst buffer are reused across commands.
-	idle  []*pendingSlot
+	// The FINISH burst buffer is reused across commands (settled slots
+	// are reused through the Booster's idle list).
 	comps []fpga.Completion
 	// live tracks every buffer this epoch has taken from the pool but
 	// not yet handed to publish. On an abnormal exit (pool or decoder
@@ -134,6 +133,11 @@ func newEpochState(b *Booster, boards boardDecoder, lanes laneDecoder, fin finis
 // flight recorder turns into a post-mortem dump), and a panic on the
 // epoch goroutine dumps the recorder before it propagates — here, not
 // in each caller, so every launcher of an epoch gets both.
+//
+// Epochs on one Booster run one at a time: the command IDs, the FINISH
+// stream and the slot reuse list are the Booster's and unguarded. Every
+// caller keeps to that — training loops run epochs in sequence, and a
+// fleet shard runs its one streaming epoch on one goroutine.
 func (b *Booster) RunEpoch(col DataCollector) (err error) {
 	defer b.flight.DumpOnPanic()
 	defer func() {
@@ -266,8 +270,8 @@ func (e *epochState) admit(item Item) error {
 	// Algorithm 1 lines 11–12: encapsulate the physical address (base +
 	// offset of this datum in the batch) into the cmd.
 	var ps *pendingSlot
-	if n := len(e.idle); n > 0 {
-		ps, e.idle = e.idle[n-1], e.idle[:n-1]
+	if n := len(b.idle); n > 0 {
+		ps, b.idle = b.idle[n-1], b.idle[:n-1]
 	} else {
 		ps = new(pendingSlot)
 	}
@@ -469,11 +473,13 @@ func (e *epochState) settleFailure(ps *pendingSlot) error {
 }
 
 // retire closes a settled command's account with its batch and parks the
-// slot for the next command.
+// slot, emptied so the Booster's list holds no batch or image between
+// epochs, for the next command.
 func (e *epochState) retire(ps *pendingSlot) error {
 	bld := ps.bld
 	bld.outstanding--
-	e.idle = append(e.idle, ps)
+	*ps = pendingSlot{}
+	e.b.idle = append(e.b.idle, ps)
 	return e.finishIfDone(bld)
 }
 

@@ -23,7 +23,7 @@ func rgbToYCbCr(r, g, b byte) (y, cb, cr byte) {
 	return y, cb, cr
 }
 
-// --- row conversion kernels (see kernels.go) ---
+// --- row conversion kernels ---
 
 // ycbcrRowScalar converts one output row through the reference per-pixel
 // converter: ycbcrRowFast's fallback for the subsampling shapes it does

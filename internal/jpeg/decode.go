@@ -642,14 +642,10 @@ func (co *Coefficients) reconstructInto(p *Planes, s int) error {
 		stride := co.blocksX[i] * s
 		rows := co.blocksY[i] * s
 		plane := p.setPlane(i, stride, rows)
-		var samples [64]byte // an s×s tile, row-major
 		for by := 0; by < co.blocksY[i]; by++ {
 			for bx := 0; bx < co.blocksX[i]; bx++ {
 				blk := &co.comp[i][by*co.blocksX[i]+bx]
-				idctScaledFast(blk, q, s, &samples)
-				for y := 0; y < s; y++ {
-					copy(plane[(by*s+y)*stride+bx*s:], samples[y*s:y*s+s])
-				}
+				idctScaledFast(blk, q, s, plane[by*s*stride+bx*s:], stride)
 			}
 		}
 	}

@@ -98,9 +98,10 @@ var strictHere = []string{"AC run beyond block", "bad AC symbol", "DC category >
 // within ±384 of mid-grey before clamping: a sample is at most
 // |DC|/8 + Σ|AC|/4 away from it. An 8-bit image stays within ±128 plus
 // quantisation error; corrupt but decodable entropy data goes anywhere,
-// and there image/jpeg's fixed-point iDCT wraps (a true −547 came back as
-// +477 in the input that set this bound) where this package's float one
-// saturates, so their pixels legitimately differ.
+// and there both decoders' integer iDCTs wrap, at different bounds:
+// image/jpeg's returned a true −547 as +477 in the input that set this
+// bound, where this package's still clamps (it wraps only beyond about
+// ±2 000), so their pixels legitimately differ.
 func plausibleImage(h *Header, co *Coefficients) bool {
 	for i, c := range h.Components {
 		q := &h.quant[c.QuantID]

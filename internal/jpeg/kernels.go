@@ -1,198 +1,275 @@
 package jpeg
 
-// The fast decode kernels: the iDCT at every scale N/8 (N = 8 is the
-// full-resolution transform) and the YCbCr→RGB loops every decode runs.
-// The bilinear resizer's counterpart lives in internal/imageproc
-// (resize_fast.go).
+// The decode kernels: the integer iDCT at every scale N/8 (N = 8 is the
+// full-resolution transform). The YCbCr→RGB row kernels are in color.go
+// and the bilinear resizer's in internal/imageproc (resize_fast.go); both
+// are byte-exact against their scalar references.
 //
-// Each kernel is numerically EXACT against a reference — byte-for-byte
-// on every input, not PSNR-close. The float iDCT references idct and
-// idctScaled live in reference_test.go; ycbcrRowScalar stays here
-// because ycbcrRowFast falls back to it for layouts it does not cover.
-// Exactness rules out approximating the float64 iDCT with fixed point;
-// instead the fast iDCT wins by restructuring the same float arithmetic
-// (hoisting the int32 dequantise-and-convert out of the basis loops,
-// unrolling the 1-, 2- and 4-point transforms, and skipping exactly-zero
-// coefficients and columns — adding ±0.0 to a float sum is an identity,
-// so sparsity short-cuts are bit-exact), while the YCbCr and resize
-// kernels are genuine fixed-point/SWAR restructurings of loops that
-// were already integer: hoisted per-chroma-sample products shared by
-// the 2×-subsampled pixel pair, branchless sign-mask clamps, and
-// precomputed resize weight tables. Parity is pinned per kernel and
-// over whole decodes (kernels_test.go, reference_test.go).
+// The iDCT is fixed point, as the paper's iDCT unit is. idctConst holds
+// the point-sampled basis scaledBasis[N] normalised to a DC gain of 1
+// (libjpeg's convention), scaled by 2^13 and rounded; every product and
+// sum is int32:
+//
+//   - pass 1 transforms the columns of the dequantised N×N corner and
+//     descales with a rounding shift by 13 − 4, keeping 4 fractional
+//     bits. libjpeg's islow keeps 2; with 2 the overall mean-square error
+//     on IEEE 1180 blocks reads up to 0.019, at that standard's 0.02
+//     limit, and with 4 it reads 0.002–0.005;
+//   - pass 2 transforms the rows and descales by 13 + 4 + 3 (the 3 takes
+//     back the 1/8 the unit DC gains left out) in toSample, which rounds
+//     halves away from zero, adds the +128 level shift and clamps.
+//
+// The DC term is exact, so a DC-only block — and every block at N = 1
+// and 2, whose basis products are all ±1/8 — reconstructs exactly to the
+// float transform's sample. A sample wraps in int32 only beyond about
+// ±2 000 before clamping; a plausible image stays within ±384. Against
+// the float references idct and idctScaled (reference_test.go) every
+// kernel meets the IEEE 1180 accuracy bounds — peak error 1, overall
+// mean-square error 0.02, overall mean error 0.0015 — on that
+// standard's random blocks (TestKernelIDCTScaledExactParity).
+//
+// Each N has its own kernel: a column loop and a row loop, each body the
+// N-point 1-D transform written out in full with the symmetry of the
+// basis, out[x] = E[x] + O[x] and out[N−1−x] = E[x] − O[x], where E sums
+// the even-frequency terms and O the odd. There are no data-dependent
+// branches — no DC-only or zero-column short cuts, which mispredict on
+// real coefficients. Generic integer loops over N measured at most
+// 1.13× (5/8) and 1.36× (3/8) faster than the float kernels these
+// replaced, the straight-line bodies about 3× (EXPERIMENTS.md, "One
+// integer N-point iDCT").
 
-import "math"
+// KernelName names the decode kernels ("int13": 13-bit fixed-point
+// iDCT), for the bench fingerprint.
+func KernelName() string { return "int13" }
 
-// KernelName names the decode kernels ("swar": pure-Go SWAR), for the
-// bench fingerprint.
-func KernelName() string { return "swar" }
+// Fixed-point layout of the two iDCT passes (see the file comment).
+const (
+	idctConstBits = 13
+	pass1Bits     = 4
+	pass1Shift    = idctConstBits - pass1Bits
+	pass1Round    = 1 << (pass1Shift - 1)
+	pass2Shift    = idctConstBits + pass1Bits + 3 // + 3: the 1/8 of the two unit DC gains
+	pass2Bias     = 128<<pass2Shift + 1<<(pass2Shift-1)
+)
 
-// --- fast iDCT kernels -------------------------------------------------
+// toSample descales a pass-2 sum to a sample: rounded to nearest with
+// halves away from zero, as math.Round rounds the float transform's exact
+// halves, then level-shifted and clamped.
+func toSample(x int32) byte {
+	return clamp8Branchless((x + x>>31 + pass2Bias) >> pass2Shift)
+}
 
-// idctScaledFast writes the s×s tile row-major into out[:s*s]: unrolled
-// kernels for s = 1, 2 and 4, the generic one for 3, 5, 6, 7 and the
-// full-resolution 8. Each is the reference idctScaled with the
-// dequantise-and-convert hoisted out of the basis loops — the same float
-// operations in the same order, so the output is bit-identical.
-func idctScaledFast(blk *block, q *QuantTable, s int, out *[64]byte) {
+// idctScaledFast writes the s×s tile of blk, dequantised by q, into dst
+// (row x at dst[x*stride:]), for s = 1…8.
+func idctScaledFast(blk *block, q *QuantTable, s int, dst []byte, stride int) {
 	switch s {
 	case 1:
-		idctScaled1Fast(blk, q, out)
+		idct1(blk, q, dst, stride)
 	case 2:
-		idctScaled2Fast(blk, q, out)
+		idct2(blk, q, dst, stride)
+	case 3:
+		idct3(blk, q, dst, stride)
 	case 4:
-		idctScaled4Fast(blk, q, out)
+		idct4(blk, q, dst, stride)
+	case 5:
+		idct5(blk, q, dst, stride)
+	case 6:
+		idct6(blk, q, dst, stride)
+	case 7:
+		idct7(blk, q, dst, stride)
 	default:
-		idctScaledNFast(blk, q, s, out)
+		idct8(blk, q, dst, stride)
 	}
 }
 
-// idctScaledNFast is the n-point transform over the n×n low-frequency
-// corner, for any n ≤ 8. An empty or DC-only corner — told apart from
-// the levels before any float work — fills the tile with one value.
-// Otherwise each nonzero coefficient is dequantised and converted once
-// and its basis row added into its column, all-zero columns are skipped,
-// and every sum still adds its terms in the reference's order.
-func idctScaledNFast(blk *block, q *QuantTable, n int, out *[64]byte) {
-	b := &scaledBasis[n]
-	if dcOnly(blk, n) {
-		// Every sample is the DC basis product (b[0][x] is one
-		// constant), exactly as the two passes compute it.
-		val := clamp8(int32(math.Round(b[0][0]*(b[0][0]*float64(blk[0]*int32(q[0]))))) + 128)
-		for i := range out[:n*n] {
-			out[i] = val
-		}
-		return
+// idctN is the N-point kernel: blk's N×N low-frequency corner,
+// dequantised, to an N×N tile of dst. idct1 is the DC term alone, d/8,
+// which both passes carry exactly.
+func idct1(blk *block, q *QuantTable, dst []byte, _ int) {
+	dst[0] = toSample(blk[0] * int32(q[0]) << (pass2Shift - 3))
+}
+
+func idct2(blk *block, q *QuantTable, dst []byte, stride int) {
+	k := idctConst[2][1][0]
+	var ws [2][2]int32 // ws[x][v]: column v after pass 1, row x before pass 2
+	for v := range 2 {
+		dc, odd := blk[v]*int32(q[v])<<idctConstBits+pass1Round, k*(blk[8+v]*int32(q[8+v]))
+		ws[0][v], ws[1][v] = (dc+odd)>>pass1Shift, (dc-odd)>>pass1Shift
 	}
-	var tmp [8][8]float64 // tmp[v][x] = Σ_u b[u][x]·d(u,v)
-	var cols [8]int
-	ncols := 0
-	for v := 0; v < n; v++ {
-		col := &tmp[v]
-		nz := false
-		for u := 0; u < n; u++ {
-			if c := blk[u*8+v] * int32(q[u*8+v]); c != 0 {
-				d := float64(c)
-				for x, bx := range b[u][:n] {
-					col[x] += bx * d
-				}
-				nz = true
-			}
-		}
-		if nz {
-			cols[ncols] = v
-			ncols++
-		}
-	}
-	for x := 0; x < n; x++ {
-		var acc [8]float64 // acc[y] = Σ_v b[v][y]·tmp[v][x], ascending v
-		for _, v := range cols[:ncols] {
-			t := tmp[v][x]
-			for y, by := range b[v][:n] {
-				acc[y] += by * t
-			}
-		}
-		for y, s := range acc[:n] {
-			out[x*n+y] = clamp8(int32(math.Round(s)) + 128)
-		}
+	for x := range 2 {
+		t, o := &ws[x], (*[2]byte)(dst[x*stride:])
+		dc, odd := t[0]<<idctConstBits, k*t[1]
+		o[0], o[1] = toSample(dc+odd), toSample(dc-odd)
 	}
 }
 
-// dcOnly reports whether every AC level of the n×n corner is zero. It
-// stops at the first nonzero one, which in a block with AC energy is
-// almost always among the first few it reads.
-func dcOnly(blk *block, n int) bool {
-	for u := 0; u < n; u++ {
-		for v, c := range blk[u*8 : u*8+n] {
-			if c != 0 && u|v != 0 {
-				return false
-			}
-		}
+func idct3(blk *block, q *QuantTable, dst []byte, stride int) {
+	k := &idctConst[3]
+	var ws [3][3]int32 // ws[x][v]: column v after pass 1, row x before pass 2
+	for v := range 3 {
+		d0, d1, d2 := blk[v]*int32(q[v]), blk[8+v]*int32(q[8+v]), blk[16+v]*int32(q[16+v])
+		dc := d0<<idctConstBits + pass1Round
+		e0, o0 := dc+k[2][0]*d2, k[1][0]*d1
+		ws[0][v], ws[2][v] = (e0+o0)>>pass1Shift, (e0-o0)>>pass1Shift
+		ws[1][v] = (dc + k[2][1]*d2) >> pass1Shift
 	}
-	return true
+	for x := range 3 {
+		t, o := &ws[x], (*[3]byte)(dst[x*stride:])
+		dc := t[0] << idctConstBits
+		e0, o0 := dc+k[2][0]*t[2], k[1][0]*t[1]
+		o[0], o[2] = toSample(e0+o0), toSample(e0-o0)
+		o[1] = toSample(dc + k[2][1]*t[2])
+	}
 }
 
-// idctScaled1Fast: the 1-point transform touches only the DC
-// coefficient; two multiplies reproduce the reference's two passes.
-func idctScaled1Fast(blk *block, q *QuantTable, out *[64]byte) {
-	b0 := scaledBasis[1][0][0]
-	out[0] = clamp8(int32(math.Round(b0*(b0*float64(blk[0]*int32(q[0]))))) + 128)
+func idct4(blk *block, q *QuantTable, dst []byte, stride int) {
+	k := &idctConst[4]
+	var ws [4][4]int32 // ws[x][v]: column v after pass 1, row x before pass 2
+	for v := range 4 {
+		d0, d1, d2 := blk[v]*int32(q[v]), blk[8+v]*int32(q[8+v]), blk[16+v]*int32(q[16+v])
+		d3 := blk[24+v] * int32(q[24+v])
+		dc := d0<<idctConstBits + pass1Round
+		e0, o0 := dc+k[2][0]*d2, k[1][0]*d1+k[3][0]*d3
+		e1, o1 := dc+k[2][1]*d2, k[1][1]*d1+k[3][1]*d3
+		ws[0][v], ws[3][v] = (e0+o0)>>pass1Shift, (e0-o0)>>pass1Shift
+		ws[1][v], ws[2][v] = (e1+o1)>>pass1Shift, (e1-o1)>>pass1Shift
+	}
+	for x := range 4 {
+		t, o := &ws[x], (*[4]byte)(dst[x*stride:])
+		dc := t[0] << idctConstBits
+		e0, o0 := dc+k[2][0]*t[2], k[1][0]*t[1]+k[3][0]*t[3]
+		e1, o1 := dc+k[2][1]*t[2], k[1][1]*t[1]+k[3][1]*t[3]
+		o[0], o[3] = toSample(e0+o0), toSample(e0-o0)
+		o[1], o[2] = toSample(e1+o1), toSample(e1-o1)
+	}
 }
 
-// idctScaled2Fast: the 2-point transform over the 2×2 low-frequency
-// corner, unrolled, with a DC-only short-cut for EOB-after-DC blocks.
-func idctScaled2Fast(blk *block, q *QuantTable, out *[64]byte) {
-	b := &scaledBasis[2]
-	d00 := float64(blk[0] * int32(q[0])) // (u=0, v=0)
-	if blk[1]|blk[8]|blk[9] == 0 {
-		val := clamp8(int32(math.Round(b[0][0]*(b[0][0]*d00))) + 128)
-		out[0], out[1], out[2], out[3] = val, val, val, val
-		return
+func idct5(blk *block, q *QuantTable, dst []byte, stride int) {
+	k := &idctConst[5]
+	var ws [5][5]int32 // ws[x][v]: column v after pass 1, row x before pass 2
+	for v := range 5 {
+		d0, d1, d2 := blk[v]*int32(q[v]), blk[8+v]*int32(q[8+v]), blk[16+v]*int32(q[16+v])
+		d3, d4 := blk[24+v]*int32(q[24+v]), blk[32+v]*int32(q[32+v])
+		dc := d0<<idctConstBits + pass1Round
+		e0, o0 := dc+k[2][0]*d2+k[4][0]*d4, k[1][0]*d1+k[3][0]*d3
+		e1, o1 := dc+k[2][1]*d2+k[4][1]*d4, k[1][1]*d1+k[3][1]*d3
+		ws[0][v], ws[4][v] = (e0+o0)>>pass1Shift, (e0-o0)>>pass1Shift
+		ws[1][v], ws[3][v] = (e1+o1)>>pass1Shift, (e1-o1)>>pass1Shift
+		ws[2][v] = (dc + k[2][2]*d2 + k[4][2]*d4) >> pass1Shift
 	}
-	d01 := float64(blk[1] * int32(q[1])) // (u=0, v=1)
-	d10 := float64(blk[8] * int32(q[8])) // (u=1, v=0)
-	d11 := float64(blk[9] * int32(q[9])) // (u=1, v=1)
-	// Columns: tmp[x*2+v] = Σ_u b[u][x]·d(u,v), ascending u.
-	t00 := b[0][0]*d00 + b[1][0]*d10
-	t01 := b[0][0]*d01 + b[1][0]*d11
-	t10 := b[0][1]*d00 + b[1][1]*d10
-	t11 := b[0][1]*d01 + b[1][1]*d11
-	// Rows: out[x*2+y] = Σ_v b[v][y]·tmp[x*2+v], ascending v.
-	out[0] = clamp8(int32(math.Round(b[0][0]*t00+b[1][0]*t01)) + 128)
-	out[1] = clamp8(int32(math.Round(b[0][1]*t00+b[1][1]*t01)) + 128)
-	out[2] = clamp8(int32(math.Round(b[0][0]*t10+b[1][0]*t11)) + 128)
-	out[3] = clamp8(int32(math.Round(b[0][1]*t10+b[1][1]*t11)) + 128)
+	for x := range 5 {
+		t, o := &ws[x], (*[5]byte)(dst[x*stride:])
+		dc := t[0] << idctConstBits
+		e0, o0 := dc+k[2][0]*t[2]+k[4][0]*t[4], k[1][0]*t[1]+k[3][0]*t[3]
+		e1, o1 := dc+k[2][1]*t[2]+k[4][1]*t[4], k[1][1]*t[1]+k[3][1]*t[3]
+		o[0], o[4] = toSample(e0+o0), toSample(e0-o0)
+		o[1], o[3] = toSample(e1+o1), toSample(e1-o1)
+		o[2] = toSample(dc + k[2][2]*t[2] + k[4][2]*t[4])
+	}
 }
 
-// idctScaled4Fast: the 4-point transform over the 4×4 low-frequency
-// corner. Coefficients are dequantised and converted once (the
-// reference redoes both per output column), all-zero columns are
-// skipped exactly, and the basis products are unrolled.
-func idctScaled4Fast(blk *block, q *QuantTable, out *[64]byte) {
-	b := &scaledBasis[4]
-	if blk[1]|blk[2]|blk[3]|blk[8]|blk[9]|blk[10]|blk[11]|
-		blk[16]|blk[17]|blk[18]|blk[19]|blk[24]|blk[25]|blk[26]|blk[27] == 0 {
-		// EOB after DC: sixteen identical samples.
-		val := clamp8(int32(math.Round(b[0][0]*(b[0][0]*float64(blk[0]*int32(q[0]))))) + 128)
-		for i := range out[:16] {
-			out[i] = val
-		}
-		return
+func idct6(blk *block, q *QuantTable, dst []byte, stride int) {
+	k := &idctConst[6]
+	var ws [6][6]int32 // ws[x][v]: column v after pass 1, row x before pass 2
+	for v := range 6 {
+		d0, d1, d2 := blk[v]*int32(q[v]), blk[8+v]*int32(q[8+v]), blk[16+v]*int32(q[16+v])
+		d3, d4, d5 := blk[24+v]*int32(q[24+v]), blk[32+v]*int32(q[32+v]), blk[40+v]*int32(q[40+v])
+		dc := d0<<idctConstBits + pass1Round
+		e0 := dc + k[2][0]*d2 + k[4][0]*d4
+		o0 := k[1][0]*d1 + k[3][0]*d3 + k[5][0]*d5
+		e1 := dc + k[2][1]*d2 + k[4][1]*d4
+		o1 := k[1][1]*d1 + k[3][1]*d3 + k[5][1]*d5
+		e2 := dc + k[2][2]*d2 + k[4][2]*d4
+		o2 := k[1][2]*d1 + k[3][2]*d3 + k[5][2]*d5
+		ws[0][v], ws[5][v] = (e0+o0)>>pass1Shift, (e0-o0)>>pass1Shift
+		ws[1][v], ws[4][v] = (e1+o1)>>pass1Shift, (e1-o1)>>pass1Shift
+		ws[2][v], ws[3][v] = (e2+o2)>>pass1Shift, (e2-o2)>>pass1Shift
 	}
-	var tmp [16]float64
-	var zero [4]bool
-	for v := 0; v < 4; v++ {
-		c0 := blk[v] * int32(q[v])
-		c1 := blk[8+v] * int32(q[8+v])
-		c2 := blk[16+v] * int32(q[16+v])
-		c3 := blk[24+v] * int32(q[24+v])
-		if c0|c1|c2|c3 == 0 {
-			zero[v] = true // tmp column stays exactly zero
-			continue
-		}
-		d0, d1, d2, d3 := float64(c0), float64(c1), float64(c2), float64(c3)
-		tmp[v] = b[0][0]*d0 + b[1][0]*d1 + b[2][0]*d2 + b[3][0]*d3
-		tmp[4+v] = b[0][1]*d0 + b[1][1]*d1 + b[2][1]*d2 + b[3][1]*d3
-		tmp[8+v] = b[0][2]*d0 + b[1][2]*d1 + b[2][2]*d2 + b[3][2]*d3
-		tmp[12+v] = b[0][3]*d0 + b[1][3]*d1 + b[2][3]*d2 + b[3][3]*d3
+	for x := range 6 {
+		t, o := &ws[x], (*[6]byte)(dst[x*stride:])
+		dc := t[0] << idctConstBits
+		e0 := dc + k[2][0]*t[2] + k[4][0]*t[4]
+		o0 := k[1][0]*t[1] + k[3][0]*t[3] + k[5][0]*t[5]
+		e1 := dc + k[2][1]*t[2] + k[4][1]*t[4]
+		o1 := k[1][1]*t[1] + k[3][1]*t[3] + k[5][1]*t[5]
+		e2 := dc + k[2][2]*t[2] + k[4][2]*t[4]
+		o2 := k[1][2]*t[1] + k[3][2]*t[3] + k[5][2]*t[5]
+		o[0], o[5] = toSample(e0+o0), toSample(e0-o0)
+		o[1], o[4] = toSample(e1+o1), toSample(e1-o1)
+		o[2], o[3] = toSample(e2+o2), toSample(e2-o2)
 	}
-	for x := 0; x < 4; x++ {
-		t0, t1, t2, t3 := tmp[x*4], tmp[x*4+1], tmp[x*4+2], tmp[x*4+3]
-		for y := 0; y < 4; y++ {
-			var s float64
-			if !zero[0] {
-				s += b[0][y] * t0
-			}
-			if !zero[1] {
-				s += b[1][y] * t1
-			}
-			if !zero[2] {
-				s += b[2][y] * t2
-			}
-			if !zero[3] {
-				s += b[3][y] * t3
-			}
-			out[x*4+y] = clamp8(int32(math.Round(s)) + 128)
-		}
+}
+
+func idct7(blk *block, q *QuantTable, dst []byte, stride int) {
+	k := &idctConst[7]
+	var ws [7][7]int32 // ws[x][v]: column v after pass 1, row x before pass 2
+	for v := range 7 {
+		d0, d1, d2 := blk[v]*int32(q[v]), blk[8+v]*int32(q[8+v]), blk[16+v]*int32(q[16+v])
+		d3, d4, d5 := blk[24+v]*int32(q[24+v]), blk[32+v]*int32(q[32+v]), blk[40+v]*int32(q[40+v])
+		d6 := blk[48+v] * int32(q[48+v])
+		dc := d0<<idctConstBits + pass1Round
+		e0 := dc + k[2][0]*d2 + k[4][0]*d4 + k[6][0]*d6
+		o0 := k[1][0]*d1 + k[3][0]*d3 + k[5][0]*d5
+		e1 := dc + k[2][1]*d2 + k[4][1]*d4 + k[6][1]*d6
+		o1 := k[1][1]*d1 + k[3][1]*d3 + k[5][1]*d5
+		e2 := dc + k[2][2]*d2 + k[4][2]*d4 + k[6][2]*d6
+		o2 := k[1][2]*d1 + k[3][2]*d3 + k[5][2]*d5
+		ws[0][v], ws[6][v] = (e0+o0)>>pass1Shift, (e0-o0)>>pass1Shift
+		ws[1][v], ws[5][v] = (e1+o1)>>pass1Shift, (e1-o1)>>pass1Shift
+		ws[2][v], ws[4][v] = (e2+o2)>>pass1Shift, (e2-o2)>>pass1Shift
+		ws[3][v] = (dc + k[2][3]*d2 + k[4][3]*d4 + k[6][3]*d6) >> pass1Shift
+	}
+	for x := range 7 {
+		t, o := &ws[x], (*[7]byte)(dst[x*stride:])
+		dc := t[0] << idctConstBits
+		e0 := dc + k[2][0]*t[2] + k[4][0]*t[4] + k[6][0]*t[6]
+		o0 := k[1][0]*t[1] + k[3][0]*t[3] + k[5][0]*t[5]
+		e1 := dc + k[2][1]*t[2] + k[4][1]*t[4] + k[6][1]*t[6]
+		o1 := k[1][1]*t[1] + k[3][1]*t[3] + k[5][1]*t[5]
+		e2 := dc + k[2][2]*t[2] + k[4][2]*t[4] + k[6][2]*t[6]
+		o2 := k[1][2]*t[1] + k[3][2]*t[3] + k[5][2]*t[5]
+		o[0], o[6] = toSample(e0+o0), toSample(e0-o0)
+		o[1], o[5] = toSample(e1+o1), toSample(e1-o1)
+		o[2], o[4] = toSample(e2+o2), toSample(e2-o2)
+		o[3] = toSample(dc + k[2][3]*t[2] + k[4][3]*t[4] + k[6][3]*t[6])
+	}
+}
+
+func idct8(blk *block, q *QuantTable, dst []byte, stride int) {
+	k := &idctConst[8]
+	var ws [8][8]int32 // ws[x][v]: column v after pass 1, row x before pass 2
+	for v := range 8 {
+		d0, d1, d2 := blk[v]*int32(q[v]), blk[8+v]*int32(q[8+v]), blk[16+v]*int32(q[16+v])
+		d3, d4, d5 := blk[24+v]*int32(q[24+v]), blk[32+v]*int32(q[32+v]), blk[40+v]*int32(q[40+v])
+		d6, d7 := blk[48+v]*int32(q[48+v]), blk[56+v]*int32(q[56+v])
+		dc := d0<<idctConstBits + pass1Round
+		e0 := dc + k[2][0]*d2 + k[4][0]*d4 + k[6][0]*d6
+		o0 := k[1][0]*d1 + k[3][0]*d3 + k[5][0]*d5 + k[7][0]*d7
+		e1 := dc + k[2][1]*d2 + k[4][1]*d4 + k[6][1]*d6
+		o1 := k[1][1]*d1 + k[3][1]*d3 + k[5][1]*d5 + k[7][1]*d7
+		e2 := dc + k[2][2]*d2 + k[4][2]*d4 + k[6][2]*d6
+		o2 := k[1][2]*d1 + k[3][2]*d3 + k[5][2]*d5 + k[7][2]*d7
+		e3 := dc + k[2][3]*d2 + k[4][3]*d4 + k[6][3]*d6
+		o3 := k[1][3]*d1 + k[3][3]*d3 + k[5][3]*d5 + k[7][3]*d7
+		ws[0][v], ws[7][v] = (e0+o0)>>pass1Shift, (e0-o0)>>pass1Shift
+		ws[1][v], ws[6][v] = (e1+o1)>>pass1Shift, (e1-o1)>>pass1Shift
+		ws[2][v], ws[5][v] = (e2+o2)>>pass1Shift, (e2-o2)>>pass1Shift
+		ws[3][v], ws[4][v] = (e3+o3)>>pass1Shift, (e3-o3)>>pass1Shift
+	}
+	for x := range 8 {
+		t, o := &ws[x], (*[8]byte)(dst[x*stride:])
+		dc := t[0] << idctConstBits
+		e0 := dc + k[2][0]*t[2] + k[4][0]*t[4] + k[6][0]*t[6]
+		o0 := k[1][0]*t[1] + k[3][0]*t[3] + k[5][0]*t[5] + k[7][0]*t[7]
+		e1 := dc + k[2][1]*t[2] + k[4][1]*t[4] + k[6][1]*t[6]
+		o1 := k[1][1]*t[1] + k[3][1]*t[3] + k[5][1]*t[5] + k[7][1]*t[7]
+		e2 := dc + k[2][2]*t[2] + k[4][2]*t[4] + k[6][2]*t[6]
+		o2 := k[1][2]*t[1] + k[3][2]*t[3] + k[5][2]*t[5] + k[7][2]*t[7]
+		e3 := dc + k[2][3]*t[2] + k[4][3]*t[4] + k[6][3]*t[6]
+		o3 := k[1][3]*t[1] + k[3][3]*t[3] + k[5][3]*t[5] + k[7][3]*t[7]
+		o[0], o[7] = toSample(e0+o0), toSample(e0-o0)
+		o[1], o[6] = toSample(e1+o1), toSample(e1-o1)
+		o[2], o[5] = toSample(e2+o2), toSample(e2-o2)
+		o[3], o[4] = toSample(e3+o3), toSample(e3-o3)
 	}
 }

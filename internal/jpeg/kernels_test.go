@@ -2,17 +2,20 @@ package jpeg
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"dlbooster/internal/pix"
 )
 
-// Every fast kernel must produce byte-identical output to its reference
-// on every input. These tests check that per kernel, over exhaustive or
-// randomised inputs; TestKernelGoldenCorpusByteParity and
-// TestKernelKillSwitchFullPipeline (reference_test.go) check it over whole
+// The colour and resize kernels must produce byte-identical output to
+// their references on every input; the integer iDCT kernels must meet
+// the IEEE 1180 accuracy bounds against the float ones. These tests
+// check that per kernel; TestKernelGoldenCorpusByteParity and
+// TestKernelKillSwitchFullPipeline (reference_test.go) check whole
 // decodes.
 
 func TestKernelClamp8BranchlessMatchesClamp8(t *testing.T) {
@@ -28,83 +31,134 @@ func TestKernelClamp8BranchlessMatchesClamp8(t *testing.T) {
 	}
 }
 
-// randomSparseBlock fills a block with n nonzero coefficients at random
-// natural-order positions, with realistic post-dequantise magnitudes.
-func randomSparseBlock(rng *rand.Rand, n int) block {
-	var blk block
-	for k := 0; k < n; k++ {
-		blk[rng.Intn(64)] = int32(rng.Intn(4001) - 2000)
+// ieee1180Blocks builds the input of one IEEE 1180 run: count random
+// 8×8 spatial blocks with samples in [−lo, hi], each multiplied by sign,
+// through the float forward DCT, rounded and clamped to [−2048, 2047].
+func ieee1180Blocks(rng *rand.Rand, lo, hi, sign, count int) []block {
+	blocks := make([]block, count)
+	for b := range blocks {
+		var px [64]float64
+		for i := range px {
+			px[i] = float64(sign * (rng.Intn(lo+hi+1) - lo))
+		}
+		var tmp [64]float64 // tmp[u*8+y] = Σ_x basis[u][x]·px[x][y]
+		for u := 0; u < 8; u++ {
+			for y := 0; y < 8; y++ {
+				for x := 0; x < 8; x++ {
+					tmp[u*8+y] += cosBasis[u][x] * px[x*8+y]
+				}
+			}
+		}
+		for u := 0; u < 8; u++ {
+			for v := 0; v < 8; v++ {
+				var c float64
+				for y := 0; y < 8; y++ {
+					c += cosBasis[v][y] * tmp[u*8+y]
+				}
+				blocks[b][u*8+v] = min(max(int32(math.Round(c)), -2048), 2047)
+			}
+		}
 	}
-	return blk
+	return blocks
 }
 
-// TestKernelIDCTExactParity pins the full-resolution transform — the
-// generic kernel at N = 8 over a unit quant table, so the levels are the
-// coefficients — to the float reference idct.
-func TestKernelIDCTExactParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260807))
+// ieee1180 runs the integer kernel at scale n and the float reference
+// over every block and checks the IEEE 1180 accuracy bounds on the n×n
+// output: peak error ≤ 1, mean-square error ≤ 0.06 at every position
+// and ≤ 0.02 overall, |mean error| ≤ 0.015 at every position and
+// ≤ 0.0015 overall.
+func ieee1180(t *testing.T, label string, n int, blocks []block, ref func(*block, *[64]byte)) {
+	t.Helper()
 	var unit QuantTable
 	for i := range unit {
 		unit[i] = 1
 	}
-	densities := []int{0, 1, 2, 3, 5, 8, 16, 32, 64}
-	for _, n := range densities {
-		for trial := 0; trial < 200; trial++ {
-			blk := randomSparseBlock(rng, n)
-			if trial%4 == 1 && n > 0 {
-				blk = block{} // DC-only shape
-				blk[0] = int32(rng.Intn(4001) - 2000)
+	var sum, sumSq [64]int
+	peak := 0
+	for b := range blocks {
+		var want, got [64]byte
+		ref(&blocks[b], &want)
+		idctScaledFast(&blocks[b], &unit, n, got[:], n)
+		for i := range n * n {
+			d := int(got[i]) - int(want[i])
+			sum[i] += d
+			sumSq[i] += d * d
+			peak = max(peak, d, -d)
+		}
+	}
+	count := float64(len(blocks))
+	var all, allSq int
+	for i := range n * n {
+		all += sum[i]
+		allSq += sumSq[i]
+		if mse := float64(sumSq[i]) / count; mse > 0.06 {
+			t.Errorf("%s, N=%d: position %d mean-square error %.4f > 0.06", label, n, i, mse)
+		}
+		if me := float64(sum[i]) / count; math.Abs(me) > 0.015 {
+			t.Errorf("%s, N=%d: position %d mean error %.4f, |·| > 0.015", label, n, i, me)
+		}
+	}
+	total := count * float64(n*n)
+	mse, me := float64(allSq)/total, float64(all)/total
+	if peak > 1 || mse > 0.02 || math.Abs(me) > 0.0015 {
+		t.Errorf("%s, N=%d: peak error %d, mean-square error %.4f, mean error %.5f; want ≤ 1, ≤ 0.02, |·| ≤ 0.0015", label, n, peak, mse, me)
+	}
+	t.Logf("%s, N=%d: peak %d, mean-square error %.4f, mean error %+.5f", label, n, peak, mse, me)
+}
+
+// ieee1180Runs are the standard's input ranges, each run with both signs.
+var ieee1180Runs = []struct{ lo, hi int }{{256, 255}, {5, 5}, {300, 300}}
+
+// TestKernelIDCTExactParity holds the full-resolution transform (N = 8)
+// to the IEEE 1180 accuracy bounds against the float reference idct,
+// with a unit quant table so the levels are the coefficients. An empty
+// block must give mid-grey exactly, and dense blocks far beyond any
+// real image (±2000 × q ≤ 255, which wrap in int32) must not panic at
+// any N.
+func TestKernelIDCTExactParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260807))
+	for _, r := range ieee1180Runs {
+		for _, sign := range []int{1, -1} {
+			label := fmt.Sprintf("[-%d, %d]×%+d", r.lo, r.hi, sign)
+			ieee1180(t, label, 8, ieee1180Blocks(rng, r.lo, r.hi, sign, 10000), idct)
+		}
+	}
+	var q QuantTable
+	for n := 1; n <= 8; n++ {
+		var empty block
+		var got [64]byte
+		idctScaledFast(&empty, &q, n, got[:], n)
+		for i, v := range got[:n*n] {
+			if v != 128 {
+				t.Fatalf("N=%d: empty block sample %d = %d, want 128", n, i, v)
 			}
-			if trial%4 == 2 && n > 0 {
-				// Single-column shape: exercises the column short-cuts.
-				col := rng.Intn(8)
-				keep := blk
-				blk = block{}
-				for u := 0; u < 8; u++ {
-					blk[u*8+col] = keep[u*8+col]
-				}
+		}
+		for trial := 0; trial < 100; trial++ {
+			var blk block
+			for i := range blk {
+				blk[i] = int32(rng.Intn(4001) - 2000)
+				q[i] = uint16(1 + rng.Intn(255))
 			}
-			var want, got [64]byte
-			idct(&blk, &want)
-			idctScaledNFast(&blk, &unit, 8, &got)
-			if want != got {
-				t.Fatalf("idctScaledNFast(8) diverges from idct (density %d, trial %d)\nblk:  %v\nwant: %v\ngot:  %v", n, trial, blk, want, got)
-			}
+			idctScaledFast(&blk, &q, n, got[:], n)
 		}
 	}
 }
 
-// TestKernelIDCTScaledExactParity pins idctScaledFast to the reference
-// idctScaled at every scale N = 1…8: the 8-point row of the scaled basis
-// is the full basis, so one reference covers every scale.
+// TestKernelIDCTScaledExactParity holds every scaled kernel, N = 1…8, to
+// the IEEE 1180 accuracy bounds against the float reference idctScaled,
+// which reads the same N×N low-frequency corner of the same blocks.
 func TestKernelIDCTScaledExactParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(8072026))
-	var q QuantTable
-	for s := 1; s <= 8; s++ {
-		for trial := 0; trial < 400; trial++ {
-			for i := range q {
-				q[i] = uint16(1 + rng.Intn(255))
-			}
-			var blk block
-			switch trial % 5 {
-			case 0: // dense
-				blk = randomSparseBlock(rng, 64)
-			case 1: // EOB after DC
-				blk[0] = int32(rng.Intn(2001) - 1000)
-			case 2: // sparse corner
-				blk = randomSparseBlock(rng, 1+rng.Intn(4))
-			case 4: // single column inside the N×N corner
-				col := rng.Intn(s)
-				for u := 0; u < s; u++ {
-					blk[u*8+col] = int32(rng.Intn(2001) - 1000)
-				}
-			default: // empty
-			}
-			var want, got [64]byte
-			idctScaled(&blk, &q, s, &want)
-			idctScaledFast(&blk, &q, s, &got)
-			if want != got {
-				t.Fatalf("idctScaledFast diverges at scale %d (trial %d)\nblk:  %v\nwant: %v\ngot:  %v", s, trial, blk, want, got)
+	var unit QuantTable
+	for i := range unit {
+		unit[i] = 1
+	}
+	for _, r := range ieee1180Runs {
+		for _, sign := range []int{1, -1} {
+			blocks := ieee1180Blocks(rng, r.lo, r.hi, sign, 10000)
+			label := fmt.Sprintf("[-%d, %d]×%+d", r.lo, r.hi, sign)
+			for n := 1; n <= 8; n++ {
+				ieee1180(t, label, n, blocks, func(blk *block, out *[64]byte) { idctScaled(blk, &unit, n, out) })
 			}
 		}
 	}
@@ -136,7 +190,7 @@ func TestKernelYCbCrRowExactParity(t *testing.T) {
 
 // goldenCorpus encodes a spread of layouts, qualities and restart
 // intervals — the decode shapes the pipeline sees in production.
-func goldenCorpus(t *testing.T) map[string][]byte {
+func goldenCorpus(t testing.TB) map[string][]byte {
 	t.Helper()
 	corpus := map[string][]byte{}
 	add := func(name string, img *pix.Image, opt EncodeOptions) {
@@ -154,6 +208,47 @@ func goldenCorpus(t *testing.T) map[string][]byte {
 	add("420-dri", smoothImage(512, 384, 3, 6), EncodeOptions{Quality: 88, Subsample420: true, RestartInterval: 8})
 	add("gray-dri", smoothImage(320, 320, 1, 7), EncodeOptions{Quality: 88, RestartInterval: 16})
 	return corpus
+}
+
+// BenchmarkIDCTScaled times the iDCT kernel alone at each scale N over
+// every coefficient block of the golden corpus, in a fixed order, and
+// reports ns per block.
+func BenchmarkIDCTScaled(b *testing.B) {
+	corpus := goldenCorpus(b)
+	names := make([]string, 0, len(corpus))
+	for name := range corpus {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var blocks []*block
+	var quants []*QuantTable
+	for _, name := range names {
+		h, err := Parse(corpus[name])
+		if err != nil {
+			b.Fatal(err)
+		}
+		co, err := h.EntropyDecode()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i, c := range h.Components {
+			for j := range co.comp[i] {
+				blocks = append(blocks, &co.comp[i][j])
+				quants = append(quants, &h.quant[c.QuantID])
+			}
+		}
+	}
+	for n := 1; n <= 8; n++ {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			var out [64]byte
+			for i := 0; i < b.N; i++ {
+				for j, blk := range blocks {
+					idctScaledFast(blk, quants[j], n, out[:], n)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(blocks)), "ns/block")
+		})
+	}
 }
 
 // TestDecodeScaledIntoPerScaleZeroAllocs extends the steady-state pin to

@@ -2,6 +2,7 @@ package jpeg
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -14,6 +15,19 @@ func dequantize(levels *block, q *QuantTable, out *block) {
 	for i := range levels {
 		out[i] = levels[i] * int32(q[i])
 	}
+}
+
+// roundHalfAway rounds a float transform's sum to the nearest integer,
+// halves away from zero. A sum within 1e-9 of a half is taken as that
+// half: at N = 1 and 2 every basis product is ±1/8, so a sum lands on an
+// exact half for one sample in eight, and the float sums miss it by an
+// ulp either way — math.Round alone split 865 of 5 059 such halves the
+// wrong way on 10 000 IEEE 1180 blocks at N = 2.
+func roundHalfAway(s float64) int32 {
+	if t := math.Trunc(s); math.Abs(math.Abs(s-t)-0.5) < 1e-9 {
+		return int32(t + math.Copysign(1, s))
+	}
+	return int32(math.Round(s))
 }
 
 // idct transforms dequantised coefficients into level-shifted 8-bit
@@ -38,7 +52,7 @@ func idct(coef *block, out *[64]byte) {
 			for v := 0; v < 8; v++ {
 				s += cosBasis[v][y] * row[v]
 			}
-			out[x*8+y] = clamp8(int32(math.Round(s)) + 128)
+			out[x*8+y] = clamp8(roundHalfAway(s) + 128)
 		}
 	}
 }
@@ -67,16 +81,37 @@ func idctScaled(blk *block, q *QuantTable, s int, out *[64]byte) {
 			for v := 0; v < s; v++ {
 				sum += b[v][y] * tmp[x*s+v]
 			}
-			out[x*s+y] = clamp8(int32(math.Round(sum)) + 128)
+			out[x*s+y] = clamp8(roundHalfAway(sum) + 128)
 		}
 	}
 }
 
-// referenceRender reconstructs co at scale s through the reference
-// kernels only — idct (s == 8) or idctScaled, then ycbcrRowScalar — with
-// plain per-image buffers. It is the oracle the decoder's fast kernels
-// must match byte for byte.
-func referenceRender(co *Coefficients, s int) *pix.Image {
+// tileFunc reconstructs one block at scale s into dst (row x at
+// dst[x*stride:]): idctScaledFast's shape.
+type tileFunc func(blk *block, q *QuantTable, s int, dst []byte, stride int)
+
+// floatTile is the float reference transform as a tileFunc: idct at
+// s = 8, idctScaled below.
+func floatTile(blk *block, q *QuantTable, s int, dst []byte, stride int) {
+	var tile [64]byte
+	if s == 8 {
+		var deq block
+		dequantize(blk, q, &deq)
+		idct(&deq, &tile)
+	} else {
+		idctScaled(blk, q, s, &tile)
+	}
+	for y := 0; y < s; y++ {
+		copy(dst[y*stride:], tile[y*s:y*s+s])
+	}
+}
+
+// referenceRender reconstructs co at scale s block by block through
+// tile, then converts colour through ycbcrRowScalar, with plain
+// per-image buffers. With idctScaledFast it is the oracle the decoder
+// must match byte for byte; with floatTile it is the float render the
+// integer iDCT is measured against.
+func referenceRender(co *Coefficients, s int, tile tileFunc) *pix.Image {
 	h := co.hdr
 	planes := make([][]byte, len(h.Components))
 	strides := make([]int, len(h.Components))
@@ -86,18 +121,7 @@ func referenceRender(co *Coefficients, s int) *pix.Image {
 		plane := make([]byte, stride*co.blocksY[i]*s)
 		for by := 0; by < co.blocksY[i]; by++ {
 			for bx := 0; bx < co.blocksX[i]; bx++ {
-				blk := &co.comp[i][by*co.blocksX[i]+bx]
-				var tile [64]byte
-				if s == 8 {
-					var deq block
-					dequantize(blk, q, &deq)
-					idct(&deq, &tile)
-				} else {
-					idctScaled(blk, q, s, &tile)
-				}
-				for y := 0; y < s; y++ {
-					copy(plane[(by*s+y)*stride+bx*s:], tile[y*s:y*s+s])
-				}
+				tile(&co.comp[i][by*co.blocksX[i]+bx], q, s, plane[by*s*stride+bx*s:], stride)
 			}
 		}
 		planes[i], strides[i] = plane, stride
@@ -127,12 +151,33 @@ func referenceRender(co *Coefficients, s int) *pix.Image {
 	return img
 }
 
-// TestKernelGoldenCorpusByteParity pins whole decodes to the reference
-// kernels: for every golden-corpus stream and DRI fixture, at each iDCT
-// scale, ReconstructScaledInto must equal the reference render, and
-// DecodeScaledInto must equal it after imageproc.ResizeBilinearScalar.
-// Each scale is reached twice — at exactly the scaled size (no residual
-// resize) and one pixel short of it in each dimension (a real resize).
+// minFloatPSNR bounds a whole decode through the integer iDCT against
+// the same decode through the float one.
+const minFloatPSNR = 55.0
+
+// checkFloatPSNR fails the test when got is further than minFloatPSNR
+// from the float render want.
+func checkFloatPSNR(t *testing.T, label string, got, want *pix.Image) {
+	t.Helper()
+	p, err := got.PSNR(want)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if p < minFloatPSNR {
+		t.Errorf("%s: PSNR %.1f dB against the float iDCT render, want ≥ %.0f", label, p, minFloatPSNR)
+	}
+}
+
+// TestKernelGoldenCorpusByteParity pins whole decodes: for every
+// golden-corpus stream and DRI fixture, at each iDCT scale,
+// ReconstructScaledInto must equal referenceRender through the
+// per-block kernel, and DecodeScaledInto must equal it after
+// imageproc.ResizeBilinearScalar, byte for byte — so plane assembly,
+// colour conversion and resize are checked exactly. Each scale is
+// reached twice: at exactly the scaled size (no residual resize) and one
+// pixel short of it in each dimension (a real resize). Both decodes must
+// also stay within minFloatPSNR of the same render through the float
+// iDCT.
 func TestKernelGoldenCorpusByteParity(t *testing.T) {
 	streams := goldenCorpus(t)
 	for name, data := range driFixtures(t) {
@@ -149,7 +194,8 @@ func TestKernelGoldenCorpusByteParity(t *testing.T) {
 		}
 		var sc Scratch
 		for s := 1; s <= 8; s++ {
-			want := referenceRender(co, s)
+			want := referenceRender(co, s, idctScaledFast)
+			wantFloat := referenceRender(co, s, floatTile)
 			var pl Planes
 			got := new(pix.Image)
 			gotScale, err := co.ReconstructScaledInto(&pl, got, want.W, want.H)
@@ -157,14 +203,15 @@ func TestKernelGoldenCorpusByteParity(t *testing.T) {
 				t.Fatalf("%s scale %d: ReconstructScaledInto: %v", name, s, err)
 			}
 			if gotScale != s || !bytes.Equal(got.Pix, want.Pix) {
-				t.Errorf("%s scale %d: ReconstructScaledInto (scale %d) differs from the reference kernels", name, s, gotScale)
+				t.Errorf("%s scale %d: ReconstructScaledInto (scale %d) differs from the reference render", name, s, gotScale)
 			}
 			for _, short := range []int{0, 1} {
 				dw, dh := max(want.W-short, 1), max(want.H-short, 1)
-				ref := want
+				ref, refFloat := want, wantFloat
 				if short > 0 {
-					ref = pix.New(dw, dh, want.C)
+					ref, refFloat = pix.New(dw, dh, want.C), pix.New(dw, dh, want.C)
 					imageproc.ResizeBilinearScalar(want, ref)
+					imageproc.ResizeBilinearScalar(wantFloat, refFloat)
 				}
 				dst := pix.New(dw, dh, want.C)
 				scale, err := DecodeScaledInto(data, dst, &sc)
@@ -172,8 +219,9 @@ func TestKernelGoldenCorpusByteParity(t *testing.T) {
 					t.Fatalf("%s→%dx%d: DecodeScaledInto: %v", name, dw, dh, err)
 				}
 				if scale != s || !bytes.Equal(dst.Pix, ref.Pix) {
-					t.Errorf("%s→%dx%d: DecodeScaledInto (scale %d) differs from the reference kernels at scale %d", name, dw, dh, scale, s)
+					t.Errorf("%s→%dx%d: DecodeScaledInto (scale %d) differs from the reference render at scale %d", name, dw, dh, scale, s)
 				}
+				checkFloatPSNR(t, fmt.Sprintf("%s→%dx%d", name, dw, dh), dst, refFloat)
 			}
 		}
 	}
@@ -181,10 +229,11 @@ func TestKernelGoldenCorpusByteParity(t *testing.T) {
 
 // TestKernelKillSwitchFullPipeline runs the whole decode-then-resize
 // pipeline — Decode at full size, then imageproc.ResizeInto with the
-// bilinear filter — and checks it byte for byte against the reference
-// kernels followed by imageproc.ResizeBilinearScalar. The source is an
-// odd-sized encoded image, so partial MCUs and a real downscale are both
-// exercised.
+// bilinear filter — and checks it byte for byte against referenceRender
+// through the per-block kernel followed by imageproc.ResizeBilinearScalar,
+// and within minFloatPSNR of the same pipeline through the float iDCT.
+// The source is an odd-sized encoded image, so partial MCUs and a real
+// downscale are both exercised.
 func TestKernelKillSwitchFullPipeline(t *testing.T) {
 	img := smoothImage(333, 251, 3, 10)
 	data, err := Encode(img, DefaultEncodeOptions())
@@ -199,21 +248,25 @@ func TestKernelKillSwitchFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantFull := referenceRender(co, 8)
+	wantFull := referenceRender(co, 8, idctScaledFast)
+	floatFull := referenceRender(co, 8, floatTile)
 	full, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(full.Pix, wantFull.Pix) {
-		t.Fatal("full decode differs from the reference kernels")
+		t.Fatal("full decode differs from the reference render")
 	}
-	want := pix.New(96, 96, 3)
+	checkFloatPSNR(t, "full decode", full, floatFull)
+	want, wantFloat := pix.New(96, 96, 3), pix.New(96, 96, 3)
 	imageproc.ResizeBilinearScalar(wantFull, want)
+	imageproc.ResizeBilinearScalar(floatFull, wantFloat)
 	got := pix.New(96, 96, 3)
 	if err := imageproc.ResizeInto(full, got, imageproc.Bilinear); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Pix, want.Pix) {
-		t.Error("full pipeline output differs from the reference kernels")
+		t.Error("full pipeline output differs from the reference render")
 	}
+	checkFloatPSNR(t, "full pipeline", got, wantFloat)
 }

@@ -39,6 +39,22 @@ var scaledBasis = func() (b [9][8][8]float64) {
 	return b
 }()
 
+// idctConst[n][u][x] is scaledBasis[n][u][x]·2√2·2^13, rounded: the
+// constants of the integer iDCT kernels (kernels.go). The 2√2 makes the
+// DC gain of each pass exactly 1 (libjpeg's convention), so the DC term
+// is exact and a DC-only block reconstructs to the float transform's
+// sample at every scale; the final descale takes the 1/8 back.
+var idctConst = func() (k [9][8][8]int32) {
+	for n := 1; n <= 8; n++ {
+		for u := 0; u < n; u++ {
+			for x := 0; x < n; x++ {
+				k[n][u][x] = int32(math.Round(scaledBasis[n][u][x] * 2 * math.Sqrt2 * (1 << idctConstBits)))
+			}
+		}
+	}
+	return k
+}()
+
 // ScaleFor returns the smallest iDCT scale N = 1…7 whose scaled output
 // (see ScaledSize) still covers dstW×dstH, so the residual bilinear pass
 // only ever downsamples. 8 means full decode: no N < 8 covers the target
