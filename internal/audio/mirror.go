@@ -18,39 +18,34 @@ type SpeechMirror struct {
 // Name implements fpga.Mirror.
 func (SpeechMirror) Name() string { return "speech" }
 
-// NewDecoder implements fpga.Mirror. A speech job keeps no buffers
-// between commands, so the decoder is just the parameters.
-func (m SpeechMirror) NewDecoder() fpga.Decoder { return m }
+// NewDecoder implements fpga.Mirror.
+func (m SpeechMirror) NewDecoder() fpga.Decoder { return &speechDecoder{params: m.Params} }
 
-// Parse implements fpga.Decoder: WAV header + PCM extraction.
-func (m SpeechMirror) Parse(data []byte) (fpga.Job, error) {
-	clip, err := DecodeWAV(data)
-	if err != nil {
-		return nil, err
-	}
-	return &speechJob{params: m.Params, clip: clip}, nil
-}
-
-type speechJob struct {
+// speechDecoder is one worker's clip, frames and spectrogram image.
+type speechDecoder struct {
 	params SpectrogramParams
 	clip   *Clip
 	frames *Frames
+	img    pix.Image
 }
 
-// EntropyDecode implements fpga.Job: the compute-heavy stage.
-func (j *speechJob) EntropyDecode() (err error) {
-	j.frames, err = ExtractFrames(j.clip, j.params)
+// Parse implements fpga.Decoder: WAV header + PCM extraction.
+func (d *speechDecoder) Parse(data []byte) (err error) {
+	d.clip, err = DecodeWAV(data)
 	return err
 }
 
-// Reconstruct implements fpga.Job: spectrogram image formation.
-func (j *speechJob) Reconstruct(img *pix.Image, _, _ int) (int, error) {
-	j.frames.RenderInto(img)
-	return 8, nil
+// EntropyDecode implements fpga.Decoder: the compute-heavy stage.
+func (d *speechDecoder) EntropyDecode() (err error) {
+	d.frames, err = ExtractFrames(d.clip, d.params)
+	return err
 }
 
-// Release implements fpga.Job.
-func (j *speechJob) Release() {}
+// Reconstruct implements fpga.Decoder: spectrogram image formation.
+func (d *speechDecoder) Reconstruct(_, _ int) (*pix.Image, int, error) {
+	d.frames.RenderInto(&d.img)
+	return &d.img, 8, nil
+}
 
 func init() {
 	fpga.RegisterMirror(SpeechMirror{Params: DefaultSpectrogramParams()})

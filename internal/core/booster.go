@@ -235,7 +235,7 @@ func build(cfg Config, lanes int, decode HostDecode) (*Booster, error) {
 	}
 	if decode == nil {
 		b.boards = newFPGAChannel(b.devs, b.fin)
-		decode = b.mirrorDecode(fpga.NewPipeline(mirror))
+		decode = b.mirrorDecode(mirror, lanes)
 	}
 	b.lanes = newHostLanes(plane.pool.Arena(), b.fin, lanes, decode)
 	plane.reg, plane.traced = cfg.Metrics, cfg.Metrics != nil

@@ -216,11 +216,13 @@ type hostModel struct {
 	ok, bad atomic.Int64
 }
 
-func newHostModel(b *Booster, pipe *fpga.Pipeline, seed int64, lanes int) *hostModel {
+func newHostModel(b *Booster, mirror fpga.Mirror, seed int64, lanes int) *hostModel {
 	h := &hostModel{finishes: finishes{queue.New[fpga.Completion](b.pool.Count() * b.batchSize)}}
 	rngs := make([]*rand.Rand, lanes)
+	decs := make([]fpga.Decoder, lanes)
 	for i := range rngs {
 		rngs[i] = rand.New(rand.NewSource(seed*8 + int64(i)))
+		decs[i] = mirror.NewDecoder()
 	}
 	h.hostLanes = newHostLanes(b.pool.Arena(), h.finishes, lanes, func(lane int, ref fpga.DataRef, dst *pix.Image) error {
 		var err error
@@ -233,7 +235,7 @@ func newHostModel(b *Booster, pipe *fpga.Pipeline, seed int64, lanes int) *hostM
 			time.Sleep(time.Duration(rngs[lane].Intn(400)) * time.Microsecond)
 			fallthrough
 		default:
-			_, err = pipe.Decode(ref.Inline, dst)
+			_, err = fpga.Decode(decs[lane], ref.Inline, dst)
 		}
 		if err == nil {
 			h.ok.Add(1)
@@ -372,7 +374,7 @@ func runEpochModel(t *testing.T, seed int64, lanes int) {
 		}
 		e = newEpochState(b, fake, fakeLanes{fake}, fake)
 	} else {
-		host = newHostModel(b, fpga.NewPipeline(mirror), seed, lanes)
+		host = newHostModel(b, mirror, seed, lanes)
 		defer host.close()
 		e = newEpochState(b, nil, host, host)
 	}

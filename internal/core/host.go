@@ -100,15 +100,19 @@ func (h *hostLanes) close() {
 	h.wg.Wait()
 }
 
-// mirrorDecode is a New Booster's lane decode: the pipeline the boards
-// run (parse → entropy decode → reconstruct → resize), loaded once for
-// the host and shared by its lanes as a board's workers share theirs.
-func (b *Booster) mirrorDecode(p *fpga.Pipeline) HostDecode {
-	return func(_ int, ref fpga.DataRef, dst *pix.Image) error {
+// mirrorDecode is a New Booster's lane decode: the four units the
+// boards run (parse → entropy decode → reconstruct → resize) on one
+// decoder per lane, as each board worker owns one.
+func (b *Booster) mirrorDecode(m fpga.Mirror, lanes int) HostDecode {
+	decs := make([]fpga.Decoder, lanes)
+	for i := range decs {
+		decs[i] = m.NewDecoder()
+	}
+	return func(lane int, ref fpga.DataRef, dst *pix.Image) error {
 		data, err := ref.Bytes(b.cfg.Source)
 		if err == nil {
 			var scale int
-			if scale, err = p.Decode(data, dst); err == nil && scale < 8 {
+			if scale, err = fpga.Decode(decs[lane], data, dst); err == nil && scale < 8 {
 				b.scaledCPU.Add(1)
 			}
 		}

@@ -13,9 +13,9 @@ import (
 	"dlbooster/internal/pix"
 )
 
-// pairMirror is the raw mirror behind a rendezvous: its Parse waits, up
-// to a bound, until a second Parse is in flight at the same time. Once
-// two have met, every later call passes straight through.
+// pairMirror is the raw mirror behind a rendezvous: its decoders' Parse
+// waits, up to a bound, until a second Parse is in flight at the same
+// time. Once two have met, every later call passes straight through.
 type pairMirror struct {
 	mu       sync.Mutex
 	inFlight int
@@ -28,9 +28,18 @@ func init() { fpga.RegisterMirror(pairs) }
 
 func (*pairMirror) Name() string { return "pair" }
 
-func (m *pairMirror) NewDecoder() fpga.Decoder { return m }
+func (m *pairMirror) NewDecoder() fpga.Decoder {
+	return pairDecoder{m, fpga.RawMirror{}.NewDecoder()}
+}
 
-func (m *pairMirror) Parse(data []byte) (fpga.Job, error) {
+// pairDecoder is one worker's raw decoder behind the mirror's rendezvous.
+type pairDecoder struct {
+	m *pairMirror
+	fpga.Decoder
+}
+
+func (d pairDecoder) Parse(data []byte) error {
+	m := d.m
 	m.mu.Lock()
 	m.inFlight++
 	if m.inFlight == 2 {
@@ -48,9 +57,9 @@ func (m *pairMirror) Parse(data []byte) (fpga.Job, error) {
 	}()
 	select {
 	case <-m.met:
-		return fpga.RawMirror{}.Parse(data)
+		return d.Decoder.Parse(data)
 	case <-time.After(2 * time.Second):
-		return nil, errors.New("no second decode came in flight")
+		return errors.New("no second decode came in flight")
 	}
 }
 

@@ -161,7 +161,7 @@ func TestRunEpochSteadyStateAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			epoch() // warm the decoders' free lists
+			epoch() // warm every worker's and every lane's decoder
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			epoch()

@@ -1,0 +1,9 @@
+package econ
+
+import (
+	"testing"
+
+	"dlbooster/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

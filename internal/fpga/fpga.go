@@ -16,9 +16,8 @@
 // downloadable decoder images for different workloads.
 //
 // Like the hardware's fixed FIFOs and on-chip buffers, a warm board
-// allocates nothing per command: a command travels as a typed Job, and
-// each stage buffer is parked on a per-board free list between commands
-// (DESIGN.md §5.10).
+// allocates nothing per command: each worker owns one Decoder, whose
+// stage buffers every command it carries overwrites (DESIGN.md §5.10).
 package fpga
 
 import (
@@ -96,111 +95,53 @@ type Completion struct {
 }
 
 // Mirror is a pluggable decoder image. Its stages are the units of
-// Figure 4: Decoder.Parse runs in the parser, Job.EntropyDecode in the
-// Huffman unit, Job.Reconstruct in the iDCT & RGB unit. The resizer is
-// format-independent and owned by the Pipeline. NewDecoder loads the
-// image onto one board (or one host-CPU decode path): the Decoder owns
-// that board's reusable stage buffers and serves all its workers.
+// Figure 4: Decoder.Parse runs in the parser, Decoder.EntropyDecode in
+// the Huffman unit, Decoder.Reconstruct in the iDCT & RGB unit. The
+// resizer is format-independent. NewDecoder loads the image onto one
+// worker: a board worker or a host lane.
 type Mirror interface {
 	Name() string
 	NewDecoder() Decoder
 }
 
-// Decoder is a loaded image; Parse hands out one command's typed state.
+// Decoder is a mirror loaded onto one worker. It carries one command at
+// a time through the parser, the Huffman unit and the iDCT & RGB unit,
+// in that order, and owns the buffers of each stage, which the next
+// command overwrites; so a warm worker allocates nothing per command.
+// A Decoder is not safe for concurrent use.
 type Decoder interface {
-	Parse(data []byte) (Job, error)
-}
-
-// Job is one command between the parser and the end of the iDCT unit.
-// The image's stage buffers travel inside it, so a warm board allocates
-// nothing per command; whoever holds a Job calls Release exactly once,
-// after Reconstruct or on the error that ends the command.
-type Job interface {
+	Parse(data []byte) error
 	EntropyDecode() error
-	// Reconstruct renders into img (see pix.Image.Reset) and reports the
-	// iDCT scale: 8 for full resolution, N = 1…7 when the image sized
-	// its output to the outW×outH resize target (libjpeg's N/8 scaling
-	// inside the iDCT unit) and left the resizer the residual ratio.
-	Reconstruct(img *pix.Image, outW, outH int) (scale int, err error)
-	Release()
+	// Reconstruct renders the parsed image and reports the iDCT scale: 8
+	// for full resolution, N = 1…7 when the image sized its output to
+	// the outW×outH resize target (libjpeg's N/8 scaling inside the iDCT
+	// unit) and left the resizer the residual ratio. The image belongs
+	// to the decoder until its next Parse.
+	Reconstruct(outW, outH int) (img *pix.Image, scale int, err error)
 }
 
-// Pipeline is a loaded mirror plus the scaled images its iDCT unit hands
-// to the resizer: the four units of Figure 4 as plain calls, run back to
-// back on the caller's goroutine by each Device worker (with a clock per
-// unit) and by Decode, which is the host-CPU rescue path.
-type Pipeline struct {
-	dec    Decoder
-	images freeList[pix.Image]
-}
-
-// NewPipeline loads m.
-func NewPipeline(m Mirror) *Pipeline { return &Pipeline{dec: m.NewDecoder()} }
-
-// lastSample is the first image the JPEG board that closed last parsed,
-// with its output size: a JPEG board built later decodes it before it
-// opens (Pipeline.warm), so its first commands allocate no stage buffer.
-var lastSample atomic.Pointer[Cmd]
-
-// warm decodes s once per worker, holding every job and then every image
-// until the last, so each list starts with the stock n busy workers grow
-// (the planes, taken and returned inside one call, with one).
-func (p *Pipeline) warm(s *Cmd, n int) {
-	jobs := make([]Job, 0, n)
-	for len(jobs) < n {
-		job, err := p.dec.Parse(s.Data.Inline)
-		if err != nil || p.entropy(job) != nil {
-			break
-		}
-		jobs = append(jobs, job)
+// Decode runs parse → entropy decode → reconstruct → resize over data on
+// dec into dst, which fixes the output geometry, and reports the iDCT
+// scale: the four units of Figure 4 back to back, without their clocks.
+func Decode(dec Decoder, data []byte, dst *pix.Image) (scale int, err error) {
+	if err := dec.Parse(data); err != nil {
+		return 0, err
 	}
-	for _, job := range jobs {
-		if img, _, err := p.reconstruct(job, s.OutW, s.OutH); err == nil {
-			defer p.images.put(img)
-		}
+	if err := dec.EntropyDecode(); err != nil {
+		return 0, err
 	}
-}
-
-// Decode runs parse → entropy decode → reconstruct → resize over data
-// into dst, which fixes the output geometry, and reports the iDCT scale.
-func (p *Pipeline) Decode(data []byte, dst *pix.Image) (scale int, err error) {
-	job, err := p.dec.Parse(data)
+	img, scale, err := dec.Reconstruct(dst.W, dst.H)
 	if err != nil {
 		return 0, err
 	}
-	if err := p.entropy(job); err != nil {
-		return 0, err
-	}
-	img, scale, err := p.reconstruct(job, dst.W, dst.H)
-	if err != nil {
-		return 0, err
-	}
-	err = resizeInto(img, dst)
-	p.images.put(img)
-	return scale, err
+	return scale, resizeInto(img, dst)
 }
 
-// entropy is the Huffman unit; a failed job is released here.
-func (p *Pipeline) entropy(job Job) error {
-	err := job.EntropyDecode()
-	if err != nil {
-		job.Release()
-	}
-	return err
-}
-
-// reconstruct is the iDCT & RGB unit: the job ends here either way, and
-// the caller owes p.images the returned image.
-func (p *Pipeline) reconstruct(job Job, outW, outH int) (*pix.Image, int, error) {
-	img := p.images.get()
-	scale, err := job.Reconstruct(img, outW, outH)
-	job.Release()
-	if err != nil {
-		p.images.put(img)
-		return nil, 0, err
-	}
-	return img, scale, nil
-}
+// samples holds, per mirror name, the first command that the board of
+// that mirror closed last decoded and DMA-wrote: a board built later
+// decodes it once on each worker's decoder before it opens, so no worker
+// grows a stage buffer for a first command of that geometry.
+var samples sync.Map // mirror name → *Cmd
 
 // resizeInto is the resizer unit.
 func resizeInto(img, dst *pix.Image) error {
@@ -332,8 +273,7 @@ type Device struct {
 	source DataSource
 
 	mirror Mirror
-	pipe   *Pipeline
-	sample atomic.Pointer[Cmd] // lastSample once the board closes
+	sample atomic.Pointer[Cmd] // stored in samples once the board closes
 
 	cmds        *queue.Queue[Cmd]
 	completions *queue.Queue[Completion]
@@ -387,17 +327,25 @@ func New(cfg Config, arena *hugepage.Arena, source DataSource, mirror Mirror) (*
 		arena:       arena,
 		source:      source,
 		mirror:      mirror,
-		pipe:        NewPipeline(mirror),
 		cmds:        queue.New[Cmd](cfg.CmdQueueCap),
 		completions: queue.New[Completion](cfg.CmdQueueCap * 4),
 		stuckc:      make(chan struct{}),
 		reg:         make(map[uint64]cmdState),
 	}
 	d.regCond = sync.NewCond(&d.regMu)
-	if s := lastSample.Load(); s != nil && d.jpeg() {
-		d.pipe.warm(s, cfg.workers())
+	decs := make([]Decoder, cfg.workers())
+	for i := range decs {
+		decs[i] = mirror.NewDecoder()
 	}
-	d.start()
+	if s, ok := samples.Load(mirror.Name()); ok {
+		s := s.(*Cmd)
+		for _, dec := range decs {
+			if dec.Parse(s.Data.Inline) == nil && dec.EntropyDecode() == nil {
+				dec.Reconstruct(s.OutW, s.OutH)
+			}
+		}
+	}
+	d.start(decs)
 	return d, nil
 }
 
@@ -543,25 +491,25 @@ func (d *Device) Close() {
 		d.wg.Wait()
 		d.completions.Close()
 		if s := d.sample.Load(); s != nil {
-			lastSample.Store(s)
+			samples.Store(d.mirror.Name(), s)
 		}
 	})
 }
 
-// start runs the board's workers: each takes the next command from the
-// FIFO and carries it through every unit to its FINISH, until the FIFO
-// is closed and drained.
-func (d *Device) start() {
-	for i := 0; i < d.cfg.workers(); i++ {
+// start runs the board's workers, one per decoder: each takes the next
+// command from the FIFO and carries it through every unit to its FINISH
+// on its own decoder, until the FIFO is closed and drained.
+func (d *Device) start(decs []Decoder) {
+	for _, dec := range decs {
 		d.wg.Add(1)
 		go func() {
 			defer d.wg.Done()
 			for {
-				cmd, plan, pre, err := d.pop()
+				cmd, plan, pre, err := d.pop(dec)
 				if err != nil {
 					return
 				}
-				d.run(cmd, plan, pre)
+				d.run(dec, cmd, plan, pre)
 			}
 		}()
 	}
@@ -569,7 +517,6 @@ func (d *Device) start() {
 
 // parsed is the parser unit's result for a command pop has parsed.
 type parsed struct {
-	job  Job
 	err  error
 	done bool
 }
@@ -581,7 +528,7 @@ type parsed struct {
 // injector's stream with the decisions, so a corrupt-planned command is
 // parsed (fetched, corrupted, parsed, on the parser clock) before popMu
 // is released. Only an injected corruption holds the other workers.
-func (d *Device) pop() (cmd Cmd, plan faults.Plan, pre parsed, err error) {
+func (d *Device) pop(dec Decoder) (cmd Cmd, plan faults.Plan, pre parsed, err error) {
 	d.popMu.Lock()
 	defer d.popMu.Unlock()
 	if cmd, err = d.cmds.Pop(); err != nil {
@@ -593,7 +540,7 @@ func (d *Device) pop() (cmd Cmd, plan faults.Plan, pre parsed, err error) {
 		d.wedged.Store(true)
 	} else if plan.Corrupt {
 		start := time.Now()
-		pre.job, pre.err = d.parseCmd(cmd, true)
+		_, pre.err = d.parseCmd(dec, cmd, true)
 		pre.done = true
 		d.parserSt.add(start)
 	}
@@ -655,8 +602,9 @@ func (d *Device) Instrument(r *metrics.Registry, prefix string) {
 	})
 }
 
-// run carries one command from its injector decision to its FINISH.
-func (d *Device) run(cmd Cmd, plan faults.Plan, pre parsed) {
+// run carries one command on dec from its injector decision to its
+// FINISH.
+func (d *Device) run(dec Decoder, cmd Cmd, plan faults.Plan, pre parsed) {
 	// Fault hooks run before the stage accounting so an injected stall
 	// does not pollute the load-balance stats.
 	if plan.Stuck {
@@ -672,30 +620,32 @@ func (d *Device) run(cmd Cmd, plan faults.Plan, pre parsed) {
 		d.finish(Completion{ID: cmd.ID, Err: fmt.Errorf("fpga: decode cmd %d: %w", cmd.ID, faults.ErrInjected)})
 		return
 	}
-	n, err := d.decode(cmd, pre)
+	n, err := d.decode(dec, cmd, pre)
 	d.finish(Completion{ID: cmd.ID, Err: err, Bytes: n})
 }
 
-// decode runs the four units back to back, each on its own clock, and
-// returns the bytes DMA-written; the parser is skipped when pop has run
-// it. Every clock stops before the FINISH push, which may block: Busy is
-// service, not back-pressure.
-func (d *Device) decode(cmd Cmd, pre parsed) (int, error) {
+// decode runs the four units back to back on dec, each on its own
+// clock, and returns the bytes DMA-written; the parser is skipped when
+// pop has run it. Every clock stops before the FINISH push, which may
+// block: Busy is service, not back-pressure. The board's first command
+// whose DMA write lands becomes its sample.
+func (d *Device) decode(dec Decoder, cmd Cmd, pre parsed) (int, error) {
 	t := time.Now()
-	job, err := pre.job, pre.err
+	var data []byte
+	err := pre.err
 	if !pre.done {
-		job, err = d.parseCmd(cmd, false)
+		data, err = d.parseCmd(dec, cmd, false)
 		t = d.parserSt.add(t)
 	}
 	if err != nil {
 		return 0, err
 	}
-	err = d.pipe.entropy(job)
+	err = dec.EntropyDecode()
 	t = d.huffmanSt.add(t)
 	if err != nil {
 		return 0, err
 	}
-	img, scale, err := d.pipe.reconstruct(job, cmd.OutW, cmd.OutH)
+	img, scale, err := dec.Reconstruct(cmd.OutW, cmd.OutH)
 	t = d.idctSt.add(t)
 	if err != nil {
 		return 0, err
@@ -704,17 +654,20 @@ func (d *Device) decode(cmd Cmd, pre parsed) (int, error) {
 		d.scaled.Add(1)
 	}
 	err = d.resizeAndDMA(cmd, img)
-	d.pipe.images.put(img)
 	d.resizeSt.add(t)
 	if err != nil {
 		return 0, err
+	}
+	if data != nil && d.sample.Load() == nil {
+		d.sample.CompareAndSwap(nil, &Cmd{Data: DataRef{Inline: bytes.Clone(data)}, OutW: cmd.OutW, OutH: cmd.OutH})
 	}
 	return cmd.OutW * cmd.OutH * cmd.Channels, nil
 }
 
 // parseCmd is the parser unit proper: command validation, the payload
-// fetch, an injected corruption and the mirror's Parse.
-func (d *Device) parseCmd(cmd Cmd, corrupt bool) (Job, error) {
+// fetch, an injected corruption and the mirror's Parse on dec. It
+// returns the payload dec parsed.
+func (d *Device) parseCmd(dec Decoder, cmd Cmd, corrupt bool) ([]byte, error) {
 	if (cmd.Channels != 1 && cmd.Channels != 3) || cmd.OutW <= 0 || cmd.OutH <= 0 {
 		return nil, errBadGeometry
 	}
@@ -731,14 +684,8 @@ func (d *Device) parseCmd(cmd Cmd, corrupt bool) (Job, error) {
 		// real decode-error path downstream is exercised end to end.
 		data = d.cfg.Inject.CorruptBytes(append([]byte(nil), data...))
 	}
-	job, err := d.pipe.dec.Parse(data)
-	if err == nil && !corrupt && d.jpeg() && d.sample.Load() == nil {
-		d.sample.CompareAndSwap(nil, &Cmd{Data: DataRef{Inline: bytes.Clone(data)}, OutW: cmd.OutW, OutH: cmd.OutH})
-	}
-	return job, err
+	return data, dec.Parse(data)
 }
-
-func (d *Device) jpeg() bool { _, ok := d.mirror.(JPEGMirror); return ok }
 
 // window resolves the command's DMA target to the bytes it covers.
 func (d *Device) window(cmd Cmd) ([]byte, error) {

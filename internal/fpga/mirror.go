@@ -53,36 +53,6 @@ func mirrorNamesLocked() []string {
 	return names
 }
 
-// freeList is one board's stock of a reusable stage buffer: get hands out
-// the most recently parked one (the warmest) or makes one when none is
-// parked, so the stock stops growing at the most that were ever live at
-// once: on a board, one per worker. live counts what is handed out right
-// now.
-type freeList[T any] struct {
-	mu   sync.Mutex
-	free []*T
-	live int
-}
-
-func (l *freeList[T]) get() *T {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.live++
-	if n := len(l.free); n > 0 {
-		v := l.free[n-1]
-		l.free = l.free[:n-1]
-		return v
-	}
-	return new(T)
-}
-
-func (l *freeList[T]) put(v *T) {
-	l.mu.Lock()
-	l.live--
-	l.free = append(l.free, v)
-	l.mu.Unlock()
-}
-
 // JPEGMirror is the image-workload decoder of the paper: baseline JPEG
 // split across the hardware stages.
 type JPEGMirror struct{}
@@ -101,59 +71,33 @@ func (JPEGMirror) Parse(data []byte) (*jpeg.Header, error) { return jpeg.Parse(d
 // EntropyDecode is the one-shot Huffman decoding unit.
 func (JPEGMirror) EntropyDecode(h *jpeg.Header) (*jpeg.Coefficients, error) { return h.EntropyDecode() }
 
-// ReconstructScaled is the one-shot iDCT & RGB unit (see Job.Reconstruct).
+// ReconstructScaled is the one-shot iDCT & RGB unit (see Decoder.Reconstruct).
 func (JPEGMirror) ReconstructScaled(co *jpeg.Coefficients, outW, outH int) (*pix.Image, int, error) {
 	return co.ReconstructScaled(outW, outH)
 }
 
-// jpegDecoder holds each stage buffer for exactly the hops that use it:
-// the header from the parser to the end of the iDCT unit (the store
-// points at it, its scan aliases the payload), the coefficient store
-// from the Huffman unit to there, the sample planes inside the iDCT unit.
+// jpegDecoder is one worker's stage buffers, each overwritten by the
+// next command: the header (its scan aliases the payload), the
+// coefficient store that points at it, the sample planes and the scaled
+// image.
 type jpegDecoder struct {
-	jobs   freeList[jpegJob]
-	stores freeList[jpeg.Coefficients]
-	planes freeList[jpeg.Planes]
-}
-
-type jpegJob struct {
-	dec *jpegDecoder
-	hdr jpeg.Header
-	co  *jpeg.Coefficients // held between EntropyDecode and Release
+	hdr    jpeg.Header
+	co     jpeg.Coefficients
+	planes jpeg.Planes
+	img    pix.Image
 }
 
 // Parse implements Decoder: marker parsing, quant/Huffman table setup.
-func (d *jpegDecoder) Parse(data []byte) (Job, error) {
-	j := d.jobs.get()
-	j.dec = d
-	if err := j.hdr.ParseInto(data); err != nil {
-		d.jobs.put(j)
-		return nil, err
-	}
-	return j, nil
-}
+func (d *jpegDecoder) Parse(data []byte) error { return d.hdr.ParseInto(data) }
 
-// EntropyDecode implements Job: the Huffman decoding unit.
-func (j *jpegJob) EntropyDecode() error {
-	j.co = j.dec.stores.get()
-	return j.hdr.EntropyDecodeInto(j.co)
-}
+// EntropyDecode implements Decoder: the Huffman decoding unit.
+func (d *jpegDecoder) EntropyDecode() error { return d.hdr.EntropyDecodeInto(&d.co) }
 
-// Reconstruct implements Job: the iDCT & RGB unit, at the smallest scale
-// that still covers outW×outH.
-func (j *jpegJob) Reconstruct(img *pix.Image, outW, outH int) (int, error) {
-	p := j.dec.planes.get()
-	defer j.dec.planes.put(p)
-	return j.co.ReconstructScaledInto(p, img, outW, outH)
-}
-
-// Release implements Job.
-func (j *jpegJob) Release() {
-	if j.co != nil {
-		j.dec.stores.put(j.co)
-		j.co = nil
-	}
-	j.dec.jobs.put(j)
+// Reconstruct implements Decoder: the iDCT & RGB unit, at the smallest
+// scale that still covers outW×outH.
+func (d *jpegDecoder) Reconstruct(outW, outH int) (*pix.Image, int, error) {
+	scale, err := d.co.ReconstructScaledInto(&d.planes, &d.img, outW, outH)
+	return &d.img, scale, err
 }
 
 // RawMirror decodes the trivial framing used by tests and non-JPEG
@@ -165,13 +109,14 @@ type RawMirror struct{}
 // Name implements Mirror.
 func (RawMirror) Name() string { return "raw" }
 
-// NewDecoder implements Mirror: a raw job is its frame header, so there
-// is no buffer to keep and the mirror is its own Decoder.
-func (m RawMirror) NewDecoder() Decoder { return m }
+// NewDecoder implements Mirror.
+func (RawMirror) NewDecoder() Decoder { return new(rawDecoder) }
 
-type rawJob struct {
+// rawDecoder is one worker's frame header and image.
+type rawDecoder struct {
 	w, h, c int
 	data    []byte
+	img     pix.Image
 }
 
 func be24(b []byte) int { return int(b[0])<<16 | int(b[1])<<8 | int(b[2]) }
@@ -192,33 +137,30 @@ func EncodeRaw(img *pix.Image) []byte {
 }
 
 // Parse implements Decoder.
-func (RawMirror) Parse(data []byte) (Job, error) {
+func (d *rawDecoder) Parse(data []byte) error {
 	if len(data) < 9 {
-		return nil, fmt.Errorf("fpga: raw frame too short (%d bytes)", len(data))
+		return fmt.Errorf("fpga: raw frame too short (%d bytes)", len(data))
 	}
-	j := &rawJob{w: be24(data), h: be24(data[3:]), c: be24(data[6:]), data: data[9:]}
-	if j.w <= 0 || j.h <= 0 || (j.c != 1 && j.c != 3) {
-		return nil, fmt.Errorf("fpga: raw frame geometry %dx%dx%d invalid", j.w, j.h, j.c)
+	d.w, d.h, d.c, d.data = be24(data), be24(data[3:]), be24(data[6:]), data[9:]
+	if d.w <= 0 || d.h <= 0 || (d.c != 1 && d.c != 3) {
+		return fmt.Errorf("fpga: raw frame geometry %dx%dx%d invalid", d.w, d.h, d.c)
 	}
-	if len(j.data) != j.w*j.h*j.c {
-		return nil, fmt.Errorf("fpga: raw frame payload %d, want %d", len(j.data), j.w*j.h*j.c)
+	if len(d.data) != d.w*d.h*d.c {
+		return fmt.Errorf("fpga: raw frame payload %d, want %d", len(d.data), d.w*d.h*d.c)
 	}
-	return j, nil
+	return nil
 }
 
-// EntropyDecode implements Job (raw frames have no entropy coding).
-func (j *rawJob) EntropyDecode() error { return nil }
+// EntropyDecode implements Decoder (raw frames have no entropy coding).
+func (d *rawDecoder) EntropyDecode() error { return nil }
 
-// Reconstruct implements Job: the samples are copied, never aliased, so
-// the board's image buffer stays the board's.
-func (j *rawJob) Reconstruct(img *pix.Image, _, _ int) (int, error) {
-	img.Reset(j.w, j.h, j.c)
-	copy(img.Pix, j.data)
-	return 8, nil
+// Reconstruct implements Decoder: the samples are copied, never aliased,
+// so the decoder's image stays the decoder's.
+func (d *rawDecoder) Reconstruct(_, _ int) (*pix.Image, int, error) {
+	d.img.Reset(d.w, d.h, d.c)
+	copy(d.img.Pix, d.data)
+	return &d.img, 8, nil
 }
-
-// Release implements Job.
-func (j *rawJob) Release() {}
 
 func init() {
 	RegisterMirror(JPEGMirror{})

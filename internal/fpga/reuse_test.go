@@ -61,47 +61,10 @@ func (s stream) fresh(t testing.TB) []byte {
 	return dst.Pix
 }
 
-// checkList asserts that nothing of l is handed out, that nothing was
-// parked twice, and that its stock never outgrew the holders it serves.
-func checkList[T any](t *testing.T, name string, l *freeList[T], holders int) {
-	t.Helper()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.live != 0 {
-		t.Errorf("%s: %d still held", name, l.live)
-	}
-	if len(l.free) > holders {
-		t.Errorf("%s: stock of %d, at most %d can be held at once", name, len(l.free), holders)
-	}
-	seen := map[*T]bool{}
-	for _, v := range l.free {
-		if seen[v] {
-			t.Errorf("%s: %p parked twice", name, v)
-		}
-		seen[v] = true
-	}
-}
-
-// checkIdle is checkList over every buffer of a closed JPEG board. A list
-// only makes a buffer when none is parked, so its stock is the most that
-// were ever live at once: one per worker.
-func checkIdle(t *testing.T, d *Device) {
-	t.Helper()
-	dec := d.pipe.dec.(*jpegDecoder)
-	n := d.cfg.workers()
-	checkList(t, "headers", &dec.jobs, n)
-	checkList(t, "coefficient stores", &dec.stores, n)
-	checkList(t, "planes", &dec.planes, n)
-	checkList(t, "images", &d.pipe.images, n)
-}
-
 // TestReuseParity interleaves the streams in shuffled orders through one
-// board, many in flight at once, and through one host Pipeline: every
+// board, many in flight at once, and through one host Decoder: every
 // output must equal a decode that reused nothing, so no block, plane row
-// or header table of a previous occupant can show. The submitter keeps
-// the FIFO full, so this is also the saturated run after which no list's
-// stock may exceed the worker count (checkIdle): at most 4 coefficient
-// stores ever exist on a default board.
+// or header table of a previous occupant can show.
 func TestReuseParity(t *testing.T) {
 	streams := reuseStreams(t)
 	want := make([][]byte, len(streams))
@@ -127,7 +90,7 @@ func TestReuseParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	host := NewPipeline(JPEGMirror{})
+	host := JPEGMirror{}.NewDecoder()
 	for seed := int64(0); seed < 4; seed++ {
 		order := rand.New(rand.NewSource(seed)).Perm(n)
 		go func() {
@@ -154,7 +117,7 @@ func TestReuseParity(t *testing.T) {
 				t.Fatalf("seed %d: board output %d (%s) differs from a fresh decode", seed, i, s.name)
 			}
 			out := pix.New(s.w, s.h, s.c)
-			if _, err := host.Decode(s.data, out); err != nil {
+			if _, err := Decode(host, s.data, out); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(out.Pix, ref) {
@@ -163,36 +126,35 @@ func TestReuseParity(t *testing.T) {
 		}
 	}
 	d.Close()
-	checkIdle(t, d)
 	if got := d.ScaledDecodes(); got != 4*rounds*6 {
 		t.Errorf("ScaledDecodes = %d, want %d (six of the seven streams, every round)", got, 4*rounds*6)
 	}
 }
 
-// TestBufferAccounting drives a JPEG board through every way a command
-// can end and checks, once the board has closed, that each buffer came
-// back exactly once.
+// TestBufferAccounting drives a one-worker JPEG board through every way
+// a command can end, good and failing commands alternating on its one
+// decoder: each good output must equal a fresh decode, whatever the
+// command before it left in the decoder's buffers.
 func TestBufferAccounting(t *testing.T) {
 	s := reuseStreams(t)[0]
+	want := s.fresh(t)
+	size := s.w * s.h * s.c
 	good := func(id uint64, buf *hugepage.Buffer) Cmd {
-		return Cmd{ID: id, Data: DataRef{Inline: s.data}, DMAAddr: buf.PhysAddr(), DMAOff: int(id) * s.w * s.h * s.c, OutW: s.w, OutH: s.h, Channels: s.c}
+		return Cmd{ID: id, Data: DataRef{Inline: s.data}, DMAAddr: buf.PhysAddr(), DMAOff: int(id) * size, OutW: s.w, OutH: s.h, Channels: s.c}
 	}
 	for _, tc := range []struct {
 		name     string
 		inject   faults.Config
 		spoil    func(*Cmd)    // what is wrong with every second command
 		finishes int           // FINISH signals to wait for, of 8 commands
-		lax      bool          // which commands fail is the injector's business
 		during   func(*Device) // runs after the submissions
-		wantErr  func(error) bool
+		wantErr  error         // what a spoiled command fails with
 	}{
 		{name: "parse error", spoil: func(c *Cmd) { c.Data.Inline = []byte("not a jpeg") }, finishes: 8},
 		{name: "entropy error", spoil: func(c *Cmd) { c.Data.Inline = s.data[:len(s.data)/2] }, finishes: 8},
-		{name: "channel mismatch", spoil: func(c *Cmd) { c.Channels = 1 }, finishes: 8,
-			wantErr: func(err error) bool { return errors.Is(err, errBadGeometry) }},
-		{name: "bad DMA target", spoil: func(c *Cmd) { c.DMAOff = 1 << 40 }, finishes: 8,
-			wantErr: func(err error) bool { return errors.Is(err, ErrBadTarget) }},
-		{name: "injected fail and corrupt", inject: faults.Config{FailEvery: 3, CorruptEvery: 2}, finishes: 8, lax: true},
+		{name: "channel mismatch", spoil: func(c *Cmd) { c.Channels = 1 }, finishes: 8, wantErr: errBadGeometry},
+		{name: "bad DMA target", spoil: func(c *Cmd) { c.DMAOff = 1 << 40 }, finishes: 8, wantErr: ErrBadTarget},
+		{name: "injected fail and corrupt", inject: faults.Config{FailEvery: 3, CorruptEvery: 2}, finishes: 8},
 		{name: "revoked", inject: faults.Config{Delay: 50 * time.Millisecond, DelayEvery: 1, WindowStart: 1, WindowLen: 1},
 			finishes: 7, during: func(d *Device) {
 				if !d.Cancel(0) {
@@ -202,15 +164,22 @@ func TestBufferAccounting(t *testing.T) {
 		{name: "wedged then closed", inject: faults.Config{StuckAfter: 4}, finishes: 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pool, err := hugepage.NewPool(8*s.w*s.h*s.c, 1) // a window per command
+			pool, err := hugepage.NewPool(8*size, 1) // a window per command
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer pool.Close()
 			buf, _ := pool.Get()
-			cfg := DefaultConfig()
+			cfg := Config{HuffmanWays: 1, IDCTWays: 1, ResizeWays: 1}
+			// The commands the injector disturbs: a replay of its
+			// schedule, which the board follows in FIFO order.
+			var replay *faults.Injector
 			if tc.inject.Enabled() {
-				cfg.Inject = faults.New(tc.inject)
+				cfg.Inject, replay = faults.New(tc.inject), faults.New(tc.inject)
+			}
+			var disturbed [8]bool
+			for id := range disturbed {
+				disturbed[id] = replay.Next().Active()
 			}
 			d, err := New(cfg, pool.Arena(), nil, JPEGMirror{})
 			if err != nil {
@@ -234,76 +203,87 @@ func TestBufferAccounting(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if spoiled := tc.spoil != nil && comp.ID%2 == 1; tc.lax {
-				} else if spoiled != (comp.Err != nil) {
+				switch {
+				case tc.spoil != nil && comp.ID%2 == 1:
+					if comp.Err == nil || tc.wantErr != nil && !errors.Is(comp.Err, tc.wantErr) {
+						t.Errorf("spoiled cmd %d: err = %v", comp.ID, comp.Err)
+					}
+				case disturbed[comp.ID]:
+				case comp.Err != nil:
 					t.Errorf("cmd %d: err = %v", comp.ID, comp.Err)
-				} else if spoiled && tc.wantErr != nil && !tc.wantErr(comp.Err) {
-					t.Errorf("cmd %d: unexpected error %v", comp.ID, comp.Err)
+				default:
+					off := int(comp.ID) * size
+					if !bytes.Equal(buf.Bytes()[off:off+size], want) {
+						t.Errorf("cmd %d: output differs from a fresh decode", comp.ID)
+					}
 				}
 			}
 			d.Close()
 			if comps := d.Drain(); len(comps) != 0 {
 				t.Errorf("FINISH nobody expected: %+v", comps)
 			}
-			checkIdle(t, d)
 		})
 	}
 }
 
-// probeMirror counts what a board or a host Pipeline does with its jobs,
-// failing every second command at one stage.
+// probeMirror counts the decoders a board or a host path loads, failing
+// every second command at one stage. A decoder holds a command from its
+// Parse until its Reconstruct or the stage that fails it, and counts a
+// Parse that arrives while it holds one: a decoder two workers share.
 type probeMirror struct {
-	failAt                  string
-	parsed, made            atomic.Int64
-	released, releasedTwice atomic.Int64
+	failAt             string
+	decoders, overlaps atomic.Int64
+	parsed             atomic.Int64
 }
 
-type probeJob struct {
-	m        *probeMirror
-	fail     bool
-	released atomic.Int32
+type probeDecoder struct {
+	m    *probeMirror
+	fail bool
+	busy atomic.Bool
+	img  pix.Image
 }
 
 var errProbe = errors.New("probe: injected stage failure")
 
-func (m *probeMirror) Name() string        { return "probe" }
-func (m *probeMirror) NewDecoder() Decoder { return m }
+func (m *probeMirror) Name() string { return "probe" }
 
-func (m *probeMirror) Parse([]byte) (Job, error) {
-	fail := m.parsed.Add(1)%2 == 0
-	if fail && m.failAt == "parse" {
-		return nil, errProbe
-	}
-	m.made.Add(1)
-	return &probeJob{m: m, fail: fail}, nil
+func (m *probeMirror) NewDecoder() Decoder {
+	m.decoders.Add(1)
+	return &probeDecoder{m: m}
 }
 
-func (j *probeJob) EntropyDecode() error {
-	if j.fail && j.m.failAt == "entropy" {
-		return errProbe
+// end closes the decoder's command when the stage at fails it.
+func (d *probeDecoder) end(at string) error {
+	if !d.fail || d.m.failAt != at {
+		return nil
 	}
-	return nil
+	d.busy.Store(false)
+	return errProbe
 }
 
-func (j *probeJob) Reconstruct(img *pix.Image, outW, outH int) (int, error) {
-	if j.fail && j.m.failAt == "reconstruct" {
-		return 0, errProbe
+func (d *probeDecoder) Parse([]byte) error {
+	if d.busy.Swap(true) {
+		d.m.overlaps.Add(1)
 	}
-	img.Reset(2*outW, 2*outH, 1)
-	return 8, nil
+	d.fail = d.m.parsed.Add(1)%2 == 0
+	return d.end("parse")
 }
 
-func (j *probeJob) Release() {
-	j.m.released.Add(1)
-	if j.released.Add(1) > 1 {
-		j.m.releasedTwice.Add(1)
+func (d *probeDecoder) EntropyDecode() error { return d.end("entropy") }
+
+func (d *probeDecoder) Reconstruct(outW, outH int) (*pix.Image, int, error) {
+	if err := d.end("reconstruct"); err != nil {
+		return nil, 0, err
 	}
+	d.busy.Store(false)
+	d.img.Reset(2*outW, 2*outH, 1)
+	return &d.img, 8, nil
 }
 
-// TestJobReleasedExactlyOnce: whichever stage ends a command, on a board
-// and on the host path, its Job is released once and the scaled image
-// goes back to the Pipeline.
-func TestJobReleasedExactlyOnce(t *testing.T) {
+// TestDecoderPerWorker: a board loads one decoder per worker and never
+// lets two workers share one, and whichever stage ends a command, on a
+// board and on the host path, the command finishes once.
+func TestDecoderPerWorker(t *testing.T) {
 	for _, failAt := range []string{"none", "parse", "entropy", "reconstruct"} {
 		t.Run(failAt, func(t *testing.T) {
 			m := &probeMirror{failAt: failAt}
@@ -319,7 +299,6 @@ func TestJobReleasedExactlyOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer d.Close()
-			host := NewPipeline(m)
 			go func() {
 				for id := uint64(0); id < n; id++ {
 					if err := d.Submit(Cmd{ID: id, Data: DataRef{Inline: []byte{0}}, DMAAddr: buf.PhysAddr(), DMAOff: 16 * int(id), OutW: 4, OutH: 4, Channels: 1}); err != nil {
@@ -337,20 +316,25 @@ func TestJobReleasedExactlyOnce(t *testing.T) {
 					failed++
 				}
 			}
+			host := m.NewDecoder()
 			for i := 0; i < n; i++ {
-				if _, err := host.Decode(nil, pix.New(4, 4, 1)); err != nil {
+				if _, err := Decode(host, nil, pix.New(4, 4, 1)); err != nil {
 					failed++
 				}
 			}
 			d.Close()
+			if comps := d.Drain(); len(comps) != 0 {
+				t.Errorf("FINISH nobody expected: %+v", comps)
+			}
 			if want := n; failAt != "none" && failed != want {
 				t.Errorf("%d commands failed, want %d", failed, want)
 			}
-			if made, rel := m.made.Load(), m.released.Load(); made != rel || m.releasedTwice.Load() != 0 {
-				t.Errorf("%d jobs made, %d released, %d of them twice", made, rel, m.releasedTwice.Load())
+			if got, want := m.decoders.Load(), int64(d.cfg.workers()+1); got != want {
+				t.Errorf("%d decoders loaded, want %d: one per board worker and one host", got, want)
 			}
-			checkList(t, "board images", &d.pipe.images, d.cfg.workers())
-			checkList(t, "host images", &host.images, 1)
+			if got := m.overlaps.Load(); got != 0 {
+				t.Errorf("a decoder took %d commands while it held one", got)
+			}
 		})
 	}
 }
@@ -377,13 +361,15 @@ func TestDeviceSteadyStateAllocs(t *testing.T) {
 			}
 			defer pool.Close()
 			buf, _ := pool.Get()
-			d, err := New(DefaultConfig(), pool.Arena(), nil, tc.mirror)
-			if err != nil {
-				t.Fatal(err)
+			board := func() *Device {
+				d, err := New(DefaultConfig(), pool.Arena(), nil, tc.mirror)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d
 			}
-			defer d.Close()
 			id := uint64(0)
-			objects, size := allocsPer(t, func() {
+			run := func(d *Device) {
 				id++
 				if err := d.Submit(Cmd{ID: id, Data: DataRef{Inline: tc.data}, DMAAddr: buf.PhysAddr(), OutW: tc.w, OutH: tc.h, Channels: tc.c}); err != nil {
 					t.Fatal(err)
@@ -391,7 +377,17 @@ func TestDeviceSteadyStateAllocs(t *testing.T) {
 				if comp, err := d.WaitCompletion(); err != nil || comp.Err != nil {
 					t.Fatalf("completion %+v, %v", comp, err)
 				}
-			})
+			}
+			// Any worker may take the next command, so a board is warm
+			// once every worker has decoded the stream: the one measured
+			// is built after a board that decoded it closed, and New
+			// decodes that board's sample on every worker.
+			prev := board()
+			run(prev)
+			prev.Close()
+			d := board()
+			defer d.Close()
+			objects, size := allocsPer(t, func() { run(d) })
 			if objects > 2 || size > 1024 {
 				t.Errorf("%.2f objects and %.0f bytes per command, want at most 2 and 1024", objects, size)
 			}
@@ -417,12 +413,14 @@ func allocsPer(t *testing.T, run func()) (objects, size float64) {
 }
 
 // TestBoardWarmsFromLastClosed builds boards after a JPEG board closed:
-// each decodes the closed board's first image once per worker before it
-// opens, so its lists already hold the stock its workers grow (planes
-// one) and even its first command allocates no stage buffer.
+// each decodes the closed board's first image once on every worker's
+// decoder before it opens, so no command grows a stage buffer: not its
+// first, and not eight in flight at once. What a board may allocate is
+// its own sample, a copy of the payload.
 func TestBoardWarmsFromLastClosed(t *testing.T) {
 	s := reuseStreams(t)[1] // full-scale 500×375: the biggest buffers
 	const cmds = 8
+	most := uint64(len(s.data) + 4<<10)
 	pool, err := hugepage.NewPool(cmds*s.w*s.h*s.c, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -436,41 +434,66 @@ func TestBoardWarmsFromLastClosed(t *testing.T) {
 		}
 		return d
 	}
-	decode := func(d *Device, n int) {
+	// decode runs n commands of data in flight at once and reports the
+	// bytes they allocated and the errors they finished with.
+	decode := func(d *Device, n int, data []byte) (size uint64, failed int) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		for id := 0; id < n; id++ {
-			if err := d.Submit(Cmd{ID: uint64(id), Data: DataRef{Inline: s.data}, DMAAddr: buf.PhysAddr(), DMAOff: id * s.w * s.h * s.c, OutW: s.w, OutH: s.h, Channels: s.c}); err != nil {
+			if err := d.Submit(Cmd{ID: uint64(id), Data: DataRef{Inline: data}, DMAAddr: buf.PhysAddr(), DMAOff: id * s.w * s.h * s.c, OutW: s.w, OutH: s.h, Channels: s.c}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := 0; i < n; i++ {
-			if comp, err := d.WaitCompletion(); err != nil || comp.Err != nil {
-				t.Fatalf("completion %+v, %v", comp, err)
+			comp, err := d.WaitCompletion()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if comp.Err != nil {
+				failed++
 			}
 		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, failed
+	}
+	ok := func(d *Device, n int) uint64 {
+		size, failed := decode(d, n, s.data)
+		if failed != 0 {
+			t.Fatalf("%d of %d commands failed", failed, n)
+		}
+		return size
 	}
 	first := board(DefaultConfig())
-	decode(first, cmds)
+	ok(first, cmds)
 	first.Close()
 
 	for _, cfg := range []Config{{HuffmanWays: 1, IDCTWays: 1, ResizeWays: 1}, DefaultConfig()} {
 		d := board(cfg)
-		dec, n := d.pipe.dec.(*jpegDecoder), d.cfg.workers()
-		for name, stock := range map[string]int{"headers": len(dec.jobs.free), "stores": len(dec.stores.free), "images": len(d.pipe.images.free), "planes": len(dec.planes.free)} {
-			if want := map[bool]int{true: 1, false: n}[name == "planes"]; stock != want {
-				t.Errorf("%d workers: %d %s parked before the first command, want %d", n, stock, name, want)
-			}
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		decode(d, 1)
-		runtime.ReadMemStats(&after)
-		// What it may allocate is its own sample: a copy of the payload.
-		if size, most := after.TotalAlloc-before.TotalAlloc, uint64(len(s.data)+4<<10); size > most {
-			t.Errorf("%d workers: first command allocated %d bytes, want at most %d", n, size, most)
+		if size := ok(d, 1); size > most {
+			t.Errorf("%d workers: first command allocated %d bytes, want at most %d", d.cfg.workers(), size, most)
 		}
 		d.Close()
-		checkIdle(t, d)
 	}
+	d := board(DefaultConfig())
+	if size := ok(d, cmds); size > most {
+		t.Errorf("%d commands in flight on a warm board allocated %d bytes, want at most %d", cmds, size, most)
+	}
+	d.Close()
+
+	// A payload that parses but fails entropy decode never becomes the
+	// sample: the good command after it does.
+	samples.Delete(JPEGMirror{}.Name())
+	first = board(DefaultConfig())
+	if _, failed := decode(first, 1, s.data[:len(s.data)/2]); failed != 1 {
+		t.Fatal("a truncated payload decoded")
+	}
+	ok(first, 1)
+	first.Close()
+	d = board(DefaultConfig())
+	if size := ok(d, 1); size > most {
+		t.Errorf("after a truncated sample: first command allocated %d bytes, want at most %d", size, most)
+	}
+	d.Close()
 }
 
 // runSlow pushes n one-byte commands through a default board loaded with
@@ -546,23 +569,21 @@ type slowMirror struct {
 	entropy, reconstruct time.Duration
 }
 
-type slowJob struct {
-	probeJob
+type slowDecoder struct {
+	probeDecoder
 	sm *slowMirror
 }
 
-func (m *slowMirror) NewDecoder() Decoder { return m }
-
-func (m *slowMirror) Parse([]byte) (Job, error) {
-	return &slowJob{probeJob{m: &m.probeMirror}, m}, nil
+func (m *slowMirror) NewDecoder() Decoder {
+	return &slowDecoder{probeDecoder{m: &m.probeMirror}, m}
 }
 
-func (j *slowJob) EntropyDecode() error {
-	time.Sleep(j.sm.entropy)
+func (d *slowDecoder) EntropyDecode() error {
+	time.Sleep(d.sm.entropy)
 	return nil
 }
 
-func (j *slowJob) Reconstruct(img *pix.Image, outW, outH int) (int, error) {
-	time.Sleep(j.sm.reconstruct)
-	return j.probeJob.Reconstruct(img, outW, outH)
+func (d *slowDecoder) Reconstruct(outW, outH int) (*pix.Image, int, error) {
+	time.Sleep(d.sm.reconstruct)
+	return d.probeDecoder.Reconstruct(outW, outH)
 }

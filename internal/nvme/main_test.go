@@ -1,0 +1,9 @@
+package nvme
+
+import (
+	"testing"
+
+	"dlbooster/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -32,6 +32,7 @@ var allowlist = map[string]string{
 	"dlbooster/internal/jpeg.DefaultEncodeOptions": "encoder defaults shared by the tests of several packages",
 	"dlbooster/internal/fpga.DefaultConfig":        "board defaults shared by the tests of several packages",
 	"dlbooster/internal/fpga.EncodeRaw":            "raw-image framing shared by the fpga and core tests",
+	"dlbooster/internal/leakcheck.Main":            "the goroutine-leak check every test binary's TestMain runs",
 }
 
 func main() {

@@ -3,7 +3,11 @@ package main
 import (
 	"reflect"
 	"testing"
+
+	"dlbooster/internal/leakcheck"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // TestCheckFixture runs the check over testdata/tree, which plants each
 // case: a dead function, its second-order helper, a dead function named
